@@ -10,7 +10,6 @@ command line front end.
 __version__ = "0.1.0"
 
 from .analysis import (
-    EigenPair,
     Energies,
     InsufficientDuration,
     LimitSummary,
@@ -65,7 +64,6 @@ __all__ = [
     "BLOWUP_NORM",
     "CflViolation",
     "ConfigError",
-    "EigenPair",
     "Energies",
     "EstimatorParams",
     "FluxBC",

@@ -15,11 +15,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .domain import ConfigError, GridFunction, Params, Trace, ZeroCoefficient
+from .domain import ConfigError, GridFunction, Params, Trace, ZeroCoefficient, _Recorder
 from .fdm import quad
 
 __all__ = [
-    "EigenPair",
     "PEVerdict",
     "Energies",
     "InsufficientDuration",
@@ -44,56 +43,20 @@ class UnresolvableMode(ValueError):
     """The requested mode count cannot be represented on the given grid."""
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """n-th member of the half-integer sine family on (0, 1).
-
-    lambda_n = (n - 1/2)^2 pi^2 with eigenfunction
-    phi_n(x) = sqrt(2) sin(sqrt(lambda_n) x); the family is orthonormal
-    in L2(0,1) and satisfies phi_n(0) = 0, phi_n'(1) = 0 (pinned value
-    at the left end, zero slope at the right end).  Note the pinned left
-    end: every H1 limit of this family vanishes at x = 0, so the family
-    cannot represent fields whose left-end value is free; the spectral
-    error-system oracle therefore uses the cosine family instead (see
-    :func:`galerkin_error_system`).
-    """
-
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ConfigError("eigenpair index starts at 1")
-
-    @property
-    def lam(self) -> float:
-        return (self.index - 0.5) ** 2 * math.pi**2
-
-    def phi(self, x):
-        return math.sqrt(2.0) * np.sin(math.sqrt(self.lam) * np.asarray(x, dtype=float))
-
-    @property
-    def phi_at_1(self) -> float:
-        # sqrt(2) sin((n - 1/2) pi) alternates in sign exactly
-        return math.sqrt(2.0) * (1.0 if self.index % 2 == 1 else -1.0)
-
-
 class Energies(NamedTuple):
     E: float
     F: float
-    V: float
 
 
 def energies(wtilde: GridFunction, zetatilde: float, b: float) -> Energies:
-    """Error energy E, total functional F and its Lyapunov alias V.
+    """Error energy E and total functional F, also the Lyapunov functional.
 
-    E = (1/2) ||wtilde||^2,  F = E + (|b|/2) zetatilde^2,  V = F.
-    The two names come from the functional's two roles (energy identity
-    versus Lyapunov certificate); they are the same number.
+    E = (1/2) ||wtilde||^2,  F = E + (|b|/2) zetatilde^2.
     """
     v = wtilde.values
     e = 0.5 * quad(GridFunction._wrap(wtilde.grid, v * v))
     f = e + 0.5 * abs(b) * zetatilde * zetatilde
-    return Energies(E=e, F=f, V=f)
+    return Energies(E=e, F=f)
 
 
 @dataclass(frozen=True)
@@ -223,7 +186,7 @@ def galerkin_error_system(
 
     which is orthonormal in L2(0,1) and dense in H1 without pinning
     either endpoint.  (A family that vanishes at x = 0, such as the
-    half-integer sines of :class:`EigenPair`, has an H1 closure that
+    half-integer sines sqrt(2) sin((j - 1/2) pi x), has an H1 closure that
     forces a zero left-end value and therefore converges to the wrong
     boundary problem.)  Testing the dynamics against each psi_j gives
     the (N+1)-dimensional system
@@ -276,21 +239,15 @@ def galerkin_error_system(
         return da, dz
 
     n_steps = int(round(t_final / dt_ode))
-    times, cols = [], {k: [] for k in ("u0", "u", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F")}
+    rec = _Recorder()
 
     def record(t: float, a: np.ndarray, z: float) -> None:
         e = 0.5 * float(a @ a)
         nrm = math.sqrt(2.0 * e)
-        times.append(t)
-        cols["u0"].append(u0_signal(t))
-        cols["u"].append(0.0)
-        cols["zeta"].append(z)
-        cols["w0"].append(float(phi0 @ a))
-        cols["w1"].append(float(phi1 @ a))
-        cols["wnorm"].append(nrm)
-        cols["obs_err_norm"].append(nrm)
-        cols["E"].append(e)
-        cols["F"].append(e + half_b * z * z)
+        rec.row(
+            t, u0=u0_signal(t), zeta=z, w0=float(phi0 @ a), w1=float(phi1 @ a),
+            wnorm=nrm, obs_err_norm=nrm, E=e, F=e + half_b * z * z,
+        )
 
     z = float(zetatilde0)
     t = 0.0
@@ -307,12 +264,7 @@ def galerkin_error_system(
         if (k + 1) % sample_stride == 0 or k + 1 == n_steps:
             record(t, a, z)
 
-    return Trace(
-        times=np.array(times),
-        scalars={k: np.array(v) for k, v in cols.items()},
-        extras={},
-        final_state=None,
-    )
+    return rec.build(final_state=None)
 
 
 @dataclass(frozen=True)

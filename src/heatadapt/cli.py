@@ -23,7 +23,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -219,7 +218,6 @@ def _build_parser() -> _Parser:
     _add_sim_flags(sw)
     sw.add_argument("--param", required=True, choices=sorted(k for k, t in _SIM_FLAGS.items() if t is float))
     sw.add_argument("--values", required=True, help="comma-separated values of --param")
-    sw.add_argument("--jobs", type=int, default=1, help="concurrent runs")
     return parser
 
 
@@ -277,7 +275,8 @@ def parse_args(argv: list[str]) -> tuple[str, dict]:
             raise UsageError(f"bad --values: {exc}") from exc
         if not resolved["values"]:
             raise UsageError("--values is empty")
-        resolved["jobs"] = max(1, args.jobs)
+        if len(set(resolved["values"])) != len(resolved["values"]):
+            raise UsageError(f"--values repeats a value: {args.values}")
         return "sweep", resolved
     return "analyze", vars(args)
 
@@ -373,15 +372,68 @@ def emit_trace(trace: Trace, manifest: RunManifest, out_dir) -> dict:
 
 
 def read_trace_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Parse an emitted trace.csv back into (times, column arrays)."""
-    text = Path(path).read_text()
+    """Parse an emitted trace.csv back into (times, column arrays).
+
+    Raises ConfigError when the file is not text, has no samples, lacks
+    a column of the trace.csv header, or has a row of the wrong length
+    or with a non-numeric value.
+    """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file: {exc}") from exc
     lines = [ln for ln in text.split("\n") if ln]
+    if len(lines) < 2:
+        raise ConfigError(f"{path}: no samples")
     header = lines[0].split(",")
-    if header[0] != "t":
-        raise ConfigError(f"{path}: unexpected header {lines[0]!r}")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    missing = [c for c in ("t", *TRACE_COLUMNS) if c not in header]
+    if header[0] != "t" or missing:
+        raise ConfigError(f"{path}: unexpected header {lines[0]!r}, missing {missing}")
+    rows = []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        fields = ln.split(",")
+        if len(fields) != len(header):
+            raise ConfigError(f"{path}:{lineno}: {len(fields)} values, header has {len(header)}")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    data = np.array(rows)
     cols = {name: data[:, i] for i, name in enumerate(header)}
     return cols.pop("t"), cols
+
+
+def _tolerance_checks(scenario: str, verdicts: dict, b: float) -> dict:
+    """Compare a run's verdicts against ACCEPTANCE_TOLERANCES[scenario].
+
+    Names ending in ``_min`` are lower bounds, the others upper bounds.
+    ``value`` and ``ok`` are None where the settle window did not fit the
+    run, so no limit verdicts exist, and for the offset-over-gap ratio
+    when the zeta gap is 0.
+    """
+    values: dict[str, float | None] = {}
+    if verdicts["limits"] is not None:
+        quantities = verdicts["limits"]["quantities"]
+        offset = abs(quantities["zeta"]["terminal"] - 1.0 / b)
+        gap = quantities["zeta"]["gap"]
+        values = {
+            "wnorm_final": quantities["wnorm"]["terminal"],
+            "obs_err_norm_final": quantities["obs_err_norm"]["terminal"],
+            "zeta_settle_gap": gap,
+            "zeta_offset_over_settle_gap_min": offset / gap if gap > 0 else None,
+            "zeta_reciprocal_final": offset,
+        }
+    if "tracking_err_final" in verdicts:
+        values["tracking_err_final"] = abs(verdicts["tracking_err_final"])
+    checks = {}
+    for name, bound in ACCEPTANCE_TOLERANCES[scenario].items():
+        value = values.get(name)
+        if value is None:
+            ok = None
+        else:
+            ok = value >= bound if name.endswith("_min") else value <= bound
+        checks[name] = {"value": value, "bound": bound, "ok": ok}
+    return checks
 
 
 def _simulate(resolved: dict) -> int:
@@ -464,6 +516,7 @@ def _simulate(resolved: dict) -> int:
         verdicts["reference_uniformly_bounded"] = ref.uniformly_bounded
     if scenario in ACCEPTANCE_TOLERANCES:
         verdicts["tolerances"] = ACCEPTANCE_TOLERANCES[scenario]
+        verdicts["tolerance_checks"] = _tolerance_checks(scenario, verdicts, params.b)
 
     manifest = RunManifest(
         scenario=scenario,
@@ -495,7 +548,10 @@ def _simulate(resolved: dict) -> int:
 
 
 def _analyze(args: dict) -> int:
-    times, cols = read_trace_csv(args["trace"])
+    try:
+        times, cols = read_trace_csv(args["trace"])
+    except OSError as exc:
+        raise UsageError(f"cannot read trace {args['trace']!r}: {exc}") from exc
     result: dict = {"trace": args["trace"], "samples": int(times.size),
                     "t_final": float(times[-1])}
     try:
@@ -528,36 +584,25 @@ def _analyze(args: dict) -> int:
 
 
 def _sweep(resolved: dict) -> int:
-    param, values, jobs = resolved["param"], resolved["values"], resolved["jobs"]
+    """Run simulate once per value, in order, each into ``NNN-param=repr(value)``."""
+    param, values = resolved["param"], resolved["values"]
     base_out = Path(resolved["out"])
     runs = []
-    for v in values:
+    for i, v in enumerate(values):
         sub = dict(resolved)
         sub[param] = v
-        sub["out"] = str(base_out / f"{param}={v:g}")
-        runs.append(sub)
-
-    def one(sub: dict) -> tuple[str, int]:
+        sub["out"] = str(base_out / f"{i:03d}-{param}={v!r}")
         try:
-            return sub["out"], _simulate(sub)
+            code = _simulate(sub)
         except CflViolation:
-            return sub["out"], 2
+            code = 2
         except (ConfigError, UsageError, UnresolvableMode, TruncationInsufficient):
-            return sub["out"], 64
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, runs))
-    else:
-        results = [one(sub) for sub in runs]
+            code = 64
+        runs.append({"out": sub["out"], "value": v, "exit_code": code})
     base_out.mkdir(parents=True, exist_ok=True)
-    index = {
-        "param": param,
-        "runs": [{"out": out, "value": v, "exit_code": code}
-                 for (out, code), v in zip(results, values)],
-    }
+    index = {"param": param, "runs": runs}
     (base_out / "sweep.json").write_text(json.dumps(index, indent=2) + "\n")
-    return max((code for _, code in results), default=0)
+    return max(r["exit_code"] for r in runs)
 
 
 def main(argv: list[str] | None = None) -> int:

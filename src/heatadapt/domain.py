@@ -208,7 +208,8 @@ class GridFunction:
 class SimConfig:
     """Discretization, horizon and diagnostic settings for one run.
 
-    dt must satisfy the explicit-scheme stability bound dt <= dx^2/2.
+    dt must satisfy the explicit-scheme stability bound dt <= dx^2/2 and
+    divide t_final into a whole number of steps (to a relative 1e-9).
     snapshot_stride == 0 disables field snapshots entirely.
     """
 
@@ -231,6 +232,10 @@ class SimConfig:
             )
         if self.t_final < self.dt:
             raise ConfigError(f"t_final={self.t_final} shorter than one step")
+        if abs(round(self.t_final / self.dt) * self.dt - self.t_final) > 1e-9 * self.t_final:
+            raise ConfigError(
+                f"t_final={self.t_final} is not a whole number of steps of dt={self.dt}"
+            )
         if not (self.pe_window_tau > 0):
             raise NonPositiveGain(f"pe_window_tau must be > 0, got {self.pe_window_tau}")
         if self.pe_window_tau > self.t_final:
@@ -384,16 +389,9 @@ class Trace:
     def __getitem__(self, name: str) -> np.ndarray:
         if name == "t":
             return self.times
-        if name == "V":
-            return self.scalars["F"]
         if name in self.scalars:
             return self.scalars[name]
         return self.extras[name]
-
-    @property
-    def V(self) -> np.ndarray:
-        """Alias: the run Lyapunov functional and the energy F coincide."""
-        return self.scalars["F"]
 
     @property
     def duration(self) -> float:
@@ -401,3 +399,35 @@ class Trace:
 
     def terminal(self, name: str) -> float:
         return float(self[name][-1])
+
+
+class _Recorder:
+    """Accumulates per-sample scalars, extras and snapshots for a Trace."""
+
+    def __init__(self, extra_names: tuple[str, ...] = ()):
+        self.times: list[float] = []
+        self.cols: dict[str, list[float]] = {k: [] for k in TRACE_COLUMNS}
+        self.extras: dict[str, list[float]] = {k: [] for k in extra_names}
+        self.snapshots: list[tuple[float, dict[str, np.ndarray]]] = []
+
+    def row(self, t: float, **values: float) -> None:
+        """Record one sample; TRACE_COLUMNS missing from values record 0.0."""
+        self.times.append(t)
+        for k in self.cols:
+            self.cols[k].append(values.get(k, 0.0))
+        for k in self.extras:
+            self.extras[k].append(values[k])
+
+    def snap(self, t: float, fields: dict[str, np.ndarray]) -> None:
+        self.snapshots.append((t, {k: v.copy() for k, v in fields.items()}))
+
+    def build(self, final_state, blown_up=False, blow_up_time=None) -> Trace:
+        return Trace(
+            times=np.array(self.times),
+            scalars={k: np.array(v) for k, v in self.cols.items()},
+            extras={k: np.array(v) for k, v in self.extras.items()},
+            snapshots=self.snapshots,
+            final_state=final_state,
+            blown_up=blown_up,
+            blow_up_time=blow_up_time,
+        )

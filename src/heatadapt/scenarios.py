@@ -6,7 +6,10 @@ the reciprocal estimate, then step the plant with the pre-update
 estimate and step the observer.  Using the pre-update estimate keeps
 plant and observer consistent with the continuous-time simultaneity;
 the O(dt) splitting error this introduces is covered by the energy
-residual checks in the test suite.
+residual checks in the test suite.  That order, the sampling, the
+blow-up test and the final sample live in one private loop, ``_run``;
+a runner supplies only its state and its inputs, advance and row
+callbacks.
 
 Runs are deterministic: identical inputs produce bit-identical traces
 on one platform.  A run whose state norm passes 1e12 stops early with a
@@ -22,16 +25,16 @@ from typing import Callable
 
 import numpy as np
 
-from .control import adaptive_u0, servo_boundary, servo_eval, zeta_step
+from .control import ServoTerms, adaptive_u0, servo_boundary, servo_eval, zeta_step
 from .domain import (
     ConfigError,
-    GridFunction,
     Grid,
+    GridFunction,
     Params,
     ReferenceSignal,
     SimConfig,
     Trace,
-    TRACE_COLUMNS,
+    _Recorder,
 )
 from .fdm import FluxBC, grad_values, l2_norm, step_heat
 
@@ -71,46 +74,83 @@ def benchmark_initial_state(grid: Grid, q: float) -> GridFunction:
     return GridFunction(grid, q * grid.nodes - 1.0)
 
 
-class _Recorder:
-    """Accumulates per-sample scalars, extras and snapshots for a Trace."""
+@dataclass(slots=True)
+class _Loop:
+    """Mutable state of one run, shared by the loop and a runner's callbacks.
 
-    def __init__(self, extra_names: tuple[str, ...] = ()):
-        self.times: list[float] = []
-        self.cols: dict[str, list[float]] = {k: [] for k in TRACE_COLUMNS}
-        self.extras: dict[str, list[float]] = {k: [] for k in extra_names}
-        self.snapshots: list[tuple[float, dict[str, np.ndarray]]] = []
+    ``w`` is the field whose norm decides blow-up; ``what`` is the
+    observer field, or None for runs without one.
+    """
 
-    def row(self, t: float, **values: float) -> None:
-        self.times.append(t)
-        for k in self.cols:
-            self.cols[k].append(values.get(k, 0.0))
-        for k in self.extras:
-            self.extras[k].append(values[k])
+    w: GridFunction
+    what: GridFunction | None = None
+    zeta: float = 0.0
+    u0: float = 0.0
+    u: float = 0.0
+    innov: float = 0.0
+    diss_cum: float = 0.0
+    servo: ServoTerms | None = None
 
-    def snap(self, t: float, fields: dict[str, np.ndarray]) -> None:
-        self.snapshots.append((t, {k: v.copy() for k, v in fields.items()}))
-
-    def build(self, final_state, blown_up=False, blow_up_time=None) -> Trace:
-        return Trace(
-            times=np.array(self.times),
-            scalars={k: np.array(v) for k, v in self.cols.items()},
-            extras={k: np.array(v) for k, v in self.extras.items()},
-            snapshots=self.snapshots,
-            final_state=final_state,
-            blown_up=blown_up,
-            blow_up_time=blow_up_time,
-        )
+    def fields(self) -> dict[str, np.ndarray]:
+        if self.what is None:
+            return {"w": self.w.values}
+        return {"w": self.w.values, "what": self.what.values}
 
 
-def _check_grid(config: SimConfig, *fields: GridFunction) -> None:
-    for f in fields:
-        if f.grid != config.grid:
+_Step = Callable[[float, _Loop], None]
+
+
+def _run(
+    config: SimConfig,
+    s: _Loop,
+    inputs: _Step,
+    advance: _Step,
+    row: Callable[[float, _Loop], dict[str, float]],
+    extra_names: tuple[str, ...] = (),
+) -> Trace:
+    """The time loop every runner shares.
+
+    Each step calls ``inputs(t, s)`` to evaluate the loop's inputs, records
+    ``row(t, s)`` every ``sample_stride`` steps and the fields every
+    ``snapshot_stride`` steps, then calls ``advance(t, s)`` to step the
+    fields.  A run whose ``s.w`` passes :data:`BLOWUP_NORM` stops there.
+    The last instant is always sampled, after one more ``inputs`` call.
+    """
+    for f in (s.w, s.what):
+        if f is not None and f.grid != config.grid:
             raise ConfigError("initial data must live on the configured grid")
+    dt, stride, snap_stride = config.dt, config.sample_stride, config.snapshot_stride
+    dx = config.grid.dx
+    rec = _Recorder(extra_names)
+    blown, t_blow = False, None
+    n_steps = config.n_steps
+    for k in range(n_steps):
+        t = k * dt
+        inputs(t, s)
+        if k % stride == 0:
+            rec.row(t, **row(t, s))
+        if snap_stride and k % snap_stride == 0:
+            rec.snap(t, s.fields())
+        advance(t, s)
+        if math.sqrt(_sq_norm(s.w.values, dx)) > BLOWUP_NORM:
+            blown, t_blow = True, (k + 1) * dt
+            break
+    t_end = t_blow if blown else n_steps * dt
+    inputs(t_end, s)
+    rec.row(t_end, **row(t_end, s))
+    if snap_stride:
+        rec.snap(t_end, s.fields())
+    final = ScenarioState(t=t_end, w=s.w, what=s.what, zeta=s.zeta, last_u0=s.u0, last_u=s.u)
+    return rec.build(final, blown_up=blown, blow_up_time=t_blow)
 
 
 def _sq_norm(values: np.ndarray, dx: float) -> float:
     v2 = values * values
     return dx * (v2.sum() - 0.5 * (v2[0] + v2[-1]))
+
+
+def _no_inputs(t: float, s: _Loop) -> None:
+    pass
 
 
 def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
@@ -120,37 +160,15 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
     bound; the run then stops at the blow-up threshold with the marker
     set rather than raising.
     """
-    _check_grid(config, w0)
-    dt, stride, snap_stride = config.dt, config.sample_stride, config.snapshot_stride
-    q = p.q
-    w = w0
-    rec = _Recorder()
-    blown, t_blow = False, None
+    dt, q = config.dt, p.q
 
-    def record(t: float, w: GridFunction, nrm: float) -> None:
-        rec.row(
-            t, u0=0.0, u=0.0, zeta=0.0,
-            w0=w.values[0], w1=w.values[-1], wnorm=nrm,
-            obs_err_norm=0.0, E=0.0, F=0.0,
-        )
+    def advance(t: float, s: _Loop) -> None:
+        s.w = step_heat(s.w, FluxBC(-q * s.w.values[0], 0.0), dt)
 
-    n_steps = config.n_steps
-    for k in range(n_steps):
-        t = k * dt
-        if k % stride == 0:
-            record(t, w, l2_norm(w))
-        if snap_stride and k % snap_stride == 0:
-            rec.snap(t, {"w": w.values})
-        w = step_heat(w, FluxBC(-q * w.values[0], 0.0), dt)
-        if math.sqrt(_sq_norm(w.values, config.grid.dx)) > BLOWUP_NORM:
-            blown, t_blow = True, (k + 1) * dt
-            break
-    t_end = t_blow if blown else n_steps * dt
-    record(t_end, w, l2_norm(w))
-    if snap_stride:
-        rec.snap(t_end, {"w": w.values})
-    final = ScenarioState(t=t_end, w=w, what=None, zeta=0.0, last_u0=0.0, last_u=0.0)
-    return rec.build(final, blown_up=blown, blow_up_time=t_blow)
+    def row(t: float, s: _Loop) -> dict[str, float]:
+        return {"w0": s.w.values[0], "w1": s.w.values[-1], "wnorm": l2_norm(s.w)}
+
+    return _run(config, _Loop(w=w0), _no_inputs, advance, row)
 
 
 def _run_observer_loop(
@@ -167,58 +185,38 @@ def _run_observer_loop(
     external signal (observer scenario) or from the adaptive feedback
     law (stabilization scenario).
     """
-    _check_grid(config, w0, what0)
-    dt, stride, snap_stride = config.dt, config.sample_stride, config.snapshot_stride
-    dx = config.grid.dx
+    dt, dx = config.dt, config.grid.dx
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
     half_b = 0.5 * abs(b)
     inv_b = 1.0 / b
-    w, what, zeta = w0, what0, zeta0
-    rec = _Recorder(extra_names=("diss_cum",))
-    blown, t_blow = False, None
-    diss_cum = 0.0
-    u0 = u = 0.0
 
-    def record(t: float) -> None:
-        werr = w.values - what.values
-        e = 0.5 * _sq_norm(werr, dx)
-        zt = inv_b - zeta
-        f = e + half_b * zt * zt
-        rec.row(
-            t, u0=u0, u=u, zeta=zeta,
-            w0=w.values[0], w1=w.values[-1],
-            wnorm=math.sqrt(_sq_norm(w.values, dx)),
-            obs_err_norm=math.sqrt(2.0 * e), E=e, F=f, diss_cum=diss_cum,
-        )
+    def inputs(t: float, s: _Loop) -> None:
+        s.u0 = u0_of(t, s.what)
+        s.innov = s.w.values[-1] - s.what.values[-1]
+        s.u = s.zeta * s.u0
 
-    n_steps = config.n_steps
-    for k in range(n_steps):
-        t = k * dt
-        u0 = u0_of(t, what)
-        innov = w.values[-1] - what.values[-1]
-        u = zeta * u0
-        if k % stride == 0:
-            record(t)
-        if snap_stride and k % snap_stride == 0:
-            rec.snap(t, {"w": w.values, "what": what.values})
+    def advance(t: float, s: _Loop) -> None:
+        w, what, innov = s.w, s.what, s.innov
         gerr = grad_values(w.values - what.values, dx)
-        diss_cum += dt * (_sq_norm(gerr, dx) + c1 * innov * innov)
-        zeta_new = zeta_step(zeta, sgn, innov, u0, dt)
+        s.diss_cum += dt * (_sq_norm(gerr, dx) + c1 * innov * innov)
+        zeta_new = zeta_step(s.zeta, sgn, innov, s.u0, dt)
         left = -q * w.values[0]
-        w = step_heat(w, FluxBC(left, b * u), dt)
-        what = step_heat(what, FluxBC(left, u0 + c1 * innov), dt)
-        zeta = zeta_new
-        if math.sqrt(_sq_norm(w.values, dx)) > BLOWUP_NORM:
-            blown, t_blow = True, (k + 1) * dt
-            break
-    t_end = t_blow if blown else n_steps * dt
-    u0 = u0_of(t_end, what)
-    u = zeta * u0
-    record(t_end)
-    if snap_stride:
-        rec.snap(t_end, {"w": w.values, "what": what.values})
-    final = ScenarioState(t=t_end, w=w, what=what, zeta=zeta, last_u0=u0, last_u=u)
-    return rec.build(final, blown_up=blown, blow_up_time=t_blow)
+        s.w = step_heat(w, FluxBC(left, b * s.u), dt)
+        s.what = step_heat(what, FluxBC(left, s.u0 + c1 * innov), dt)
+        s.zeta = zeta_new
+
+    def row(t: float, s: _Loop) -> dict[str, float]:
+        w = s.w.values
+        e = 0.5 * _sq_norm(w - s.what.values, dx)
+        zt = inv_b - s.zeta
+        return {
+            "u0": s.u0, "u": s.u, "zeta": s.zeta, "w0": w[0], "w1": w[-1],
+            "wnorm": math.sqrt(_sq_norm(w, dx)), "obs_err_norm": math.sqrt(2.0 * e),
+            "E": e, "F": e + half_b * zt * zt, "diss_cum": s.diss_cum,
+        }
+
+    state = _Loop(w=w0, what=what0, zeta=zeta0)
+    return _run(config, state, inputs, advance, row, ("diss_cum",))
 
 
 def run_observer(
@@ -269,69 +267,45 @@ def run_tracking(
     the servo slope series (the signal whose excitation decides whether
     the reciprocal estimate converges) alongside the standard columns.
     """
-    _check_grid(config, w0, zhat0)
-    dt, stride, snap_stride = config.dt, config.sample_stride, config.snapshot_stride
-    dx = config.grid.dx
+    dt, dx = config.dt, config.grid.dx
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
     est = p.estimator_view()
     J = config.servo_truncation_J
     half_b = 0.5 * abs(b)
     inv_b = 1.0 / b
     nodes = config.grid.nodes
-    w, zhat, zeta = w0, zhat0, zeta0
-    rec = _Recorder(extra_names=("tracking_err", "ref", "v1", "vx1"))
-    blown, t_blow = False, None
-    u0 = u = 0.0
-    servo = servo_boundary(ref, q, 0.0, J)
 
-    def record(t: float) -> float:
+    def inputs(t: float, s: _Loop) -> None:
+        s.servo = servo_boundary(ref, q, t, J)
+        s.u0 = adaptive_u0(s.what, est, s.servo)
+        s.innov = s.w.values[-1] - s.servo.v1 - s.what.values[-1]
+        s.u = s.zeta * s.u0
+
+    def advance(t: float, s: _Loop) -> None:
+        zeta_new = zeta_step(s.zeta, sgn, s.innov, s.u0, dt)
+        r_t = ref.derivative(0, t)
+        w_at_0 = s.w.values[0]
+        s.w = step_heat(s.w, FluxBC(-q * w_at_0, b * s.u), dt)
+        s.what = step_heat(
+            s.what, FluxBC(-q * (w_at_0 - r_t), s.u0 + c1 * s.innov - s.servo.vx1), dt
+        )
+        s.zeta = zeta_new
+
+    def row(t: float, s: _Loop) -> dict[str, float]:
+        w = s.w.values
         v_vals = servo_eval(ref, q, nodes, t, J)
-        zerr = w.values - v_vals - zhat.values
-        e = 0.5 * _sq_norm(zerr, dx)
-        zt = inv_b - zeta
-        f = e + half_b * zt * zt
-        nrm = math.sqrt(_sq_norm(w.values, dx))
+        e = 0.5 * _sq_norm(w - v_vals - s.what.values, dx)
+        zt = inv_b - s.zeta
         r_t = ref.derivative(0, t)
-        rec.row(
-            t, u0=u0, u=u, zeta=zeta,
-            w0=w.values[0], w1=w.values[-1], wnorm=nrm,
-            obs_err_norm=math.sqrt(2.0 * e), E=e, F=f,
-            tracking_err=w.values[0] - r_t, ref=r_t,
-            v1=servo.v1, vx1=servo.vx1,
-        )
-        return nrm
+        return {
+            "u0": s.u0, "u": s.u, "zeta": s.zeta, "w0": w[0], "w1": w[-1],
+            "wnorm": math.sqrt(_sq_norm(w, dx)), "obs_err_norm": math.sqrt(2.0 * e),
+            "E": e, "F": e + half_b * zt * zt,
+            "tracking_err": w[0] - r_t, "ref": r_t, "v1": s.servo.v1, "vx1": s.servo.vx1,
+        }
 
-    n_steps = config.n_steps
-    for k in range(n_steps):
-        t = k * dt
-        servo = servo_boundary(ref, q, t, J)
-        u0 = adaptive_u0(zhat, est, servo)
-        innov = w.values[-1] - servo.v1 - zhat.values[-1]
-        u = zeta * u0
-        if k % stride == 0:
-            record(t)
-        if snap_stride and k % snap_stride == 0:
-            rec.snap(t, {"w": w.values, "what": zhat.values})
-        zeta_new = zeta_step(zeta, sgn, innov, u0, dt)
-        r_t = ref.derivative(0, t)
-        w_at_0 = w.values[0]
-        w = step_heat(w, FluxBC(-q * w_at_0, b * u), dt)
-        zhat = step_heat(
-            zhat, FluxBC(-q * (w_at_0 - r_t), u0 + c1 * innov - servo.vx1), dt
-        )
-        zeta = zeta_new
-        if math.sqrt(_sq_norm(w.values, dx)) > BLOWUP_NORM:
-            blown, t_blow = True, (k + 1) * dt
-            break
-    t_end = t_blow if blown else n_steps * dt
-    servo = servo_boundary(ref, q, t_end, J)
-    u0 = adaptive_u0(zhat, est, servo)
-    u = zeta * u0
-    record(t_end)
-    if snap_stride:
-        rec.snap(t_end, {"w": w.values, "what": zhat.values})
-    final = ScenarioState(t=t_end, w=w, what=zhat, zeta=zeta, last_u0=u0, last_u=u)
-    return rec.build(final, blown_up=blown, blow_up_time=t_blow)
+    state = _Loop(w=w0, what=zhat0, zeta=zeta0, servo=servo_boundary(ref, q, 0.0, J))
+    return _run(config, state, inputs, advance, row, ("tracking_err", "ref", "v1", "vx1"))
 
 
 def run_error_system(
@@ -352,48 +326,29 @@ def run_error_system(
     ``obs_err_norm``; ``diss_cum`` accumulates
     dt * (||werr_x||^2 + c1 werr(1)^2) for energy-identity tests.
     """
-    _check_grid(config, wtilde0)
-    dt, stride, snap_stride = config.dt, config.sample_stride, config.snapshot_stride
-    dx = config.grid.dx
+    dt, dx = config.dt, config.grid.dx
     b, c1, sgn = p.b, p.c1, p.sign_b
     half_b = 0.5 * abs(b)
-    wt, zt = wtilde0, zetatilde0
-    rec = _Recorder(extra_names=("diss_cum",))
-    blown, t_blow = False, None
-    diss_cum = 0.0
-    u0 = 0.0
 
-    def record(t: float) -> float:
-        e = 0.5 * _sq_norm(wt.values, dx)
-        nrm = math.sqrt(2.0 * e)
-        rec.row(
-            t, u0=u0, u=0.0, zeta=zt,
-            w0=wt.values[0], w1=wt.values[-1], wnorm=nrm,
-            obs_err_norm=nrm, E=e, F=e + half_b * zt * zt, diss_cum=diss_cum,
-        )
-        return nrm
+    def inputs(t: float, s: _Loop) -> None:
+        s.u0 = u0_signal(t)
+        s.innov = s.w.values[-1]
 
-    n_steps = config.n_steps
-    for k in range(n_steps):
-        t = k * dt
-        u0 = u0_signal(t)
-        wt1 = wt.values[-1]
-        if k % stride == 0:
-            record(t)
-        if snap_stride and k % snap_stride == 0:
-            rec.snap(t, {"w": wt.values})
+    def advance(t: float, s: _Loop) -> None:
+        wt, zt, u0, wt1 = s.w, s.zeta, s.u0, s.innov
         g = grad_values(wt.values, dx)
-        diss_cum += dt * (_sq_norm(g, dx) + c1 * wt1 * wt1)
+        s.diss_cum += dt * (_sq_norm(g, dx) + c1 * wt1 * wt1)
         zt_new = zt + dt * sgn * u0 * wt1
-        wt = step_heat(wt, FluxBC(0.0, -b * zt * u0 - c1 * wt1), dt)
-        zt = zt_new
-        if math.sqrt(_sq_norm(wt.values, dx)) > BLOWUP_NORM:
-            blown, t_blow = True, (k + 1) * dt
-            break
-    t_end = t_blow if blown else n_steps * dt
-    u0 = u0_signal(t_end)
-    record(t_end)
-    if snap_stride:
-        rec.snap(t_end, {"w": wt.values})
-    final = ScenarioState(t=t_end, w=wt, what=None, zeta=zt, last_u0=u0, last_u=0.0)
-    return rec.build(final, blown_up=blown, blow_up_time=t_blow)
+        s.w = step_heat(wt, FluxBC(0.0, -b * zt * u0 - c1 * wt1), dt)
+        s.zeta = zt_new
+
+    def row(t: float, s: _Loop) -> dict[str, float]:
+        wt, zt = s.w.values, s.zeta
+        e = 0.5 * _sq_norm(wt, dx)
+        nrm = math.sqrt(2.0 * e)
+        return {
+            "u0": s.u0, "zeta": zt, "w0": wt[0], "w1": wt[-1], "wnorm": nrm,
+            "obs_err_norm": nrm, "E": e, "F": e + half_b * zt * zt, "diss_cum": s.diss_cum,
+        }
+
+    return _run(config, _Loop(w=wtilde0, zeta=zetatilde0), inputs, advance, row, ("diss_cum",))

@@ -5,7 +5,6 @@ import pytest
 
 from heatadapt import (
     ConfigError,
-    EigenPair,
     Grid,
     GridFunction,
     InsufficientDuration,
@@ -20,7 +19,6 @@ from heatadapt import (
     pe_check,
     pi_inverse,
     pi_transform,
-    quad,
     run_error_system,
     upsilon_b,
 )
@@ -30,13 +28,13 @@ from heatadapt.domain import TRACE_COLUMNS
 class TestEnergies:
     def test_zeros(self, zeros51):
         e = energies(zeros51, 0.0, -10.0)
-        assert e == (0.0, 0.0, 0.0)
+        assert e == (0.0, 0.0)
 
     def test_constant_field(self, grid51):
         f = GridFunction(grid51, np.ones(51))
         e = energies(f, 0.0, -10.0)
         assert e.E == pytest.approx(0.5, abs=1e-12)
-        assert e.F == e.E and e.V == e.F
+        assert e.F == e.E
 
     def test_parameter_error_term(self, zeros51):
         e = energies(zeros51, 0.2, -10.0)
@@ -120,27 +118,6 @@ class TestTransforms:
     def test_upsilon_rejects_zero(self):
         with pytest.raises(ZeroCoefficient):
             upsilon_b(0.3, 0.0)
-
-
-class TestEigenPair:
-    def test_first_pair_values(self):
-        p1 = EigenPair(1)
-        assert p1.lam == pytest.approx(math.pi**2 / 4.0, rel=1e-15)
-        assert p1.phi(1.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
-        assert p1.phi_at_1 == pytest.approx(math.sqrt(2.0), abs=0)
-
-    def test_orthonormality_on_grid(self, grid51):
-        x = grid51.nodes
-        for m in range(1, 17):
-            pm = EigenPair(m).phi(x)
-            for n in range(m, 17):
-                pn = EigenPair(n).phi(x)
-                val = quad(GridFunction(grid51, pm * pn))
-                assert abs(val - (1.0 if m == n else 0.0)) <= 1e-4
-
-    def test_index_starts_at_one(self):
-        with pytest.raises(ConfigError):
-            EigenPair(0)
 
 
 class TestGalerkin:

@@ -67,6 +67,12 @@ class TestExitCodes:
         assert run_cli("simulate", "--ref", "tri:1", "--scenario", "track",
                        "--t-final", "0.1", "--out", str(tmp_path)) == 64
 
+    def test_horizon_not_whole_steps_exits_64(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--scenario", "open-loop", "--t-final", "0.00015",
+                       "--dt", "1e-4", "--pe-tau", "1e-4", "--out", str(out)) == 64
+        assert not out.exists()
+
     def test_blow_up_exits_3(self, tmp_path):
         code = run_cli(
             "simulate", "--scenario", "open-loop", "--q", "9",
@@ -134,6 +140,19 @@ class TestSimulateOutputs:
         assert m.verdicts["blown_up"] is False
         tol = m.verdicts["tolerances"]
         assert tol["zeta_offset_over_settle_gap_min"] == 1e3
+        # 0.5 s is too short to settle: the run exits 0, and the checks record
+        # that it misses the stabilize tolerances
+        checks = m.verdicts["tolerance_checks"]
+        assert set(checks) == set(tol)
+        quantities = m.verdicts["limits"]["quantities"]
+        wnorm = checks["wnorm_final"]
+        assert wnorm == {"value": quantities["wnorm"]["terminal"], "bound": 1e-2, "ok": False}
+        assert wnorm["value"] > 0.5
+        gap = checks["zeta_settle_gap"]
+        assert gap["value"] == quantities["zeta"]["gap"] and gap["ok"] is False
+        ratio = checks["zeta_offset_over_settle_gap_min"]
+        offset = abs(quantities["zeta"]["terminal"] + 0.1)
+        assert ratio["value"] == offset / gap["value"] and ratio["ok"] is False
 
     def test_determinism_byte_identical(self, run_dir, tmp_path):
         second = tmp_path / "again"
@@ -249,6 +268,27 @@ class TestAnalyze:
         printed = capsys.readouterr().out
         assert '"pe_u0"' in printed
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,  # no file at the path
+            "",
+            "t,u0,zeta\n0,0,0\n1,0,0\n",
+            "t,u0,u,zeta,w0,w1,wnorm,obs_err_norm,E,F\n0,0,0,0,0,0,0,0,0\n",
+            "t,u0,u,zeta,w0,w1,wnorm,obs_err_norm,E,F\n0,0,0,0,0,0,0,0,0,x\n",
+            b"\xff\xfe\x00",
+        ],
+        ids=["missing-path", "empty", "missing-columns", "ragged-row", "non-numeric", "binary"],
+    )
+    def test_bad_trace_exits_64(self, tmp_path, capsys, content):
+        path = tmp_path / "trace.csv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        assert run_cli("analyze", "--trace", str(path)) == 64
+        assert capsys.readouterr().err.startswith("heatadapt: ")
+
 
 class TestSweep:
     def test_sweep_runs_each_value(self, tmp_path):
@@ -265,11 +305,26 @@ class TestSweep:
             assert Path(r["out"], "trace.csv").exists()
             assert r["exit_code"] == 0
 
-    def test_sweep_concurrent(self, tmp_path):
-        out = tmp_path / "swj"
+    def test_sweep_close_values_get_own_directories(self, tmp_path):
+        # both values print as 1 under %g; each run still gets its own directory
+        out = tmp_path / "swc"
         code = run_cli(
             "sweep", "--scenario", "open-loop", "--param", "q",
-            "--values", "0.5,1.5,2.0", "--jobs", "3",
-            "--t-final", "0.2", "--pe-tau", "0.1", "--out", str(out),
+            "--values", "1.0000001,1.0000002",
+            "--t-final", "0.1", "--pe-tau", "0.1", "--out", str(out),
         )
         assert code == 0
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        assert [Path(r["out"]).name for r in runs] == ["000-q=1.0000001", "001-q=1.0000002"]
+        for r in runs:
+            assert RunManifest.load(Path(r["out"], "manifest.json")).params["q"] == r["value"]
+
+    def test_sweep_rejects_duplicate_values(self, tmp_path):
+        out = tmp_path / "swd"
+        code = run_cli(
+            "sweep", "--scenario", "open-loop", "--param", "q",
+            "--values", "2,1.5,2.0", "--t-final", "0.1", "--pe-tau", "0.1",
+            "--out", str(out),
+        )
+        assert code == 64
+        assert not out.exists()

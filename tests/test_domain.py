@@ -132,6 +132,15 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(dt=1e-4, t_final=5e-5, grid=grid51)
 
+    def test_horizon_must_be_whole_steps(self, grid51):
+        with pytest.raises(ConfigError, match="whole number of steps"):
+            SimConfig(dt=1e-4, t_final=1.5e-4, grid=grid51)
+        # horizons whose t_final/dt rounds in floating point stay accepted
+        for t_final, dt in ((5.0, 1e-4), (10.0, 1e-4), (0.5, 1e-4), (0.3, 1e-4),
+                            (0.1, 1e-4), (0.2, 1e-5), (0.05, 1e-5)):
+            c = SimConfig(dt=dt, t_final=t_final, grid=grid51, pe_window_tau=t_final)
+            assert c.n_steps == round(t_final / dt)
+
     def test_pe_window_longer_than_horizon(self, grid51):
         with pytest.raises(ConfigError):
             SimConfig(dt=1e-4, t_final=0.5, grid=grid51, pe_window_tau=1.0)
@@ -191,12 +200,6 @@ class TestTrace:
         bad = _trace_scalars(t, wnorm=np.array([0.0, np.inf]))
         with pytest.raises(ConfigError):
             Trace(times=t, scalars=bad)
-
-    def test_v_aliases_f(self):
-        t = np.array([0.0, 1.0])
-        tr = Trace(times=t, scalars=_trace_scalars(t, F=np.array([2.0, 1.0])))
-        assert (tr.V == tr["F"]).all()
-        assert (tr["V"] == tr["F"]).all()
 
     def test_terminal(self):
         t = np.array([0.0, 0.5, 1.0])
