@@ -11,8 +11,9 @@ gate failed, 64 usage or other configuration error.
 trace.csv carries the fixed header t,u0,u,zeta,w0,w1,wnorm,obs_err_norm,E,F,
 one row per sample, decimal values with 17 significant digits, LF newlines;
 that format round-trips float64 bit-exactly.  Config files are flat
-``key = value`` lines whose keys equal the long flag names; explicit
-flags override file values.  The environment variable HEATADAPT_OUT
+``key = value`` lines whose keys equal the long flag names, checked
+against the same types and choices as the flags; explicit flags
+override file values.  The environment variable HEATADAPT_OUT
 supplies the default output directory.
 """
 
@@ -22,9 +23,11 @@ import argparse
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,81 +122,47 @@ class RunManifest:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-_SIM_FLAGS: dict[str, type] = {
-    "scenario": str,
-    "q": float,
-    "b": float,
-    "sign-b": int,
-    "c0": float,
-    "c1": float,
-    "dx": float,
-    "dt": float,
-    "t-final": float,
-    "ref": str,
-    "zeta0": float,
-    "init": str,
-    "u0": str,
-    "pe-tau": float,
-    "pe-threshold": float,
-    "modes": int,
-    "servo-j": int,
-    "sample-stride": int,
-    "snapshot-stride": int,
-    "out": str,
-}
+class _Flag(NamedTuple):
+    """One simulate/sweep flag; its name is also its config-file key."""
 
-_SIM_DEFAULTS = {
-    "scenario": "stabilize",
-    "q": 2.0,
-    "b": -10.0,
-    "sign-b": None,
-    "c0": 5.0,
-    "c1": 5.0,
-    "dx": 0.02,
-    "dt": 1e-4,
-    "t-final": 5.0,
-    "ref": "zero",
-    "zeta0": 0.0,
-    "init": "paper",
-    "u0": "zero",
-    "pe-tau": None,
-    "pe-threshold": 1e-3,
-    "modes": 16,
-    "servo-j": 12,
-    "sample-stride": 100,
-    "snapshot-stride": 0,
-    "out": None,
-}
+    name: str
+    type: type
+    default: object
+    help: str | None = None
+    choices: tuple | None = None
+
+
+#: the only declaration of the simulate/sweep flags: it builds the parser,
+#: the config-file reader, the resolved defaults and the sweep's --param choices
+_SIM_FLAGS = (
+    _Flag("scenario", str, "stabilize", None, SCENARIOS),
+    _Flag("q", float, 2.0, "boundary convection gain (> 0)"),
+    _Flag("b", float, -10.0, "true control coefficient (nonzero)"),
+    _Flag("c0", float, 5.0, "controller gain (> 0)"),
+    _Flag("c1", float, 5.0, "observer injection gain (> 0)"),
+    _Flag("dx", float, 0.02, "grid spacing, must divide [0,1]"),
+    _Flag("dt", float, 1e-4, "time step, needs dt <= dx^2/2"),
+    _Flag("t-final", float, 5.0),
+    _Flag("ref", str, "zero", "zero | const:R | sin:A,W"),
+    _Flag("zeta0", float, 0.0, "initial estimate (error scenarios: initial error)"),
+    _Flag("init", str, "paper", "paper (q x - 1) | zero | file:PATH"),
+    _Flag("u0", str, "zero", "zero | const:C | exp-decay (observer/error scenarios)"),
+    _Flag("pe-tau", float, None, "PE window length (default min(1, t-final))"),
+    _Flag("pe-threshold", float, 1e-3),
+    _Flag("modes", int, 16, "mode count for the galerkin scenario"),
+    _Flag("servo-j", int, 12, "servo series truncation"),
+    _Flag("sample-stride", int, 100),
+    _Flag("snapshot-stride", int, 0),
+    _Flag("out", str, None, "output directory (default $HEATADAPT_OUT or ./runs)"),
+)
 
 
 def _add_sim_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--scenario", choices=SCENARIOS)
-    sp.add_argument("--q", type=float, help="boundary convection gain (> 0)")
-    sp.add_argument("--b", type=float, help="true control coefficient (nonzero)")
-    sp.add_argument("--sign-b", type=int, choices=(-1, 1), dest="sign_b")
-    sp.add_argument("--c0", type=float, help="controller gain (> 0)")
-    sp.add_argument("--c1", type=float, help="observer injection gain (> 0)")
-    sp.add_argument("--dx", type=float, help="grid spacing, must divide [0,1]")
-    sp.add_argument("--dt", type=float, help="time step, needs dt <= dx^2/2")
-    sp.add_argument("--t-final", type=float, dest="t_final")
-    sp.add_argument("--ref", help="zero | const:R | sin:A,W")
-    sp.add_argument("--zeta0", type=float, help="initial estimate (error scenarios: initial error)")
-    sp.add_argument("--init", help="paper (q x - 1) | zero | file:PATH")
-    sp.add_argument("--u0", help="zero | const:C | exp-decay (observer/error scenarios)")
-    sp.add_argument("--pe-tau", type=float, dest="pe_tau")
-    sp.add_argument("--pe-threshold", type=float, dest="pe_threshold")
-    sp.add_argument("--modes", type=int, help="mode count for the galerkin scenario")
-    sp.add_argument("--servo-j", type=int, dest="servo_j", help="servo series truncation")
-    sp.add_argument("--sample-stride", type=int, dest="sample_stride")
-    sp.add_argument("--snapshot-stride", type=int, dest="snapshot_stride")
-    sp.add_argument("--out", help="output directory (default $HEATADAPT_OUT or ./runs)")
+    for flag in _SIM_FLAGS:
+        sp.add_argument(f"--{flag.name}", type=flag.type, choices=flag.choices, help=flag.help)
     sp.add_argument("--config", help="flat key = value file; flags override it")
-    sp.add_argument(
-        "--require-converged",
-        action="store_true",
-        dest="require_converged",
-        help="exit 4 unless all tracked quantities converged",
-    )
+    sp.add_argument("--require-converged", action="store_true",
+                    help="exit 4 unless all tracked quantities converged")
 
 
 def _build_parser() -> _Parser:
@@ -216,14 +185,21 @@ def _build_parser() -> _Parser:
 
     sw = sub.add_parser("sweep", help="run simulate over a list of parameter values")
     _add_sim_flags(sw)
-    sw.add_argument("--param", required=True, choices=sorted(k for k, t in _SIM_FLAGS.items() if t is float))
+    floats = sorted(flag.name for flag in _SIM_FLAGS if flag.type is float)
+    sw.add_argument("--param", required=True, choices=floats)
     sw.add_argument("--values", required=True, help="comma-separated values of --param")
     return parser
 
 
 def _read_config_file(path: str) -> dict:
+    """Read ``key = value`` lines, cast and checked like the flag of that name."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config {path!r}: {exc}") from exc
+    flags = {flag.name: flag for flag in _SIM_FLAGS}
     resolved = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -231,33 +207,33 @@ def _read_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SIM_FLAGS:
+        if key not in flags:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _SIM_FLAGS[key]
+        flag = flags[key]
         try:
-            resolved[key] = caster(value)
+            resolved[key] = flag.type(value)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if flag.choices is not None and resolved[key] not in flag.choices:
+            allowed = ", ".join(map(repr, flag.choices))
+            raise UsageError(f"{path}:{lineno}: invalid {key} {value!r} (choose from {allowed})")
     return resolved
 
 
 def _resolve_sim(args: argparse.Namespace) -> dict:
     """Layer defaults, config file and explicit flags into one dict."""
-    resolved = dict(_SIM_DEFAULTS)
-    if getattr(args, "config", None):
+    resolved = {flag.name: flag.default for flag in _SIM_FLAGS}
+    if args.config:
         resolved.update(_read_config_file(args.config))
-    for key in _SIM_FLAGS:
-        attr = key.replace("-", "_")
-        val = getattr(args, attr, None)
+    for flag in _SIM_FLAGS:
+        val = getattr(args, flag.name.replace("-", "_"))
         if val is not None:
-            resolved[key] = val
+            resolved[flag.name] = val
     if resolved["out"] is None:
         resolved["out"] = os.environ.get("HEATADAPT_OUT", "runs")
     if resolved["pe-tau"] is None:
         resolved["pe-tau"] = min(1.0, resolved["t-final"])
-    if resolved["scenario"] not in SCENARIOS:
-        raise UsageError(f"unknown scenario {resolved['scenario']!r}")
-    resolved["require-converged"] = bool(getattr(args, "require_converged", False))
+    resolved["require-converged"] = args.require_converged
     return resolved
 
 
@@ -323,7 +299,7 @@ def _parse_init(spec: str, grid: Grid, q: float) -> GridFunction:
         path = spec[5:]
         try:
             values = np.loadtxt(path, dtype=float).ravel()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read init file {path!r}: {exc}") from exc
         if values.size != grid.n:
             raise UsageError(
@@ -438,10 +414,7 @@ def _tolerance_checks(scenario: str, verdicts: dict, b: float) -> dict:
 
 def _simulate(resolved: dict) -> int:
     q, b = resolved["q"], resolved["b"]
-    params = Params(
-        q=q, b=b, c0=resolved["c0"], c1=resolved["c1"],
-        sign_b=resolved["sign-b"] if resolved["sign-b"] is not None else 0,
-    )
+    params = Params(q=q, b=b, c0=resolved["c0"], c1=resolved["c1"])
     grid = Grid.from_dx(resolved["dx"])
     config = SimConfig(
         dt=resolved["dt"],
@@ -583,6 +556,16 @@ def _analyze(args: dict) -> int:
     return 0
 
 
+#: the errors bad input ends in; _report maps each to its exit code
+_EXPECTED_ERRORS = (UsageError, ConfigError, UnresolvableMode, TruncationInsufficient)
+
+
+def _report(exc: Exception) -> int:
+    """Print ``heatadapt: <reason>`` on stderr; return 2 for a CFL violation, else 64."""
+    print(f"heatadapt: {exc}", file=sys.stderr)
+    return 2 if isinstance(exc, CflViolation) else 64
+
+
 def _sweep(resolved: dict) -> int:
     """Run simulate once per value, in order, each into ``NNN-param=repr(value)``."""
     param, values = resolved["param"], resolved["values"]
@@ -594,10 +577,8 @@ def _sweep(resolved: dict) -> int:
         sub["out"] = str(base_out / f"{i:03d}-{param}={v!r}")
         try:
             code = _simulate(sub)
-        except CflViolation:
-            code = 2
-        except (ConfigError, UsageError, UnresolvableMode, TruncationInsufficient):
-            code = 64
+        except _EXPECTED_ERRORS as exc:
+            code = _report(exc)
         runs.append({"out": sub["out"], "value": v, "exit_code": code})
     base_out.mkdir(parents=True, exist_ok=True)
     index = {"param": param, "runs": runs}
@@ -606,8 +587,6 @@ def _sweep(resolved: dict) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import sys
-
     try:
         command, resolved = parse_args(argv if argv is not None else sys.argv[1:])
         if command == "simulate":
@@ -615,15 +594,8 @@ def main(argv: list[str] | None = None) -> int:
         if command == "sweep":
             return _sweep(resolved)
         return _analyze(resolved)
-    except UsageError as exc:
-        print(f"heatadapt: {exc}", file=sys.stderr)
-        return 64
-    except CflViolation as exc:
-        print(f"heatadapt: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, UnresolvableMode, TruncationInsufficient) as exc:
-        print(f"heatadapt: {exc}", file=sys.stderr)
-        return 64
+    except _EXPECTED_ERRORS as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

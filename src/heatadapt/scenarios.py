@@ -304,7 +304,7 @@ def run_tracking(
             "tracking_err": w[0] - r_t, "ref": r_t, "v1": s.servo.v1, "vx1": s.servo.vx1,
         }
 
-    state = _Loop(w=w0, what=zhat0, zeta=zeta0, servo=servo_boundary(ref, q, 0.0, J))
+    state = _Loop(w=w0, what=zhat0, zeta=zeta0)
     return _run(config, state, inputs, advance, row, ("tracking_err", "ref", "v1", "vx1"))
 
 

@@ -4,11 +4,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatadapt.cli import RunManifest, UsageError, main, parse_args, read_trace_csv
+from heatadapt.cli import (
+    _SIM_FLAGS, SCENARIOS, RunManifest, UsageError, main, parse_args, read_trace_csv,
+)
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+#: a non-default value for every simulate flag, as typed on the command line
+FLAG_SAMPLES = {
+    "scenario": "track", "q": "3.5", "b": "-4", "c0": "4", "c1": "6", "dx": "0.05",
+    "dt": "2e-4", "t-final": "0.5", "ref": "sin:1,1", "zeta0": "-0.1", "init": "zero",
+    "u0": "exp-decay", "pe-tau": "0.25", "pe-threshold": "0.01", "modes": "8",
+    "servo-j": "6", "sample-stride": "10", "snapshot-stride": "5", "out": "elsewhere",
+}
 
 
 class TestParseArgs:
@@ -46,6 +57,25 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args(["simulate", "--config", str(cfgfile)])
 
+    @pytest.mark.parametrize("name", [flag.name for flag in _SIM_FLAGS])
+    def test_flag_and_config_key_agree(self, tmp_path, name):
+        value = FLAG_SAMPLES[name]
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{name} = {value}\n")
+        _, from_flag = parse_args(["simulate", f"--{name}", value])
+        _, from_file = parse_args(["simulate", "--config", str(cfgfile)])
+        _, defaults = parse_args(["simulate"])
+        assert from_file == from_flag
+        assert from_file[name] != defaults[name]
+
+    def test_config_value_outside_choices_exits_64(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("scenario = warp-drive\n")
+        assert run_cli("simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")) == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"heatadapt: {cfgfile}:1: ")
+        assert all(repr(s) in err for s in SCENARIOS)
+
     def test_sweep_values(self):
         _, cfg = parse_args(
             ["sweep", "--scenario", "open-loop", "--param", "q", "--values", "0.5,2"]
@@ -71,6 +101,22 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert run_cli("simulate", "--scenario", "open-loop", "--t-final", "0.00015",
                        "--dt", "1e-4", "--pe-tau", "1e-4", "--out", str(out)) == 64
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, content",
+        [("--config", None), ("--init", "0.1\nabc\n")],
+        ids=["missing-config", "non-numeric-init"],
+    )
+    def test_unreadable_input_file_exits_64(self, tmp_path, capsys, flag, content):
+        path = tmp_path / "input.txt"
+        if content is not None:
+            path.write_text(content)
+        value = str(path) if flag == "--config" else f"file:{path}"
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--scenario", "open-loop", "--t-final", "0.1",
+                       "--pe-tau", "0.1", flag, value, "--out", str(out)) == 64
+        assert capsys.readouterr().err.startswith("heatadapt: cannot read ")
         assert not out.exists()
 
     def test_blow_up_exits_3(self, tmp_path):
@@ -318,6 +364,20 @@ class TestSweep:
         assert [Path(r["out"]).name for r in runs] == ["000-q=1.0000001", "001-q=1.0000002"]
         for r in runs:
             assert RunManifest.load(Path(r["out"], "manifest.json")).params["q"] == r["value"]
+
+    def test_sweep_member_reports_its_error(self, tmp_path, capsys):
+        # dx = 0.03 does not divide [0, 1]; the sweep goes on to dx = 0.05
+        out = tmp_path / "swe"
+        code = run_cli(
+            "sweep", "--scenario", "open-loop", "--param", "dx",
+            "--values", "0.03,0.05", "--t-final", "0.1", "--pe-tau", "0.1",
+            "--out", str(out),
+        )
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("heatadapt: ") and err.count("\n") == 1
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        assert [r["exit_code"] for r in runs] == [64, 0]
 
     def test_sweep_rejects_duplicate_values(self, tmp_path):
         out = tmp_path / "swd"
