@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -298,7 +299,10 @@ def _parse_init(spec: str, grid: Grid, q: float) -> GridFunction:
     if spec.startswith("file:"):
         path = spec[5:]
         try:
-            values = np.loadtxt(path, dtype=float).ravel()
+            with warnings.catch_warnings():
+                # an empty file is reported below as having 0 values
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(path, dtype=float).ravel()
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read init file {path!r}: {exc}") from exc
         if values.size != grid.n:
@@ -307,6 +311,16 @@ def _parse_init(spec: str, grid: Grid, q: float) -> GridFunction:
             )
         return GridFunction(grid, values)
     raise UsageError(f"bad init {spec!r}")
+
+
+def _make_out_dir(path) -> Path:
+    """Create an output directory before any work; a path that cannot be one exits 64."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {str(path)!r}: {exc}") from exc
+    return out
 
 
 def _fmt(x: float) -> str:
@@ -434,6 +448,7 @@ def _simulate(resolved: dict) -> int:
     w0 = _parse_init(resolved["init"], grid, q)
     zeta0 = resolved["zeta0"]
     zeros = GridFunction.zeros(grid)
+    _make_out_dir(resolved["out"])
 
     start = time.perf_counter()
     if scenario == "open-loop":
@@ -525,6 +540,7 @@ def _analyze(args: dict) -> int:
         times, cols = read_trace_csv(args["trace"])
     except OSError as exc:
         raise UsageError(f"cannot read trace {args['trace']!r}: {exc}") from exc
+    out = _make_out_dir(args["out"]) if args.get("out") else None
     result: dict = {"trace": args["trace"], "samples": int(times.size),
                     "t_final": float(times[-1])}
     try:
@@ -546,9 +562,7 @@ def _analyze(args: dict) -> int:
     result["terminal"] = {k: float(cols[k][-1]) for k in TRACE_COLUMNS}
 
     text = json.dumps(result, indent=2)
-    if args.get("out"):
-        out = Path(args["out"])
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "analysis.json").write_text(text + "\n")
     print(text)
     if args.get("require_converged") and not all_converged:
@@ -569,7 +583,7 @@ def _report(exc: Exception) -> int:
 def _sweep(resolved: dict) -> int:
     """Run simulate once per value, in order, each into ``NNN-param=repr(value)``."""
     param, values = resolved["param"], resolved["values"]
-    base_out = Path(resolved["out"])
+    base_out = _make_out_dir(resolved["out"])
     runs = []
     for i, v in enumerate(values):
         sub = dict(resolved)
@@ -580,7 +594,6 @@ def _sweep(resolved: dict) -> int:
         except _EXPECTED_ERRORS as exc:
             code = _report(exc)
         runs.append({"out": sub["out"], "value": v, "exit_code": code})
-    base_out.mkdir(parents=True, exist_ok=True)
     index = {"param": param, "runs": runs}
     (base_out / "sweep.json").write_text(json.dumps(index, indent=2) + "\n")
     return max(r["exit_code"] for r in runs)

@@ -122,8 +122,10 @@ def zeta_step(zeta: float, sign_b: int, innovation: float, u0: float, dt: float)
 class _ServoSeries:
     """Precomputed truncated servo series for one (reference, q, J) triple.
 
-    Holds the factorial coefficient tables so per-step evaluation inside
-    simulation loops reduces to a handful of vector operations.
+    Holds the factorial coefficient tables, and for sinusoids the
+    amplitudes ``A omega**j`` and phases ``j pi / 2`` of the derivative
+    series, so per-step evaluation inside simulation loops reduces to a
+    handful of vector operations.
     """
 
     def __init__(self, ref: ReferenceSignal, q: float, J: int):
@@ -143,6 +145,13 @@ class _ServoSeries:
         self._c_vx1[1:] = q * self._inv_2j[1:] - 1.0 / np.array(
             [math.factorial(2 * jj - 1) for jj in j[1:]], dtype=float
         )
+        # the slices boundary() reads each step
+        self._c_v1_terms = self._c_v1[:-1]
+        self._c_vx1_terms = self._c_vx1[1:-1]
+        self._c_tails = (self._c_v1[-1], self._c_vx1[-1])
+        if ref.kind == "sinusoid":
+            self._amplitudes = ref.amplitude * ref.omega**j
+            self._phases = j * math.pi / 2.0
 
     def derivatives(self, t: float) -> np.ndarray:
         """r^(j)(t) for j = 0 .. J+1."""
@@ -154,8 +163,7 @@ class _ServoSeries:
             out = np.zeros(n)
             out[0] = ref.value
             return out
-        j = np.arange(n)
-        return ref.amplitude * ref.omega**j * np.sin(ref.omega * t + j * math.pi / 2.0)
+        return self._amplitudes * np.sin(ref.omega * t + self._phases)
 
     def profile(self, x, t: float, tail_tol: float):
         """Series value at position(s) x; x may be a scalar or an array."""
@@ -175,9 +183,10 @@ class _ServoSeries:
 
     def boundary(self, t: float, tail_tol: float) -> ServoTerms:
         r = self.derivatives(t)
-        v1 = float(r[:-1] @ self._c_v1[:-1])
-        vx1 = float(-self.q * r[0] - r[1:-1] @ self._c_vx1[1:-1])
-        tail = max(abs(r[-1] * self._c_v1[-1]), abs(r[-1] * self._c_vx1[-1]))
+        v1 = float(r[:-1] @ self._c_v1_terms)
+        vx1 = float(-self.q * r[0] - r[1:-1] @ self._c_vx1_terms)
+        c_v1_tail, c_vx1_tail = self._c_tails
+        tail = max(abs(r[-1] * c_v1_tail), abs(r[-1] * c_vx1_tail))
         if tail > tail_tol:
             raise TruncationInsufficient(
                 f"servo boundary tail {tail:.3e} exceeds {tail_tol:.3e} at J={self.J}"

@@ -9,7 +9,10 @@ the O(dt) splitting error this introduces is covered by the energy
 residual checks in the test suite.  That order, the sampling, the
 blow-up test and the final sample live in one private loop, ``_run``;
 a runner supplies only its state and its inputs, advance and row
-callbacks.
+callbacks.  Every runner steps its fields with one
+:class:`~heatadapt.fdm.HeatStepper`, which holds plant and observer (or
+the single field of open-loop and error-system runs) as rows of one
+array and steps them in place.
 
 Runs are deterministic: identical inputs produce bit-identical traces
 on one platform.  A run whose state norm passes 1e12 stops early with a
@@ -36,7 +39,11 @@ from .domain import (
     Trace,
     _Recorder,
 )
-from .fdm import FluxBC, grad_values, l2_norm, step_heat
+from .fdm import GradientEnergy, HeatStepper, NonFiniteState
+
+# The runners no longer call these; bench/tracer.py wraps them under these
+# names, so they stay importable from here.
+from .fdm import grad_values, l2_norm, step_heat  # noqa: F401
 
 __all__ = [
     "ScenarioState",
@@ -79,22 +86,25 @@ class _Loop:
     """Mutable state of one run, shared by the loop and a runner's callbacks.
 
     ``w`` is the field whose norm decides blow-up; ``what`` is the
-    observer field, or None for runs without one.
+    observer field, or None for runs without one.  Both are rows of the
+    run's :class:`HeatStepper` buffer, replaced by each step.  ``gsq``
+    is the gradient energy of the current error field, for ``diss_cum``.
     """
 
-    w: GridFunction
-    what: GridFunction | None = None
+    w: np.ndarray
+    what: np.ndarray | None = None
     zeta: float = 0.0
     u0: float = 0.0
     u: float = 0.0
     innov: float = 0.0
     diss_cum: float = 0.0
+    gsq: float = 0.0
     servo: ServoTerms | None = None
 
     def fields(self) -> dict[str, np.ndarray]:
         if self.what is None:
-            return {"w": self.w.values}
-        return {"w": self.w.values, "what": self.what.values}
+            return {"w": self.w}
+        return {"w": self.w, "what": self.what}
 
 
 _Step = Callable[[float, _Loop], None]
@@ -113,14 +123,13 @@ def _run(
     Each step calls ``inputs(t, s)`` to evaluate the loop's inputs, records
     ``row(t, s)`` every ``sample_stride`` steps and the fields every
     ``snapshot_stride`` steps, then calls ``advance(t, s)`` to step the
-    fields.  A run whose ``s.w`` passes :data:`BLOWUP_NORM` stops there.
-    The last instant is always sampled, after one more ``inputs`` call.
+    fields.  A run whose ``s.w`` passes :data:`BLOWUP_NORM` stops there;
+    one that turns NaN/Inf raises :class:`NonFiniteState`.  The last
+    instant is always sampled, after one more ``inputs`` call.
     """
-    for f in (s.w, s.what):
-        if f is not None and f.grid != config.grid:
-            raise ConfigError("initial data must live on the configured grid")
     dt, stride, snap_stride = config.dt, config.sample_stride, config.snapshot_stride
-    dx = config.grid.dx
+    grid = config.grid
+    dx = grid.dx
     rec = _Recorder(extra_names)
     blown, t_blow = False, None
     n_steps = config.n_steps
@@ -132,7 +141,10 @@ def _run(
         if snap_stride and k % snap_stride == 0:
             rec.snap(t, s.fields())
         advance(t, s)
-        if math.sqrt(_sq_norm(s.w.values, dx)) > BLOWUP_NORM:
+        norm = math.sqrt(_sq_norm(s.w, dx))
+        if not math.isfinite(norm):
+            _require_finite(s.w)
+        if norm > BLOWUP_NORM:
             blown, t_blow = True, (k + 1) * dt
             break
     t_end = t_blow if blown else n_steps * dt
@@ -140,13 +152,47 @@ def _run(
     rec.row(t_end, **row(t_end, s))
     if snap_stride:
         rec.snap(t_end, s.fields())
-    final = ScenarioState(t=t_end, w=s.w, what=s.what, zeta=s.zeta, last_u0=s.u0, last_u=s.u)
+    what = None if s.what is None else GridFunction(grid, s.what)
+    final = ScenarioState(
+        t=t_end, w=GridFunction(grid, s.w), what=what, zeta=s.zeta, last_u0=s.u0, last_u=s.u
+    )
     return rec.build(final, blown_up=blown, blow_up_time=t_blow)
 
 
 def _sq_norm(values: np.ndarray, dx: float) -> float:
     v2 = values * values
     return dx * (v2.sum() - 0.5 * (v2[0] + v2[-1]))
+
+
+def _require_finite(*fields: np.ndarray) -> None:
+    """Raise :class:`NonFiniteState` if a field holds NaN/Inf.
+
+    The loop calls this only once a scalar it computes from the fields
+    (a norm, a gradient energy, a feedback value) is not finite; such a
+    scalar is finite whenever the fields are, unless it overflows.
+    """
+    for f in fields:
+        if not np.isfinite(f).all():
+            raise NonFiniteState("heat step produced non-finite values")
+
+
+def _stepper(config: SimConfig, *fields: GridFunction) -> HeatStepper:
+    """A stepper over copies of the initial fields, which must be on the run's grid."""
+    for f in fields:
+        if f.grid != config.grid:
+            raise ConfigError("initial data must live on the configured grid")
+    return HeatStepper([f.values for f in fields], config.grid.dx, config.dt)
+
+
+def _windows(grid: Grid, stepper: HeatStepper, row: int) -> tuple[GridFunction, ...]:
+    """Read-only GridFunction views of one row, one per stepper buffer.
+
+    ``windows[stepper.index]`` shows the row's current values without a
+    copy, for :func:`adaptive_u0`, which reads it within the step.  The
+    values change under it as the run goes on, so no window leaves the
+    runner.
+    """
+    return tuple(GridFunction._wrap(grid, buf[row]) for buf in stepper.buffers)
 
 
 def _no_inputs(t: float, s: _Loop) -> None:
@@ -160,15 +206,16 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
     bound; the run then stops at the blow-up threshold with the marker
     set rather than raising.
     """
-    dt, q = config.dt, p.q
+    dx, q = config.grid.dx, p.q
+    stepper = _stepper(config, w0)
 
     def advance(t: float, s: _Loop) -> None:
-        s.w = step_heat(s.w, FluxBC(-q * s.w.values[0], 0.0), dt)
+        (s.w,) = stepper.step(-q * s.w.item(0), 0.0)
 
     def row(t: float, s: _Loop) -> dict[str, float]:
-        return {"w0": s.w.values[0], "w1": s.w.values[-1], "wnorm": l2_norm(s.w)}
+        return {"w0": s.w[0], "w1": s.w[-1], "wnorm": math.sqrt(_sq_norm(s.w, dx))}
 
-    return _run(config, _Loop(w=w0), _no_inputs, advance, row)
+    return _run(config, _Loop(w=stepper.rows[0]), _no_inputs, advance, row)
 
 
 def _run_observer_loop(
@@ -189,25 +236,30 @@ def _run_observer_loop(
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
     half_b = 0.5 * abs(b)
     inv_b = 1.0 / b
+    stepper = _stepper(config, w0, what0)
+    observer = _windows(config.grid, stepper, 1)
+    energy = GradientEnergy(config.grid.n, dx)
 
     def inputs(t: float, s: _Loop) -> None:
-        s.u0 = u0_of(t, s.what)
-        s.innov = s.w.values[-1] - s.what.values[-1]
+        s.u0 = u0_of(t, observer[stepper.index])
+        s.innov = s.w.item(-1) - s.what.item(-1)
         s.u = s.zeta * s.u0
 
     def advance(t: float, s: _Loop) -> None:
-        w, what, innov = s.w, s.what, s.innov
-        gerr = grad_values(w.values - what.values, dx)
-        s.diss_cum += dt * (_sq_norm(gerr, dx) + c1 * innov * innov)
+        innov = s.innov
+        s.diss_cum += dt * (s.gsq + c1 * innov * innov)
         zeta_new = zeta_step(s.zeta, sgn, innov, s.u0, dt)
-        left = -q * w.values[0]
-        s.w = step_heat(w, FluxBC(left, b * s.u), dt)
-        s.what = step_heat(what, FluxBC(left, s.u0 + c1 * innov), dt)
+        left = -q * s.w.item(0)
+        s.w, s.what = stepper.step(left, b * s.u, left, s.u0 + c1 * innov)
+        # a NaN/Inf in either field makes the error's gradient energy non-finite
+        s.gsq = energy.of_difference(s.w, s.what)
+        if not math.isfinite(s.gsq):
+            _require_finite(s.w, s.what)
         s.zeta = zeta_new
 
     def row(t: float, s: _Loop) -> dict[str, float]:
-        w = s.w.values
-        e = 0.5 * _sq_norm(w - s.what.values, dx)
+        w = s.w
+        e = 0.5 * _sq_norm(w - s.what, dx)
         zt = inv_b - s.zeta
         return {
             "u0": s.u0, "u": s.u, "zeta": s.zeta, "w0": w[0], "w1": w[-1],
@@ -215,7 +267,8 @@ def _run_observer_loop(
             "E": e, "F": e + half_b * zt * zt, "diss_cum": s.diss_cum,
         }
 
-    state = _Loop(w=w0, what=what0, zeta=zeta0)
+    w, what = stepper.rows
+    state = _Loop(w=w, what=what, zeta=zeta0, gsq=energy.of_difference(w, what))
     return _run(config, state, inputs, advance, row, ("diss_cum",))
 
 
@@ -274,27 +327,31 @@ def run_tracking(
     half_b = 0.5 * abs(b)
     inv_b = 1.0 / b
     nodes = config.grid.nodes
+    stepper = _stepper(config, w0, zhat0)
+    observer = _windows(config.grid, stepper, 1)
 
     def inputs(t: float, s: _Loop) -> None:
         s.servo = servo_boundary(ref, q, t, J)
-        s.u0 = adaptive_u0(s.what, est, s.servo)
-        s.innov = s.w.values[-1] - s.servo.v1 - s.what.values[-1]
+        s.u0 = adaptive_u0(observer[stepper.index], est, s.servo)
+        # the feedback weighs every observer node, so a NaN/Inf there shows in u0
+        if not math.isfinite(s.u0):
+            _require_finite(s.what)
+        s.innov = s.w.item(-1) - s.servo.v1 - s.what.item(-1)
         s.u = s.zeta * s.u0
 
     def advance(t: float, s: _Loop) -> None:
         zeta_new = zeta_step(s.zeta, sgn, s.innov, s.u0, dt)
         r_t = ref.derivative(0, t)
-        w_at_0 = s.w.values[0]
-        s.w = step_heat(s.w, FluxBC(-q * w_at_0, b * s.u), dt)
-        s.what = step_heat(
-            s.what, FluxBC(-q * (w_at_0 - r_t), s.u0 + c1 * s.innov - s.servo.vx1), dt
+        w_at_0 = s.w.item(0)
+        s.w, s.what = stepper.step(
+            -q * w_at_0, b * s.u, -q * (w_at_0 - r_t), s.u0 + c1 * s.innov - s.servo.vx1
         )
         s.zeta = zeta_new
 
     def row(t: float, s: _Loop) -> dict[str, float]:
-        w = s.w.values
+        w = s.w
         v_vals = servo_eval(ref, q, nodes, t, J)
-        e = 0.5 * _sq_norm(w - v_vals - s.what.values, dx)
+        e = 0.5 * _sq_norm(w - v_vals - s.what, dx)
         zt = inv_b - s.zeta
         r_t = ref.derivative(0, t)
         return {
@@ -304,7 +361,8 @@ def run_tracking(
             "tracking_err": w[0] - r_t, "ref": r_t, "v1": s.servo.v1, "vx1": s.servo.vx1,
         }
 
-    state = _Loop(w=w0, what=zhat0, zeta=zeta0)
+    w, what = stepper.rows
+    state = _Loop(w=w, what=what, zeta=zeta0)
     return _run(config, state, inputs, advance, row, ("tracking_err", "ref", "v1", "vx1"))
 
 
@@ -329,21 +387,23 @@ def run_error_system(
     dt, dx = config.dt, config.grid.dx
     b, c1, sgn = p.b, p.c1, p.sign_b
     half_b = 0.5 * abs(b)
+    stepper = _stepper(config, wtilde0)
+    energy = GradientEnergy(config.grid.n, dx)
 
     def inputs(t: float, s: _Loop) -> None:
         s.u0 = u0_signal(t)
-        s.innov = s.w.values[-1]
+        s.innov = s.w.item(-1)
 
     def advance(t: float, s: _Loop) -> None:
-        wt, zt, u0, wt1 = s.w, s.zeta, s.u0, s.innov
-        g = grad_values(wt.values, dx)
-        s.diss_cum += dt * (_sq_norm(g, dx) + c1 * wt1 * wt1)
+        zt, u0, wt1 = s.zeta, s.u0, s.innov
+        s.diss_cum += dt * (s.gsq + c1 * wt1 * wt1)
         zt_new = zt + dt * sgn * u0 * wt1
-        s.w = step_heat(wt, FluxBC(0.0, -b * zt * u0 - c1 * wt1), dt)
+        (s.w,) = stepper.step(0.0, -b * zt * u0 - c1 * wt1)
+        s.gsq = energy(s.w)
         s.zeta = zt_new
 
     def row(t: float, s: _Loop) -> dict[str, float]:
-        wt, zt = s.w.values, s.zeta
+        wt, zt = s.w, s.zeta
         e = 0.5 * _sq_norm(wt, dx)
         nrm = math.sqrt(2.0 * e)
         return {
@@ -351,4 +411,6 @@ def run_error_system(
             "obs_err_norm": nrm, "E": e, "F": e + half_b * zt * zt, "diss_cum": s.diss_cum,
         }
 
-    return _run(config, _Loop(w=wtilde0, zeta=zetatilde0), inputs, advance, row, ("diss_cum",))
+    (wt,) = stepper.rows
+    state = _Loop(w=wt, zeta=zetatilde0, gsq=energy(wt))
+    return _run(config, state, inputs, advance, row, ("diss_cum",))

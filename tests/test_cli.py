@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +121,51 @@ class TestExitCodes:
                        "--pe-tau", "0.1", flag, value, "--out", str(out)) == 64
         assert capsys.readouterr().err.startswith("heatadapt: cannot read ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "sweep"])
+    def test_out_naming_a_file_exits_64(self, tmp_path, capsys, command):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,u0,u,zeta,w0,w1,wnorm,obs_err_norm,E,F\n0,0,0,0,0,0,0,0,0,0\n")
+        path = tmp_path / "file"
+        path.write_text("kept\n")
+        run = ["--scenario", "open-loop", "--t-final", "0.1", "--pe-tau", "0.1"]
+        argv = {
+            "simulate": ["simulate", *run],
+            "analyze": ["analyze", "--trace", str(trace)],
+            "sweep": ["sweep", *run, "--param", "q", "--values", "1,2"],
+        }[command]
+        assert run_cli(*argv, "--out", str(path)) == 64
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"heatadapt: cannot create output directory {str(path)!r}: "
+            f"[Errno 17] File exists: {str(path)!r}\n"
+        )
+        assert captured.out == ""
+        assert path.read_text() == "kept\n"
+
+    def test_empty_init_file_prints_one_line(self, tmp_path):
+        # numpy warns on an empty file; only the heatadapt message may reach stderr
+        profile = tmp_path / "empty.txt"
+        profile.write_text("")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "heatadapt.cli", "simulate", "--scenario", "open-loop",
+             "--t-final", "0.1", "--pe-tau", "0.1", "--init", f"file:{profile}",
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 64
+        assert proc.stderr == f"heatadapt: init file {str(profile)!r} has 0 values, grid needs 51\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("scenario", ["observer", "error-system"])
+    @pytest.mark.parametrize("u0", ["const:inf", "const:nan", "const:1e308"])
+    def test_non_finite_boundary_flux_exits_64(self, tmp_path, capsys, scenario, u0):
+        code = run_cli("simulate", "--scenario", scenario, "--u0", u0, "--t-final", "0.01",
+                       "--pe-tau", "0.01", "--out", str(tmp_path))
+        assert code == 64
+        assert capsys.readouterr().err == "heatadapt: boundary fluxes must be finite\n"
 
     def test_blow_up_exits_3(self, tmp_path):
         code = run_cli(

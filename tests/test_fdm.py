@@ -3,7 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from heatadapt import FluxBC, Grid, GridFunction, NonFiniteState, l2_norm, quad, step_heat
+from heatadapt import (
+    ConfigError,
+    FluxBC,
+    GradientEnergy,
+    Grid,
+    GridFunction,
+    HeatStepper,
+    NonFiniteState,
+    grad_values,
+    l2_norm,
+    quad,
+    step_heat,
+)
+from heatadapt.scenarios import _sq_norm
+
+
+def same_bits(x, y):
+    return float(x).hex() == float(y).hex()
 
 
 def heat_steps(state, bc, dt, n):
@@ -124,6 +141,77 @@ class TestStepHeat:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteState):
                 step_heat(u, FluxBC(0.0, 0.0), 1e-4)
+
+
+class TestHeatStepper:
+    """The in-place kernel against the reference route, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [3, 51, 201])
+    def test_each_step_equals_step_heat(self, n, k):
+        rng = np.random.default_rng(1000 * n + k)
+        g = Grid(n)
+        dt = 0.4 * g.dx**2
+        fields = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+        stepper = HeatStepper(fields, g.dx, dt)
+        ref = [GridFunction(g, row) for row in fields]
+        for _ in range(20):
+            fluxes = rng.standard_normal(2 * k) * 10.0 ** rng.uniform(-3, 3, 2 * k)
+            rows = stepper.step(*fluxes.tolist())
+            ref = [
+                step_heat(f, FluxBC(fluxes[2 * i], fluxes[2 * i + 1]), dt)
+                for i, f in enumerate(ref)
+            ]
+            assert rows is stepper.rows
+            for row, f in zip(rows, ref):
+                assert row.tobytes() == f.values.tobytes()
+
+    def test_input_fields_are_copied(self, ramp51):
+        stepper = HeatStepper([ramp51.values], ramp51.grid.dx, 1e-4)
+        stepper.step(0.5, -0.5)
+        stepper.step(0.5, -0.5)
+        np.testing.assert_array_equal(ramp51.values, 2.0 * ramp51.grid.nodes - 1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_flux_raises_before_writing(self, ramp51, bad):
+        stepper = HeatStepper([ramp51.values, ramp51.values], ramp51.grid.dx, 1e-4)
+        before = stepper.rows
+        with pytest.raises(ConfigError, match="boundary fluxes must be finite"):
+            stepper.step(0.0, 0.0, 0.0, bad)
+        assert stepper.rows is before
+        np.testing.assert_array_equal(before[1], ramp51.values)
+
+    def test_require_finite_after_overflow(self, grid51):
+        vals = np.full(51, 1e308)
+        vals[25] = -1e308
+        stepper = HeatStepper([np.zeros(51), vals], grid51.dx, 1e-4)
+        stepper.require_finite()
+        with np.errstate(over="ignore", invalid="ignore"):
+            stepper.step(0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(NonFiniteState):
+            stepper.require_finite()
+
+    def test_rejects_too_few_nodes(self):
+        with pytest.raises(ConfigError):
+            HeatStepper(np.zeros((2, 2)), 1.0, 0.1)
+
+
+class TestGradientEnergy:
+    @pytest.mark.parametrize("n", [3, 4, 51, 201])
+    def test_equals_norm_of_grad_values(self, n):
+        rng = np.random.default_rng(n)
+        g = Grid(n)
+        energy = GradientEnergy(n, g.dx)
+        for _ in range(20):
+            f = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            h = rng.standard_normal(n)
+            assert same_bits(energy(f), _sq_norm(grad_values(f, g.dx), g.dx))
+            assert same_bits(energy.of_difference(f, h), _sq_norm(grad_values(f - h, g.dx), g.dx))
+
+    def test_linear_profile(self, grid51):
+        # f = 3x has f_x = 3 everywhere, so the integral of f_x^2 is 9
+        energy = GradientEnergy(51, grid51.dx)
+        assert energy(3.0 * grid51.nodes) == pytest.approx(9.0, rel=1e-12)
 
 
 class TestQuad:

@@ -4,19 +4,28 @@ import numpy as np
 import pytest
 
 from heatadapt import (
+    BLOWUP_NORM,
     ConfigError,
+    FluxBC,
     Grid,
     GridFunction,
     Params,
     ReferenceSignal,
     SimConfig,
+    adaptive_u0,
     benchmark_initial_state,
+    grad_values,
+    l2_norm,
     run_error_system,
     run_observer,
     run_open_loop,
     run_stabilization,
     run_tracking,
+    servo_boundary,
+    servo_eval,
+    step_heat,
     upsilon_b,
+    zeta_step,
 )
 
 
@@ -163,3 +172,182 @@ class TestErrorSystem:
         tr = run_error_system(params8, cfg(grid51, 1.0), ramp51, -0.1, lambda t: math.sin(t))
         bound = math.sqrt(2.0 * tr["F"][0] / abs(params8.b))
         assert np.abs(tr["zeta"]).max() <= bound + 1e-12
+
+
+def reference_run(kind, p, config, w0, what0=None, zeta0=0.0, u0_signal=None, ref=None):
+    """The runners' arithmetic through step_heat, FluxBC and grad_values.
+
+    A plain loop that allocates new GridFunctions every step, as the
+    runners did before they shared one in-place stepper.  Returns
+    (times, rows, snapshots, final fields, zeta, last u0, last u,
+    blow-up time).
+    """
+    dt, dx, grid = config.dt, config.grid.dx, config.grid
+    q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
+    est = p.estimator_view()
+    J = config.servo_truncation_J
+
+    def sq(v):
+        v2 = v * v
+        return dx * (v2.sum() - 0.5 * (v2[0] + v2[-1]))
+
+    st = {"w": w0, "what": what0, "zeta": zeta0, "u0": 0.0, "u": 0.0, "innov": 0.0,
+          "diss": 0.0, "servo": None}
+
+    def inputs(t):
+        w, what = st["w"].values, st["what"].values if st["what"] is not None else None
+        if kind == "observer":
+            st["u0"] = u0_signal(t)
+        elif kind == "stabilize":
+            st["u0"] = adaptive_u0(st["what"], est)
+        elif kind == "track":
+            st["servo"] = servo_boundary(ref, q, t, J)
+            st["u0"] = adaptive_u0(st["what"], est, st["servo"])
+            st["innov"] = w[-1] - st["servo"].v1 - what[-1]
+        elif kind == "error":
+            st["u0"] = u0_signal(t)
+            st["innov"] = w[-1]
+        if kind in ("observer", "stabilize"):
+            st["innov"] = w[-1] - what[-1]
+        if kind in ("observer", "stabilize", "track"):
+            st["u"] = st["zeta"] * st["u0"]
+
+    def advance(t):
+        w, what, zeta, u0, u, innov = (st[k] for k in ("w", "what", "zeta", "u0", "u", "innov"))
+        if kind == "open":
+            st["w"] = step_heat(w, FluxBC(-q * w.values[0], 0.0), dt)
+        elif kind in ("observer", "stabilize"):
+            gerr = grad_values(w.values - what.values, dx)
+            st["diss"] += dt * (sq(gerr) + c1 * innov * innov)
+            left = -q * w.values[0]
+            st["w"] = step_heat(w, FluxBC(left, b * u), dt)
+            st["what"] = step_heat(what, FluxBC(left, u0 + c1 * innov), dt)
+            st["zeta"] = zeta_step(zeta, sgn, innov, u0, dt)
+        elif kind == "track":
+            r_t = ref.derivative(0, t)
+            w_at_0 = w.values[0]
+            st["w"] = step_heat(w, FluxBC(-q * w_at_0, b * u), dt)
+            right = u0 + c1 * innov - st["servo"].vx1
+            st["what"] = step_heat(what, FluxBC(-q * (w_at_0 - r_t), right), dt)
+            st["zeta"] = zeta_step(zeta, sgn, innov, u0, dt)
+        else:
+            g = grad_values(w.values, dx)
+            st["diss"] += dt * (sq(g) + c1 * innov * innov)
+            st["w"] = step_heat(w, FluxBC(0.0, -b * zeta * u0 - c1 * innov), dt)
+            st["zeta"] = zeta + dt * sgn * u0 * innov
+
+    def row(t):
+        w = st["w"].values
+        if kind == "open":
+            return {"w0": w[0], "w1": w[-1], "wnorm": l2_norm(st["w"])}
+        zt = st["zeta"]
+        if kind == "error":
+            e = 0.5 * sq(w)
+            return {"u0": st["u0"], "zeta": zt, "w0": w[0], "w1": w[-1],
+                    "wnorm": math.sqrt(2.0 * e), "obs_err_norm": math.sqrt(2.0 * e), "E": e,
+                    "F": e + 0.5 * abs(b) * zt * zt, "diss_cum": st["diss"]}
+        err = w - st["what"].values
+        if kind == "track":
+            err = w - servo_eval(ref, q, grid.nodes, t, J) - st["what"].values
+        e = 0.5 * sq(err)
+        zt_err = 1.0 / b - zt
+        out = {"u0": st["u0"], "u": st["u"], "zeta": zt, "w0": w[0], "w1": w[-1],
+               "wnorm": math.sqrt(sq(w)), "obs_err_norm": math.sqrt(2.0 * e), "E": e,
+               "F": e + 0.5 * abs(b) * zt_err * zt_err}
+        if kind == "track":
+            r_t = ref.derivative(0, t)
+            out.update(tracking_err=w[0] - r_t, ref=r_t, v1=st["servo"].v1,
+                       vx1=st["servo"].vx1)
+        else:
+            out["diss_cum"] = st["diss"]
+        return out
+
+    def fields():
+        return {k: st[k].values.copy() for k in ("w", "what") if st[k] is not None}
+
+    times, rows, snaps, t_blow = [], [], [], None
+    for k in range(config.n_steps):
+        t = k * dt
+        inputs(t)
+        if k % config.sample_stride == 0:
+            times.append(t)
+            rows.append(row(t))
+        if config.snapshot_stride and k % config.snapshot_stride == 0:
+            snaps.append((t, fields()))
+        advance(t)
+        if math.sqrt(sq(st["w"].values)) > BLOWUP_NORM:
+            t_blow = (k + 1) * dt
+            break
+    t_end = t_blow if t_blow is not None else config.n_steps * dt
+    inputs(t_end)
+    times.append(t_end)
+    rows.append(row(t_end))
+    if config.snapshot_stride:
+        snaps.append((t_end, fields()))
+    return times, rows, snaps, fields(), st["zeta"], st["u0"], st["u"], t_blow
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestRunnersMatchReferenceRoute:
+    """Every runner reproduces the step_heat/grad_values route bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kind, t_final, snap",
+        [("open", 1.0, 997), ("observer", 0.3, 700), ("stabilize", 0.3, 0),
+         ("track", 0.3, 1100), ("error", 0.3, 500)],
+    )
+    def test_trace_equals_reference(self, kind, t_final, snap, grid51, ramp51):
+        p = Params(q=9.0, b=-10.0, c0=5.0, c1=5.0) if kind == "open" else Params(
+            q=2.0, b=-10.0, c0=5.0, c1=5.0)
+        c = cfg(grid51, t_final, stride=37, snap=snap)
+        what0 = GridFunction(grid51, 0.3 * np.sin(3.0 * grid51.nodes))
+        sine = ReferenceSignal.sinusoid(1.0, 1.0)
+        u0 = lambda t: math.exp(-t)
+        if kind == "open":
+            tr = run_open_loop(p, c, ramp51)
+            expected = reference_run(kind, p, c, ramp51)
+        elif kind == "observer":
+            tr = run_observer(p, c, ramp51, what0, 0.05, u0)
+            expected = reference_run(kind, p, c, ramp51, what0, 0.05, u0_signal=u0)
+        elif kind == "stabilize":
+            tr = run_stabilization(p, c, ramp51, what0, 0.0)
+            expected = reference_run(kind, p, c, ramp51, what0, 0.0)
+        elif kind == "track":
+            tr = run_tracking(p, c, ramp51, what0, 0.0, sine)
+            expected = reference_run(kind, p, c, ramp51, what0, 0.0, ref=sine)
+        else:
+            tr = run_error_system(p, c, ramp51, -0.1, u0)
+            expected = reference_run(kind, p, c, ramp51, None, -0.1, u0_signal=u0)
+        times, rows, snaps, final, zeta, last_u0, last_u, t_blow = expected
+
+        assert tr.blown_up is (kind == "open")
+        assert tr.blow_up_time == t_blow
+        assert bits(tr.times) == bits(times)
+        for name in tr.scalars:
+            assert bits(tr.scalars[name]) == bits([r.get(name, 0.0) for r in rows]), name
+        assert set(tr.extras) == set(rows[0]) - set(tr.scalars)
+        for name in tr.extras:
+            assert bits(tr.extras[name]) == bits([r[name] for r in rows]), name
+        assert len(tr.snapshots) == len(snaps) and bool(snaps) == bool(snap)
+        for (t1, f1), (t2, f2) in zip(tr.snapshots, snaps):
+            assert t1 == t2 and f1.keys() == f2.keys()
+            assert all(bits(f1[k]) == bits(f2[k]) for k in f1)
+        fs = tr.final_state
+        assert fs.t == times[-1]
+        assert bits(fs.w.values) == bits(final["w"])
+        if "what" in final:
+            assert bits(fs.what.values) == bits(final["what"])
+        else:
+            assert fs.what is None
+        assert bits([fs.zeta, fs.last_u0, fs.last_u]) == bits([zeta, last_u0, last_u])
+
+    def test_returned_fields_are_copies(self, params8, grid51, ramp51, zeros51):
+        # the stepper's buffers are reused every step; nothing a runner
+        # returns may be a view of them
+        tr = run_stabilization(params8, cfg(grid51, 0.01, snap=50), ramp51, zeros51, 0.0)
+        fs = tr.final_state
+        for f in (fs.w.values, fs.what.values, *tr.snapshots[-1][1].values()):
+            assert f.flags.owndata
