@@ -47,16 +47,7 @@ from .domain import (
     ZeroCoefficient,
     validate_config,
 )
-from .fdm import (
-    FluxBC,
-    GradientEnergy,
-    HeatStepper,
-    NonFiniteState,
-    grad_values,
-    l2_norm,
-    quad,
-    step_heat,
-)
+from .fdm import FluxBC, NonFiniteState, l2_norm, quad, step_heat
 from .scenarios import (
     BLOWUP_NORM,
     ScenarioState,
@@ -76,10 +67,8 @@ __all__ = [
     "Energies",
     "EstimatorParams",
     "FluxBC",
-    "GradientEnergy",
     "Grid",
     "GridFunction",
-    "HeatStepper",
     "InsufficientDuration",
     "LimitSummary",
     "NonFiniteState",
@@ -100,7 +89,6 @@ __all__ = [
     "benchmark_initial_state",
     "energies",
     "galerkin_error_system",
-    "grad_values",
     "l2_norm",
     "limit_diagnostics",
     "pe_check",

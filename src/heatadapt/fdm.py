@@ -96,8 +96,7 @@ class HeatStepper:
     overwrite them.
 
     A step does not scan for NaN/Inf; callers detect a non-finite state
-    from a scalar they compute anyway and confirm it with
-    :meth:`require_finite`.
+    from a scalar they compute anyway.
     """
 
     __slots__ = ("dx", "index", "rows", "buffers", "_two_r", "_r", "_tmp", "_plans")
@@ -146,11 +145,6 @@ class HeatStepper:
             out[-1] = u_1 + two_r * (u_2 - u_1 + dx * fluxes[2 * i + 1])
         self.rows = out_rows
         return out_rows
-
-    def require_finite(self) -> None:
-        """Raise :class:`NonFiniteState` if the current state holds NaN/Inf."""
-        if not np.isfinite(self.buffers[self.index]).all():
-            raise NonFiniteState("heat step produced non-finite values")
 
 
 def _trapz(values: np.ndarray, dx: float) -> float:

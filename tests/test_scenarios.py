@@ -9,12 +9,12 @@ from heatadapt import (
     FluxBC,
     Grid,
     GridFunction,
+    NonFiniteState,
     Params,
     ReferenceSignal,
     SimConfig,
     adaptive_u0,
     benchmark_initial_state,
-    grad_values,
     l2_norm,
     run_error_system,
     run_observer,
@@ -27,6 +27,7 @@ from heatadapt import (
     upsilon_b,
     zeta_step,
 )
+from heatadapt.fdm import grad_values
 
 
 def cfg(grid, t_final, dt=1e-4, stride=100, snap=0):
@@ -351,3 +352,26 @@ class TestRunnersMatchReferenceRoute:
         fs = tr.final_state
         for f in (fs.w.values, fs.what.values, *tr.snapshots[-1][1].values()):
             assert f.flags.owndata
+
+
+class TestNonFiniteState:
+    @pytest.mark.parametrize("runner", ["open", "observer", "stabilize", "track", "error"])
+    def test_overflowing_field_raises(self, params8, grid51, ramp51, runner):
+        # a +-1e308 pair overflows the first step's stencil; the run must
+        # raise, as step_heat does, rather than record NaN/Inf
+        vals = np.zeros(51)
+        vals[24], vals[25] = 1e308, -1e308
+        spike = GridFunction(grid51, vals)
+        c = cfg(grid51, 0.01)
+        u0 = lambda t: 0.0
+        run = {
+            "open": lambda: run_open_loop(params8, c, spike),
+            "observer": lambda: run_observer(params8, c, ramp51, spike, 0.0, u0),
+            "stabilize": lambda: run_stabilization(params8, c, ramp51, spike, 0.0),
+            "track": lambda: run_tracking(
+                params8, c, ramp51, spike, 0.0, ReferenceSignal.constant(1.0)),
+            "error": lambda: run_error_system(params8, c, spike, 0.0, u0),
+        }[runner]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteState):
+                run()
