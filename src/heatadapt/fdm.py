@@ -110,11 +110,12 @@ class HeatStepper:
         self._two_r = 2.0 * self._r
         self.buffers = (cur, np.empty_like(cur))
         self._tmp = np.empty(cur.size - 2)
-        # per buffer: interior, right and left neighbours (flattened), and its rows
-        self._plans = tuple(
-            (flat[1:-1], flat[2:], flat[:-2], tuple(u))
-            for u, flat in ((u, u.reshape(-1)) for u in self.buffers)
-        )
+        plans = []
+        for u in self.buffers:
+            flat = u.reshape(-1)
+            # interior, right and left neighbours of the flattened buffer, and its rows
+            plans.append((flat[1:-1], flat[2:], flat[:-2], tuple(u)))
+        self._plans = tuple(plans)
         #: index into ``buffers`` of the current state, and that buffer's rows
         self.index = 0
         self.rows = self._plans[0][3]
