@@ -5,8 +5,9 @@ Commands:
   analyze    post-process an emitted trace.csv (PE verdict, convergence gaps)
   sweep      run simulate over a list of values of one parameter
 
-Exit codes: 0 success, 2 CFL violation, 3 blow-up, 4 requested verdict
-gate failed, 64 usage or other configuration error.
+Exit codes: 0 success, 2 CFL violation, 3 blow-up (also a state that
+turned NaN/Inf), 4 requested verdict gate failed, 64 usage or other
+configuration error.
 
 trace.csv carries the fixed header t,u0,u,zeta,w0,w1,wnorm,obs_err_norm,E,F,
 one row per sample, decimal values with 17 significant digits, LF newlines;
@@ -28,7 +29,7 @@ import time
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .domain import (
     TRACE_COLUMNS,
     validate_config,
 )
+from .fdm import NonFiniteState
 from .scenarios import (
     benchmark_initial_state,
     run_error_system,
@@ -426,7 +428,20 @@ def _tolerance_checks(scenario: str, verdicts: dict, b: float) -> dict:
     return checks
 
 
-def _simulate(resolved: dict) -> int:
+class _Setup(NamedTuple):
+    """One simulate run, resolved and checked, that has not run yet."""
+
+    resolved: dict
+    scenario: str
+    params: Params
+    config: SimConfig
+    ref: ReferenceSignal
+    u0_signal: Callable[[float], float]
+    w0: GridFunction
+
+
+def _set_up(resolved: dict) -> _Setup:
+    """Build and check a run's inputs and create its output directory."""
     q, b = resolved["q"], resolved["b"]
     params = Params(q=q, b=b, c0=resolved["c0"], c1=resolved["c1"])
     grid = Grid.from_dx(resolved["dx"])
@@ -441,29 +456,38 @@ def _simulate(resolved: dict) -> int:
         snapshot_stride=resolved["snapshot-stride"],
     )
     validate_config(params, config)
-
-    scenario = resolved["scenario"]
-    ref = _parse_ref(resolved["ref"])
-    u0_signal = _parse_u0(resolved["u0"])
-    w0 = _parse_init(resolved["init"], grid, q)
-    zeta0 = resolved["zeta0"]
-    zeros = GridFunction.zeros(grid)
+    run = _Setup(
+        resolved=resolved,
+        scenario=resolved["scenario"],
+        params=params,
+        config=config,
+        ref=_parse_ref(resolved["ref"]),
+        u0_signal=_parse_u0(resolved["u0"]),
+        w0=_parse_init(resolved["init"], grid, q),
+    )
     _make_out_dir(resolved["out"])
+    return run
 
+
+def _run(run: _Setup) -> tuple[Trace, float]:
+    """Run the scenario; return its trace and the seconds it took."""
+    params, config, w0 = run.params, run.config, run.w0
+    zeta0, u0_signal = run.resolved["zeta0"], run.u0_signal
+    zeros = GridFunction.zeros(config.grid)
     start = time.perf_counter()
-    if scenario == "open-loop":
+    if run.scenario == "open-loop":
         trace = run_open_loop(params, config, w0)
-    elif scenario == "observer":
+    elif run.scenario == "observer":
         trace = run_observer(params, config, w0, zeros, zeta0, u0_signal)
-    elif scenario == "stabilize":
+    elif run.scenario == "stabilize":
         trace = run_stabilization(params, config, w0, zeros, zeta0)
-    elif scenario == "track":
-        trace = run_tracking(params, config, w0, zeros, zeta0, ref)
-    elif scenario == "error-system":
+    elif run.scenario == "track":
+        trace = run_tracking(params, config, w0, zeros, zeta0, run.ref)
+    elif run.scenario == "error-system":
         trace = run_error_system(params, config, w0, zeta0, u0_signal)
     else:  # galerkin
         trace = galerkin_error_system(
-            N=resolved["modes"],
+            N=run.resolved["modes"],
             p=params,
             u0_signal=u0_signal,
             wtilde0=w0,
@@ -472,8 +496,12 @@ def _simulate(resolved: dict) -> int:
             dt_ode=config.dt,
             sample_stride=config.sample_stride,
         )
-    duration = time.perf_counter() - start
+    return trace, time.perf_counter() - start
 
+
+def _finish(run: _Setup, trace: Trace, duration: float) -> int:
+    """Judge a finished run, write its outputs and return its exit code."""
+    scenario, params, config, resolved = run.scenario, run.params, run.config, run.resolved
     verdicts: dict = {"blown_up": trace.blown_up, "blow_up_time": trace.blow_up_time}
     settle = min(1.0, config.t_final / 2.0)
     try:
@@ -501,11 +529,12 @@ def _simulate(resolved: dict) -> int:
             verdicts["pe_vx1"] = pe_v.to_dict()
         except InsufficientDuration:
             verdicts["pe_vx1"] = None
-        verdicts["reference_uniformly_bounded"] = ref.uniformly_bounded
+        verdicts["reference_uniformly_bounded"] = run.ref.uniformly_bounded
     if scenario in ACCEPTANCE_TOLERANCES:
         verdicts["tolerances"] = ACCEPTANCE_TOLERANCES[scenario]
         verdicts["tolerance_checks"] = _tolerance_checks(scenario, verdicts, params.b)
 
+    grid = config.grid
     manifest = RunManifest(
         scenario=scenario,
         params={"q": params.q, "b": params.b, "sign_b": params.sign_b,
@@ -518,10 +547,10 @@ def _simulate(resolved: dict) -> int:
                 "sample_stride": config.sample_stride,
                 "snapshot_stride": config.snapshot_stride,
                 "modes": resolved["modes"] if scenario == "galerkin" else None},
-        reference=ref.describe() if scenario == "track" else None,
+        reference=run.ref.describe() if scenario == "track" else None,
         u0_signal=resolved["u0"] if scenario in ("observer", "error-system", "galerkin") else None,
         init=resolved["init"],
-        zeta0=zeta0,
+        zeta0=resolved["zeta0"],
         tool_version=__version__,
         duration_s=duration,
         verdicts=verdicts,
@@ -533,6 +562,11 @@ def _simulate(resolved: dict) -> int:
     if resolved.get("require-converged") and not all_converged:
         return 4
     return 0
+
+
+def _simulate(resolved: dict) -> int:
+    run = _set_up(resolved)
+    return _finish(run, *_run(run))
 
 
 def _analyze(args: dict) -> int:
@@ -571,29 +605,95 @@ def _analyze(args: dict) -> int:
 
 
 #: the errors bad input ends in; _report maps each to its exit code
-_EXPECTED_ERRORS = (UsageError, ConfigError, UnresolvableMode, TruncationInsufficient)
+_EXPECTED_ERRORS = (
+    UsageError, ConfigError, UnresolvableMode, TruncationInsufficient, NonFiniteState
+)
 
 
 def _report(exc: Exception) -> int:
-    """Print ``heatadapt: <reason>`` on stderr; return 2 for a CFL violation, else 64."""
+    """Print ``heatadapt: <reason>`` on stderr and return the exit code.
+
+    2 for a CFL violation, 3 for a state that turned NaN/Inf (a blow-up
+    past the float range), 64 for the rest.
+    """
     print(f"heatadapt: {exc}", file=sys.stderr)
-    return 2 if isinstance(exc, CflViolation) else 64
+    if isinstance(exc, CflViolation):
+        return 2
+    return 3 if isinstance(exc, NonFiniteState) else 64
+
+
+#: the fewest stabilize members of a sweep stepped together as one stack; one
+#: stack step costs about as much as 2-3 single-run steps (README, Performance)
+_MIN_BATCH = 3
+
+
+def _run_batches(setups: list) -> dict[int, tuple]:
+    """Step each group of at least _MIN_BATCH stabilize members as one stack.
+
+    ``setups`` holds a :class:`_Setup` per member that set up and the
+    error of one that did not.  Members share a group when their grid,
+    ``dt``, step count and strides agree.  Returns, by member index, the
+    member's Trace or error and its share of the group's stepping time.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, run in enumerate(setups):
+        if isinstance(run, _Setup) and run.scenario == "stabilize":
+            c = run.config
+            key = (c.grid, c.dt, c.n_steps, c.sample_stride, c.snapshot_stride)
+            groups.setdefault(key, []).append(i)
+    done = {}
+    for members in groups.values():
+        if len(members) < _MIN_BATCH:
+            continue
+        from .batch import run_stabilization_batch  # only a sweep that batches compiles it
+
+        group = [setups[i] for i in members]
+        grid = group[0].config.grid
+        start = time.perf_counter()
+        outcomes = run_stabilization_batch(
+            [r.params for r in group], group[0].config, [r.w0 for r in group],
+            [GridFunction.zeros(grid)] * len(group), [r.resolved["zeta0"] for r in group],
+        )
+        share = (time.perf_counter() - start) / len(group)
+        done.update((i, (outcome, share)) for i, outcome in zip(members, outcomes))
+    return done
 
 
 def _sweep(resolved: dict) -> int:
-    """Run simulate once per value, in order, each into ``NNN-param=repr(value)``."""
+    """Run simulate once per value, each into ``NNN-param=repr(value)``.
+
+    Every member is set up first.  Stabilize members that can share a
+    stack run as batches (:func:`_run_batches`), the rest one at a time;
+    members then finish, or report their error, in input order.
+    """
     param, values = resolved["param"], resolved["values"]
     base_out = _make_out_dir(resolved["out"])
-    runs = []
+    outs, setups = [], []
     for i, v in enumerate(values):
         sub = dict(resolved)
         sub[param] = v
         sub["out"] = str(base_out / f"{i:03d}-{param}={v!r}")
+        outs.append(sub["out"])
         try:
-            code = _simulate(sub)
+            setups.append(_set_up(sub))
         except _EXPECTED_ERRORS as exc:
-            code = _report(exc)
-        runs.append({"out": sub["out"], "value": v, "exit_code": code})
+            setups.append(exc)
+    batched = _run_batches(setups)
+    codes = []
+    for i, run in enumerate(setups):
+        if not isinstance(run, _Setup):
+            codes.append(_report(run))
+            continue
+        try:
+            trace, duration = batched[i] if i in batched else _run(run)
+            if isinstance(trace, Exception):
+                codes.append(_report(trace))
+            else:
+                codes.append(_finish(run, trace, duration))
+        except _EXPECTED_ERRORS as exc:
+            codes.append(_report(exc))
+    runs = [{"out": out, "value": v, "exit_code": code}
+            for out, v, code in zip(outs, values, codes)]
     index = {"param": param, "runs": runs}
     (base_out / "sweep.json").write_text(json.dumps(index, indent=2) + "\n")
     return max(r["exit_code"] for r in runs)

@@ -83,39 +83,50 @@ def step_heat(
 
 
 class HeatStepper:
-    """Explicit steps of k fields on one grid, in place.
+    """Explicit steps of many fields on one grid, in place.
 
-    The fields are the rows of a ``(k, n)`` array.  Two preallocated
-    buffers take turns as input and output, and their slice views are
-    built once, so a step allocates nothing.  Each row after
-    :meth:`step` equals :func:`step_heat` of that row with the same
-    fluxes, bit for bit: the interior is the same ufunc sequence, the
-    boundary nodes the same expressions on Python floats.  The interior
-    update runs once over the flattened buffer, so it also writes the
-    boundary nodes where two rows meet; the boundary expressions then
-    overwrite them.
+    The fields are the rows of a ``(..., n)`` array: ``(k, n)`` for k
+    fields of one run, ``(2, B, n)`` for the plant rows and then the
+    observer rows of B runs.  Two preallocated buffers take turns as input and output,
+    and their slice views are built once, so a step allocates nothing.
+    Each row after a step equals :func:`step_heat` of that row with the
+    same fluxes, bit for bit: the interior is the same ufunc sequence,
+    the boundary nodes the same expressions.  The interior update runs
+    once over the flattened buffer, so it also writes the boundary nodes
+    where two rows meet; the boundary expressions then overwrite them.
 
-    A step does not scan for NaN/Inf; callers detect a non-finite state
-    from a scalar they compute anyway.
+    :meth:`step` takes the fluxes as Python floats, :meth:`step_rows` as
+    arrays with one flux per row.  A step does not scan for NaN/Inf;
+    callers detect a non-finite state from a scalar they compute anyway.
     """
 
-    __slots__ = ("dx", "index", "rows", "buffers", "_two_r", "_r", "_tmp", "_plans")
+    __slots__ = (
+        "dx", "index", "rows", "buffers", "_two_r", "_r", "_tmp", "_edge", "_plans", "_cols"
+    )
 
     def __init__(self, fields, dx: float, dt: float):
-        cur = np.array(fields, dtype=float)
-        if cur.ndim != 2 or cur.shape[1] < 3:
-            raise ConfigError(f"fields must be a (k, n >= 3) array, got shape {cur.shape}")
+        # C order, so that the flat views below are views of the buffer, not copies
+        cur = np.array(fields, dtype=float, order="C")
+        if cur.ndim < 2 or cur.shape[-1] < 3:
+            raise ConfigError(f"fields must be a (..., n >= 3) array, got shape {cur.shape}")
         self.dx = dx
         self._r = dt / (dx * dx)
         self._two_r = 2.0 * self._r
         self.buffers = (cur, np.empty_like(cur))
         self._tmp = np.empty(cur.size - 2)
+        n = cur.shape[-1]
+        self._edge = np.empty(cur.size // n)
         plans = []
         for u in self.buffers:
             flat = u.reshape(-1)
             # interior, right and left neighbours of the flattened buffer, and its rows
-            plans.append((flat[1:-1], flat[2:], flat[:-2], tuple(u)))
+            plans.append((flat[1:-1], flat[2:], flat[:-2], tuple(u.reshape(-1, n))))
         self._plans = tuple(plans)
+        #: columns 0, 1, -2 and -1 of each buffer's rows, as 1-D views for step_rows
+        self._cols = tuple(
+            (flat[0::n], flat[1::n], flat[n - 2 :: n], flat[n - 1 :: n])
+            for flat in (u.reshape(-1) for u in self.buffers)
+        )
         #: index into ``buffers`` of the current state, and that buffer's rows
         self.index = 0
         self.rows = self._plans[0][3]
@@ -146,6 +157,42 @@ class HeatStepper:
             out[-1] = u_1 + two_r * (u_2 - u_1 + dx * fluxes[2 * i + 1])
         self.rows = out_rows
         return out_rows
+
+    def step_rows(self, left, right) -> np.ndarray:
+        """Advance every row one step with array fluxes; return the new buffer.
+
+        ``left`` and ``right`` are 1-D arrays with one flux per row, in the
+        order of :attr:`rows`.  The interior is :meth:`step`'s, and the
+        boundary nodes get its expressions elementwise, so each row equals
+        :func:`step_heat` of it bit for bit.  The fluxes are not checked:
+        the caller passes finite values.
+        """
+        ui, up, um, _ = self._plans[self.index]
+        u0, u1, u_2, u_1 = self._cols[self.index]
+        self.index ^= 1
+        oi, _, _, out_rows = self._plans[self.index]
+        o0, _, _, o_1 = self._cols[self.index]
+        tmp, r, two_r, dx, edge = self._tmp, self._r, self._two_r, self.dx, self._edge
+        # the interior exactly as in step
+        np.multiply(2.0, ui, out=tmp)
+        np.subtract(up, tmp, out=tmp)
+        np.add(tmp, um, out=tmp)
+        np.multiply(r, tmp, out=tmp)
+        np.add(ui, tmp, out=oi)
+        # u0 + two_r * (u1 - u0 - dx * left), with the output column as scratch
+        np.subtract(u1, u0, out=o0)
+        np.multiply(dx, left, out=edge)
+        np.subtract(o0, edge, out=o0)
+        np.multiply(two_r, o0, out=o0)
+        np.add(u0, o0, out=o0)
+        # u_1 + two_r * (u_2 - u_1 + dx * right)
+        np.subtract(u_2, u_1, out=o_1)
+        np.multiply(dx, right, out=edge)
+        np.add(o_1, edge, out=o_1)
+        np.multiply(two_r, o_1, out=o_1)
+        np.add(u_1, o_1, out=o_1)
+        self.rows = out_rows
+        return self.buffers[self.index]
 
 
 def _trapz(values: np.ndarray, dx: float) -> float:
@@ -178,7 +225,7 @@ class GradientEnergy:
     with the trapezoid rule, bit for bit.
     """
 
-    __slots__ = ("dx", "_two_dx", "_left", "_right", "_grad", "_inner", "_diff")
+    __slots__ = ("dx", "_two_dx", "_left", "_right", "_grad", "_inner", "_diff", "_rows")
 
     def __init__(self, n: int, dx: float):
         if n < 3:
@@ -191,6 +238,7 @@ class GradientEnergy:
         self._grad = np.empty(n)
         self._inner = self._grad[1:-1]
         self._diff = np.empty(n)
+        self._rows = None
 
     def __call__(self, f: np.ndarray) -> float:
         g, inner, dx = self._grad, self._inner, self.dx
@@ -207,3 +255,53 @@ class GradientEnergy:
         """The gradient energy of ``f - h``."""
         np.subtract(f, h, out=self._diff)
         return self(self._diff)
+
+    def of_row_differences(self, f: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """The gradient energy of each row of ``f - h``, both ``(B, n)``.
+
+        Element i equals ``self.of_difference(f[i], h[i])`` bit for bit:
+        the same operations run elementwise over the rows, and
+        ``np.add.reduce`` along the contiguous rows sums each one as it
+        sums a single profile.  Buffers for B rows are built on the first
+        call with B rows and kept until B changes.
+        """
+        if self._rows is None or self._rows[0].shape != f.shape:
+            self._rows = self._row_plan(f.shape)
+        diff, grad, flat_diff, inner, ends, (f0, f1, f2), (a, b, c), tmp, first, last = self._rows
+        np.subtract(f, h, out=diff)
+        # central differences over the flattened rows; the ones that straddle
+        # two rows land on edge nodes, which the edge formulas overwrite
+        np.subtract(flat_diff[2:], flat_diff[:-2], out=inner)
+        np.divide(inner, self._two_dx, out=inner)
+        # both one-sided edge formulas at once, as (a * f0 + b * f1) + c * f2
+        np.multiply(a, f0, out=tmp)
+        np.multiply(b, f1, out=ends)
+        np.add(tmp, ends, out=tmp)
+        np.multiply(c, f2, out=ends)
+        np.add(tmp, ends, out=ends)
+        np.multiply(grad, grad, out=grad)
+        total = np.add.reduce(grad, axis=1)
+        half = tmp[:, 0]
+        np.add(first, last, out=half)
+        np.multiply(0.5, half, out=half)
+        np.subtract(total, half, out=total)
+        np.multiply(self.dx, total, out=total)
+        return total
+
+    def _row_plan(self, shape: tuple[int, int]) -> tuple:
+        diff, grad = np.empty(shape), np.empty(shape)
+        n, step = shape[1], diff.strides
+        # (f[0], f[-3]), (f[1], f[-2]) and (f[2], f[-1]) of every row, and the
+        # weights np.gradient puts on them
+        edges = tuple(
+            np.lib.stride_tricks.as_strided(
+                diff[:, k:], shape=(shape[0], 2), strides=(step[0], (n - 3) * step[1]),
+                writeable=False,
+            )
+            for k in range(3)
+        )
+        weights = tuple(np.array(pair) for pair in zip(self._left, self._right))
+        # the first and last node of every row
+        ends = grad[:, :: n - 1]
+        return (diff, grad, diff.reshape(-1), grad.reshape(-1)[1:-1], ends, edges, weights,
+                np.empty((shape[0], 2)), ends[:, 0], ends[:, 1])

@@ -12,7 +12,8 @@ a runner supplies only its state and its inputs, advance and row
 callbacks.  Every runner steps its fields with one
 :class:`~heatadapt.fdm.HeatStepper`, which holds plant and observer (or
 the single field of open-loop and error-system runs) as rows of one
-array and steps them in place.
+array and steps them in place.  :mod:`heatadapt.batch` steps many
+stabilization runs on one grid as one stack of rows.
 
 Runs are deterministic: identical inputs produce bit-identical traces
 on one platform.  A run whose state norm passes 1e12 stops early with a
@@ -58,6 +59,11 @@ __all__ = [
 
 #: state norm at which a run is declared blown up and terminated
 BLOWUP_NORM = 1e12
+
+
+def _quiet() -> np.errstate:
+    """Silence numpy's overflow warnings: the loops detect NaN/Inf from their scalars."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -128,35 +134,48 @@ def _run(
     instant is always sampled, after one more ``inputs`` call.
     """
     dt, stride, snap_stride = config.dt, config.sample_stride, config.snapshot_stride
-    grid = config.grid
-    dx = grid.dx
+    dx = config.grid.dx
     rec = _Recorder(extra_names)
     blown, t_blow = False, None
     n_steps = config.n_steps
-    for k in range(n_steps):
-        t = k * dt
-        inputs(t, s)
-        if k % stride == 0:
-            rec.row(t, **row(t, s))
-        if snap_stride and k % snap_stride == 0:
-            rec.snap(t, s.fields())
-        advance(t, s)
-        norm = math.sqrt(_sq_norm(s.w, dx))
-        if not math.isfinite(norm):
-            _require_finite(s.w)
-        if norm > BLOWUP_NORM:
-            blown, t_blow = True, (k + 1) * dt
-            break
-    t_end = t_blow if blown else n_steps * dt
-    inputs(t_end, s)
+    with _quiet():
+        for k in range(n_steps):
+            t = k * dt
+            inputs(t, s)
+            if k % stride == 0:
+                rec.row(t, **row(t, s))
+            if snap_stride and k % snap_stride == 0:
+                rec.snap(t, s.fields())
+            advance(t, s)
+            norm = math.sqrt(_sq_norm(s.w, dx))
+            if not math.isfinite(norm):
+                _require_finite(s.w)
+            if norm > BLOWUP_NORM:
+                blown, t_blow = True, (k + 1) * dt
+                break
+        t_end = t_blow if blown else n_steps * dt
+        inputs(t_end, s)
+        return _finish(config, rec, s, row, t_end, t_blow)
+
+
+def _finish(
+    config: SimConfig,
+    rec: _Recorder,
+    s: _Loop,
+    row: Callable[[float, _Loop], dict[str, float]],
+    t_end: float,
+    t_blow: float | None,
+) -> Trace:
+    """Record the last instant, whose inputs ``s`` holds, and build the Trace."""
+    grid = config.grid
     rec.row(t_end, **row(t_end, s))
-    if snap_stride:
+    if config.snapshot_stride:
         rec.snap(t_end, s.fields())
     what = None if s.what is None else GridFunction(grid, s.what)
     final = ScenarioState(
         t=t_end, w=GridFunction(grid, s.w), what=what, zeta=s.zeta, last_u0=s.u0, last_u=s.u
     )
-    return rec.build(final, blown_up=blown, blow_up_time=t_blow)
+    return rec.build(final, blown_up=t_blow is not None, blow_up_time=t_blow)
 
 
 def _sq_norm(values: np.ndarray, dx: float) -> float:
@@ -176,12 +195,17 @@ def _require_finite(*fields: np.ndarray) -> None:
             raise NonFiniteState("heat step produced non-finite values")
 
 
-def _stepper(config: SimConfig, *fields: GridFunction) -> HeatStepper:
-    """A stepper over copies of the initial fields, which must be on the run's grid."""
+def _initial_fields(config: SimConfig, *fields: GridFunction) -> list[np.ndarray]:
+    """The values of the initial fields, which must be on the run's grid."""
     for f in fields:
         if f.grid != config.grid:
             raise ConfigError("initial data must live on the configured grid")
-    return HeatStepper([f.values for f in fields], config.grid.dx, config.dt)
+    return [f.values for f in fields]
+
+
+def _stepper(config: SimConfig, *fields: GridFunction) -> HeatStepper:
+    """A stepper over copies of the initial fields, which must be on the run's grid."""
+    return HeatStepper(_initial_fields(config, *fields), config.grid.dx, config.dt)
 
 
 def _windows(grid: Grid, stepper: HeatStepper, row: int) -> tuple[GridFunction, ...]:
@@ -234,8 +258,6 @@ def _run_observer_loop(
     """
     dt, dx = config.dt, config.grid.dx
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
-    half_b = 0.5 * abs(b)
-    inv_b = 1.0 / b
     stepper = _stepper(config, w0, what0)
     observer = _windows(config.grid, stepper, 1)
     energy = GradientEnergy(config.grid.n, dx)
@@ -257,6 +279,18 @@ def _run_observer_loop(
             _require_finite(s.w, s.what)
         s.zeta = zeta_new
 
+    w, what = stepper.rows
+    with _quiet():
+        gsq = energy.of_difference(w, what)
+    state = _Loop(w=w, what=what, zeta=zeta0, gsq=gsq)
+    return _run(config, state, inputs, advance, _observer_row(p, dx), ("diss_cum",))
+
+
+def _observer_row(p: Params, dx: float) -> Callable[[float, _Loop], dict[str, float]]:
+    """The sample row of a plant + observer + update-law run."""
+    half_b = 0.5 * abs(p.b)
+    inv_b = 1.0 / p.b
+
     def row(t: float, s: _Loop) -> dict[str, float]:
         w = s.w
         e = 0.5 * _sq_norm(w - s.what, dx)
@@ -267,9 +301,7 @@ def _run_observer_loop(
             "E": e, "F": e + half_b * zt * zt, "diss_cum": s.diss_cum,
         }
 
-    w, what = stepper.rows
-    state = _Loop(w=w, what=what, zeta=zeta0, gsq=energy.of_difference(w, what))
-    return _run(config, state, inputs, advance, row, ("diss_cum",))
+    return row
 
 
 def run_observer(
@@ -412,5 +444,7 @@ def run_error_system(
         }
 
     (wt,) = stepper.rows
-    state = _Loop(w=wt, zeta=zetatilde0, gsq=energy(wt))
+    with _quiet():
+        gsq = energy(wt)
+    state = _Loop(w=wt, zeta=zetatilde0, gsq=gsq)
     return _run(config, state, inputs, advance, row, ("diss_cum",))

@@ -16,6 +16,24 @@ def run_cli(*args):
     return main(list(args))
 
 
+def run_subprocess(*args):
+    """Run the CLI in a fresh interpreter; numpy warnings would reach its stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "heatadapt.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def spike_profile(path):
+    """51 values with a 1e308, -1e308 pair: the first step overflows."""
+    values = np.zeros(51)
+    values[24], values[25] = 1e308, -1e308
+    np.savetxt(path, values, fmt="%.17g")
+    return f"file:{path}"
+
+
 #: a non-default value for every simulate flag, as typed on the command line
 FLAG_SAMPLES = {
     "scenario": "track", "q": "3.5", "b": "-4", "c0": "4", "c1": "6", "dx": "0.05",
@@ -147,13 +165,9 @@ class TestExitCodes:
         # numpy warns on an empty file; only the heatadapt message may reach stderr
         profile = tmp_path / "empty.txt"
         profile.write_text("")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "heatadapt.cli", "simulate", "--scenario", "open-loop",
-             "--t-final", "0.1", "--pe-tau", "0.1", "--init", f"file:{profile}",
-             "--out", str(tmp_path / "run")],
-            capture_output=True, text=True, env=env, timeout=120,
+        proc = run_subprocess(
+            "simulate", "--scenario", "open-loop", "--t-final", "0.1", "--pe-tau", "0.1",
+            "--init", f"file:{profile}", "--out", str(tmp_path / "run"),
         )
         assert proc.returncode == 64
         assert proc.stderr == f"heatadapt: init file {str(profile)!r} has 0 values, grid needs 51\n"
@@ -166,6 +180,25 @@ class TestExitCodes:
                        "--pe-tau", "0.01", "--out", str(tmp_path))
         assert code == 64
         assert capsys.readouterr().err == "heatadapt: boundary fluxes must be finite\n"
+
+    def test_overflow_prints_one_line(self, tmp_path):
+        # the stepping loop detects the overflow itself; numpy must not warn
+        proc = run_subprocess(
+            "simulate", "--scenario", "observer", "--u0", "const:1e308", "--t-final", "0.01",
+            "--pe-tau", "0.01", "--out", str(tmp_path / "run"),
+        )
+        assert proc.returncode == 64
+        assert proc.stderr == "heatadapt: boundary fluxes must be finite\n"
+
+    def test_non_finite_state_exits_3(self, tmp_path):
+        out = tmp_path / "run"
+        proc = run_subprocess(
+            "simulate", "--scenario", "open-loop", "--init", spike_profile(tmp_path / "f.txt"),
+            "--t-final", "0.01", "--pe-tau", "0.01", "--out", str(out),
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "heatadapt: heat step produced non-finite values\n"
+        assert not (out / "trace.csv").exists()
 
     def test_blow_up_exits_3(self, tmp_path):
         code = run_cli(
@@ -436,3 +469,101 @@ class TestSweep:
         )
         assert code == 64
         assert not out.exists()
+
+
+#: sweeps of the stabilize scenario: (--param, --values, other flags, exit codes)
+STABILIZE_SWEEPS = {
+    # the sweep-c0 benchmark workload at seed 0
+    "c0": ("c0", "3,4,5,6,7,8", ["--t-final", "0.5", "--pe-tau", "0.1"], [0] * 6),
+    # one member blows up beside healthy ones
+    "q-blow-up": ("q", "2,9,3", ["--c0", "0.01", "--c1", "0.01", "--t-final", "2"], [0, 3, 0]),
+    # b * u overflows in two members
+    "b-overflow": ("b", "-10,-1e307,-1e308", ["--t-final", "0.5"], [0, 64, 64]),
+    "zeta0-snapshots": ("zeta0", "0,-0.05,0.2",
+                        ["--t-final", "0.3", "--pe-tau", "0.1", "--snapshot-stride", "700"],
+                        [0, 0, 0]),
+    # every member has its own step count; 3e-4 breaks the CFL bound
+    "dt-cfl": ("dt", "1e-4,5e-5,3e-4,2e-5", ["--t-final", "0.2", "--pe-tau", "0.1"],
+               [0, 0, 2, 0]),
+    # three horizons give 5000 steps, 0.3 gives 3000
+    "t-final-groups": ("t-final", "0.5,0.3,0.50000000001,0.50000000002", ["--pe-tau", "0.1"],
+                       [0, 0, 0, 0]),
+    "two-members": ("c0", "3,5", ["--t-final", "0.3", "--pe-tau", "0.1"], [0, 0]),
+}
+
+
+class TestBatchedSweep:
+    """Each sweep member writes what its own simulate run writes, byte for byte."""
+
+    @pytest.mark.parametrize("case", list(STABILIZE_SWEEPS))
+    def test_members_equal_simulate(self, tmp_path, capsys, monkeypatch, case):
+        import heatadapt.batch
+
+        param, values, flags, codes = STABILIZE_SWEEPS[case]
+        batches = []
+        batch = heatadapt.batch.run_stabilization_batch
+
+        def recording_batch(params, *args):
+            batches.append(len(params))
+            return batch(params, *args)
+
+        monkeypatch.setattr(heatadapt.batch, "run_stabilization_batch", recording_batch)
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--scenario", "stabilize", "--param", param,
+                       f"--values={values}", *flags, "--out", str(out))
+        sweep_err = capsys.readouterr().err
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        assert [r["exit_code"] for r in runs] == codes and code == max(codes)
+
+        single_err, durations = "", []
+        for i, r in enumerate(runs):
+            alone = tmp_path / f"alone-{i}"
+            assert run_cli("simulate", "--scenario", "stabilize", f"--{param}={r['value']!r}",
+                           *flags, "--out", str(alone)) == r["exit_code"]
+            single_err += capsys.readouterr().err
+            member = Path(r["out"])
+            for name in ("trace.csv", "snapshots.csv", "manifest.json"):
+                assert (member / name).exists() == (alone / name).exists(), name
+            if not (alone / "manifest.json").exists():
+                continue
+            for name in ("trace.csv", "snapshots.csv"):
+                if (alone / name).exists():
+                    assert (member / name).read_bytes() == (alone / name).read_bytes(), name
+            got, expected = (json.loads((d / "manifest.json").read_text()) for d in (member, alone))
+            durations.append(got.pop("duration_s"))
+            expected.pop("duration_s")
+            got.pop("outputs")
+            expected.pop("outputs")
+            assert got == expected
+        assert sweep_err == single_err
+
+        # only groups of at least _MIN_BATCH members with one shape are batched
+        expected_batches = {"c0": [6], "q-blow-up": [3], "b-overflow": [3],
+                            "zeta0-snapshots": [3], "t-final-groups": [3]}
+        assert batches == expected_batches.get(case, [])
+        if case == "c0":
+            # each batched member's duration is its share of the batch
+            assert len(set(durations)) == 1 and durations[0] > 0
+
+    def test_overflowing_members_print_only_their_lines(self, tmp_path):
+        out = tmp_path / "sweep"
+        proc = run_subprocess("sweep", "--scenario", "stabilize", "--param", "b",
+                              "--values=-10,-1e307,-1e308", "--t-final", "0.5",
+                              "--out", str(out))
+        assert proc.returncode == 64
+        assert proc.stderr == "heatadapt: boundary fluxes must be finite\n" * 2
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        assert [r["exit_code"] for r in runs] == [0, 64, 64]
+
+    @pytest.mark.parametrize("values", ["3,5", "3,5,7"], ids=["one-by-one", "batched"])
+    def test_non_finite_member_exits_3_and_the_sweep_goes_on(self, tmp_path, values):
+        out = tmp_path / "sweep"
+        proc = run_subprocess("sweep", "--scenario", "stabilize", "--param", "c0",
+                              "--values", values, "--init", spike_profile(tmp_path / "f.txt"),
+                              "--t-final", "0.01", "--pe-tau", "0.01", "--out", str(out))
+        count = len(values.split(","))
+        assert proc.returncode == 3
+        assert proc.stderr == "heatadapt: heat step produced non-finite values\n" * count
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        assert [r["exit_code"] for r in runs] == [3] * count
+        assert not any(Path(r["out"], "trace.csv").exists() for r in runs)

@@ -27,6 +27,7 @@ from heatadapt import (
     upsilon_b,
     zeta_step,
 )
+from heatadapt.batch import run_stabilization_batch
 from heatadapt.fdm import grad_values
 
 
@@ -375,3 +376,85 @@ class TestNonFiniteState:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteState):
                 run()
+
+
+def assert_same_run(got, expected):
+    """A batched member's outcome equals its own run's, bit for bit."""
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+        return
+    assert isinstance(got, type(expected)), got
+    assert got.blown_up is expected.blown_up and got.blow_up_time == expected.blow_up_time
+    assert bits(got.times) == bits(expected.times)
+    assert got.scalars.keys() == expected.scalars.keys()
+    for name in expected.scalars:
+        assert bits(got.scalars[name]) == bits(expected.scalars[name]), name
+    assert got.extras.keys() == expected.extras.keys()
+    for name in expected.extras:
+        assert bits(got.extras[name]) == bits(expected.extras[name]), name
+    assert len(got.snapshots) == len(expected.snapshots)
+    for (t1, f1), (t2, f2) in zip(got.snapshots, expected.snapshots):
+        assert t1 == t2 and f1.keys() == f2.keys()
+        assert all(bits(f1[k]) == bits(f2[k]) and f1[k].flags.owndata for k in f1)
+    a, b = got.final_state, expected.final_state
+    assert a.t == b.t
+    assert bits(a.w.values) == bits(b.w.values) and bits(a.what.values) == bits(b.what.values)
+    assert bits([a.zeta, a.last_u0, a.last_u]) == bits([b.zeta, b.last_u0, b.last_u])
+
+
+class TestStabilizationBatch:
+    """The batched runner against run_stabilization, member by member."""
+
+    @pytest.mark.parametrize("n, dt, t_final, stride, snap", [
+        (51, 1e-4, 0.5, 37, 700), (201, 1e-5, 0.02, 50, 300),
+    ])
+    def test_members_equal_single_runs(self, n, dt, t_final, stride, snap):
+        grid = Grid(n)
+        config = cfg(grid, t_final, dt=dt, stride=stride, snap=snap)
+        x = grid.nodes
+        spike = np.zeros(n)
+        spike[n // 2], spike[n // 2 + 1] = 1e308, -1e308
+        members = [
+            # (params, w0, what0, zeta0)
+            (Params(q=2.0, b=-10.0, c0=5.0, c1=5.0), 2.0 * x - 1.0, 0.0 * x, 0.0),
+            (Params(q=2.0, b=-10.0, c0=3.0, c1=0.5), 2.0 * x - 1.0, 0.3 * np.sin(3.0 * x), -0.05),
+            # q=9 with tiny gains blows up at n=51
+            (Params(q=9.0, b=-10.0, c0=0.01, c1=0.01), 9.0 * x - 1.0, 0.0 * x, 0.0),
+            # the plant field overflows in the first step
+            (Params(q=2.0, b=-10.0, c0=5.0, c1=5.0), spike, 0.0 * x, 0.0),
+            (Params(q=3.5, b=4.0, c0=8.0, c1=2.0), np.cos(2.0 * x), 0.0 * x, 0.2),
+            # b * u overflows once u0 is nonzero
+            (Params(q=2.0, b=-1e308, c0=5.0, c1=5.0), 2.0 * x - 1.0, 0.0 * x, 0.0),
+            (Params(q=0.5, b=0.1, c0=4.0, c1=9.0), 0.5 * x - 1.0, 0.1 * x, 1.0),
+        ]
+        params = [m[0] for m in members]
+        w0s = [GridFunction(grid, m[1]) for m in members]
+        what0s = [GridFunction(grid, m[2]) for m in members]
+        zeta0s = [m[3] for m in members]
+        got = run_stabilization_batch(params, config, w0s, what0s, zeta0s)
+        assert len(got) == len(members)
+        expected = []
+        for args in zip(params, w0s, what0s, zeta0s):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected.append(run_stabilization(args[0], config, *args[1:]))
+            except (ConfigError, NonFiniteState) as exc:
+                expected.append(exc)
+        kinds = [type(e).__name__ for e in expected]
+        assert kinds.count("ConfigError") == 1 and kinds.count("NonFiniteState") == 1
+        if n == 51:
+            assert sum(isinstance(e, type(got[0])) and e.blown_up for e in expected) == 1
+        for g, e in zip(got, expected):
+            assert_same_run(g, e)
+
+    def test_one_member(self, params8, grid51, ramp51, zeros51):
+        config = cfg(grid51, 0.05, stride=7)
+        (got,) = run_stabilization_batch([params8], config, [ramp51], [zeros51], [0.0])
+        assert_same_run(got, run_stabilization(params8, config, ramp51, zeros51, 0.0))
+
+    def test_rejects_mismatched_inputs(self, params8, grid51, ramp51, zeros51):
+        with pytest.raises(ConfigError):
+            run_stabilization_batch([params8, params8], cfg(grid51, 0.01), [ramp51], [zeros51], [0.0])
+        with pytest.raises(ConfigError):
+            other = GridFunction.zeros(Grid(26))
+            run_stabilization_batch([params8], cfg(grid51, 0.01), [other], [zeros51], [0.0])
