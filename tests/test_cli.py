@@ -16,14 +16,17 @@ def run_cli(*args):
     return main(list(args))
 
 
-def run_subprocess(*args):
-    """Run the CLI in a fresh interpreter; numpy warnings would reach its stderr."""
+def run_python(*args):
+    """Run a fresh interpreter that imports heatadapt from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, "-m", "heatadapt.cli", *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def run_subprocess(*args):
+    """Run the CLI in a fresh interpreter; numpy warnings would reach its stderr."""
+    return run_python("-m", "heatadapt.cli", *args)
 
 
 def spike_profile(path):
@@ -544,6 +547,23 @@ class TestBatchedSweep:
         if case == "c0":
             # each batched member's duration is its share of the batch
             assert len(set(durations)) == 1 and durations[0] > 0
+
+    def test_only_a_batching_sweep_imports_the_batch_module(self, tmp_path):
+        # each process compiles what it imports, which raises its peak memory
+        probe = tmp_path / "probe.py"
+        probe.write_text(
+            "import sys\n"
+            "from heatadapt import cli\n"
+            "run = ['--scenario', 'stabilize', '--t-final', '0.01', '--pe-tau', '0.01']\n"
+            f"cli.main(['simulate', *run, '--out', {str(tmp_path / 'alone')!r}])\n"
+            "print('heatadapt.batch' in sys.modules)\n"
+            "cli.main(['sweep', *run, '--param', 'c0', '--values', '3,4,5',\n"
+            f"          '--out', {str(tmp_path / 'sweep')!r}])\n"
+            "print('heatadapt.batch' in sys.modules)\n"
+        )
+        proc = run_python(str(probe))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
     def test_overflowing_members_print_only_their_lines(self, tmp_path):
         out = tmp_path / "sweep"
