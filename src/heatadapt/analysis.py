@@ -239,15 +239,14 @@ def galerkin_error_system(
         return da, dz
 
     n_steps = int(round(t_final / dt_ode))
-    rec = _Recorder()
+    names = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F")
+    rec = _Recorder(names, n_steps, sample_stride)
 
     def record(t: float, a: np.ndarray, z: float) -> None:
         e = 0.5 * float(a @ a)
         nrm = math.sqrt(2.0 * e)
-        rec.row(
-            t, u0=u0_signal(t), zeta=z, w0=float(phi0 @ a), w1=float(phi1 @ a),
-            wnorm=nrm, obs_err_norm=nrm, E=e, F=e + half_b * z * z,
-        )
+        rec.row(t, (u0_signal(t), z, float(phi0 @ a), float(phi1 @ a),
+                    nrm, nrm, e, e + half_b * z * z))
 
     z = float(zetatilde0)
     t = 0.0

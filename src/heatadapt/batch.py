@@ -23,6 +23,8 @@ from .control import BatchFeedback, zeta_step
 from .domain import ConfigError, GridFunction, Params, SimConfig, Trace, _Recorder
 from .fdm import GradientEnergy, HeatStepper, NonFiniteState
 from .scenarios import (
+    _OBSERVER_COLUMNS,
+    _QUIET_SQ,
     BLOWUP_NORM,
     _finish,
     _initial_fields,
@@ -34,13 +36,6 @@ from .scenarios import (
 )
 
 __all__ = ["run_stabilization_batch"]
-
-
-#: fields whose squares sum to less than this, so that no value passes
-#: BLOWUP_NORM / 2, have a finite gradient energy and a norm under BLOWUP_NORM:
-#: the trapezoid weights sum to 1, so the norm is at most sqrt(n / (n - 1))
-#: <= 1.23 times the largest value, rounding included
-_QUIET_SQ = (0.5 * BLOWUP_NORM) ** 2
 
 
 def run_stabilization_batch(
@@ -73,7 +68,7 @@ def run_stabilization_batch(
     fields = np.array(_initial_fields(config, *w0s, *what0s)).reshape(2, count, grid.n)
     energy = GradientEnergy(grid.n, dx)
     rows = [_observer_row(p, dx) for p in params]
-    recs = [_Recorder(("diss_cum",)) for _ in params]
+    recs = [_Recorder(_OBSERVER_COLUMNS, n_steps, stride) for _ in params]
     results: list = [None] * count
     live = list(range(count))
     zeta = np.array(zeta0s, dtype=float)
@@ -137,7 +132,7 @@ def run_stabilization_batch(
                 t = k * dt
                 if k % stride == 0:
                     for i, m in enumerate(live):
-                        recs[m].row(t, **rows[m](t, member(i, w, what, u0, u)))
+                        recs[m].row(t, rows[m](t, member(i, w, what, u0, u)))
                 if snap_stride and k % snap_stride == 0:
                     for i, m in enumerate(live):
                         recs[m].snap(t, {"w": w[i], "what": what[i]})

@@ -52,7 +52,9 @@ from .domain import (
     SimConfig,
     Trace,
     TRACE_COLUMNS,
+    read_trace_csv,
     validate_config,
+    write_trace_csv,
 )
 from .fdm import NonFiniteState
 from .scenarios import (
@@ -107,6 +109,8 @@ class RunManifest:
     zeta0: float
     tool_version: str
     duration_s: float
+    #: rows written to trace.csv
+    samples: int
     outputs: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
 
@@ -325,74 +329,17 @@ def _make_out_dir(path) -> Path:
     return out
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def emit_trace(trace: Trace, manifest: RunManifest, out_dir) -> dict:
     """Write trace.csv, optional snapshots.csv and manifest.json; return paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trace_path = out / "trace.csv"
-    lines = ["t," + ",".join(TRACE_COLUMNS)]
-    for i in range(trace.times.size):
-        row = [_fmt(trace.times[i])]
-        row += [_fmt(trace.scalars[c][i]) for c in TRACE_COLUMNS]
-        lines.append(",".join(row))
-    trace_path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
-    paths = {"trace_csv": str(trace_path)}
-
-    if trace.snapshots:
-        snap_path = out / "snapshots.csv"
-        snap_lines = ["t,x,w,what"]
-        for t, fields in trace.snapshots:
-            w = fields["w"]
-            what = fields.get("what")
-            x = np.linspace(0.0, 1.0, w.size)
-            for i in range(w.size):
-                wh = _fmt(what[i]) if what is not None else ""
-                snap_lines.append(f"{_fmt(t)},{_fmt(x[i])},{_fmt(w[i])},{wh}")
-        snap_path.write_bytes(("\n".join(snap_lines) + "\n").encode("ascii"))
-        paths["snapshots_csv"] = str(snap_path)
-
+    paths = write_trace_csv(trace, out)
     manifest.outputs = dict(paths)
     manifest_path = out / "manifest.json"
     manifest.outputs["manifest_json"] = str(manifest_path)
     manifest.save(manifest_path)
     paths["manifest_json"] = str(manifest_path)
     return paths
-
-
-def read_trace_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Parse an emitted trace.csv back into (times, column arrays).
-
-    Raises ConfigError when the file is not text, has no samples, lacks
-    a column of the trace.csv header, or has a row of the wrong length
-    or with a non-numeric value.
-    """
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not a text file: {exc}") from exc
-    lines = [ln for ln in text.split("\n") if ln]
-    if len(lines) < 2:
-        raise ConfigError(f"{path}: no samples")
-    header = lines[0].split(",")
-    missing = [c for c in ("t", *TRACE_COLUMNS) if c not in header]
-    if header[0] != "t" or missing:
-        raise ConfigError(f"{path}: unexpected header {lines[0]!r}, missing {missing}")
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        fields = ln.split(",")
-        if len(fields) != len(header):
-            raise ConfigError(f"{path}:{lineno}: {len(fields)} values, header has {len(header)}")
-        try:
-            rows.append([float(v) for v in fields])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    data = np.array(rows)
-    cols = {name: data[:, i] for i, name in enumerate(header)}
-    return cols.pop("t"), cols
 
 
 def _tolerance_checks(scenario: str, verdicts: dict, b: float) -> dict:
@@ -540,7 +487,8 @@ def _finish(run: _Setup, trace: Trace, duration: float) -> int:
         params={"q": params.q, "b": params.b, "sign_b": params.sign_b,
                 "c0": params.c0, "c1": params.c1},
         config={"dx": grid.dx, "n": grid.n, "dt": config.dt,
-                "t_final": config.t_final,
+                "cfl_ratio": config.dt / (grid.dx * grid.dx),
+                "t_final": config.t_final, "n_steps": config.n_steps,
                 "servo_truncation_J": config.servo_truncation_J,
                 "pe_window_tau": config.pe_window_tau,
                 "pe_threshold": config.pe_threshold,
@@ -553,6 +501,7 @@ def _finish(run: _Setup, trace: Trace, duration: float) -> int:
         zeta0=resolved["zeta0"],
         tool_version=__version__,
         duration_s=duration,
+        samples=int(trace.times.size),
         verdicts=verdicts,
     )
     emit_trace(trace, manifest, resolved["out"])

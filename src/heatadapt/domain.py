@@ -1,15 +1,18 @@
 """Core value types shared by every other module.
 
 Physical/controller constants, grid geometry, spatial profiles, run
-configuration, reference signals and the time-indexed trace record.
-All types are immutable after construction and validate their own
-invariants, so no partially valid value can escape this module.
+configuration, reference signals and the time-indexed trace record,
+with the trace.csv format that writes and reads it.  All types are
+immutable after construction and validate their own invariants, so no
+partially valid value can escape this module.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +30,8 @@ __all__ = [
     "ReferenceSignal",
     "Trace",
     "validate_config",
+    "write_trace_csv",
+    "read_trace_csv",
 ]
 
 
@@ -402,32 +407,135 @@ class Trace:
 
 
 class _Recorder:
-    """Accumulates per-sample scalars, extras and snapshots for a Trace."""
+    """Writes per-sample rows into one preallocated array, and keeps snapshots.
 
-    def __init__(self, extra_names: tuple[str, ...] = ()):
-        self.times: list[float] = []
-        self.cols: dict[str, list[float]] = {k: [] for k in TRACE_COLUMNS}
-        self.extras: dict[str, list[float]] = {k: [] for k in extra_names}
+    Every row holds the sample time and then the values of ``names``, in
+    that order.  The array has room for a sample every ``stride`` of
+    ``n_steps`` steps plus the first and the last; ``np.empty`` touches
+    no page that no row reaches, so a run that ends early costs nothing
+    more.  It is column-major, so each column of the built Trace is a
+    contiguous view of it.
+    """
+
+    def __init__(self, names: tuple[str, ...], n_steps: int, stride: int):
+        self.names = names
+        self.data = np.empty((n_steps // stride + 2, 1 + len(names)), order="F")
+        self.size = 0
         self.snapshots: list[tuple[float, dict[str, np.ndarray]]] = []
 
-    def row(self, t: float, **values: float) -> None:
-        """Record one sample; TRACE_COLUMNS missing from values record 0.0."""
-        self.times.append(t)
-        for k in self.cols:
-            self.cols[k].append(values.get(k, 0.0))
-        for k in self.extras:
-            self.extras[k].append(values[k])
+    def row(self, t: float, values: tuple[float, ...]) -> None:
+        """Record one sample: the values of ``names`` at time t."""
+        self.data[self.size] = (t, *values)
+        self.size += 1
 
     def snap(self, t: float, fields: dict[str, np.ndarray]) -> None:
         self.snapshots.append((t, {k: v.copy() for k, v in fields.items()}))
 
     def build(self, final_state, blown_up=False, blow_up_time=None) -> Trace:
+        """The Trace of the rows recorded.
+
+        A TRACE_COLUMNS entry missing from ``names`` is zero; the other
+        names become the extras.
+        """
+        data = self.data[: self.size]
+        cols = dict(zip(self.names, data.T[1:]))
+        scalars = {k: cols.pop(k) if k in cols else np.zeros(self.size) for k in TRACE_COLUMNS}
         return Trace(
-            times=np.array(self.times),
-            scalars={k: np.array(v) for k, v in self.cols.items()},
-            extras={k: np.array(v) for k, v in self.extras.items()},
+            times=data[:, 0],
+            scalars=scalars,
+            extras=cols,
             snapshots=self.snapshots,
             final_state=final_state,
             blown_up=blown_up,
             blow_up_time=blow_up_time,
         )
+
+
+#: rows that write_trace_csv formats with one ``%`` and writes at once
+_CHUNK_ROWS = 1024
+
+
+def _write_csv(path: Path, header: str, row_format: str, blocks) -> None:
+    """Write the header line, then each block's rows as ``row_format % row``.
+
+    A block is a list of equal-length columns.  Each chunk of _CHUNK_ROWS
+    rows is one ``%``: ``"%.17g" % x`` prints x as ``format(x, ".17g")`` does.
+    """
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        for columns in blocks:
+            for start in range(0, len(columns[0]), _CHUNK_ROWS):
+                block = np.column_stack([c[start:start + _CHUNK_ROWS] for c in columns])
+                fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
+
+
+def write_trace_csv(trace: Trace, out: Path) -> dict[str, str]:
+    """Write trace.csv, and snapshots.csv if the trace has snapshots, into out.
+
+    trace.csv holds the header ``t`` + TRACE_COLUMNS and one row per
+    sample; snapshots.csv holds ``t,x,w,what`` rows, one per node of each
+    snapshot.  Values have 17 significant digits, which round-trips
+    float64 bit-exactly, and lines end in LF.  Returns the paths by key.
+    """
+    trace_path = out / "trace.csv"
+    columns = [trace.times, *(trace.scalars[c] for c in TRACE_COLUMNS)]
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    _write_csv(trace_path, "t," + ",".join(TRACE_COLUMNS), row_format, [columns])
+    paths = {"trace_csv": str(trace_path)}
+    if trace.snapshots:
+        snap_path = out / "snapshots.csv"
+        # the fields are w and what, in that order; runs without an observer
+        # leave the what column empty
+        what = "%.17g" if "what" in trace.snapshots[0][1] else ""
+        blocks = ([np.full(f["w"].size, t), np.linspace(0.0, 1.0, f["w"].size), *f.values()]
+                  for t, f in trace.snapshots)
+        _write_csv(snap_path, "t,x,w,what", f"%.17g,%.17g,%.17g,{what}\n", blocks)
+        paths["snapshots_csv"] = str(snap_path)
+    return paths
+
+
+def read_trace_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Parse an emitted trace.csv back into (times, column arrays).
+
+    The body is parsed by numpy's C reader, which holds no Python object
+    per value.  Raises ConfigError when the file is not text, lacks a
+    column of the trace.csv header, has no samples, or has a row of the
+    wrong length or with a non-numeric value, which it names by line.
+    """
+    try:
+        with open(path) as fh:
+            first = fh.readline().rstrip("\n")
+            header = first.split(",")
+            missing = [c for c in ("t", *TRACE_COLUMNS) if c not in header]
+            if header[0] != "t" or missing:
+                raise ConfigError(f"{path}: unexpected header {first!r}, missing {missing}")
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                # an empty body parses as shape (0, 1); a row of any other
+                # width is one that _bad_trace_row names
+                if data.shape[1] != len(header):
+                    raise ValueError("no samples")
+            except ValueError as exc:
+                fh.seek(0)
+                raise _bad_trace_row(path, fh, len(header), exc) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file: {exc}") from exc
+    cols = dict(zip(header, data.T))
+    return cols.pop("t"), cols
+
+
+def _bad_trace_row(path, lines, width: int, exc: ValueError) -> ConfigError:
+    """Name the first row after the header that is not ``width`` numbers, else ``exc``."""
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.rstrip("\n").split(",")
+        if lineno == 1 or fields == [""]:
+            continue
+        try:
+            if len(fields) != width:
+                raise ValueError(f"{len(fields)} values, header has {width}")
+            [float(v) for v in fields]
+        except ValueError as err:
+            return ConfigError(f"{path}:{lineno}: {err}")
+    return ConfigError(f"{path}: {exc}")

@@ -38,6 +38,7 @@ from .domain import (
     ReferenceSignal,
     SimConfig,
     Trace,
+    TRACE_COLUMNS,
     _Recorder,
 )
 from .fdm import GradientEnergy, HeatStepper, NonFiniteState
@@ -59,6 +60,12 @@ __all__ = [
 
 #: state norm at which a run is declared blown up and terminated
 BLOWUP_NORM = 1e12
+
+#: fields whose squares sum to less than this, so that no value passes
+#: BLOWUP_NORM / 2, have a finite gradient energy and a norm under BLOWUP_NORM:
+#: the trapezoid weights sum to 1, so the norm is at most sqrt(n / (n - 1))
+#: <= 1.23 times the largest value, rounding included
+_QUIET_SQ = (0.5 * BLOWUP_NORM) ** 2
 
 
 def _quiet() -> np.errstate:
@@ -114,6 +121,7 @@ class _Loop:
 
 
 _Step = Callable[[float, _Loop], None]
+_Row = Callable[[float, _Loop], tuple[float, ...]]
 
 
 def _run(
@@ -121,32 +129,36 @@ def _run(
     s: _Loop,
     inputs: _Step,
     advance: _Step,
-    row: Callable[[float, _Loop], dict[str, float]],
-    extra_names: tuple[str, ...] = (),
+    row: _Row,
+    names: tuple[str, ...],
 ) -> Trace:
     """The time loop every runner shares.
 
     Each step calls ``inputs(t, s)`` to evaluate the loop's inputs, records
-    ``row(t, s)`` every ``sample_stride`` steps and the fields every
-    ``snapshot_stride`` steps, then calls ``advance(t, s)`` to step the
-    fields.  A run whose ``s.w`` passes :data:`BLOWUP_NORM` stops there;
-    one that turns NaN/Inf raises :class:`NonFiniteState`.  The last
-    instant is always sampled, after one more ``inputs`` call.
+    ``row(t, s)``, the values of the columns ``names``, every
+    ``sample_stride`` steps and the fields every ``snapshot_stride``
+    steps, then calls ``advance(t, s)`` to step the fields.  A run whose
+    ``s.w`` passes :data:`BLOWUP_NORM` stops there; one that turns NaN/Inf
+    raises :class:`NonFiniteState`.  The last instant is always sampled,
+    after one more ``inputs`` call.
     """
     dt, stride, snap_stride = config.dt, config.sample_stride, config.snapshot_stride
     dx = config.grid.dx
-    rec = _Recorder(extra_names)
-    blown, t_blow = False, None
     n_steps = config.n_steps
+    rec = _Recorder(names, n_steps, stride)
+    blown, t_blow = False, None
     with _quiet():
         for k in range(n_steps):
             t = k * dt
             inputs(t, s)
             if k % stride == 0:
-                rec.row(t, **row(t, s))
+                rec.row(t, row(t, s))
             if snap_stride and k % snap_stride == 0:
                 rec.snap(t, s.fields())
             advance(t, s)
+            # a NaN fails this test too, so it takes the exact one below
+            if np.dot(s.w, s.w) < _QUIET_SQ:
+                continue
             norm = math.sqrt(_sq_norm(s.w, dx))
             if not math.isfinite(norm):
                 _require_finite(s.w)
@@ -162,13 +174,13 @@ def _finish(
     config: SimConfig,
     rec: _Recorder,
     s: _Loop,
-    row: Callable[[float, _Loop], dict[str, float]],
+    row: _Row,
     t_end: float,
     t_blow: float | None,
 ) -> Trace:
     """Record the last instant, whose inputs ``s`` holds, and build the Trace."""
     grid = config.grid
-    rec.row(t_end, **row(t_end, s))
+    rec.row(t_end, row(t_end, s))
     if config.snapshot_stride:
         rec.snap(t_end, s.fields())
     what = None if s.what is None else GridFunction(grid, s.what)
@@ -236,10 +248,11 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
     def advance(t: float, s: _Loop) -> None:
         (s.w,) = stepper.step(-q * s.w.item(0), 0.0)
 
-    def row(t: float, s: _Loop) -> dict[str, float]:
-        return {"w0": s.w[0], "w1": s.w[-1], "wnorm": math.sqrt(_sq_norm(s.w, dx))}
+    def row(t: float, s: _Loop) -> tuple[float, ...]:
+        return s.w[0], s.w[-1], math.sqrt(_sq_norm(s.w, dx))
 
-    return _run(config, _Loop(w=stepper.rows[0]), _no_inputs, advance, row)
+    state = _Loop(w=stepper.rows[0])
+    return _run(config, state, _no_inputs, advance, row, ("w0", "w1", "wnorm"))
 
 
 def _run_observer_loop(
@@ -283,23 +296,24 @@ def _run_observer_loop(
     with _quiet():
         gsq = energy.of_difference(w, what)
     state = _Loop(w=w, what=what, zeta=zeta0, gsq=gsq)
-    return _run(config, state, inputs, advance, _observer_row(p, dx), ("diss_cum",))
+    return _run(config, state, inputs, advance, _observer_row(p, dx), _OBSERVER_COLUMNS)
 
 
-def _observer_row(p: Params, dx: float) -> Callable[[float, _Loop], dict[str, float]]:
-    """The sample row of a plant + observer + update-law run."""
+#: the columns of a plant + observer + update-law run's rows
+_OBSERVER_COLUMNS = (*TRACE_COLUMNS, "diss_cum")
+
+
+def _observer_row(p: Params, dx: float) -> _Row:
+    """The sample row of a plant + observer + update-law run, in _OBSERVER_COLUMNS."""
     half_b = 0.5 * abs(p.b)
     inv_b = 1.0 / p.b
 
-    def row(t: float, s: _Loop) -> dict[str, float]:
+    def row(t: float, s: _Loop) -> tuple[float, ...]:
         w = s.w
         e = 0.5 * _sq_norm(w - s.what, dx)
         zt = inv_b - s.zeta
-        return {
-            "u0": s.u0, "u": s.u, "zeta": s.zeta, "w0": w[0], "w1": w[-1],
-            "wnorm": math.sqrt(_sq_norm(w, dx)), "obs_err_norm": math.sqrt(2.0 * e),
-            "E": e, "F": e + half_b * zt * zt, "diss_cum": s.diss_cum,
-        }
+        return (s.u0, s.u, s.zeta, w[0], w[-1], math.sqrt(_sq_norm(w, dx)),
+                math.sqrt(2.0 * e), e, e + half_b * zt * zt, s.diss_cum)
 
     return row
 
@@ -380,22 +394,20 @@ def run_tracking(
         )
         s.zeta = zeta_new
 
-    def row(t: float, s: _Loop) -> dict[str, float]:
+    def row(t: float, s: _Loop) -> tuple[float, ...]:
         w = s.w
         v_vals = servo_eval(ref, q, nodes, t, J)
         e = 0.5 * _sq_norm(w - v_vals - s.what, dx)
         zt = inv_b - s.zeta
         r_t = ref.derivative(0, t)
-        return {
-            "u0": s.u0, "u": s.u, "zeta": s.zeta, "w0": w[0], "w1": w[-1],
-            "wnorm": math.sqrt(_sq_norm(w, dx)), "obs_err_norm": math.sqrt(2.0 * e),
-            "E": e, "F": e + half_b * zt * zt,
-            "tracking_err": w[0] - r_t, "ref": r_t, "v1": s.servo.v1, "vx1": s.servo.vx1,
-        }
+        return (s.u0, s.u, s.zeta, w[0], w[-1], math.sqrt(_sq_norm(w, dx)),
+                math.sqrt(2.0 * e), e, e + half_b * zt * zt,
+                w[0] - r_t, r_t, s.servo.v1, s.servo.vx1)
 
     w, what = stepper.rows
     state = _Loop(w=w, what=what, zeta=zeta0)
-    return _run(config, state, inputs, advance, row, ("tracking_err", "ref", "v1", "vx1"))
+    names = (*TRACE_COLUMNS, "tracking_err", "ref", "v1", "vx1")
+    return _run(config, state, inputs, advance, row, names)
 
 
 def run_error_system(
@@ -434,17 +446,15 @@ def run_error_system(
         s.gsq = energy(s.w)
         s.zeta = zt_new
 
-    def row(t: float, s: _Loop) -> dict[str, float]:
+    def row(t: float, s: _Loop) -> tuple[float, ...]:
         wt, zt = s.w, s.zeta
         e = 0.5 * _sq_norm(wt, dx)
         nrm = math.sqrt(2.0 * e)
-        return {
-            "u0": s.u0, "zeta": zt, "w0": wt[0], "w1": wt[-1], "wnorm": nrm,
-            "obs_err_norm": nrm, "E": e, "F": e + half_b * zt * zt, "diss_cum": s.diss_cum,
-        }
+        return s.u0, zt, wt[0], wt[-1], nrm, nrm, e, e + half_b * zt * zt, s.diss_cum
 
     (wt,) = stepper.rows
     with _quiet():
         gsq = energy(wt)
     state = _Loop(w=wt, zeta=zetatilde0, gsq=gsq)
-    return _run(config, state, inputs, advance, row, ("diss_cum",))
+    names = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F", "diss_cum")
+    return _run(config, state, inputs, advance, row, names)

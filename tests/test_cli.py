@@ -1,15 +1,18 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heatadapt.cli import (
-    _SIM_FLAGS, SCENARIOS, RunManifest, UsageError, main, parse_args, read_trace_csv,
+    _SIM_FLAGS, SCENARIOS, RunManifest, UsageError, emit_trace, main, parse_args, read_trace_csv,
 )
+from heatadapt.domain import _CHUNK_ROWS, TRACE_COLUMNS, ConfigError, Trace
 
 
 def run_cli(*args):
@@ -27,6 +30,12 @@ def run_python(*args):
 def run_subprocess(*args):
     """Run the CLI in a fresh interpreter; numpy warnings would reach its stderr."""
     return run_python("-m", "heatadapt.cli", *args)
+
+
+def reference_csv(header, rows) -> bytes:
+    """CSV bytes with every value printed by ``format(v, ".17g")``, LF newlines."""
+    lines = [header] + [",".join(format(float(v), ".17g") for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def spike_profile(path):
@@ -248,14 +257,8 @@ class TestSimulateOutputs:
         times, cols = read_trace_csv(run_dir / "trace.csv")
         assert times.size == 51  # 0.5s at dt=1e-4, sampled every 100 steps
         # re-serialize and compare bytes
-        from heatadapt.cli import _fmt
-
-        lines = ["t," + ",".join(cols.keys())]
-        for i in range(times.size):
-            lines.append(
-                ",".join([_fmt(times[i])] + [_fmt(cols[c][i]) for c in cols])
-            )
-        assert ("\n".join(lines) + "\n").encode() == (run_dir / "trace.csv").read_bytes()
+        expected = reference_csv("t," + ",".join(cols), zip(times, *cols.values()))
+        assert expected == (run_dir / "trace.csv").read_bytes()
 
     def test_manifest_roundtrips(self, run_dir):
         raw = json.loads((run_dir / "manifest.json").read_text())
@@ -283,6 +286,12 @@ class TestSimulateOutputs:
         ratio = checks["zeta_offset_over_settle_gap_min"]
         offset = abs(quantities["zeta"]["terminal"] + 0.1)
         assert ratio["value"] == offset / gap["value"] and ratio["ok"] is False
+
+    def test_manifest_run_size(self, run_dir):
+        m = RunManifest.load(run_dir / "manifest.json")
+        assert m.config["n_steps"] == 5000  # 0.5 s at dt=1e-4
+        assert m.config["cfl_ratio"] == 1e-4 / (0.02 * 0.02)
+        assert m.samples == 51 == len((run_dir / "trace.csv").read_text().splitlines()) - 1
 
     def test_determinism_byte_identical(self, run_dir, tmp_path):
         second = tmp_path / "again"
@@ -380,6 +389,116 @@ class TestSimulateVariants:
                 "--t-final", "0.3", "--pe-tau", "0.2", "--out", str(out2))
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m2["verdicts"]["reference_uniformly_bounded"] is True
+
+
+#: values whose shortest round-trip text needs care: subnormals, signed
+#: zeros, the ends of the range and values that need all 17 digits
+ADVERSARIAL = [5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 0.0, -0.0, 1.7e308, -1.7e308,
+               1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0, float(np.nextafter(1.0, 2.0)),
+               -2.0 / 3.0, 9007199254740993.0, 123456789.01234567]
+
+
+def synthetic_trace(rows: int, values, snapshots=()) -> Trace:
+    """A Trace of ``rows`` samples whose columns cycle through ``values``."""
+    times = np.arange(rows) * 0.1 - 1.0
+    cols = {name: np.resize(np.roll(values, i), rows) for i, name in enumerate(TRACE_COLUMNS)}
+    return Trace(times=times, scalars=cols, snapshots=list(snapshots))
+
+
+def bare_manifest() -> RunManifest:
+    return RunManifest(scenario="stabilize", params={}, config={}, reference=None,
+                       u0_signal=None, init="paper", zeta0=0.0, tool_version="0",
+                       duration_s=0.0, samples=0)
+
+
+def write_trace(path, rows: int, line=None, content=None):
+    """A trace.csv of ``rows`` zero rows, with file line ``line`` set to ``content``."""
+    lines = ["t," + ",".join(TRACE_COLUMNS)] + [",".join(["0"] * 10)] * rows
+    if line is not None:
+        lines[line - 1] = content
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestTraceFiles:
+    """emit_trace writes what per-value formatting writes; read_trace_csv reads it back."""
+
+    @pytest.mark.parametrize("rows", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("fields", [(), ("w",), ("w", "what")],
+                             ids=["no-snapshots", "no-observer", "observer"])
+    def test_bytes_equal_per_value_formatting(self, tmp_path, rng, rows, fields):
+        values = rng.standard_normal(97) * 10.0 ** rng.integers(-300, 300, 97)
+        # snapshots of 3 nodes, 7 nodes and more nodes than a chunk has rows
+        sizes = ((0.5, 3), (0.25 * rows, 7), (1e300, _CHUNK_ROWS + 1)) if fields else ()
+        snaps = [(t, {name: np.resize(np.roll(values, i), n) for i, name in enumerate(fields)})
+                 for t, n in sizes]
+        trace = synthetic_trace(rows, values, snaps)
+        paths = emit_trace(trace, bare_manifest(), tmp_path)
+
+        columns = [trace.times, *(trace.scalars[c] for c in TRACE_COLUMNS)]
+        expected = reference_csv("t," + ",".join(TRACE_COLUMNS), zip(*columns))
+        assert Path(paths["trace_csv"]).read_bytes() == expected
+        assert ("snapshots_csv" in paths) == bool(fields)
+        if fields:
+            lines = ["t,x,w,what"]
+            for t, f in snaps:
+                w, what = f["w"], f.get("what")
+                x = np.linspace(0.0, 1.0, w.size)
+                for i in range(w.size):
+                    wh = format(what[i], ".17g") if what is not None else ""
+                    lines.append(",".join(format(v, ".17g") for v in (t, x[i], w[i])) + "," + wh)
+            expected = ("\n".join(lines) + "\n").encode("ascii")
+            assert Path(paths["snapshots_csv"]).read_bytes() == expected
+
+    def test_adversarial_values_round_trip_bit_for_bit(self, tmp_path, rng):
+        # random bit patterns cover every exponent; the non-finite ones are dropped
+        patterns = rng.integers(0, 2**64, 4000, dtype=np.uint64).view(float)
+        values = np.concatenate([ADVERSARIAL, patterns[np.isfinite(patterns)]])
+        trace = synthetic_trace(values.size, values)
+        emit_trace(trace, bare_manifest(), tmp_path)
+        times, cols = read_trace_csv(tmp_path / "trace.csv")
+        assert times.tobytes() == trace.times.tobytes()
+        assert list(cols) == list(TRACE_COLUMNS)
+        for name in TRACE_COLUMNS:
+            assert cols[name].tobytes() == trace.scalars[name].tobytes(), name
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [("0,0,0", "3 values, header has 10"), ("0,0,0,0,0,0,0,0,0,x", "'x'")],
+        ids=["ragged-row", "non-numeric"],
+    )
+    def test_bad_row_of_a_long_file_is_named_by_its_line(self, tmp_path, capsys, content,
+                                                         message):
+        path = tmp_path / "trace.csv"
+        write_trace(path, 6000, 5000, content)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:5000: ") + f".*{message}$"):
+            read_trace_csv(path)
+        assert run_cli("analyze", "--trace", str(path)) == 64
+        err = capsys.readouterr().err
+        assert err.startswith(f"heatadapt: {path}:5000: ") and err.count("\n") == 1
+
+    def test_trailing_blank_lines_are_ignored(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(path, 3)
+        path.write_text(path.read_text() + "\n\n")
+        times, cols = read_trace_csv(path)
+        assert times.tolist() == [0.0] * 3 and set(cols) == set(TRACE_COLUMNS)
+
+    def test_empty_body_has_no_samples_and_no_warning(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(path, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="no samples"):
+                read_trace_csv(path)
+
+    def test_blown_up_run_records_its_samples(self, tmp_path):
+        out = tmp_path / "blow"
+        assert run_cli("simulate", "--scenario", "open-loop", "--q", "9", "--t-final", "5",
+                       "--out", str(out)) == 3
+        m = RunManifest.load(out / "manifest.json")
+        rows = len((out / "trace.csv").read_text().splitlines()) - 1
+        assert m.samples == rows < m.config["n_steps"] // 100
+        assert m.verdicts["blown_up"] is True
 
 
 class TestAnalyze:

@@ -18,7 +18,7 @@ from heatadapt import (
     ZeroCoefficient,
     validate_config,
 )
-from heatadapt.domain import TRACE_COLUMNS
+from heatadapt.domain import TRACE_COLUMNS, _Recorder
 
 
 class TestParams:
@@ -205,3 +205,21 @@ class TestTrace:
         t = np.array([0.0, 0.5, 1.0])
         tr = Trace(times=t, scalars=_trace_scalars(t, zeta=np.array([0.0, -0.05, -0.1])))
         assert tr.terminal("zeta") == -0.1
+
+
+class TestRecorder:
+    def test_rows_become_contiguous_columns(self):
+        # 7 steps at stride 3 sample at steps 0, 3 and 6 and at the end
+        rec = _Recorder(("w0", "gap", "wnorm"), 7, 3)
+        for k in range(4):
+            rec.row(0.5 * k, (k, -k, 2.0 * k))
+        tr = rec.build(final_state=None)
+        assert rec.data.shape == (4, 4)
+        assert tr.times.tolist() == [0.0, 0.5, 1.0, 1.5]
+        assert tr["w0"].tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert tr["wnorm"].tolist() == [0.0, 2.0, 4.0, 6.0]
+        assert list(tr.extras) == ["gap"] and tr["gap"].tolist() == [0.0, -1.0, -2.0, -3.0]
+        # names a row does not supply are zero; the rest are views of one array
+        assert all(not tr[k].any() for k in TRACE_COLUMNS if k not in ("w0", "wnorm"))
+        for col in (tr.times, tr["w0"], tr["gap"]):
+            assert col.flags.c_contiguous and np.shares_memory(col, rec.data)

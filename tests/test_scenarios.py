@@ -58,6 +58,22 @@ class TestOpenLoop:
         assert tr.blown_up
         assert tr.blow_up_time == pytest.approx(6.83, abs=0.1)
         assert np.isfinite(tr["wnorm"]).all()
+
+    @pytest.mark.parametrize("norm0", [1e10, 0.9999 * BLOWUP_NORM])
+    def test_blow_up_step_next_to_threshold(self, grid51, ramp51, norm0):
+        # from 1e10 the run crosses from the cheap blow-up test to the exact
+        # norm before it passes BLOWUP_NORM; it must stop at the first step
+        # whose norm passes it, as the reference route that takes the exact
+        # norm every step does
+        p = Params(q=9.0, b=-10.0, c0=5.0, c1=5.0)
+        w0 = GridFunction(grid51, ramp51.values * (norm0 / l2_norm(ramp51)))
+        c = cfg(grid51, 0.5, stride=1)
+        tr = run_open_loop(p, c, w0)
+        times, rows, *_, t_blow = reference_run("open", p, c, w0)
+        assert tr.blown_up and tr.blow_up_time == t_blow == tr.times[-1]
+        assert tr["wnorm"][-2] <= BLOWUP_NORM < tr["wnorm"][-1]
+        assert bits(tr.times) == bits(times)
+        assert bits(tr["wnorm"]) == bits([r["wnorm"] for r in rows])
         assert tr.times[-1] < 8.0
 
     def test_wrong_grid_rejected(self, params8, grid51):
