@@ -109,8 +109,8 @@ class RunManifest:
     zeta0: float
     tool_version: str
     duration_s: float
-    #: rows written to trace.csv
-    samples: int
+    #: rows written to trace.csv; None in manifests written before the field
+    samples: int | None = None
     outputs: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
 

@@ -287,6 +287,16 @@ class TestSimulateOutputs:
         offset = abs(quantities["zeta"]["terminal"] + 0.1)
         assert ratio["value"] == offset / gap["value"] and ratio["ok"] is False
 
+    def test_manifest_without_samples_loads(self, run_dir, tmp_path):
+        # a manifest written before the field existed still loads
+        raw = json.loads((run_dir / "manifest.json").read_text())
+        del raw["samples"]
+        old = tmp_path / "manifest.json"
+        old.write_text(json.dumps(raw))
+        m = RunManifest.load(old)
+        assert m.samples is None
+        assert m.scenario == "stabilize" and m.config["n"] == 51
+
     def test_manifest_run_size(self, run_dir):
         m = RunManifest.load(run_dir / "manifest.json")
         assert m.config["n_steps"] == 5000  # 0.5 s at dt=1e-4
