@@ -15,23 +15,16 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .domain import ConfigError, GridFunction, Params, Trace, ZeroCoefficient, _Recorder
-from .fdm import quad
+from .domain import (
+    ConfigError, GridFunction, Params, Trace, ZeroCoefficient, _Recorder, _step_count
+)
+from .fdm import NonFiniteState, quad
+from .scenarios import _quiet
 
 __all__ = [
-    "PEVerdict",
-    "Energies",
-    "InsufficientDuration",
-    "UnresolvableMode",
-    "energies",
-    "pe_check",
-    "pi_transform",
-    "pi_inverse",
-    "upsilon_b",
-    "galerkin_error_system",
-    "limit_diagnostics",
-    "LimitSummary",
-    "QuantityDiag",
+    "PEVerdict", "Energies", "InsufficientDuration", "UnresolvableMode", "energies",
+    "pe_check", "pi_transform", "pi_inverse", "upsilon_b", "galerkin_error_system",
+    "limit_diagnostics", "LimitSummary", "QuantityDiag",
 ]
 
 
@@ -189,19 +182,24 @@ def galerkin_error_system(
     half-integer sines sqrt(2) sin((j - 1/2) pi x), has an H1 closure that
     forces a zero left-end value and therefore converges to the wrong
     boundary problem.)  Testing the dynamics against each psi_j gives
-    the (N+1)-dimensional system
 
-        a_j' = -lambda_j a_j - psi_j(1) [ b ztilde u0(t) + c1 wtilde_N(1,t) ]
-        ztilde' = sign(b) u0(t) wtilde_N(1,t),   wtilde_N(1,t) = sum_j a_j psi_j(1)
+        a' = -lambda a - psi(1) s,   s = b ztilde u0(t) + c1 wtilde_N(1,t)
+        ztilde' = sign(b) u0(t) wtilde_N(1,t),   wtilde_N(1,t) = psi(1) . a,
 
-    started from the quadrature projection of wtilde0 and advanced with
-    the classical 4th-order one-step method.  The returned trace mirrors
-    the finite-difference error-system schema: the ``zeta`` column holds
-    the parameter error and ``wnorm``/``obs_err_norm`` both hold
-    ||wtilde_N||, computed exactly from the coefficients.
+    started from the quadrature projection of wtilde0 and advanced by
+    classical RK4 with step h.  As -lambda is diagonal, each stage value
+    is alpha_i * a plus multiples of psi(1) s_j (j < i), with coefficients
+    found once by running the stage recursion on coefficient vectors.  A
+    step is one (5, N) matvec for wtilde_N(0) and the stage values of
+    wtilde_N(1) (less P_ij s_j), Python-float fluxes and ztilde stages,
+    and a <- R * a + V s (R: the RK4 amplification of -h lambda); u0 is
+    evaluated at t + h/2 and t + h.  As in the FD error system, ``zeta``
+    is the parameter error and ``wnorm`` = ``obs_err_norm`` = ||wtilde_N||.
+    A non-finite flux raises ConfigError, a NaN/Inf state NonFiniteState.
     """
     if N < 1:
         raise ConfigError("need at least one mode")
+    n_steps = _step_count(dt_ode, t_final)
     grid = wtilde0.grid
     lam = np.array([(j * math.pi) ** 2 for j in range(N)])
     if math.sqrt(lam[-1]) * grid.dx >= 1.0:
@@ -209,60 +207,62 @@ def galerkin_error_system(
             f"mode {N} needs dx < {1.0 / math.sqrt(lam[-1]):.4g}, grid has dx={grid.dx:.4g}"
         )
     if lam[-1] * dt_ode > _RK4_REAL_STABILITY:
-        raise ConfigError(
-            f"dt_ode={dt_ode} unstable for mode {N}; need dt_ode <= "
-            f"{_RK4_REAL_STABILITY / lam[-1]:.3g}"
-        )
-    x = grid.nodes
+        bound = _RK4_REAL_STABILITY / lam[-1]
+        raise ConfigError(f"dt_ode={dt_ode} unstable for mode {N}; need dt_ode <= {bound:.3g}")
     phi = np.ones((N, grid.n))
-    phi[1:] = math.sqrt(2.0) * np.cos(np.sqrt(lam[1:, None]) * x[None, :])
-    phi1 = np.ones(N)
-    phi1[1:] = math.sqrt(2.0) * np.array([(-1.0) ** j for j in range(1, N)])
+    phi[1:] = math.sqrt(2.0) * np.cos(np.sqrt(lam[1:, None]) * grid.nodes[None, :])
+    phi1 = phi[:, 0] * np.sign(phi[:, -1])  # psi_j(1) = (-1)^j psi_j(0)
     # trapezoid projection of the initial error field onto the basis
     wts = np.full(grid.n, grid.dx)
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
+    wts[[0, -1]] *= 0.5
     a = phi @ (wts * wtilde0.values)
 
-    phi0 = np.full(N, math.sqrt(2.0))
-    phi0[0] = 1.0
-    b = p.b
-    sgn = float(p.sign_b)
-    c1 = p.c1
-    half_b = 0.5 * abs(b)
-
-    def rhs(t: float, a: np.ndarray, z: float) -> tuple[np.ndarray, float]:
-        u0 = u0_signal(t)
-        w1 = float(phi1 @ a)
-        da = -lam * a - phi1 * (b * z * u0 + c1 * w1)
-        dz = sgn * u0 * w1
-        return da, dz
-
-    n_steps = int(round(t_final / dt_ode))
-    names = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F")
-    rec = _Recorder(names, n_steps, sample_stride)
-
-    def record(t: float, a: np.ndarray, z: float) -> None:
-        e = 0.5 * float(a @ a)
-        nrm = math.sqrt(2.0 * e)
-        rec.row(t, (u0_signal(t), z, float(phi0 @ a), float(phi1 @ a),
-                    nrm, nrm, e, e + half_b * z * z))
-
-    z = float(zetatilde0)
-    t = 0.0
-    record(t, a, z)
     h = dt_ode
-    for k in range(n_steps):
-        k1a, k1z = rhs(t, a, z)
-        k2a, k2z = rhs(t + h / 2, a + h / 2 * k1a, z + h / 2 * k1z)
-        k3a, k3z = rhs(t + h / 2, a + h / 2 * k2a, z + h / 2 * k2z)
-        k4a, k4z = rhs(t + h, a + h * k3a, z + h * k3z)
-        a = a + h / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
-        z = z + h / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
-        t = (k + 1) * h
-        if (k + 1) % sample_stride == 0 or k + 1 == n_steps:
-            record(t, a, z)
+    # each mode's stage values and step, as coefficients of (a, s_1..s_4)
+    ident = np.eye(1, 5).repeat(N, axis=0)
+    stage, acc, rows, pairs = ident, np.zeros((N, 5)), [phi[:, 0]], []
+    for i, (c, w) in enumerate(((h / 2, 1.0), (h / 2, 2.0), (h, 2.0), (0.0, 1.0))):
+        rows.append(phi1 * stage[:, 0])
+        pairs.extend((phi1 @ stage[:, 1 : i + 1]).tolist())
+        slope = -lam[:, None] * stage
+        slope[:, i + 1] -= phi1
+        acc += w * slope
+        stage = ident + c * slope
+    step = ident + h / 6 * acc
+    R, V, M = step[:, 0].copy(), np.ascontiguousarray(step[:, 1:]), np.array(rows)
+    p21, p31, p32, p41, p42, p43 = pairs
 
+    b, sgn, c1, half_b = p.b, float(p.sign_b), p.c1, 0.5 * abs(p.b)
+    names = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F")
+    rec = _Recorder(names, n_steps, sample_stride, mapped=True)
+    z, u, hh, h6 = float(zetatilde0), u0_signal(0.0), h / 2, h / 6
+    with _quiet():
+        m = M.dot(a).tolist()
+        for k in range(n_steps + 1):
+            if k % sample_stride == 0 or k == n_steps:
+                e = 0.5 * float(a.dot(a))
+                nrm = math.sqrt(2.0 * e)
+                rec.row(k * h, (u, z, m[0], m[1], nrm, nrm, e, e + half_b * z * z))
+            if k == n_steps:
+                break
+            _, w1, w2, w3, w4 = m
+            um = u0_signal(k * h + hh)
+            s1, k1 = b * z * u + c1 * w1, sgn * u * w1
+            w2 += p21 * s1
+            s2, k2 = b * (z + hh * k1) * um + c1 * w2, sgn * um * w2
+            w3 += p31 * s1 + p32 * s2
+            s3, k3 = b * (z + hh * k2) * um + c1 * w3, sgn * um * w3
+            u = u0_signal((k + 1) * h)
+            w4 += p41 * s1 + p42 * s2 + p43 * s3
+            s4 = b * (z + h * k3) * u + c1 * w4
+            if not (math.isfinite(s1) and math.isfinite(s2)
+                    and math.isfinite(s3) and math.isfinite(s4)):
+                raise ConfigError("boundary fluxes must be finite")
+            a = R * a + V.dot((s1, s2, s3, s4))
+            z = z + h6 * (k1 + 2 * k2 + 2 * k3 + sgn * u * w4)
+            m = M.dot(a).tolist()
+            if not (math.isfinite(m[0]) and math.isfinite(z)):
+                raise NonFiniteState("heat step produced non-finite values")
     return rec.build(final_state=None)
 
 

@@ -229,18 +229,11 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         dx = self.grid.dx
-        if not (self.dt > 0):
-            raise NonPositiveGain(f"dt must be > 0, got {self.dt}")
         if self.dt > dx * dx / 2.0:
             raise CflViolation(
                 f"dt={self.dt} violates dt <= dx^2/2 = {dx * dx / 2.0}"
             )
-        if self.t_final < self.dt:
-            raise ConfigError(f"t_final={self.t_final} shorter than one step")
-        if abs(round(self.t_final / self.dt) * self.dt - self.t_final) > 1e-9 * self.t_final:
-            raise ConfigError(
-                f"t_final={self.t_final} is not a whole number of steps of dt={self.dt}"
-            )
+        _step_count(self.dt, self.t_final)
         if not (self.pe_window_tau > 0):
             raise NonPositiveGain(f"pe_window_tau must be > 0, got {self.pe_window_tau}")
         if self.pe_window_tau > self.t_final:
@@ -258,7 +251,26 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_final / self.dt))
+        return _step_count(self.dt, self.t_final)
+
+
+def _step_count(dt: float, t_final: float) -> int:
+    """The number of steps of dt in t_final.
+
+    Raises NonPositiveGain unless dt > 0, and ConfigError unless t_final
+    is finite and holds at least one step and a whole number of them (to
+    a relative 1e-9).
+    """
+    if not (dt > 0):
+        raise NonPositiveGain(f"dt must be > 0, got {dt}")
+    if not math.isfinite(t_final):
+        raise ConfigError(f"t_final must be finite, got {t_final}")
+    if t_final < dt:
+        raise ConfigError(f"t_final={t_final} shorter than one step")
+    n = int(round(t_final / dt))
+    if abs(n * dt - t_final) > 1e-9 * t_final:
+        raise ConfigError(f"t_final={t_final} is not a whole number of steps of dt={dt}")
+    return n
 
 
 def validate_config(p: Params, c: SimConfig) -> None:
@@ -411,15 +423,24 @@ class _Recorder:
 
     Every row holds the sample time and then the values of ``names``, in
     that order.  The array has room for a sample every ``stride`` of
-    ``n_steps`` steps plus the first and the last; ``np.empty`` touches
-    no page that no row reaches, so a run that ends early costs nothing
-    more.  It is column-major, so each column of the built Trace is a
-    contiguous view of it.
+    ``n_steps`` steps plus the first and the last; no page that no row
+    reaches is touched, so a run that ends early costs nothing more.  It
+    is column-major, so each column of the built Trace is a contiguous
+    view of it.  With ``mapped`` the array is an anonymous memory mapping,
+    so its pages go back to the system when the trace is dropped; malloc
+    can instead leave a large freed array behind as a heap hole that a
+    later, larger buffer cannot use.
     """
 
-    def __init__(self, names: tuple[str, ...], n_steps: int, stride: int):
+    def __init__(self, names: tuple[str, ...], n_steps: int, stride: int, mapped: bool = False):
         self.names = names
-        self.data = np.empty((n_steps // stride + 2, 1 + len(names)), order="F")
+        shape = (n_steps // stride + 2, 1 + len(names))
+        buf = None
+        if mapped:
+            import mmap  # loaded only by the runs that map their samples
+
+            buf = mmap.mmap(-1, 8 * shape[0] * shape[1])
+        self.data = np.ndarray(shape, order="F", buffer=buf)
         self.size = 0
         self.snapshots: list[tuple[float, dict[str, np.ndarray]]] = []
 
@@ -509,10 +530,17 @@ def read_trace_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
             missing = [c for c in ("t", *TRACE_COLUMNS) if c not in header]
             if header[0] != "t" or missing:
                 raise ConfigError(f"{path}: unexpected header {first!r}, missing {missing}")
+            # a bound on the rows lets numpy allocate the array once instead
+            # of growing it a quarter at a time to up to 1.25x its size
+            body = fh.tell()
+            rows = sum(block.count("\n") for block in iter(lambda: fh.read(1 << 16), ""))
+            fh.seek(body)
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                    warnings.filterwarnings("ignore", "Input line .* contained no data")
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                      max_rows=rows + 1)
                 # an empty body parses as shape (0, 1); a row of any other
                 # width is one that _bad_trace_row names
                 if data.shape[1] != len(header):

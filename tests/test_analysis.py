@@ -8,6 +8,8 @@ from heatadapt import (
     Grid,
     GridFunction,
     InsufficientDuration,
+    NonFiniteState,
+    Params,
     SimConfig,
     Trace,
     UnresolvableMode,
@@ -162,6 +164,126 @@ class TestGalerkin:
             galerkin_error_system(
                 64, params8, lambda t: 0.0, GridFunction.zeros(g), 0.0, 0.1, 1e-4
             )
+
+    @pytest.mark.parametrize(
+        "t_final, dt",
+        [(0.10005, 1e-4), (4e-5, 1e-4), (0.1, 0.0), (0.1, -1e-4), (math.inf, 1e-4)],
+    )
+    def test_rejects_a_horizon_it_cannot_step(self, params8, grid51, t_final, dt):
+        # not a whole number of steps, shorter than one step, dt = 0, dt < 0, no end
+        with pytest.raises(ConfigError) as exc:
+            galerkin_error_system(
+                8, params8, lambda t: 0.0, GridFunction.zeros(grid51), 0.0, t_final, dt
+            )
+        with pytest.raises(ConfigError) as cfg_exc:
+            SimConfig(dt=dt, t_final=t_final, grid=grid51)
+        assert type(exc.value) is type(cfg_exc.value)
+        assert str(exc.value) == str(cfg_exc.value)
+
+    def test_state_overflow_with_finite_fluxes(self, params8, grid51):
+        # u0 is 1e300 at t and t + h and 0 at t + h/2: every stage flux stays
+        # finite, but the first and last ztilde slopes (-1e308 each) sum past
+        # the float range
+        u0 = lambda t: 1e300 if t in (0.0, 1e-4) else 0.0
+        w0 = GridFunction(grid51, np.full(51, 1e8))
+        with pytest.raises(NonFiniteState, match="heat step produced non-finite values"):
+            galerkin_error_system(8, params8, u0, w0, 0.0, 1e-3, 1e-4)
+
+
+GALERKIN_COLUMNS = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F")
+
+
+def reference_galerkin(N, p, u0_signal, wtilde0, zetatilde0, t_final, dt_ode, sample_stride):
+    """The unfactored RK4 loop: four right-hand-side evaluations per step.
+
+    Each evaluation calls ``u0_signal`` and forms the stage state as an
+    array.  Returns the sample times and the columns.
+    """
+    grid = wtilde0.grid
+    lam = np.array([(j * math.pi) ** 2 for j in range(N)])
+    phi = np.ones((N, grid.n))
+    phi[1:] = math.sqrt(2.0) * np.cos(np.sqrt(lam[1:, None]) * grid.nodes[None, :])
+    phi1 = np.ones(N)
+    phi1[1:] = math.sqrt(2.0) * np.array([(-1.0) ** j for j in range(1, N)])
+    wts = np.full(grid.n, grid.dx)
+    wts[0] *= 0.5
+    wts[-1] *= 0.5
+    a = phi @ (wts * wtilde0.values)
+    phi0 = np.full(N, math.sqrt(2.0))
+    phi0[0] = 1.0
+    b, sgn, c1 = p.b, float(p.sign_b), p.c1
+    half_b = 0.5 * abs(b)
+
+    def rhs(t, a, z):
+        u0 = u0_signal(t)
+        w1 = float(phi1 @ a)
+        return -lam * a - phi1 * (b * z * u0 + c1 * w1), sgn * u0 * w1
+
+    rows = []
+
+    def record(t, a, z):
+        e = 0.5 * float(a @ a)
+        nrm = math.sqrt(2.0 * e)
+        rows.append((t, u0_signal(t), z, float(phi0 @ a), float(phi1 @ a),
+                     nrm, nrm, e, e + half_b * z * z))
+
+    n_steps = int(round(t_final / dt_ode))
+    z, t, h = float(zetatilde0), 0.0, dt_ode
+    record(t, a, z)
+    for k in range(n_steps):
+        k1a, k1z = rhs(t, a, z)
+        k2a, k2z = rhs(t + h / 2, a + h / 2 * k1a, z + h / 2 * k1z)
+        k3a, k3z = rhs(t + h / 2, a + h / 2 * k2a, z + h / 2 * k2z)
+        k4a, k4z = rhs(t + h, a + h * k3a, z + h * k3z)
+        a = a + h / 6 * (k1a + 2 * k2a + 2 * k3a + k4a)
+        z = z + h / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
+        t = (k + 1) * h
+        if (k + 1) % sample_stride == 0 or k + 1 == n_steps:
+            record(t, a, z)
+    data = np.array(rows)
+    return data[:, 0], dict(zip(GALERKIN_COLUMNS, data.T[1:]))
+
+
+U0_SIGNALS = {
+    "exp": lambda t: math.exp(-t),
+    "sin": math.sin,
+    "const2": lambda t: 2.0,
+    "zero": lambda t: 0.0,
+}
+
+
+class TestGalerkinMatchesReferenceRoute:
+    """The factored RK4 step reproduces the unfactored loop.
+
+    Every column agrees within 1e-12 of its largest magnitude, so a
+    column that is zero in the reference is exactly zero; the sample
+    times and u0 are bit for bit the same.
+    """
+
+    def check(self, N, p, u0, w0, z0, stride):
+        # 200 steps of h = 2.5e-4, near the RK4 stability bound at N = 32,
+        # where every stage coupling weighs in; a stride of 7 does not divide them
+        args = (N, p, u0, w0, z0, 0.05, 2.5e-4, stride)
+        tr = galerkin_error_system(*args)
+        times, cols = reference_galerkin(*args)
+        assert tr.times.tobytes() == times.tobytes()
+        assert tr["u0"].tobytes() == cols["u0"].tobytes()
+        for name in GALERKIN_COLUMNS:
+            scale = np.abs(cols[name]).max()
+            assert np.abs(tr[name] - cols[name]).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("b", [-10.0, 3.0])
+    @pytest.mark.parametrize("u0", sorted(U0_SIGNALS))
+    @pytest.mark.parametrize("N", [1, 8, 32])
+    def test_columns_match(self, N, u0, b, stride):
+        p = Params(q=2.0, b=b, c0=5.0, c1=5.0)
+        w0 = benchmark_initial_state(Grid(201), 2.0)
+        self.check(N, p, U0_SIGNALS[u0], w0, -0.1, stride)
+
+    @pytest.mark.parametrize("N", [1, 8, 32])
+    def test_zero_data_stays_zero(self, params8, N):
+        self.check(N, params8, math.sin, GridFunction.zeros(Grid(201)), 0.0, 7)
 
 
 def _diag_trace(times, **overrides):

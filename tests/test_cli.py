@@ -136,6 +136,14 @@ class TestExitCodes:
                        "--dt", "1e-4", "--pe-tau", "1e-4", "--out", str(out)) == 64
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_final", ["nan", "inf"])
+    def test_non_finite_horizon_exits_64(self, tmp_path, capsys, t_final):
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--scenario", "open-loop", "--t-final", t_final,
+                       "--out", str(out)) == 64
+        assert capsys.readouterr().err == f"heatadapt: t_final must be finite, got {t_final}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, content",
         [("--config", None), ("--init", "0.1\nabc\n")],
@@ -185,7 +193,7 @@ class TestExitCodes:
         assert proc.stderr == f"heatadapt: init file {str(profile)!r} has 0 values, grid needs 51\n"
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("scenario", ["observer", "error-system"])
+    @pytest.mark.parametrize("scenario", ["observer", "error-system", "galerkin"])
     @pytest.mark.parametrize("u0", ["const:inf", "const:nan", "const:1e308"])
     def test_non_finite_boundary_flux_exits_64(self, tmp_path, capsys, scenario, u0):
         code = run_cli("simulate", "--scenario", scenario, "--u0", u0, "--t-final", "0.01",
@@ -201,6 +209,17 @@ class TestExitCodes:
         )
         assert proc.returncode == 64
         assert proc.stderr == "heatadapt: boundary fluxes must be finite\n"
+
+    def test_galerkin_overflow_ends_like_error_system(self, tmp_path):
+        # the spectral oracle checks its stage fluxes as the FD route checks its own
+        procs = [
+            run_subprocess("simulate", "--scenario", scenario, "--zeta0", "1e308",
+                           "--u0", "const:1e10", "--t-final", "0.01",
+                           "--out", str(tmp_path / scenario))
+            for scenario in ("error-system", "galerkin")
+        ]
+        assert [p.returncode for p in procs] == [64, 64]
+        assert [p.stderr for p in procs] == ["heatadapt: boundary fluxes must be finite\n"] * 2
 
     def test_non_finite_state_exits_3(self, tmp_path):
         out = tmp_path / "run"
@@ -366,6 +385,14 @@ class TestSimulateVariants:
         times, cols = read_trace_csv(out / "trace.csv")
         assert np.isfinite(cols["wnorm"]).all()
 
+    def test_galerkin_writes_no_snapshots(self, tmp_path):
+        # the oracle keeps no field, so --snapshot-stride has no effect on it
+        out = tmp_path / "gal"
+        code = run_cli("simulate", "--scenario", "galerkin", "--t-final", "0.01",
+                       "--pe-tau", "0.01", "--snapshot-stride", "10", "--out", str(out))
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "trace.csv"]
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -490,7 +517,10 @@ class TestTraceFiles:
         path = tmp_path / "trace.csv"
         write_trace(path, 3)
         path.write_text(path.read_text() + "\n\n")
-        times, cols = read_trace_csv(path)
+        # numpy warns of blank lines when given a row bound; none may reach stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            times, cols = read_trace_csv(path)
         assert times.tolist() == [0.0] * 3 and set(cols) == set(TRACE_COLUMNS)
 
     def test_empty_body_has_no_samples_and_no_warning(self, tmp_path):

@@ -141,6 +141,11 @@ class TestSimConfig:
             c = SimConfig(dt=dt, t_final=t_final, grid=grid51, pe_window_tau=t_final)
             assert c.n_steps == round(t_final / dt)
 
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf, -math.inf])
+    def test_horizon_must_be_finite(self, grid51, t_final):
+        with pytest.raises(ConfigError, match="t_final must be finite"):
+            SimConfig(dt=1e-4, t_final=t_final, grid=grid51)
+
     def test_pe_window_longer_than_horizon(self, grid51):
         with pytest.raises(ConfigError):
             SimConfig(dt=1e-4, t_final=0.5, grid=grid51, pe_window_tau=1.0)
@@ -223,3 +228,16 @@ class TestRecorder:
         assert all(not tr[k].any() for k in TRACE_COLUMNS if k not in ("w0", "wnorm"))
         for col in (tr.times, tr["w0"], tr["gap"]):
             assert col.flags.c_contiguous and np.shares_memory(col, rec.data)
+
+    def test_mapped_array_builds_the_same_trace(self):
+        traces = []
+        for mapped in (False, True):
+            rec = _Recorder(("w0", "gap"), 7, 3, mapped=mapped)
+            for k in range(4):
+                rec.row(0.5 * k, (k, -k))
+            traces.append(rec.build(final_state=None))
+        plain, mapped = traces
+        assert mapped.times.tobytes() == plain.times.tobytes()
+        for k in (*TRACE_COLUMNS, "gap"):
+            assert mapped[k].tobytes() == plain[k].tobytes(), k
+        assert mapped["w0"].flags.c_contiguous and mapped["w0"].flags.writeable
