@@ -25,14 +25,12 @@ from .fdm import GradientEnergy, HeatStepper, NonFiniteState
 from .scenarios import (
     _OBSERVER_COLUMNS,
     _QUIET_SQ,
-    BLOWUP_NORM,
+    _blown_up,
     _finish,
     _initial_fields,
-    _Loop,
     _observer_row,
     _quiet,
     _require_finite,
-    _sq_norm,
 )
 
 __all__ = ["run_stabilization_batch"]
@@ -75,9 +73,9 @@ def run_stabilization_batch(
     diss = np.zeros(count)
     k = 0
 
-    def member(i: int, w, what, u0, u) -> _Loop:
-        return _Loop(w=w[i], what=what[i], zeta=zeta.item(i), u0=u0.item(i), u=u.item(i),
-                     diss_cum=diss.item(i))
+    def member(i: int, w, what, u0, u) -> tuple:
+        # the arguments of _observer_row's row: w, what, zeta, u0, u, diss_cum
+        return w[i], what[i], zeta.item(i), u0.item(i), u.item(i), diss.item(i)
 
     def finish(t_end: float, t_blow: float | None, ending: list[int], w, what) -> None:
         # the last instant's inputs, as in _run, for the members that end here
@@ -85,9 +83,9 @@ def run_stabilization_batch(
         u = zeta * u0
         for i in ending:
             m = live[i]
+            state = member(i, w, what, u0, u)
             try:
-                results[m] = _finish(config, recs[m], member(i, w, what, u0, u), rows[m],
-                                     t_end, t_blow)
+                results[m] = _finish(config, recs[m], t_end, t_blow, rows[m](*state), state[:5])
             except ConfigError as exc:
                 results[m] = exc
 
@@ -117,10 +115,10 @@ def run_stabilization_batch(
                 u0 = feedback(what)
                 innov = w_last - what_last
                 u = zeta * u0
-                np.multiply(neg_q, w_first, out=plant_left)
+                np.multiply(neg_q, w_first, plant_left)
                 np.copyto(observer_left, plant_left)
-                np.multiply(b, u, out=plant)
-                np.add(u0, c1 * innov, out=observer)
+                np.multiply(b, u, plant)
+                np.add(u0, c1 * innov, observer)
                 if not math.isfinite(np.add.reduce(all_fluxes)):
                     # HeatStepper.step raises this before writing, so the run ends here
                     finite = np.isfinite(fluxes).all(axis=(0, 1))
@@ -132,7 +130,7 @@ def run_stabilization_batch(
                 t = k * dt
                 if k % stride == 0:
                     for i, m in enumerate(live):
-                        recs[m].row(t, rows[m](t, member(i, w, what, u0, u)))
+                        recs[m].row(t, rows[m](*member(i, w, what, u0, u)))
                 if snap_stride and k % snap_stride == 0:
                     for i, m in enumerate(live):
                         recs[m].snap(t, {"w": w[i], "what": what[i]})
@@ -146,21 +144,17 @@ def run_stabilization_batch(
                 k += 1
                 if np.dot(flat, flat) < _QUIET_SQ:
                     continue
-                # _run_observer_loop's and _run's tests, member by member
+                # the single run's tests, member by member
                 blown = []
                 for i in range(len(live)):
                     try:
                         if not math.isfinite(gsq.item(i)):
                             _require_finite(w[i], what[i])
-                        norm = math.sqrt(_sq_norm(w[i], dx))
-                        if not math.isfinite(norm):
-                            _require_finite(w[i])
+                        if _blown_up(w[i], dx):
+                            blown.append(i)
                     except NonFiniteState as exc:
                         results[live[i]] = exc
                         ended.append(i)
-                        continue
-                    if norm > BLOWUP_NORM:
-                        blown.append(i)
                 if blown:
                     finish(k * dt, k * dt, blown, w, what)
                 ended += blown

@@ -72,8 +72,13 @@ class ServoTerms:
 
 
 @lru_cache(maxsize=32)
-def _exp_kernel(grid: Grid, q: float) -> np.ndarray:
-    """Trapezoid weights for integral of exp(q (1 - x)) f(x) dx on the grid."""
+def _exp_kernel(n: int, q: float) -> np.ndarray:
+    """Trapezoid weights for integral of exp(q (1 - x)) f(x) dx on the n-node grid.
+
+    Keyed on n rather than on the Grid, whose dataclass hash and equality
+    run in Python on every lookup.
+    """
+    grid = Grid(n)
     w = np.exp(q * (1.0 - grid.nodes))
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -83,9 +88,9 @@ def _exp_kernel(grid: Grid, q: float) -> np.ndarray:
 
 
 def _boundary_functional(f: GridFunction, q: float) -> float:
-    """f(1) + q * integral exp(q(1-x)) f dx, the shared feedback kernel."""
-    w = _exp_kernel(f.grid, q)
-    return float(f.values[-1] + q * (w @ f.values))
+    """f(1) + q * integral exp(q(1-x)) f dx, the shared feedback kernel, in Python floats."""
+    v = f.values
+    return v.item(-1) + q * float(_exp_kernel(f.grid.n, q).dot(v))
 
 
 def backstepping_known_b(w: GridFunction, p: Params) -> float:
@@ -125,7 +130,7 @@ class BatchFeedback:
 
     def __init__(self, grid: Grid, params: Sequence[EstimatorParams]):
         q = np.array([p.q for p in params], dtype=float)
-        self._kernels = np.stack([_exp_kernel(grid, p.q) for p in params])
+        self._kernels = np.stack([_exp_kernel(grid.n, p.q) for p in params])
         self._q = q
         self._gain = -(q + np.array([p.c0 for p in params], dtype=float))
 

@@ -101,7 +101,7 @@ class HeatStepper:
     """
 
     __slots__ = (
-        "dx", "index", "rows", "buffers", "_two_r", "_r", "_tmp", "_edge", "_plans", "_cols"
+        "dx", "index", "rows", "buffers", "_two_r", "_k", "_tmp", "_edge", "_plans", "_cols"
     )
 
     def __init__(self, fields, dx: float, dt: float):
@@ -110,18 +110,23 @@ class HeatStepper:
         if cur.ndim < 2 or cur.shape[-1] < 3:
             raise ConfigError(f"fields must be a (..., n >= 3) array, got shape {cur.shape}")
         self.dx = dx
-        self._r = dt / (dx * dx)
-        self._two_r = 2.0 * self._r
+        r = dt / (dx * dx)
+        self._two_r = 2.0 * r
+        # ufunc operands as 0-d arrays, which numpy takes faster than Python floats
+        self._k = tuple(np.array(v) for v in (2.0, r, self._two_r, dx))
         self.buffers = (cur, np.empty_like(cur))
         self._tmp = np.empty(cur.size - 2)
         n = cur.shape[-1]
         self._edge = np.empty(cur.size // n)
-        plans = []
-        for u in self.buffers:
-            flat = u.reshape(-1)
-            # interior, right and left neighbours of the flattened buffer, and its rows
-            plans.append((flat[1:-1], flat[2:], flat[:-2], tuple(u.reshape(-1, n))))
-        self._plans = tuple(plans)
+        # interior, right and left neighbours of each flattened buffer, and its rows
+        views = [(flat[1:-1], flat[2:], flat[:-2], tuple(flat.reshape(-1, n)))
+                 for flat in (u.reshape(-1) for u in self.buffers)]
+        #: per buffer, the plan of a step from it: its interior and neighbours,
+        #: the other buffer's interior, each (row, output row) pair and the output rows
+        self._plans = tuple(
+            (*ins[:3], outs[0], tuple(zip(ins[3], outs[3])), outs[3])
+            for ins, outs in (views, views[::-1])
+        )
         #: columns 0, 1, -2 and -1 of each buffer's rows, as 1-D views for step_rows
         self._cols = tuple(
             (flat[0::n], flat[1::n], flat[n - 2 :: n], flat[n - 1 :: n])
@@ -129,7 +134,7 @@ class HeatStepper:
         )
         #: index into ``buffers`` of the current state, and that buffer's rows
         self.index = 0
-        self.rows = self._plans[0][3]
+        self.rows = views[0][3]
 
     def step(self, *fluxes: float) -> tuple[np.ndarray, ...]:
         """Advance every row one step; return the rows of the new state.
@@ -141,20 +146,20 @@ class HeatStepper:
         for f in fluxes:
             if not math.isfinite(f):
                 raise ConfigError("boundary fluxes must be finite")
-        ui, up, um, rows = self._plans[self.index]
-        self.index ^= 1
-        oi, _, _, out_rows = self._plans[self.index]
-        tmp, r, two_r, dx = self._tmp, self._r, self._two_r, self.dx
+        ui, up, um, oi, pairs, out_rows = self._plans[self.index]
+        tmp, (two, r, _, _), two_r, dx = self._tmp, self._k, self._two_r, self.dx
         # u[1:-1] + r * (u[2:] - 2.0 * u[1:-1] + u[:-2]), as in step_heat
-        np.multiply(2.0, ui, out=tmp)
-        np.subtract(up, tmp, out=tmp)
-        np.add(tmp, um, out=tmp)
-        np.multiply(r, tmp, out=tmp)
-        np.add(ui, tmp, out=oi)
-        for i, (u, out) in enumerate(zip(rows, out_rows)):
-            u0, u1, u_2, u_1 = u.item(0), u.item(1), u.item(-2), u.item(-1)
-            out[0] = u0 + two_r * (u1 - u0 - dx * fluxes[2 * i])
-            out[-1] = u_1 + two_r * (u_2 - u_1 + dx * fluxes[2 * i + 1])
+        np.multiply(two, ui, tmp)
+        np.subtract(up, tmp, tmp)
+        np.add(tmp, um, tmp)
+        np.multiply(r, tmp, tmp)
+        np.add(ui, tmp, oi)
+        each = iter(fluxes)
+        for (u, out), left, right in zip(pairs, each, each):
+            u0, u_1 = u.item(0), u.item(-1)
+            out[0] = u0 + two_r * (u.item(1) - u0 - dx * left)
+            out[-1] = u_1 + two_r * (u.item(-2) - u_1 + dx * right)
+        self.index ^= 1
         self.rows = out_rows
         return out_rows
 
@@ -167,30 +172,29 @@ class HeatStepper:
         :func:`step_heat` of it bit for bit.  The fluxes are not checked:
         the caller passes finite values.
         """
-        ui, up, um, _ = self._plans[self.index]
+        ui, up, um, oi, _, out_rows = self._plans[self.index]
         u0, u1, u_2, u_1 = self._cols[self.index]
         self.index ^= 1
-        oi, _, _, out_rows = self._plans[self.index]
         o0, _, _, o_1 = self._cols[self.index]
-        tmp, r, two_r, dx, edge = self._tmp, self._r, self._two_r, self.dx, self._edge
+        tmp, (two, r, two_r, dx), edge = self._tmp, self._k, self._edge
         # the interior exactly as in step
-        np.multiply(2.0, ui, out=tmp)
-        np.subtract(up, tmp, out=tmp)
-        np.add(tmp, um, out=tmp)
-        np.multiply(r, tmp, out=tmp)
-        np.add(ui, tmp, out=oi)
+        np.multiply(two, ui, tmp)
+        np.subtract(up, tmp, tmp)
+        np.add(tmp, um, tmp)
+        np.multiply(r, tmp, tmp)
+        np.add(ui, tmp, oi)
         # u0 + two_r * (u1 - u0 - dx * left), with the output column as scratch
-        np.subtract(u1, u0, out=o0)
-        np.multiply(dx, left, out=edge)
-        np.subtract(o0, edge, out=o0)
-        np.multiply(two_r, o0, out=o0)
-        np.add(u0, o0, out=o0)
+        np.subtract(u1, u0, o0)
+        np.multiply(dx, left, edge)
+        np.subtract(o0, edge, o0)
+        np.multiply(two_r, o0, o0)
+        np.add(u0, o0, o0)
         # u_1 + two_r * (u_2 - u_1 + dx * right)
-        np.subtract(u_2, u_1, out=o_1)
-        np.multiply(dx, right, out=edge)
-        np.add(o_1, edge, out=o_1)
-        np.multiply(two_r, o_1, out=o_1)
-        np.add(u_1, o_1, out=o_1)
+        np.subtract(u_2, u_1, o_1)
+        np.multiply(dx, right, edge)
+        np.add(o_1, edge, o_1)
+        np.multiply(two_r, o_1, o_1)
+        np.add(u_1, o_1, o_1)
         self.rows = out_rows
         return self.buffers[self.index]
 
@@ -225,36 +229,42 @@ class GradientEnergy:
     with the trapezoid rule, bit for bit.
     """
 
-    __slots__ = ("dx", "_two_dx", "_left", "_right", "_grad", "_inner", "_diff", "_rows")
+    __slots__ = ("dx", "_k", "_left", "_right", "_grad", "_inner", "_diff", "_views", "_rows")
 
     def __init__(self, n: int, dx: float):
         if n < 3:
             raise ConfigError(f"the gradient needs at least 3 nodes, got {n}")
         self.dx = dx
-        self._two_dx = 2.0 * dx
+        # 2 dx, 0.5 and dx as 0-d ufunc operands
+        self._k = tuple(np.array(v) for v in (2.0 * dx, 0.5, dx))
         # np.gradient's edge weights, on f[0], f[1], f[2] and f[-3], f[-2], f[-1]
         self._left = (-1.5 / dx, 2.0 / dx, -0.5 / dx)
         self._right = (0.5 / dx, -2.0 / dx, 1.5 / dx)
         self._grad = np.empty(n)
         self._inner = self._grad[1:-1]
         self._diff = np.empty(n)
+        self._views = (self._diff, self._diff[2:], self._diff[:-2])
         self._rows = None
 
     def __call__(self, f: np.ndarray) -> float:
-        g, inner, dx = self._grad, self._inner, self.dx
-        np.subtract(f[2:], f[:-2], out=inner)
-        np.divide(inner, self._two_dx, out=inner)
+        return self._energy(f, f[2:], f[:-2])
+
+    def of_difference(self, f: np.ndarray, h: np.ndarray) -> float:
+        """The gradient energy of ``f - h``."""
+        np.subtract(f, h, self._diff)
+        return self._energy(*self._views)
+
+    def _energy(self, f: np.ndarray, ahead: np.ndarray, behind: np.ndarray) -> float:
+        """The energy of ``f``, given its views ``f[2:]`` and ``f[:-2]``."""
+        g, inner = self._grad, self._inner
+        np.subtract(ahead, behind, inner)
+        np.divide(inner, self._k[0], inner)
         a, b, c = self._left
         g[0] = a * f.item(0) + b * f.item(1) + c * f.item(2)
         a, b, c = self._right
         g[-1] = a * f.item(-3) + b * f.item(-2) + c * f.item(-1)
-        np.multiply(g, g, out=g)
-        return dx * (np.add.reduce(g) - 0.5 * (g.item(0) + g.item(-1)))
-
-    def of_difference(self, f: np.ndarray, h: np.ndarray) -> float:
-        """The gradient energy of ``f - h``."""
-        np.subtract(f, h, out=self._diff)
-        return self(self._diff)
+        np.multiply(g, g, g)
+        return self.dx * (np.add.reduce(g).item() - 0.5 * (g.item(0) + g.item(-1)))
 
     def of_row_differences(self, f: np.ndarray, h: np.ndarray) -> np.ndarray:
         """The gradient energy of each row of ``f - h``, both ``(B, n)``.
@@ -268,24 +278,25 @@ class GradientEnergy:
         if self._rows is None or self._rows[0].shape != f.shape:
             self._rows = self._row_plan(f.shape)
         diff, grad, flat_diff, inner, ends, (f0, f1, f2), (a, b, c), tmp, first, last = self._rows
-        np.subtract(f, h, out=diff)
+        two_dx, one_half, dx = self._k
+        np.subtract(f, h, diff)
         # central differences over the flattened rows; the ones that straddle
         # two rows land on edge nodes, which the edge formulas overwrite
-        np.subtract(flat_diff[2:], flat_diff[:-2], out=inner)
-        np.divide(inner, self._two_dx, out=inner)
+        np.subtract(flat_diff[2:], flat_diff[:-2], inner)
+        np.divide(inner, two_dx, inner)
         # both one-sided edge formulas at once, as (a * f0 + b * f1) + c * f2
-        np.multiply(a, f0, out=tmp)
-        np.multiply(b, f1, out=ends)
-        np.add(tmp, ends, out=tmp)
-        np.multiply(c, f2, out=ends)
-        np.add(tmp, ends, out=ends)
-        np.multiply(grad, grad, out=grad)
+        np.multiply(a, f0, tmp)
+        np.multiply(b, f1, ends)
+        np.add(tmp, ends, tmp)
+        np.multiply(c, f2, ends)
+        np.add(tmp, ends, ends)
+        np.multiply(grad, grad, grad)
         total = np.add.reduce(grad, axis=1)
         half = tmp[:, 0]
-        np.add(first, last, out=half)
-        np.multiply(0.5, half, out=half)
-        np.subtract(total, half, out=total)
-        np.multiply(self.dx, total, out=total)
+        np.add(first, last, half)
+        np.multiply(one_half, half, half)
+        np.subtract(total, half, total)
+        np.multiply(dx, total, total)
         return total
 
     def _row_plan(self, shape: tuple[int, int]) -> tuple:

@@ -6,10 +6,11 @@ the reciprocal estimate, then step the plant with the pre-update
 estimate and step the observer.  Using the pre-update estimate keeps
 plant and observer consistent with the continuous-time simultaneity;
 the O(dt) splitting error this introduces is covered by the energy
-residual checks in the test suite.  That order, the sampling, the
-blow-up test and the final sample live in one private loop, ``_run``;
-a runner supplies only its state and its inputs, advance and row
-callbacks.  Every runner steps its fields with one
+residual checks in the test suite.  A runner keeps its state in its
+own variables and steps it in blocks, from one sample or snapshot
+instant to the next, through one shared blow-up test, ``_blown_up``;
+the schedule of samples, snapshots and the final sample lives in one
+private function, ``_run``.  Every runner steps its fields with one
 :class:`~heatadapt.fdm.HeatStepper`, which holds plant and observer (or
 the single field of open-loop and error-system runs) as rows of one
 array and steps them in place.  :mod:`heatadapt.batch` steps many
@@ -94,100 +95,90 @@ def benchmark_initial_state(grid: Grid, q: float) -> GridFunction:
     return GridFunction(grid, q * grid.nodes - 1.0)
 
 
-@dataclass(slots=True)
-class _Loop:
-    """Mutable state of one run, shared by the loop and a runner's callbacks.
-
-    ``w`` is the field whose norm decides blow-up; ``what`` is the
-    observer field, or None for runs without one.  Both are rows of the
-    run's :class:`HeatStepper` buffer, replaced by each step.  ``gsq``
-    is the gradient energy of the current error field, for ``diss_cum``.
-    """
-
-    w: np.ndarray
-    what: np.ndarray | None = None
-    zeta: float = 0.0
-    u0: float = 0.0
-    u: float = 0.0
-    innov: float = 0.0
-    diss_cum: float = 0.0
-    gsq: float = 0.0
-    servo: ServoTerms | None = None
-
-    def fields(self) -> dict[str, np.ndarray]:
-        if self.what is None:
-            return {"w": self.w}
-        return {"w": self.w, "what": self.what}
+#: ``block(k, stop)`` steps a run from step k to step stop, see :func:`_run`
+_Block = Callable[[int, int], "int | None"]
+#: ``row(t)``: the values of a run's columns at the current instant t
+_Row = Callable[[float], tuple[float, ...]]
+#: ``now()``: the current plant field, observer field (or None), zeta, u0 and u
+_Now = Callable[[], tuple]
 
 
-_Step = Callable[[float, _Loop], None]
-_Row = Callable[[float, _Loop], tuple[float, ...]]
+def _run(config: SimConfig, names: tuple[str, ...], block: _Block, row: _Row, now: _Now) -> Trace:
+    """The schedule every runner shares: samples, snapshots and the last instant.
 
-
-def _run(
-    config: SimConfig,
-    s: _Loop,
-    inputs: _Step,
-    advance: _Step,
-    row: _Row,
-    names: tuple[str, ...],
-) -> Trace:
-    """The time loop every runner shares.
-
-    Each step calls ``inputs(t, s)`` to evaluate the loop's inputs, records
-    ``row(t, s)``, the values of the columns ``names``, every
-    ``sample_stride`` steps and the fields every ``snapshot_stride``
-    steps, then calls ``advance(t, s)`` to step the fields.  A run whose
-    ``s.w`` passes :data:`BLOWUP_NORM` stops there; one that turns NaN/Inf
-    raises :class:`NonFiniteState`.  The last instant is always sampled,
-    after one more ``inputs`` call.
+    A runner holds its state in its own variables and evaluates the inputs
+    of step 0 before this is called.  ``block(k, stop)`` then advances
+    from step k to step ``stop``: each step takes the inputs at hand, steps
+    the fields, runs :func:`_blown_up` on the plant field and evaluates the
+    inputs of the instant it reaches.  It returns None, or the step at which
+    the plant field blew up, where the run ends; a state that turns NaN/Inf
+    raises :class:`NonFiniteState` from it.  Between blocks this
+    records ``row(t)``, the values of the columns ``names``, every
+    ``sample_stride`` steps and the fields of ``now()`` every
+    ``snapshot_stride`` steps; the last instant is always sampled.
     """
     dt, stride, snap_stride = config.dt, config.sample_stride, config.snapshot_stride
-    dx = config.grid.dx
     n_steps = config.n_steps
     rec = _Recorder(names, n_steps, stride)
-    blown, t_blow = False, None
+    k, blow = 0, None
     with _quiet():
-        for k in range(n_steps):
+        while blow is None and k < n_steps:
             t = k * dt
-            inputs(t, s)
             if k % stride == 0:
-                rec.row(t, row(t, s))
-            if snap_stride and k % snap_stride == 0:
-                rec.snap(t, s.fields())
-            advance(t, s)
-            # a NaN fails this test too, so it takes the exact one below
-            if np.dot(s.w, s.w) < _QUIET_SQ:
-                continue
-            norm = math.sqrt(_sq_norm(s.w, dx))
-            if not math.isfinite(norm):
-                _require_finite(s.w)
-            if norm > BLOWUP_NORM:
-                blown, t_blow = True, (k + 1) * dt
-                break
-        t_end = t_blow if blown else n_steps * dt
-        inputs(t_end, s)
-        return _finish(config, rec, s, row, t_end, t_blow)
+                rec.row(t, row(t))
+            stop = min(n_steps, k - k % stride + stride)
+            if snap_stride:
+                if k % snap_stride == 0:
+                    rec.snap(t, _fields(*now()[:2]))
+                stop = min(stop, k - k % snap_stride + snap_stride)
+            blow = block(k, stop)
+            k = stop
+        t_blow = None if blow is None else blow * dt
+        t_end = n_steps * dt if blow is None else t_blow
+        return _finish(config, rec, t_end, t_blow, row(t_end), now())
 
 
 def _finish(
     config: SimConfig,
     rec: _Recorder,
-    s: _Loop,
-    row: _Row,
     t_end: float,
     t_blow: float | None,
+    values: tuple[float, ...],
+    state: tuple,
 ) -> Trace:
-    """Record the last instant, whose inputs ``s`` holds, and build the Trace."""
+    """Record the last instant and build the Trace.
+
+    ``values`` is the instant's row and ``state`` what ``now()`` gives there.
+    """
     grid = config.grid
-    rec.row(t_end, row(t_end, s))
+    w, what, zeta, u0, u = state
+    rec.row(t_end, values)
     if config.snapshot_stride:
-        rec.snap(t_end, s.fields())
-    what = None if s.what is None else GridFunction(grid, s.what)
+        rec.snap(t_end, _fields(w, what))
     final = ScenarioState(
-        t=t_end, w=GridFunction(grid, s.w), what=what, zeta=s.zeta, last_u0=s.u0, last_u=s.u
+        t=t_end, w=GridFunction(grid, w), what=None if what is None else GridFunction(grid, what),
+        zeta=zeta, last_u0=u0, last_u=u,
     )
     return rec.build(final, blown_up=t_blow is not None, blow_up_time=t_blow)
+
+
+def _fields(w: np.ndarray, what: np.ndarray | None) -> dict[str, np.ndarray]:
+    return {"w": w} if what is None else {"w": w, "what": what}
+
+
+def _blown_up(w: np.ndarray, dx: float) -> bool:
+    """Whether the norm of the plant field w passes :data:`BLOWUP_NORM`.
+
+    Raises :class:`NonFiniteState` if w holds NaN/Inf.  The exact norm,
+    which squares a copy of w, is computed only once ``w . w`` reaches
+    :data:`_QUIET_SQ`; a NaN fails that test too, so it takes the exact one.
+    """
+    if w.dot(w) < _QUIET_SQ:
+        return False
+    norm = math.sqrt(_sq_norm(w, dx))
+    if not math.isfinite(norm):
+        _require_finite(w)
+    return norm > BLOWUP_NORM
 
 
 def _sq_norm(values: np.ndarray, dx: float) -> float:
@@ -231,10 +222,6 @@ def _windows(grid: Grid, stepper: HeatStepper, row: int) -> tuple[GridFunction, 
     return tuple(GridFunction._wrap(grid, buf[row]) for buf in stepper.buffers)
 
 
-def _no_inputs(t: float, s: _Loop) -> None:
-    pass
-
-
 def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
     """Simulate the uncontrolled plant (u = 0) and record the growth of ||w||.
 
@@ -244,15 +231,22 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
     """
     dx, q = config.grid.dx, p.q
     stepper = _stepper(config, w0)
+    (w,) = stepper.rows
 
-    def advance(t: float, s: _Loop) -> None:
-        (s.w,) = stepper.step(-q * s.w.item(0), 0.0)
+    def block(k: int, stop: int) -> int | None:
+        nonlocal w
+        step = stepper.step
+        while k < stop:
+            (w,) = step(-q * w.item(0), 0.0)
+            k += 1
+            if _blown_up(w, dx):
+                return k
+        return None
 
-    def row(t: float, s: _Loop) -> tuple[float, ...]:
-        return s.w[0], s.w[-1], math.sqrt(_sq_norm(s.w, dx))
+    def row(t: float) -> tuple[float, ...]:
+        return w[0], w[-1], math.sqrt(_sq_norm(w, dx))
 
-    state = _Loop(w=stepper.rows[0])
-    return _run(config, state, _no_inputs, advance, row, ("w0", "w1", "wnorm"))
+    return _run(config, ("w0", "w1", "wnorm"), block, row, lambda: (w, None, 0.0, 0.0, 0.0))
 
 
 def _run_observer_loop(
@@ -274,46 +268,56 @@ def _run_observer_loop(
     stepper = _stepper(config, w0, what0)
     observer = _windows(config.grid, stepper, 1)
     energy = GradientEnergy(config.grid.n, dx)
-
-    def inputs(t: float, s: _Loop) -> None:
-        s.u0 = u0_of(t, observer[stepper.index])
-        s.innov = s.w.item(-1) - s.what.item(-1)
-        s.u = s.zeta * s.u0
-
-    def advance(t: float, s: _Loop) -> None:
-        innov = s.innov
-        s.diss_cum += dt * (s.gsq + c1 * innov * innov)
-        zeta_new = zeta_step(s.zeta, sgn, innov, s.u0, dt)
-        left = -q * s.w.item(0)
-        s.w, s.what = stepper.step(left, b * s.u, left, s.u0 + c1 * innov)
-        # a NaN/Inf in either field makes the error's gradient energy non-finite
-        s.gsq = energy.of_difference(s.w, s.what)
-        if not math.isfinite(s.gsq):
-            _require_finite(s.w, s.what)
-        s.zeta = zeta_new
-
     w, what = stepper.rows
+    zeta, diss = zeta0, 0.0
     with _quiet():
         gsq = energy.of_difference(w, what)
-    state = _Loop(w=w, what=what, zeta=zeta0, gsq=gsq)
-    return _run(config, state, inputs, advance, _observer_row(p, dx), _OBSERVER_COLUMNS)
+        u0 = u0_of(0.0, observer[0])
+
+    def block(k: int, stop: int) -> int | None:
+        nonlocal w, what, zeta, u0, gsq, diss
+        step, energy_of, update = stepper.step, energy.of_difference, zeta_step
+        while k < stop:
+            innov = w.item(-1) - what.item(-1)
+            diss += dt * (gsq + c1 * innov * innov)
+            zeta_new = update(zeta, sgn, innov, u0, dt)
+            left = -q * w.item(0)
+            w, what = step(left, b * (zeta * u0), left, u0 + c1 * innov)
+            # a NaN/Inf in either field makes the error's gradient energy non-finite
+            gsq = energy_of(w, what)
+            if not math.isfinite(gsq):
+                _require_finite(w, what)
+            zeta = zeta_new
+            k += 1
+            blown = _blown_up(w, dx)
+            u0 = u0_of(k * dt, observer[stepper.index])
+            if blown:
+                return k
+        return None
+
+    row = _observer_row(p, dx)
+    return _run(config, _OBSERVER_COLUMNS, block,
+                lambda t: row(w, what, zeta, u0, zeta * u0, diss),
+                lambda: (w, what, zeta, u0, zeta * u0))
 
 
 #: the columns of a plant + observer + update-law run's rows
 _OBSERVER_COLUMNS = (*TRACE_COLUMNS, "diss_cum")
 
 
-def _observer_row(p: Params, dx: float) -> _Row:
-    """The sample row of a plant + observer + update-law run, in _OBSERVER_COLUMNS."""
+def _observer_row(p: Params, dx: float) -> Callable[..., tuple[float, ...]]:
+    """``row(w, what, zeta, u0, u, diss_cum)``: a plant + observer run's sample.
+
+    The values are those of _OBSERVER_COLUMNS.
+    """
     half_b = 0.5 * abs(p.b)
     inv_b = 1.0 / p.b
 
-    def row(t: float, s: _Loop) -> tuple[float, ...]:
-        w = s.w
-        e = 0.5 * _sq_norm(w - s.what, dx)
-        zt = inv_b - s.zeta
-        return (s.u0, s.u, s.zeta, w[0], w[-1], math.sqrt(_sq_norm(w, dx)),
-                math.sqrt(2.0 * e), e, e + half_b * zt * zt, s.diss_cum)
+    def row(w, what, zeta, u0, u, diss_cum) -> tuple[float, ...]:
+        e = 0.5 * _sq_norm(w - what, dx)
+        zt = inv_b - zeta
+        return (u0, u, zeta, w[0], w[-1], math.sqrt(_sq_norm(w, dx)),
+                math.sqrt(2.0 * e), e, e + half_b * zt * zt, diss_cum)
 
     return row
 
@@ -375,39 +379,50 @@ def run_tracking(
     nodes = config.grid.nodes
     stepper = _stepper(config, w0, zhat0)
     observer = _windows(config.grid, stepper, 1)
-
-    def inputs(t: float, s: _Loop) -> None:
-        s.servo = servo_boundary(ref, q, t, J)
-        s.u0 = adaptive_u0(observer[stepper.index], est, s.servo)
-        # the feedback weighs every observer node, so a NaN/Inf there shows in u0
-        if not math.isfinite(s.u0):
-            _require_finite(s.what)
-        s.innov = s.w.item(-1) - s.servo.v1 - s.what.item(-1)
-        s.u = s.zeta * s.u0
-
-    def advance(t: float, s: _Loop) -> None:
-        zeta_new = zeta_step(s.zeta, sgn, s.innov, s.u0, dt)
-        r_t = ref.derivative(0, t)
-        w_at_0 = s.w.item(0)
-        s.w, s.what = stepper.step(
-            -q * w_at_0, b * s.u, -q * (w_at_0 - r_t), s.u0 + c1 * s.innov - s.servo.vx1
-        )
-        s.zeta = zeta_new
-
-    def row(t: float, s: _Loop) -> tuple[float, ...]:
-        w = s.w
-        v_vals = servo_eval(ref, q, nodes, t, J)
-        e = 0.5 * _sq_norm(w - v_vals - s.what, dx)
-        zt = inv_b - s.zeta
-        r_t = ref.derivative(0, t)
-        return (s.u0, s.u, s.zeta, w[0], w[-1], math.sqrt(_sq_norm(w, dx)),
-                math.sqrt(2.0 * e), e, e + half_b * zt * zt,
-                w[0] - r_t, r_t, s.servo.v1, s.servo.vx1)
-
     w, what = stepper.rows
-    state = _Loop(w=w, what=what, zeta=zeta0)
+    zeta = zeta0
+
+    def feedback(t: float) -> tuple[ServoTerms, float]:
+        servo = servo_boundary(ref, q, t, J)
+        u0 = adaptive_u0(observer[stepper.index], est, servo)
+        # the feedback weighs every observer node, so a NaN/Inf there shows in u0
+        if not math.isfinite(u0):
+            _require_finite(what)
+        return servo, u0
+
+    with _quiet():
+        servo, u0 = feedback(0.0)
+
+    def block(k: int, stop: int) -> int | None:
+        nonlocal w, what, zeta, servo, u0
+        step, update, r_of = stepper.step, zeta_step, ref.derivative
+        while k < stop:
+            innov = w.item(-1) - servo.v1 - what.item(-1)
+            zeta_new = update(zeta, sgn, innov, u0, dt)
+            r_t = r_of(0, k * dt)
+            w_at_0 = w.item(0)
+            w, what = step(
+                -q * w_at_0, b * (zeta * u0), -q * (w_at_0 - r_t), u0 + c1 * innov - servo.vx1
+            )
+            zeta = zeta_new
+            k += 1
+            blown = _blown_up(w, dx)
+            servo, u0 = feedback(k * dt)
+            if blown:
+                return k
+        return None
+
+    def row(t: float) -> tuple[float, ...]:
+        v_vals = servo_eval(ref, q, nodes, t, J)
+        e = 0.5 * _sq_norm(w - v_vals - what, dx)
+        zt = inv_b - zeta
+        r_t = ref.derivative(0, t)
+        return (u0, zeta * u0, zeta, w[0], w[-1], math.sqrt(_sq_norm(w, dx)),
+                math.sqrt(2.0 * e), e, e + half_b * zt * zt,
+                w[0] - r_t, r_t, servo.v1, servo.vx1)
+
     names = (*TRACE_COLUMNS, "tracking_err", "ref", "v1", "vx1")
-    return _run(config, state, inputs, advance, row, names)
+    return _run(config, names, block, row, lambda: (w, what, zeta, u0, zeta * u0))
 
 
 def run_error_system(
@@ -433,28 +448,33 @@ def run_error_system(
     half_b = 0.5 * abs(b)
     stepper = _stepper(config, wtilde0)
     energy = GradientEnergy(config.grid.n, dx)
-
-    def inputs(t: float, s: _Loop) -> None:
-        s.u0 = u0_signal(t)
-        s.innov = s.w.item(-1)
-
-    def advance(t: float, s: _Loop) -> None:
-        zt, u0, wt1 = s.zeta, s.u0, s.innov
-        s.diss_cum += dt * (s.gsq + c1 * wt1 * wt1)
-        zt_new = zt + dt * sgn * u0 * wt1
-        (s.w,) = stepper.step(0.0, -b * zt * u0 - c1 * wt1)
-        s.gsq = energy(s.w)
-        s.zeta = zt_new
-
-    def row(t: float, s: _Loop) -> tuple[float, ...]:
-        wt, zt = s.w, s.zeta
-        e = 0.5 * _sq_norm(wt, dx)
-        nrm = math.sqrt(2.0 * e)
-        return s.u0, zt, wt[0], wt[-1], nrm, nrm, e, e + half_b * zt * zt, s.diss_cum
-
     (wt,) = stepper.rows
+    zt, diss = zetatilde0, 0.0
     with _quiet():
         gsq = energy(wt)
-    state = _Loop(w=wt, zeta=zetatilde0, gsq=gsq)
+        u0 = u0_signal(0.0)
+
+    def block(k: int, stop: int) -> int | None:
+        nonlocal wt, zt, u0, gsq, diss
+        step = stepper.step
+        while k < stop:
+            wt1 = wt.item(-1)
+            diss += dt * (gsq + c1 * wt1 * wt1)
+            zt_new = zt + dt * sgn * u0 * wt1
+            (wt,) = step(0.0, -b * zt * u0 - c1 * wt1)
+            gsq = energy(wt)
+            zt = zt_new
+            k += 1
+            blown = _blown_up(wt, dx)
+            u0 = u0_signal(k * dt)
+            if blown:
+                return k
+        return None
+
+    def row(t: float) -> tuple[float, ...]:
+        e = 0.5 * _sq_norm(wt, dx)
+        nrm = math.sqrt(2.0 * e)
+        return u0, zt, wt[0], wt[-1], nrm, nrm, e, e + half_b * zt * zt, diss
+
     names = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F", "diss_cum")
-    return _run(config, state, inputs, advance, row, names)
+    return _run(config, names, block, row, lambda: (wt, None, zt, u0, 0.0))

@@ -15,7 +15,7 @@ from heatadapt import (
     servo_eval,
     zeta_step,
 )
-from heatadapt.control import BatchFeedback
+from heatadapt.control import BatchFeedback, ServoTerms, _exp_kernel
 
 
 @pytest.fixture()
@@ -68,6 +68,41 @@ class TestAdaptiveU0:
         for value, row, est in zip(got, stack[1], ests):
             expected = adaptive_u0(GridFunction(grid, row), est)
             assert float(value).hex() == expected.hex()
+
+    @pytest.mark.parametrize("n", [3, 51, 201])
+    def test_equals_the_array_form(self, n):
+        # the law in Python floats against -(q + c0) * float(f[-1] + q * (K @ f)),
+        # with K built from the grid's own nodes and dx
+        rng = np.random.default_rng(7 * n)
+        grid = Grid(n)
+        for q, c0 in [(2.0, 5.0), (9.0, 0.01), (0.5, 8.0), (3.7, 1e-3)]:
+            est = Params(q=q, b=-10.0, c0=c0, c1=1.0).estimator_view()
+            K = np.exp(q * (1.0 - grid.nodes))
+            K[0] *= 0.5
+            K[-1] *= 0.5
+            K *= grid.dx
+            for _ in range(10):
+                f = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+                what = GridFunction(grid, f)
+                expected = -(q + c0) * float(f[-1] + q * (K @ f))
+                assert adaptive_u0(what, est).hex() == expected.hex()
+                servo = ServoTerms(v1=0.0, vx1=float(rng.standard_normal()), truncation_J=3,
+                                   tail_bound=0.0)
+                assert adaptive_u0(what, est, servo).hex() == (expected + servo.vx1).hex()
+
+    def test_kernel_is_read_only_and_shared_by_equal_grids(self):
+        est = Params(q=4.125, b=-10.0, c0=5.0, c1=1.0).estimator_view()
+        first, second = Grid(37), Grid(37)
+        assert first is not second and first == second
+        before = _exp_kernel.cache_info()
+        u = adaptive_u0(GridFunction(first, np.ones(37)), est)
+        assert adaptive_u0(GridFunction(second, np.ones(37)), est) == u
+        after = _exp_kernel.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        weights = _exp_kernel(37, 4.125)
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
 
     def test_cannot_read_b(self, params8, ones51):
         # the estimator view physically lacks b; the plant-only law needs it

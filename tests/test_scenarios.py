@@ -309,6 +309,30 @@ def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def assert_matches_reference(tr, expected, snap):
+    """The trace equals reference_run's results bit for bit."""
+    times, rows, snaps, final, zeta, last_u0, last_u, t_blow = expected
+    assert tr.blow_up_time == t_blow
+    assert bits(tr.times) == bits(times)
+    for name in tr.scalars:
+        assert bits(tr.scalars[name]) == bits([r.get(name, 0.0) for r in rows]), name
+    assert set(tr.extras) == set(rows[0]) - set(tr.scalars)
+    for name in tr.extras:
+        assert bits(tr.extras[name]) == bits([r[name] for r in rows]), name
+    assert len(tr.snapshots) == len(snaps) and bool(snaps) == bool(snap)
+    for (t1, f1), (t2, f2) in zip(tr.snapshots, snaps):
+        assert t1 == t2 and f1.keys() == f2.keys()
+        assert all(bits(f1[k]) == bits(f2[k]) for k in f1)
+    fs = tr.final_state
+    assert fs.t == times[-1]
+    assert bits(fs.w.values) == bits(final["w"])
+    if "what" in final:
+        assert bits(fs.what.values) == bits(final["what"])
+    else:
+        assert fs.what is None
+    assert bits([fs.zeta, fs.last_u0, fs.last_u]) == bits([zeta, last_u0, last_u])
+
+
 class TestRunnersMatchReferenceRoute:
     """Every runner reproduces the step_heat/grad_values route bit for bit."""
 
@@ -339,28 +363,31 @@ class TestRunnersMatchReferenceRoute:
         else:
             tr = run_error_system(p, c, ramp51, -0.1, u0)
             expected = reference_run(kind, p, c, ramp51, None, -0.1, u0_signal=u0)
-        times, rows, snaps, final, zeta, last_u0, last_u, t_blow = expected
-
         assert tr.blown_up is (kind == "open")
-        assert tr.blow_up_time == t_blow
-        assert bits(tr.times) == bits(times)
-        for name in tr.scalars:
-            assert bits(tr.scalars[name]) == bits([r.get(name, 0.0) for r in rows]), name
-        assert set(tr.extras) == set(rows[0]) - set(tr.scalars)
-        for name in tr.extras:
-            assert bits(tr.extras[name]) == bits([r[name] for r in rows]), name
-        assert len(tr.snapshots) == len(snaps) and bool(snaps) == bool(snap)
-        for (t1, f1), (t2, f2) in zip(tr.snapshots, snaps):
-            assert t1 == t2 and f1.keys() == f2.keys()
-            assert all(bits(f1[k]) == bits(f2[k]) for k in f1)
-        fs = tr.final_state
-        assert fs.t == times[-1]
-        assert bits(fs.w.values) == bits(final["w"])
-        if "what" in final:
-            assert bits(fs.what.values) == bits(final["what"])
-        else:
-            assert fs.what is None
-        assert bits([fs.zeta, fs.last_u0, fs.last_u]) == bits([zeta, last_u0, last_u])
+        assert_matches_reference(tr, expected, snap)
+
+    @pytest.mark.parametrize("n, dt, t_final, stride, snap, q, gain", [
+        (51, 1e-4, 0.3, 37, 50, 2.0, 5.0),  # snapshot stride coprime to the sample stride
+        (201, 1e-5, 0.01, 37, 250, 2.0, 5.0),
+        (51, 1e-4, 0.1, 4, 6, 9.0, 0.01),  # blows up at step 9, inside the block [8, 12)
+        (51, 1e-4, 0.02, 1, 7, 2.0, 5.0),
+        (51, 1e-4, 0.01, 500, 30, 2.0, 5.0),  # one sample stride spans the whole run
+    ])
+    def test_stabilize_block_schedule(self, n, dt, t_final, stride, snap, q, gain):
+        # the block boundaries of the samples and snapshots, and a blow-up
+        # between them, against the reference route's step-by-step loop
+        grid = Grid(n)
+        c = cfg(grid, t_final, dt=dt, stride=stride, snap=snap)
+        p = Params(q=q, b=-10.0, c0=gain, c1=gain)
+        w0 = benchmark_initial_state(grid, q)
+        what0 = GridFunction(grid, 0.3 * np.sin(3.0 * grid.nodes))
+        tr = run_stabilization(p, c, w0, what0, 0.0)
+        expected = reference_run("stabilize", p, c, w0, what0, 0.0)
+        assert tr.blown_up is (q == 9.0)
+        if tr.blown_up:
+            k = round(tr.blow_up_time / dt)
+            assert k < c.n_steps and k % stride and k % snap
+        assert_matches_reference(tr, expected, snap)
 
     def test_returned_fields_are_copies(self, params8, grid51, ramp51, zeros51):
         # the stepper's buffers are reused every step; nothing a runner
