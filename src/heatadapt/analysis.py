@@ -94,8 +94,10 @@ def pe_check(
     values = np.asarray(values, dtype=float)
     if times.ndim != 1 or times.shape != values.shape or times.size < 2:
         raise ConfigError("pe_check needs matching 1-D times and values")
-    if tau <= 0:
-        raise ConfigError("tau must be > 0")
+    if not tau > 0:
+        raise ConfigError(f"tau must be > 0, got {tau}")
+    if threshold is not None and math.isnan(threshold):
+        raise ConfigError("threshold must not be NaN")
     if windows < 1:
         raise ConfigError("window count must be >= 1")
     duration = times[-1] - times[0]
@@ -311,8 +313,10 @@ def limit_diagnostics(
     converged.  Raises :class:`InsufficientDuration` when the trace is
     shorter than twice the settle window.
     """
-    if settle_window <= 0:
-        raise ConfigError("settle_window must be > 0")
+    if not settle_window > 0:
+        raise ConfigError(f"settle_window must be > 0, got {settle_window}")
+    if math.isnan(gap_tol):
+        raise ConfigError("gap_tol must not be NaN")
     if trace.duration < 2.0 * settle_window:
         raise InsufficientDuration(
             f"trace duration {trace.duration} < 2 * settle window {settle_window}"

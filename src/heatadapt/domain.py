@@ -55,6 +55,14 @@ class SignMismatch(ConfigError):
     """Declared sign of b disagrees with the supplied value of b."""
 
 
+def _check_gains(p: Params | EstimatorParams) -> None:
+    """Raise :class:`NonPositiveGain` unless q, c0 and c1 are all > 0."""
+    for name in ("q", "c0", "c1"):
+        value = getattr(p, name)
+        if not value > 0:
+            raise NonPositiveGain(f"{name} must be > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class EstimatorParams:
     """Constants visible to the observer and the adaptive controller.
@@ -71,12 +79,7 @@ class EstimatorParams:
     c1: float
 
     def __post_init__(self) -> None:
-        if not (self.q > 0):
-            raise NonPositiveGain(f"q must be > 0, got {self.q}")
-        if not (self.c0 > 0):
-            raise NonPositiveGain(f"c0 must be > 0, got {self.c0}")
-        if not (self.c1 > 0):
-            raise NonPositiveGain(f"c1 must be > 0, got {self.c1}")
+        _check_gains(self)
         if self.sign_b not in (-1, 1):
             raise SignMismatch(f"sign_b must be +1 or -1, got {self.sign_b}")
 
@@ -103,12 +106,7 @@ class Params:
     sign_b: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.q > 0):
-            raise NonPositiveGain(f"q must be > 0, got {self.q}")
-        if not (self.c0 > 0):
-            raise NonPositiveGain(f"c0 must be > 0, got {self.c0}")
-        if not (self.c1 > 0):
-            raise NonPositiveGain(f"c1 must be > 0, got {self.c1}")
+        _check_gains(self)
         if self.b == 0 or not math.isfinite(self.b):
             raise ZeroCoefficient(f"b must be nonzero and finite, got {self.b}")
         true_sign = 1 if self.b > 0 else -1
@@ -147,6 +145,8 @@ class Grid:
 
     @classmethod
     def from_dx(cls, dx: float) -> "Grid":
+        if not dx > 0:
+            raise ConfigError(f"dx must be > 0, got {dx}")
         n_float = 1.0 / dx + 1.0
         n = int(round(n_float))
         if abs(n_float - n) > 1e-9:

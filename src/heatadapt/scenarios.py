@@ -10,11 +10,15 @@ residual checks in the test suite.  A runner keeps its state in its
 own variables and steps it in blocks, from one sample or snapshot
 instant to the next, through one shared blow-up test, ``_blown_up``;
 the schedule of samples, snapshots and the final sample lives in one
-private function, ``_run``.  Every runner steps its fields with one
-:class:`~heatadapt.fdm.HeatStepper`, which holds plant and observer (or
-the single field of open-loop and error-system runs) as rows of one
-array and steps them in place.  :mod:`heatadapt.batch` steps many
-stabilization runs on one grid as one stack of rows.
+private function, ``_run``.  Observer, stabilization and tracking runs
+share one loop, ``_run_observer_loop``, and differ only in their
+inputs: the controller value and, for tracking, the servo terms and
+the reference.  Open-loop and error-system runs keep their own loops,
+whose fluxes are ordered differently.  Every runner steps its fields
+with one :class:`~heatadapt.fdm.HeatStepper`, which holds plant and
+observer (or the single field of open-loop and error-system runs) as
+rows of one array and steps them in place.  :mod:`heatadapt.batch`
+steps many stabilization runs on one grid as one stack of rows.
 
 Runs are deterministic: identical inputs produce bit-identical traces
 on one platform.  A run whose state norm passes 1e12 stops early with a
@@ -30,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .control import ServoTerms, adaptive_u0, servo_boundary, servo_eval, zeta_step
+from .control import adaptive_u0, servo_boundary, servo_eval, zeta_step
 from .domain import (
     ConfigError,
     Grid,
@@ -249,59 +253,84 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
     return _run(config, ("w0", "w1", "wnorm"), block, row, lambda: (w, None, 0.0, 0.0, 0.0))
 
 
+#: ``inputs(t, what)``: the feedback value u0 and the servo terms v(1,t),
+#: v_x(1,t) and r(t) at instant t, given the observer field what
+_Inputs = Callable[[float, GridFunction], tuple[float, float, float, float]]
+
+
 def _run_observer_loop(
     p: Params,
     config: SimConfig,
     w0: GridFunction,
     what0: GridFunction,
     zeta0: float,
-    u0_of: Callable[[float, GridFunction], float],
+    inputs: _Inputs,
+    ref: ReferenceSignal | None = None,
 ) -> Trace:
-    """Common plant + observer + update-law loop.
+    """The plant + observer + update-law loop of observer, stabilize and track.
 
-    u0_of(t, what) supplies the controller value, either from an
-    external signal (observer scenario) or from the adaptive feedback
-    law (stabilization scenario).
+    ``inputs(t, what)`` gives the controller value u0 and, for tracking,
+    the servo terms v(1,t), v_x(1,t) and r(t); the observer then
+    estimates z = w - v.  Without a reference the three are +0.0, and
+    ``x - 0.0 == x`` for every float, so the step is the stabilizing one
+    bit for bit.  Only runs without a reference record ``diss_cum``; its
+    gradient energy catches a NaN/Inf state, which tracking's ``inputs``
+    catch from u0.
     """
     dt, dx = config.dt, config.grid.dx
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
     stepper = _stepper(config, w0, what0)
     observer = _windows(config.grid, stepper, 1)
-    energy = GradientEnergy(config.grid.n, dx)
+    energy = None if ref is not None else GradientEnergy(config.grid.n, dx).of_difference
     w, what = stepper.rows
-    zeta, diss = zeta0, 0.0
+    zeta, diss, gsq = zeta0, 0.0, 0.0
     with _quiet():
-        gsq = energy.of_difference(w, what)
-        u0 = u0_of(0.0, observer[0])
+        if energy is not None:
+            gsq = energy(w, what)
+        u0, v1, vx1, r = inputs(0.0, observer[0])
 
     def block(k: int, stop: int) -> int | None:
-        nonlocal w, what, zeta, u0, gsq, diss
-        step, energy_of, update = stepper.step, energy.of_difference, zeta_step
+        nonlocal w, what, zeta, u0, v1, vx1, r, gsq, diss
+        step, update, energy_of = stepper.step, zeta_step, energy
         while k < stop:
-            innov = w.item(-1) - what.item(-1)
-            diss += dt * (gsq + c1 * innov * innov)
+            innov = w.item(-1) - v1 - what.item(-1)
             zeta_new = update(zeta, sgn, innov, u0, dt)
-            left = -q * w.item(0)
-            w, what = step(left, b * (zeta * u0), left, u0 + c1 * innov)
-            # a NaN/Inf in either field makes the error's gradient energy non-finite
-            gsq = energy_of(w, what)
-            if not math.isfinite(gsq):
-                _require_finite(w, what)
+            w_at_0 = w.item(0)
+            w, what = step(-q * w_at_0, b * (zeta * u0), -q * (w_at_0 - r), u0 + c1 * innov - vx1)
+            if energy_of is not None:
+                diss += dt * (gsq + c1 * innov * innov)
+                # a NaN/Inf in either field makes the error's gradient energy non-finite
+                gsq = energy_of(w, what)
+                if not math.isfinite(gsq):
+                    _require_finite(w, what)
             zeta = zeta_new
             k += 1
             blown = _blown_up(w, dx)
-            u0 = u0_of(k * dt, observer[stepper.index])
+            u0, v1, vx1, r = inputs(k * dt, observer[stepper.index])
             if blown:
                 return k
         return None
 
-    row = _observer_row(p, dx)
-    return _run(config, _OBSERVER_COLUMNS, block,
-                lambda t: row(w, what, zeta, u0, zeta * u0, diss),
-                lambda: (w, what, zeta, u0, zeta * u0))
+    if ref is None:
+        names, observer_row = _OBSERVER_COLUMNS, _observer_row(p, dx)
+
+        def row(t: float) -> tuple[float, ...]:
+            return observer_row(w, what, zeta, u0, zeta * u0, diss)
+    else:
+        names = (*TRACE_COLUMNS, "tracking_err", "ref", "v1", "vx1")
+        J, nodes = config.servo_truncation_J, config.grid.nodes
+        half_b, inv_b = 0.5 * abs(b), 1.0 / b
+
+        def row(t: float) -> tuple[float, ...]:
+            e = 0.5 * _sq_norm(w - servo_eval(ref, q, nodes, t, J) - what, dx)
+            zt = inv_b - zeta
+            return (u0, zeta * u0, zeta, w[0], w[-1], math.sqrt(_sq_norm(w, dx)),
+                    math.sqrt(2.0 * e), e, e + half_b * zt * zt, w[0] - r, r, v1, vx1)
+
+    return _run(config, names, block, row, lambda: (w, what, zeta, u0, zeta * u0))
 
 
-#: the columns of a plant + observer + update-law run's rows
+#: the columns of a plant + observer + update-law run's rows without a reference
 _OBSERVER_COLUMNS = (*TRACE_COLUMNS, "diss_cum")
 
 
@@ -336,7 +365,9 @@ def run_observer(
     feedback design; the plant may well be diverging while the
     estimation error decays.
     """
-    return _run_observer_loop(p, config, w0, what0, zeta0, lambda t, _what: u0_signal(t))
+    return _run_observer_loop(
+        p, config, w0, what0, zeta0, lambda t, _what: (u0_signal(t), 0.0, 0.0, 0.0)
+    )
 
 
 def run_stabilization(
@@ -349,7 +380,7 @@ def run_stabilization(
     """Full adaptive output-feedback stabilization loop."""
     est = p.estimator_view()
     return _run_observer_loop(
-        p, config, w0, what0, zeta0, lambda t, what: adaptive_u0(what, est)
+        p, config, w0, what0, zeta0, lambda t, what: (adaptive_u0(what, est), 0.0, 0.0, 0.0)
     )
 
 
@@ -370,59 +401,18 @@ def run_tracking(
     the servo slope series (the signal whose excitation decides whether
     the reciprocal estimate converges) alongside the standard columns.
     """
-    dt, dx = config.dt, config.grid.dx
-    q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
     est = p.estimator_view()
-    J = config.servo_truncation_J
-    half_b = 0.5 * abs(b)
-    inv_b = 1.0 / b
-    nodes = config.grid.nodes
-    stepper = _stepper(config, w0, zhat0)
-    observer = _windows(config.grid, stepper, 1)
-    w, what = stepper.rows
-    zeta = zeta0
+    q, J = p.q, config.servo_truncation_J
 
-    def feedback(t: float) -> tuple[ServoTerms, float]:
+    def inputs(t: float, zhat: GridFunction) -> tuple[float, float, float, float]:
         servo = servo_boundary(ref, q, t, J)
-        u0 = adaptive_u0(observer[stepper.index], est, servo)
+        u0 = adaptive_u0(zhat, est, servo)
         # the feedback weighs every observer node, so a NaN/Inf there shows in u0
         if not math.isfinite(u0):
-            _require_finite(what)
-        return servo, u0
+            _require_finite(zhat.values)
+        return u0, servo.v1, servo.vx1, ref.derivative(0, t)
 
-    with _quiet():
-        servo, u0 = feedback(0.0)
-
-    def block(k: int, stop: int) -> int | None:
-        nonlocal w, what, zeta, servo, u0
-        step, update, r_of = stepper.step, zeta_step, ref.derivative
-        while k < stop:
-            innov = w.item(-1) - servo.v1 - what.item(-1)
-            zeta_new = update(zeta, sgn, innov, u0, dt)
-            r_t = r_of(0, k * dt)
-            w_at_0 = w.item(0)
-            w, what = step(
-                -q * w_at_0, b * (zeta * u0), -q * (w_at_0 - r_t), u0 + c1 * innov - servo.vx1
-            )
-            zeta = zeta_new
-            k += 1
-            blown = _blown_up(w, dx)
-            servo, u0 = feedback(k * dt)
-            if blown:
-                return k
-        return None
-
-    def row(t: float) -> tuple[float, ...]:
-        v_vals = servo_eval(ref, q, nodes, t, J)
-        e = 0.5 * _sq_norm(w - v_vals - what, dx)
-        zt = inv_b - zeta
-        r_t = ref.derivative(0, t)
-        return (u0, zeta * u0, zeta, w[0], w[-1], math.sqrt(_sq_norm(w, dx)),
-                math.sqrt(2.0 * e), e, e + half_b * zt * zt,
-                w[0] - r_t, r_t, servo.v1, servo.vx1)
-
-    names = (*TRACE_COLUMNS, "tracking_err", "ref", "v1", "vx1")
-    return _run(config, names, block, row, lambda: (w, what, zeta, u0, zeta * u0))
+    return _run_observer_loop(p, config, w0, zhat0, zeta0, inputs, ref)
 
 
 def run_error_system(

@@ -136,13 +136,35 @@ class TestExitCodes:
                        "--dt", "1e-4", "--pe-tau", "1e-4", "--out", str(out)) == 64
         assert not out.exists()
 
-    @pytest.mark.parametrize("t_final", ["nan", "inf"])
-    def test_non_finite_horizon_exits_64(self, tmp_path, capsys, t_final):
+    @pytest.mark.parametrize(
+        "flag, value, reason",
+        [("t-final", "nan", "t_final must be finite, got nan"),
+         ("t-final", "inf", "t_final must be finite, got inf"),
+         ("dx", "0", "dx must be > 0, got 0.0"),
+         ("dx", "nan", "dx must be > 0, got nan")],
+        ids=["nan", "inf", "dx-0", "dx-nan"],
+    )
+    def test_bad_horizon_or_grid_exits_64(self, tmp_path, capsys, flag, value, reason):
         out = tmp_path / "run"
-        assert run_cli("simulate", "--scenario", "open-loop", "--t-final", t_final,
+        assert run_cli("simulate", "--scenario", "open-loop", f"--{flag}", value,
                        "--out", str(out)) == 64
-        assert capsys.readouterr().err == f"heatadapt: t_final must be finite, got {t_final}\n"
+        assert capsys.readouterr().err == f"heatadapt: {reason}\n"
         assert not out.exists()
+        # the same value from a config file
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{flag} = {value}\n")
+        assert run_cli("simulate", "--scenario", "open-loop", "--config", str(config),
+                       "--out", str(out)) == 64
+        assert capsys.readouterr().err == f"heatadapt: {reason}\n"
+        assert not out.exists()
+        # as a sweep member, which reports it while the sweep goes on
+        good, rest = ("0.05", ["--t-final", "0.1"]) if flag == "dx" else ("0.1", [])
+        assert run_cli("sweep", "--scenario", "open-loop", "--param", flag,
+                       "--values", f"{value},{good}", "--pe-tau", "0.1", *rest,
+                       "--out", str(out)) == 64
+        assert capsys.readouterr().err == f"heatadapt: {reason}\n"
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        assert [r["exit_code"] for r in runs] == [64, 0]
 
     @pytest.mark.parametrize(
         "flag, content",
@@ -556,6 +578,29 @@ class TestAnalyze:
         assert "pe_u0" in report and "limits" in report
         printed = capsys.readouterr().out
         assert '"pe_u0"' in printed
+
+    @pytest.mark.parametrize(
+        "flag, value, code",
+        [("--settle-window", "nan", 64), ("--pe-tau", "nan", 64), ("--gap-tol", "nan", 64),
+         ("--pe-threshold", "nan", 64),
+         # inf passes: the windows do not fit, which the report records
+         ("--settle-window", "inf", 0), ("--pe-tau", "inf", 0)],
+    )
+    def test_nan_option_exits_64(self, tmp_path, capsys, flag, value, code):
+        # NaN would reach analysis.json, which must stay valid JSON
+        times = np.linspace(0.0, 6.0, 61)
+        rows = [(t, np.sin(t), *[0.0] * (len(TRACE_COLUMNS) - 1)) for t in times]
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(reference_csv("t," + ",".join(TRACE_COLUMNS), rows))
+        out = tmp_path / "report"
+        assert run_cli("analyze", "--trace", str(trace), flag, value, "--out", str(out)) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.startswith("heatadapt: ") and captured.err.count("\n") == 1
+            assert not (out / "analysis.json").exists()
+        else:
+            assert "error" in json.loads((out / "analysis.json").read_text())[
+                "limits" if flag == "--settle-window" else "pe_u0"]
 
     @pytest.mark.parametrize(
         "content",

@@ -28,6 +28,7 @@ from heatadapt import (
     zeta_step,
 )
 from heatadapt.batch import run_stabilization_batch
+from heatadapt.domain import TRACE_COLUMNS
 from heatadapt.fdm import grad_values
 
 
@@ -172,6 +173,34 @@ class TestTracking:
             ReferenceSignal.constant(3.0),
         )
         assert np.diff(tr["F"]).max() <= 1e-8
+
+    @pytest.mark.parametrize("n, dt, t_final, stride, snap, q, gain", [
+        (51, 1e-4, 0.3, 37, 50, 2.0, 5.0),
+        (201, 1e-5, 0.01, 37, 0, 2.0, 5.0),
+        (51, 1e-4, 0.1, 4, 6, 9.0, 0.01),  # blows up at step 9
+    ])
+    def test_zero_reference_equals_stabilization(self, n, dt, t_final, stride, snap, q, gain):
+        # with r = 0 the servo terms are +0.0, and tracking is the stabilizing loop bit for bit
+        grid = Grid(n)
+        c = cfg(grid, t_final, dt=dt, stride=stride, snap=snap)
+        p = Params(q=q, b=-10.0, c0=gain, c1=gain)
+        w0 = benchmark_initial_state(grid, q)
+        what0 = GridFunction(grid, 0.3 * np.sin(3.0 * grid.nodes))
+        tr = run_tracking(p, c, w0, what0, 0.0, ReferenceSignal.zero())
+        st = run_stabilization(p, c, w0, what0, 0.0)
+        assert tr.blown_up is st.blown_up is (q == 9.0)
+        assert tr.blow_up_time == st.blow_up_time
+        assert bits(tr.times) == bits(st.times)
+        for name in TRACE_COLUMNS:
+            assert bits(tr[name]) == bits(st[name]), name
+        assert len(tr.snapshots) == len(st.snapshots) and bool(tr.snapshots) == bool(snap)
+        for (t1, f1), (t2, f2) in zip(tr.snapshots, st.snapshots):
+            assert t1 == t2 and f1.keys() == f2.keys() == {"w", "what"}
+            assert all(bits(f1[k]) == bits(f2[k]) for k in f1)
+        a, b = tr.final_state, st.final_state
+        assert a.t == b.t
+        assert bits(a.w.values) == bits(b.w.values) and bits(a.what.values) == bits(b.what.values)
+        assert bits([a.zeta, a.last_u0, a.last_u]) == bits([b.zeta, b.last_u0, b.last_u])
 
 
 class TestErrorSystem:
