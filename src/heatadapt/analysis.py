@@ -96,8 +96,8 @@ def pe_check(
         raise ConfigError("pe_check needs matching 1-D times and values")
     if not tau > 0:
         raise ConfigError(f"tau must be > 0, got {tau}")
-    if threshold is not None and math.isnan(threshold):
-        raise ConfigError("threshold must not be NaN")
+    if threshold is not None and not 0 < threshold < math.inf:
+        raise ConfigError(f"threshold must be finite and > 0, got {threshold}")
     if windows < 1:
         raise ConfigError("window count must be >= 1")
     duration = times[-1] - times[0]
@@ -315,8 +315,8 @@ def limit_diagnostics(
     """
     if not settle_window > 0:
         raise ConfigError(f"settle_window must be > 0, got {settle_window}")
-    if math.isnan(gap_tol):
-        raise ConfigError("gap_tol must not be NaN")
+    if not 0 <= gap_tol < math.inf:
+        raise ConfigError(f"gap_tol must be finite and >= 0, got {gap_tol}")
     if trace.duration < 2.0 * settle_window:
         raise InsufficientDuration(
             f"trace duration {trace.duration} < 2 * settle window {settle_window}"

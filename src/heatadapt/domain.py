@@ -56,11 +56,13 @@ class SignMismatch(ConfigError):
 
 
 def _check_gains(p: Params | EstimatorParams) -> None:
-    """Raise :class:`NonPositiveGain` unless q, c0 and c1 are all > 0."""
+    """Raise :class:`NonPositiveGain` unless q, c0 and c1 are > 0; ConfigError if one is inf."""
     for name in ("q", "c0", "c1"):
         value = getattr(p, name)
         if not value > 0:
             raise NonPositiveGain(f"{name} must be > 0, got {value}")
+        if value == math.inf:
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -242,6 +244,8 @@ class SimConfig:
             )
         if not (self.pe_threshold > 0):
             raise NonPositiveGain(f"pe_threshold must be > 0, got {self.pe_threshold}")
+        if self.pe_threshold == math.inf:
+            raise ConfigError(f"pe_threshold must be finite, got {self.pe_threshold}")
         if self.servo_truncation_J < 0:
             raise ConfigError("servo_truncation_J must be >= 0")
         if self.sample_stride < 1:

@@ -141,8 +141,10 @@ class TestExitCodes:
         [("t-final", "nan", "t_final must be finite, got nan"),
          ("t-final", "inf", "t_final must be finite, got inf"),
          ("dx", "0", "dx must be > 0, got 0.0"),
-         ("dx", "nan", "dx must be > 0, got nan")],
-        ids=["nan", "inf", "dx-0", "dx-nan"],
+         ("dx", "nan", "dx must be > 0, got nan"),
+         ("pe-threshold", "inf", "pe_threshold must be finite, got inf"),
+         ("q", "inf", "q must be finite, got inf")],
+        ids=["nan", "inf", "dx-0", "dx-nan", "pe-threshold-inf", "q-inf"],
     )
     def test_bad_horizon_or_grid_exits_64(self, tmp_path, capsys, flag, value, reason):
         out = tmp_path / "run"
@@ -158,7 +160,8 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"heatadapt: {reason}\n"
         assert not out.exists()
         # as a sweep member, which reports it while the sweep goes on
-        good, rest = ("0.05", ["--t-final", "0.1"]) if flag == "dx" else ("0.1", [])
+        good = {"dx": "0.05", "pe-threshold": "0.001", "q": "2"}.get(flag, "0.1")
+        rest = [] if flag == "t-final" else ["--t-final", "0.1"]
         assert run_cli("sweep", "--scenario", "open-loop", "--param", flag,
                        "--values", f"{value},{good}", "--pe-tau", "0.1", *rest,
                        "--out", str(out)) == 64
@@ -583,7 +586,11 @@ class TestAnalyze:
         "flag, value, code",
         [("--settle-window", "nan", 64), ("--pe-tau", "nan", 64), ("--gap-tol", "nan", 64),
          ("--pe-threshold", "nan", 64),
-         # inf passes: the windows do not fit, which the report records
+         # inf would reach analysis.json as Infinity; a negative bound passes every
+         # PE window, a negative gap tolerance fails every quantity
+         ("--gap-tol", "inf", 64), ("--pe-threshold", "inf", 64),
+         ("--gap-tol", "-1", 64), ("--pe-threshold", "-1", 64), ("--pe-threshold", "0", 64),
+         # inf window lengths pass: the windows do not fit, which the report records
          ("--settle-window", "inf", 0), ("--pe-tau", "inf", 0)],
     )
     def test_nan_option_exits_64(self, tmp_path, capsys, flag, value, code):

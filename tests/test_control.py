@@ -15,7 +15,7 @@ from heatadapt import (
     servo_eval,
     zeta_step,
 )
-from heatadapt.control import BatchFeedback, ServoTerms, _exp_kernel
+from heatadapt.control import DEFAULT_TAIL_TOL, BatchFeedback, ServoTerms, _exp_kernel
 
 
 @pytest.fixture()
@@ -221,3 +221,131 @@ class TestServoBoundary:
     def test_truncation_guard(self):
         with pytest.raises(TruncationInsufficient):
             servo_boundary(ReferenceSignal.sinusoid(2.0, 1.5), 2.0, 0.2, 1, tail_tol=1e-8)
+
+
+class _SeriesSum:
+    """The servo series summed term by term from r^(j)(t), as before its closed form.
+
+    The reference for :func:`servo_boundary` and :func:`servo_eval`:
+    ``derivatives`` builds r^(j)(t) per call from the kind of reference,
+    and ``boundary`` and ``profile`` sum the truncated series with the
+    factorial coefficient tables.
+    """
+
+    def __init__(self, ref, q, J):
+        self.ref, self.q, self.J = ref, q, J
+        j = np.arange(J + 2)
+        self.inv_2j = 1.0 / np.array([math.factorial(2 * k) for k in j], dtype=float)
+        self.inv_2j1 = 1.0 / np.array([math.factorial(2 * k + 1) for k in j], dtype=float)
+        self.c_v1 = self.inv_2j - q * self.inv_2j1
+        self.c_vx1 = np.zeros(J + 2)
+        self.c_vx1[1:] = q * self.inv_2j[1:] - 1.0 / np.array(
+            [math.factorial(2 * k - 1) for k in j[1:]], dtype=float)
+        if ref.kind == "sinusoid":
+            self.amplitudes = ref.amplitude * ref.omega**j
+            self.phases = j * math.pi / 2.0
+
+    def derivatives(self, t):
+        n = self.J + 2
+        if self.ref.kind == "zero":
+            return np.zeros(n)
+        if self.ref.kind == "constant":
+            out = np.zeros(n)
+            out[0] = self.ref.value
+            return out
+        return self.amplitudes * np.sin(self.ref.omega * t + self.phases)
+
+    def boundary(self, t, tail_tol):
+        """(v1, vx1, tail_bound), or TruncationInsufficient."""
+        r = self.derivatives(t)
+        v1 = float(r[:-1] @ self.c_v1[:-1])
+        vx1 = float(-self.q * r[0] - r[1:-1] @ self.c_vx1[1:-1])
+        tail = max(abs(r[-1] * self.c_v1[-1]), abs(r[-1] * self.c_vx1[-1]))
+        if tail > tail_tol:
+            raise TruncationInsufficient(f"tail {tail}")
+        return v1, vx1, float(tail)
+
+    def profile(self, x, t, tail_tol):
+        r = self.derivatives(t)
+        powers = x[..., None] ** (2 * np.arange(self.J + 2))
+        terms = r * (self.inv_2j * powers - self.q * self.inv_2j1 * powers * x[..., None])
+        if float(np.max(np.abs(terms[..., -1]))) > tail_tol:
+            raise TruncationInsufficient("tail")
+        return terms[..., :-1].sum(axis=-1)
+
+
+def _raises(f, *args):
+    try:
+        f(*args)
+    except TruncationInsufficient:
+        return True
+    return False
+
+
+class TestServoClosedForm:
+    """The closed form against the term-by-term series sum."""
+
+    SINUSOIDS = [(1.0, 1.0), (1.2345, 0.6789), (2.0, 1.7), (0.5, 0.999)]
+    TIMES = np.linspace(0.0, 12.0, 5001)
+
+    @pytest.mark.parametrize("amplitude, omega", SINUSOIDS)
+    @pytest.mark.parametrize("J", [0, 1, 5, 12, 20])
+    def test_sinusoid_boundary_matches_series_sum(self, amplitude, omega, J):
+        # every instant, also those the default tolerance rejects: a column's
+        # scale is then its amplitude, not the small values near a zero of it
+        ref, q = ReferenceSignal.sinusoid(amplitude, omega), 2.0
+        series = _SeriesSum(ref, q, J)
+        got, want = [], []
+        for t in self.TIMES.tolist():
+            terms = servo_boundary(ref, q, t, J, tail_tol=math.inf)
+            assert terms.truncation_J == J
+            got.append((terms.v1, terms.vx1, terms.tail_bound))
+            want.append(series.boundary(t, math.inf))
+        got, want = np.array(got), np.array(want)
+        scale = np.abs(want).max(axis=0)
+        assert (np.abs(got - want).max(axis=0) <= 1e-14 * scale).all()
+
+    @pytest.mark.parametrize("amplitude, omega", SINUSOIDS)
+    @pytest.mark.parametrize("J", [0, 1, 5, 12, 20])
+    @pytest.mark.parametrize("n", [51, 201])
+    def test_sinusoid_profile_matches_series_sum(self, amplitude, omega, J, n):
+        ref, q = ReferenceSignal.sinusoid(amplitude, omega), 2.0
+        series, x = _SeriesSum(ref, q, J), Grid(n).nodes
+        times = self.TIMES.tolist()
+        got = np.array([servo_eval(ref, q, x, t, J, tail_tol=math.inf) for t in times])
+        want = np.array([series.profile(x, t, math.inf) for t in times])
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    # no constant(-0.0): it equals constant(0.0) as a cache key, so it may be
+    # served the series built for +0.0
+    @pytest.mark.parametrize(
+        "ref",
+        [ReferenceSignal.zero(), ReferenceSignal.constant(3.0), ReferenceSignal.constant(-1.5),
+         ReferenceSignal.constant(0.0), ReferenceSignal.constant(1e-300)],
+        ids=["zero", "const-3", "const-neg", "const-0", "const-tiny"],
+    )
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 9.0])
+    def test_constant_and_zero_reference_bit_equal(self, ref, q):
+        x51, x201 = Grid(51).nodes, Grid(201).nodes
+        for J in (0, 1, 5, 12, 20):
+            series = _SeriesSum(ref, q, J)
+            for t in (0.0, 0.37, 1.0, 5.0, 123.456):
+                terms = servo_boundary(ref, q, t, J)
+                got = (terms.v1, terms.vx1, terms.tail_bound)
+                assert [float(v).hex() for v in got] == [
+                    float(v).hex() for v in series.boundary(t, DEFAULT_TAIL_TOL)]
+                for x in (x51, x201):
+                    got = servo_eval(ref, q, x, t, J)
+                    assert got.tobytes() == series.profile(x, t, DEFAULT_TAIL_TOL).tobytes()
+
+    @pytest.mark.parametrize("tail_tol", [1e-8, 1e-6])
+    def test_truncation_raised_at_the_same_instants(self, tail_tol):
+        ref, q, J, x = ReferenceSignal.sinusoid(2.0, 1.5), 2.0, 1, Grid(51).nodes
+        series = _SeriesSum(ref, q, J)
+        times = self.TIMES.tolist()
+        raised = [_raises(servo_boundary, ref, q, t, J, tail_tol) for t in times]
+        assert raised == [_raises(series.boundary, t, tail_tol) for t in times]
+        assert 0 < sum(raised) < len(times)
+        raised = [_raises(servo_eval, ref, q, x, t, J, tail_tol) for t in times]
+        assert raised == [_raises(series.profile, x, t, tail_tol) for t in times]
+        assert 0 < sum(raised) < len(times)

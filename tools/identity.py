@@ -35,13 +35,16 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: (output directory, CLI arguments): every scenario, both blow-up runs,
-#: the oracle-fine pair with its analyze, and a batched and two unbatched sweeps
+#: (output directory, CLI arguments): every scenario, a servo truncation exit,
+#: both blow-up runs, the oracle-fine pair with its analyze, and a batched and
+#: two unbatched sweeps
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
                         "--pe-tau", "0.2", "--snapshot-stride", "500"]),
     ("track-sin", ["simulate", "--scenario", "track", "--ref", "sin:1,1"]),
+    ("track-truncated", ["simulate", "--scenario", "track", "--ref", "sin:1,1", "--servo-j", "1",
+                         "--t-final", "0.2"]),
     ("track-const", ["simulate", "--scenario", "track", "--ref", "const:3",
                      "--snapshot-stride", "5000"]),
     ("open-loop", ["simulate", "--scenario", "open-loop", "--t-final", "2",
