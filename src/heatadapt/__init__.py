@@ -38,13 +38,10 @@ from .domain import (
     EstimatorParams,
     Grid,
     GridFunction,
-    NonPositiveGain,
     Params,
     ReferenceSignal,
-    SignMismatch,
     SimConfig,
     Trace,
-    ZeroCoefficient,
     validate_config,
 )
 from .fdm import FluxBC, NonFiniteState, l2_norm, quad, step_heat
@@ -72,18 +69,15 @@ __all__ = [
     "InsufficientDuration",
     "LimitSummary",
     "NonFiniteState",
-    "NonPositiveGain",
     "PEVerdict",
     "Params",
     "ReferenceSignal",
     "ScenarioState",
     "ServoTerms",
-    "SignMismatch",
     "SimConfig",
     "Trace",
     "TruncationInsufficient",
     "UnresolvableMode",
-    "ZeroCoefficient",
     "adaptive_u0",
     "backstepping_known_b",
     "benchmark_initial_state",

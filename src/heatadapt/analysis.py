@@ -15,9 +15,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .domain import (
-    ConfigError, GridFunction, Params, Trace, ZeroCoefficient, _Recorder, _step_count
-)
+from .domain import ConfigError, GridFunction, Params, Trace, _Recorder, _step_count
 from .fdm import NonFiniteState, quad
 from .scenarios import _quiet
 
@@ -153,7 +151,7 @@ def pi_inverse(g: GridFunction, q: float) -> GridFunction:
 def upsilon_b(s: float, b: float) -> float:
     """Reciprocal-offset involution s -> 1/b - s (its own inverse)."""
     if b == 0:
-        raise ZeroCoefficient("b must be nonzero")
+        raise ConfigError("b must be nonzero")
     return 1.0 / b - s
 
 

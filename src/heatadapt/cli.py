@@ -238,8 +238,6 @@ def _resolve_sim(args: argparse.Namespace) -> dict:
             resolved[flag.name] = val
     if resolved["out"] is None:
         resolved["out"] = os.environ.get("HEATADAPT_OUT", "runs")
-    if resolved["pe-tau"] is None:
-        resolved["pe-tau"] = min(1.0, resolved["t-final"])
     resolved["require-converged"] = args.require_converged
     return resolved
 
@@ -389,15 +387,15 @@ class _Setup(NamedTuple):
 
 def _set_up(resolved: dict) -> _Setup:
     """Build and check a run's inputs and create its output directory."""
-    q, b = resolved["q"], resolved["b"]
-    params = Params(q=q, b=b, c0=resolved["c0"], c1=resolved["c1"])
+    q, t_final, tau = resolved["q"], resolved["t-final"], resolved["pe-tau"]
+    params = Params(q=q, b=resolved["b"], c0=resolved["c0"], c1=resolved["c1"])
     grid = Grid.from_dx(resolved["dx"])
     config = SimConfig(
         dt=resolved["dt"],
-        t_final=resolved["t-final"],
+        t_final=t_final,
         grid=grid,
         servo_truncation_J=resolved["servo-j"],
-        pe_window_tau=resolved["pe-tau"],
+        pe_window_tau=min(1.0, t_final) if tau is None else tau,
         pe_threshold=resolved["pe-threshold"],
         sample_stride=resolved["sample-stride"],
         snapshot_stride=resolved["snapshot-stride"],

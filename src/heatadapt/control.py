@@ -19,7 +19,8 @@ from the reference's derivative series,
     v(x,t) = sum_j r^(j)(t) [ x^(2j)/(2j)! - q x^(2j+1)/(2j+1)! ],
 
 which satisfies v_t = v_xx with v(0,t) = r(t) and v_x(0,t) = -q r(t).
-The series is truncated at a configurable J; factorial decay makes the
+The series is truncated at a configurable J, from 0 to
+:data:`~heatadapt.domain.MAX_SERVO_J`; factorial decay makes the
 first omitted term a usable adequacy estimate, and truncation is
 rejected via :class:`TruncationInsufficient` when that term is too
 large.  For constant references every j >= 1 term vanishes, so any
@@ -41,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import EstimatorParams, Grid, GridFunction, Params, ReferenceSignal
+from .domain import MAX_SERVO_J, EstimatorParams, Grid, GridFunction, Params, ReferenceSignal
 
 __all__ = [
     "ServoTerms",
@@ -73,7 +74,6 @@ class ServoTerms:
 
     v1: float
     vx1: float
-    truncation_J: int
     tail_bound: float
 
 
@@ -168,8 +168,8 @@ class _ServoSeries:
     """
 
     def __init__(self, ref: ReferenceSignal, q: float, J: int):
-        if J < 0:
-            raise ValueError("J must be >= 0")
+        if not 0 <= J <= MAX_SERVO_J:
+            raise ValueError(f"J must be in [0, {MAX_SERVO_J}], got {J}")
         self.q, self.J = q, J
         # 1/k! for k = 0 .. 2J+3: one slot past J for the tail estimate
         self._inv_fact = 1.0 / np.array([math.factorial(k) for k in range(2 * J + 4)], dtype=float)
@@ -219,8 +219,7 @@ class _ServoSeries:
             raise TruncationInsufficient(
                 f"servo boundary tail {tail:.3e} exceeds {tail_tol:.3e} at J={self.J}"
             )
-        return ServoTerms(v1=v0 + vs * s + vc * c, vx1=x0 + xs * s + xc * c,
-                          truncation_J=self.J, tail_bound=tail)
+        return ServoTerms(v1=v0 + vs * s + vc * c, vx1=x0 + xs * s + xc * c, tail_bound=tail)
 
 
 @lru_cache(maxsize=64)

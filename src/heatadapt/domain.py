@@ -19,9 +19,6 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "CflViolation",
-    "NonPositiveGain",
-    "ZeroCoefficient",
-    "SignMismatch",
     "Params",
     "EstimatorParams",
     "Grid",
@@ -43,24 +40,16 @@ class CflViolation(ConfigError):
     """Time step exceeds the explicit-scheme stability bound dt <= dx^2/2."""
 
 
-class NonPositiveGain(ConfigError):
-    """A gain or step parameter that must be positive is not."""
-
-
-class ZeroCoefficient(ConfigError):
-    """The control coefficient b must be nonzero."""
-
-
-class SignMismatch(ConfigError):
-    """Declared sign of b disagrees with the supplied value of b."""
+#: the largest servo series truncation: the series needs (2J + 3)! as a float
+MAX_SERVO_J = 83
 
 
 def _check_gains(p: Params | EstimatorParams) -> None:
-    """Raise :class:`NonPositiveGain` unless q, c0 and c1 are > 0; ConfigError if one is inf."""
+    """Raise :class:`ConfigError` unless q, c0 and c1 are finite and > 0."""
     for name in ("q", "c0", "c1"):
         value = getattr(p, name)
         if not value > 0:
-            raise NonPositiveGain(f"{name} must be > 0, got {value}")
+            raise ConfigError(f"{name} must be > 0, got {value}")
         if value == math.inf:
             raise ConfigError(f"{name} must be finite, got {value}")
 
@@ -83,7 +72,7 @@ class EstimatorParams:
     def __post_init__(self) -> None:
         _check_gains(self)
         if self.sign_b not in (-1, 1):
-            raise SignMismatch(f"sign_b must be +1 or -1, got {self.sign_b}")
+            raise ConfigError(f"sign_b must be +1 or -1, got {self.sign_b}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +83,6 @@ class Params:
     b : true control coefficient (!= 0); hidden from estimator paths
     c0 : controller gain (> 0)
     c1 : observer injection gain (> 0)
-    sign_b : declared sign of b; defaults to sign(b), validated if given
 
     Simulation code that plays the role of the physical plant receives
     this type.  Observer and controller code must go through
@@ -105,19 +93,16 @@ class Params:
     b: float
     c0: float
     c1: float
-    sign_b: int = 0
 
     def __post_init__(self) -> None:
         _check_gains(self)
         if self.b == 0 or not math.isfinite(self.b):
-            raise ZeroCoefficient(f"b must be nonzero and finite, got {self.b}")
-        true_sign = 1 if self.b > 0 else -1
-        if self.sign_b == 0:
-            object.__setattr__(self, "sign_b", true_sign)
-        elif self.sign_b != true_sign:
-            raise SignMismatch(
-                f"sign_b={self.sign_b} contradicts b={self.b}"
-            )
+            raise ConfigError(f"b must be nonzero and finite, got {self.b}")
+
+    @property
+    def sign_b(self) -> int:
+        """The sign of b, +1 or -1: all that the estimator knows of b."""
+        return 1 if self.b > 0 else -1
 
     def estimator_view(self) -> EstimatorParams:
         """Parameters with b redacted; all that the estimator may see."""
@@ -237,17 +222,21 @@ class SimConfig:
             )
         _step_count(self.dt, self.t_final)
         if not (self.pe_window_tau > 0):
-            raise NonPositiveGain(f"pe_window_tau must be > 0, got {self.pe_window_tau}")
+            raise ConfigError(f"pe_window_tau must be > 0, got {self.pe_window_tau}")
         if self.pe_window_tau > self.t_final:
             raise ConfigError(
                 f"pe_window_tau={self.pe_window_tau} exceeds t_final={self.t_final}"
             )
         if not (self.pe_threshold > 0):
-            raise NonPositiveGain(f"pe_threshold must be > 0, got {self.pe_threshold}")
+            raise ConfigError(f"pe_threshold must be > 0, got {self.pe_threshold}")
         if self.pe_threshold == math.inf:
             raise ConfigError(f"pe_threshold must be finite, got {self.pe_threshold}")
         if self.servo_truncation_J < 0:
             raise ConfigError("servo_truncation_J must be >= 0")
+        if self.servo_truncation_J > MAX_SERVO_J:
+            raise ConfigError(
+                f"servo_truncation_J must be <= {MAX_SERVO_J}, got {self.servo_truncation_J}"
+            )
         if self.sample_stride < 1:
             raise ConfigError("sample_stride must be >= 1")
         if self.snapshot_stride < 0:
@@ -261,12 +250,11 @@ class SimConfig:
 def _step_count(dt: float, t_final: float) -> int:
     """The number of steps of dt in t_final.
 
-    Raises NonPositiveGain unless dt > 0, and ConfigError unless t_final
-    is finite and holds at least one step and a whole number of them (to
-    a relative 1e-9).
+    Raises ConfigError unless dt > 0 and t_final is finite and holds at
+    least one step and a whole number of them (to a relative 1e-9).
     """
     if not (dt > 0):
-        raise NonPositiveGain(f"dt must be > 0, got {dt}")
+        raise ConfigError(f"dt must be > 0, got {dt}")
     if not math.isfinite(t_final):
         raise ConfigError(f"t_final must be finite, got {t_final}")
     if t_final < dt:
@@ -282,10 +270,10 @@ def validate_config(p: Params, c: SimConfig) -> None:
 
     Construction already enforces these; this entry point exists so
     callers holding possibly stale or externally deserialized values can
-    re-validate explicitly.  Raises CflViolation, NonPositiveGain,
-    ZeroCoefficient or SignMismatch accordingly; returns None when valid.
+    re-validate explicitly.  Raises CflViolation or ConfigError
+    accordingly; returns None when valid.
     """
-    Params(q=p.q, b=p.b, c0=p.c0, c1=p.c1, sign_b=p.sign_b)
+    Params(q=p.q, b=p.b, c0=p.c0, c1=p.c1)
     SimConfig(
         dt=c.dt,
         t_final=c.t_final,
@@ -388,7 +376,6 @@ class Trace:
     extras: dict[str, np.ndarray] = field(default_factory=dict)
     snapshots: list[tuple[float, dict[str, np.ndarray]]] = field(default_factory=list)
     final_state: object | None = None
-    blown_up: bool = False
     blow_up_time: float | None = None
 
     def __post_init__(self) -> None:
@@ -407,9 +394,12 @@ class Trace:
             if not np.isfinite(arr).all():
                 raise ConfigError(f"column {name!r} contains non-finite samples")
 
+    @property
+    def blown_up(self) -> bool:
+        """Whether the run ended at a blow-up, at :attr:`blow_up_time`."""
+        return self.blow_up_time is not None
+
     def __getitem__(self, name: str) -> np.ndarray:
-        if name == "t":
-            return self.times
         if name in self.scalars:
             return self.scalars[name]
         return self.extras[name]
@@ -456,7 +446,7 @@ class _Recorder:
     def snap(self, t: float, fields: dict[str, np.ndarray]) -> None:
         self.snapshots.append((t, {k: v.copy() for k, v in fields.items()}))
 
-    def build(self, final_state, blown_up=False, blow_up_time=None) -> Trace:
+    def build(self, final_state, blow_up_time=None) -> Trace:
         """The Trace of the rows recorded.
 
         A TRACE_COLUMNS entry missing from ``names`` is zero; the other
@@ -471,7 +461,6 @@ class _Recorder:
             extras=cols,
             snapshots=self.snapshots,
             final_state=final_state,
-            blown_up=blown_up,
             blow_up_time=blow_up_time,
         )
 

@@ -163,7 +163,7 @@ def _finish(
         t=t_end, w=GridFunction(grid, w), what=None if what is None else GridFunction(grid, what),
         zeta=zeta, last_u0=u0, last_u=u,
     )
-    return rec.build(final, blown_up=t_blow is not None, blow_up_time=t_blow)
+    return rec.build(final, blow_up_time=t_blow)
 
 
 def _fields(w: np.ndarray, what: np.ndarray | None) -> dict[str, np.ndarray]:

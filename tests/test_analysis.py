@@ -13,7 +13,6 @@ from heatadapt import (
     SimConfig,
     Trace,
     UnresolvableMode,
-    ZeroCoefficient,
     benchmark_initial_state,
     energies,
     galerkin_error_system,
@@ -118,7 +117,7 @@ class TestTransforms:
         assert upsilon_b(1.0 / -10.0, -10.0) == 0.0
 
     def test_upsilon_rejects_zero(self):
-        with pytest.raises(ZeroCoefficient):
+        with pytest.raises(ConfigError, match="b must be nonzero"):
             upsilon_b(0.3, 0.0)
 
 
@@ -310,7 +309,7 @@ class TestLimitDiagnostics:
     def test_blown_up_trace_not_converged(self):
         t = np.linspace(0.0, 4.0, 401)
         tr = _diag_trace(t, wnorm=np.exp(3.0 * t))
-        tr.blown_up = True
+        tr.blow_up_time = 4.0
         s = limit_diagnostics(tr, settle_window=1.0)
         assert not s.quantities["wnorm"].converged
         assert not s.all_converged

@@ -169,6 +169,23 @@ class TestExitCodes:
         runs = json.loads((out / "sweep.json").read_text())["runs"]
         assert [r["exit_code"] for r in runs] == [64, 0]
 
+    @pytest.mark.parametrize("scenario", ["track", "stabilize"])
+    def test_servo_truncation_past_the_float_range_exits_64(self, tmp_path, capsys, scenario):
+        # (2J + 3)! is past the float range from J = 84 on
+        run = ["--scenario", scenario, "--ref", "sin:1,1", "--t-final", "0.2"]
+        config = tmp_path / "run.cfg"
+        config.write_text("servo-j = 84\n")
+        out = tmp_path / "run"
+        for source in (["--servo-j", "84"], ["--config", str(config)]):
+            assert run_cli("simulate", *run, *source, "--out", str(out)) == 64
+            err = capsys.readouterr().err
+            assert err == "heatadapt: servo_truncation_J must be <= 83, got 84\n"
+            assert not out.exists()
+
+    def test_largest_servo_truncation_tracks(self, tmp_path):
+        assert run_cli("simulate", "--scenario", "track", "--ref", "sin:1,1", "--servo-j", "83",
+                       "--t-final", "0.2", "--out", str(tmp_path / "run")) == 0
+
     @pytest.mark.parametrize(
         "flag, content",
         [("--config", None), ("--init", "0.1\nabc\n")],
@@ -703,6 +720,8 @@ STABILIZE_SWEEPS = {
     "t-final-groups": ("t-final", "0.5,0.3,0.50000000001,0.50000000002", ["--pe-tau", "0.1"],
                        [0, 0, 0, 0]),
     "two-members": ("c0", "3,5", ["--t-final", "0.3", "--pe-tau", "0.1"], [0, 0]),
+    # each member's PE window defaults to min(1, t-final) of its own horizon
+    "t-final-default-tau": ("t-final", "0.5,0.8,0.50000000001,0.50000000002", [], [0, 0, 0, 0]),
 }
 
 
@@ -753,7 +772,8 @@ class TestBatchedSweep:
 
         # only groups of at least _MIN_BATCH members with one shape are batched
         expected_batches = {"c0": [6], "q-blow-up": [3], "b-overflow": [3],
-                            "zeta0-snapshots": [3], "t-final-groups": [3]}
+                            "zeta0-snapshots": [3], "t-final-groups": [3],
+                            "t-final-default-tau": [3]}
         assert batches == expected_batches.get(case, [])
         if case == "c0":
             # each batched member's duration is its share of the batch

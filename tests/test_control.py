@@ -86,8 +86,7 @@ class TestAdaptiveU0:
                 what = GridFunction(grid, f)
                 expected = -(q + c0) * float(f[-1] + q * (K @ f))
                 assert adaptive_u0(what, est).hex() == expected.hex()
-                servo = ServoTerms(v1=0.0, vx1=float(rng.standard_normal()), truncation_J=3,
-                                   tail_bound=0.0)
+                servo = ServoTerms(v1=0.0, vx1=float(rng.standard_normal()), tail_bound=0.0)
                 assert adaptive_u0(what, est, servo).hex() == (expected + servo.vx1).hex()
 
     def test_kernel_is_read_only_and_shared_by_equal_grids(self):
@@ -141,11 +140,20 @@ class TestServoEval:
         for t in (0.0, 0.4, 2.7):
             assert servo_eval(ref, 2.0, 0.0, t, 8) == ref.derivative(0, t)
 
-    @pytest.mark.parametrize("J", [0, 1, 5, 12])
+    @pytest.mark.parametrize("J", [0, 1, 5, 12, 83])
     def test_constant_reference_exact_for_any_truncation(self, J):
         ref = ReferenceSignal.constant(3.0)
         for x in (0.0, 0.25, 1.0):
             assert servo_eval(ref, 2.0, x, 1.0, J) == 3.0 * (1.0 - 2.0 * x)
+
+    @pytest.mark.parametrize("J", [84, 10**9])
+    def test_truncation_past_the_float_range_rejected(self, J):
+        # (2J + 3)! is past the float range from J = 84 on
+        ref = ReferenceSignal.sinusoid(1.0, 1.0)
+        with pytest.raises(ValueError, match=rf"J must be in \[0, 83\], got {J}"):
+            servo_boundary(ref, 2.0, 0.0, J)
+        with pytest.raises(ValueError, match=rf"J must be in \[0, 83\], got {J}"):
+            servo_eval(ref, 2.0, 1.0, 0.0, J)
 
     def test_sinusoid_self_convergence(self):
         ref = ReferenceSignal.sinusoid(1.0, 1.0)
@@ -298,7 +306,6 @@ class TestServoClosedForm:
         got, want = [], []
         for t in self.TIMES.tolist():
             terms = servo_boundary(ref, q, t, J, tail_tol=math.inf)
-            assert terms.truncation_J == J
             got.append((terms.v1, terms.vx1, terms.tail_bound))
             want.append(series.boundary(t, math.inf))
         got, want = np.array(got), np.array(want)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -9,16 +10,23 @@ from heatadapt import (
     EstimatorParams,
     Grid,
     GridFunction,
-    NonPositiveGain,
     Params,
     ReferenceSignal,
-    SignMismatch,
     SimConfig,
     Trace,
-    ZeroCoefficient,
     validate_config,
 )
-from heatadapt.domain import TRACE_COLUMNS, _Recorder
+from heatadapt.domain import MAX_SERVO_J, TRACE_COLUMNS, _Recorder
+
+
+@pytest.mark.parametrize(
+    "module", ["heatadapt", *(f"heatadapt.{m}" for m in
+               ("analysis", "batch", "cli", "control", "domain", "fdm", "scenarios"))],
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
 
 
 class TestParams:
@@ -29,19 +37,15 @@ class TestParams:
     def test_sign_derived_for_positive_b(self):
         assert Params(q=1.0, b=3.0, c0=1.0, c1=1.0).sign_b == 1
 
-    def test_sign_mismatch_rejected(self):
-        with pytest.raises(SignMismatch):
-            Params(q=2.0, b=-10.0, c0=5.0, c1=5.0, sign_b=1)
-
     def test_zero_b_rejected(self):
-        with pytest.raises(ZeroCoefficient):
+        with pytest.raises(ConfigError, match="b must be nonzero and finite, got 0.0"):
             Params(q=2.0, b=0.0, c0=5.0, c1=5.0)
 
     @pytest.mark.parametrize("field,value", [("q", 0.0), ("q", -1.0), ("c0", 0.0), ("c1", -2.0)])
     def test_nonpositive_gains_rejected(self, field, value):
         kwargs = dict(q=2.0, b=-10.0, c0=5.0, c1=5.0)
         kwargs[field] = value
-        with pytest.raises(NonPositiveGain):
+        with pytest.raises(ConfigError, match=f"{field} must be > 0, got {value}"):
             Params(**kwargs)
 
     def test_estimator_view_carries_no_b(self):
@@ -50,7 +54,7 @@ class TestParams:
         assert not hasattr(est, "b")
 
     def test_estimator_params_validate(self):
-        with pytest.raises(SignMismatch):
+        with pytest.raises(ConfigError, match=r"sign_b must be \+1 or -1, got 0"):
             EstimatorParams(q=2.0, sign_b=0, c0=5.0, c1=5.0)
 
 
@@ -154,6 +158,13 @@ class TestSimConfig:
         c = SimConfig(dt=1e-4, t_final=1.0, grid=grid51)
         assert c.n_steps == 10000
 
+    def test_servo_truncation_bounded(self, grid51):
+        # (2J + 3)! passes the float range from J = 84 on
+        SimConfig(dt=1e-4, t_final=1.0, grid=grid51, servo_truncation_J=MAX_SERVO_J)
+        for J in (MAX_SERVO_J + 1, 10**9):
+            with pytest.raises(ConfigError, match=f"servo_truncation_J must be <= 83, got {J}"):
+                SimConfig(dt=1e-4, t_final=1.0, grid=grid51, servo_truncation_J=J)
+
 
 class TestReferenceSignal:
     def test_constant_derivatives(self):
@@ -210,6 +221,14 @@ class TestTrace:
         t = np.array([0.0, 0.5, 1.0])
         tr = Trace(times=t, scalars=_trace_scalars(t, zeta=np.array([0.0, -0.05, -0.1])))
         assert tr.terminal("zeta") == -0.1
+
+    def test_blown_up_follows_blow_up_time(self):
+        t = np.array([0.0, 0.3])
+        assert Trace(times=t, scalars=_trace_scalars(t), blow_up_time=0.3).blown_up
+        tr = Trace(times=t, scalars=_trace_scalars(t))
+        assert not tr.blown_up
+        with pytest.raises(AttributeError):
+            tr.blown_up = True
 
 
 class TestRecorder:

@@ -36,8 +36,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 #: (output directory, CLI arguments): every scenario, a servo truncation exit,
-#: both blow-up runs, the oracle-fine pair with its analyze, and a batched and
-#: two unbatched sweeps
+#: both blow-up runs, the oracle-fine pair with its analyze, a batched and
+#: three unbatched sweeps, and a servo truncation past its bound
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -75,6 +75,10 @@ COMMANDS = (
                   "--values", "3,8", "--t-final", "0.5", "--pe-tau", "0.1"]),
     ("sweep-track", ["sweep", "--scenario", "track", "--ref", "sin:1,1", "--param", "c0",
                      "--values", "3,5", "--t-final", "0.5", "--pe-tau", "0.1"]),
+    ("sweep-t-final", ["sweep", "--scenario", "stabilize", "--param", "t-final",
+                       "--values", "0.5,0.8"]),
+    ("track-servo-j-84", ["simulate", "--scenario", "track", "--ref", "sin:1,1", "--servo-j", "84",
+                          "--t-final", "0.2"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
