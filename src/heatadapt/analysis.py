@@ -201,14 +201,16 @@ def galerkin_error_system(
         raise ConfigError("need at least one mode")
     n_steps = _step_count(dt_ode, t_final)
     grid = wtilde0.grid
-    lam = np.array([(j * math.pi) ** 2 for j in range(N)])
-    if math.sqrt(lam[-1]) * grid.dx >= 1.0:
+    # the top eigenvalue, checked before any array of N values is built
+    lam_top = ((N - 1) * math.pi) ** 2
+    if math.sqrt(lam_top) * grid.dx >= 1.0:
         raise UnresolvableMode(
-            f"mode {N} needs dx < {1.0 / math.sqrt(lam[-1]):.4g}, grid has dx={grid.dx:.4g}"
+            f"mode {N} needs dx < {1.0 / math.sqrt(lam_top):.4g}, grid has dx={grid.dx:.4g}"
         )
-    if lam[-1] * dt_ode > _RK4_REAL_STABILITY:
-        bound = _RK4_REAL_STABILITY / lam[-1]
+    if lam_top * dt_ode > _RK4_REAL_STABILITY:
+        bound = _RK4_REAL_STABILITY / lam_top
         raise ConfigError(f"dt_ode={dt_ode} unstable for mode {N}; need dt_ode <= {bound:.3g}")
+    lam = np.array([(j * math.pi) ** 2 for j in range(N)])
     phi = np.ones((N, grid.n))
     phi[1:] = math.sqrt(2.0) * np.cos(np.sqrt(lam[1:, None]) * grid.nodes[None, :])
     phi1 = phi[:, 0] * np.sign(phi[:, -1])  # psi_j(1) = (-1)^j psi_j(0)

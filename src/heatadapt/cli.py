@@ -580,7 +580,9 @@ def _run_batches(setups: list) -> dict[int, tuple]:
     ``setups`` holds a :class:`_Setup` per member that set up and the
     error of one that did not.  Members share a group when their grid,
     ``dt``, step count and strides agree.  Returns, by member index, the
-    member's Trace or error and its share of the group's stepping time.
+    member's Trace and its share of the group's stepping time.  A group
+    whose stack gives up, because a member may end early, is left out:
+    its members run on their own.
     """
     groups: dict[tuple, list[int]] = {}
     for i, run in enumerate(setups):
@@ -597,12 +599,13 @@ def _run_batches(setups: list) -> dict[int, tuple]:
         group = [setups[i] for i in members]
         grid = group[0].config.grid
         start = time.perf_counter()
-        outcomes = run_stabilization_batch(
+        traces = run_stabilization_batch(
             [r.params for r in group], group[0].config, [r.w0 for r in group],
             [GridFunction.zeros(grid)] * len(group), [r.resolved["zeta0"] for r in group],
         )
         share = (time.perf_counter() - start) / len(group)
-        done.update((i, (outcome, share)) for i, outcome in zip(members, outcomes))
+        if traces is not None:
+            done.update((i, (trace, share)) for i, trace in zip(members, traces))
     return done
 
 
@@ -610,8 +613,9 @@ def _sweep(resolved: dict) -> int:
     """Run simulate once per value, each into ``NNN-param=repr(value)``.
 
     Every member is set up first.  Stabilize members that can share a
-    stack run as batches (:func:`_run_batches`), the rest one at a time;
-    members then finish, or report their error, in input order.
+    stack run as batches (:func:`_run_batches`), the rest one at a time,
+    among them every member of a batch that gave up; members then finish,
+    or report their error, in input order.
     """
     param, values = resolved["param"], resolved["values"]
     base_out = _make_out_dir(resolved["out"])
@@ -632,11 +636,7 @@ def _sweep(resolved: dict) -> int:
             codes.append(_report(run))
             continue
         try:
-            trace, duration = batched[i] if i in batched else _run(run)
-            if isinstance(trace, Exception):
-                codes.append(_report(trace))
-            else:
-                codes.append(_finish(run, trace, duration))
+            codes.append(_finish(run, *(batched[i] if i in batched else _run(run))))
         except _EXPECTED_ERRORS as exc:
             codes.append(_report(exc))
     runs = [{"out": out, "value": v, "exit_code": code}

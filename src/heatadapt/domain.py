@@ -360,7 +360,7 @@ class ReferenceSignal:
 TRACE_COLUMNS = ("u0", "u", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trace:
     """Time-indexed record of one simulation run.
 
@@ -379,7 +379,7 @@ class Trace:
     blow_up_time: float | None = None
 
     def __post_init__(self) -> None:
-        self.times = np.asarray(self.times, dtype=float)
+        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         if self.times.size == 0:
             raise ConfigError("Trace needs at least one sample")
         if self.times.size > 1 and not (np.diff(self.times) > 0).all():

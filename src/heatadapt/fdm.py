@@ -273,9 +273,9 @@ class GradientEnergy:
         the same operations run elementwise over the rows, and
         ``np.add.reduce`` along the contiguous rows sums each one as it
         sums a single profile.  Buffers for B rows are built on the first
-        call with B rows and kept until B changes.
+        call, so every call on one instance passes B rows.
         """
-        if self._rows is None or self._rows[0].shape != f.shape:
+        if self._rows is None:
             self._rows = self._row_plan(f.shape)
         diff, grad, flat_diff, inner, ends, (f0, f1, f2), (a, b, c), tmp, first, last = self._rows
         two_dx, one_half, dx = self._k

@@ -18,7 +18,8 @@ whose fluxes are ordered differently.  Every runner steps its fields
 with one :class:`~heatadapt.fdm.HeatStepper`, which holds plant and
 observer (or the single field of open-loop and error-system runs) as
 rows of one array and steps them in place.  :mod:`heatadapt.batch`
-steps many stabilization runs on one grid as one stack of rows.
+steps many stabilization runs on one grid as one stack of rows, but
+only to the horizon: how a run ends early is decided here alone.
 
 Runs are deterministic: identical inputs produce bit-identical traces
 on one platform.  A run whose state norm passes 1e12 stops early with a

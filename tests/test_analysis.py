@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +159,18 @@ class TestGalerkin:
                 32, params8, lambda t: 0.0, benchmark_initial_state(grid51, 2.0), 0.0, 0.1, 1e-4
             )
 
+    def test_unresolvable_mode_rejected_before_any_mode_array(self, params8, grid51):
+        # the check reads the top eigenvalue alone, so a huge N costs nothing
+        w0 = benchmark_initial_state(grid51, 2.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnresolvableMode, match="mode 1000000 needs dx < 3.183e-07"):
+                galerkin_error_system(10**6, params8, lambda t: 0.0, w0, 0.0, 0.1, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_integrator_stability_guard(self, params8):
         g = Grid(801)
         with pytest.raises(ConfigError):
@@ -308,8 +322,7 @@ class TestLimitDiagnostics:
 
     def test_blown_up_trace_not_converged(self):
         t = np.linspace(0.0, 4.0, 401)
-        tr = _diag_trace(t, wnorm=np.exp(3.0 * t))
-        tr.blow_up_time = 4.0
+        tr = dataclasses.replace(_diag_trace(t, wnorm=np.exp(3.0 * t)), blow_up_time=4.0)
         s = limit_diagnostics(tr, settle_window=1.0)
         assert not s.quantities["wnorm"].converged
         assert not s.all_converged

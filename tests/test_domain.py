@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -229,6 +230,16 @@ class TestTrace:
         assert not tr.blown_up
         with pytest.raises(AttributeError):
             tr.blown_up = True
+
+    @pytest.mark.parametrize("name, value", [("times", np.array([1.0, 0.0])),
+                                             ("blow_up_time", math.nan), ("scalars", {})],
+                             ids=["times", "blow_up_time", "scalars"])
+    def test_fields_cannot_be_assigned(self, name, value):
+        # times given as a list still become a float array
+        tr = Trace(times=[0, 0.3], scalars=_trace_scalars(np.array([0.0, 0.3])))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tr, name, value)
+        assert not tr.blown_up and tr.times.dtype == float and tr.times.tolist() == [0.0, 0.3]
 
 
 class TestRecorder:

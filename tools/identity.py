@@ -37,7 +37,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: (output directory, CLI arguments): every scenario, a servo truncation exit,
 #: both blow-up runs, the oracle-fine pair with its analyze, a batched and
-#: three unbatched sweeps, and a servo truncation past its bound
+#: three unbatched sweeps, two sweeps whose batch gives up for a member that
+#: ends early (a blow-up, a flux overflow), and a servo truncation past its bound
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -75,6 +76,12 @@ COMMANDS = (
                   "--values", "3,8", "--t-final", "0.5", "--pe-tau", "0.1"]),
     ("sweep-track", ["sweep", "--scenario", "track", "--ref", "sin:1,1", "--param", "c0",
                      "--values", "3,5", "--t-final", "0.5", "--pe-tau", "0.1"]),
+    ("sweep-q-blow-up-batched", ["sweep", "--scenario", "stabilize", "--param", "q",
+                                 "--values", "2,5,9", "--c0", "0.01", "--c1", "0.01",
+                                 "--t-final", "1", "--pe-tau", "0.5"]),
+    ("sweep-b-overflow-batched", ["sweep", "--scenario", "stabilize", "--param", "b",
+                                  "--values=-10,-1e307,-1e308", "--t-final", "0.5",
+                                  "--pe-tau", "0.1"]),
     ("sweep-t-final", ["sweep", "--scenario", "stabilize", "--param", "t-final",
                        "--values", "0.5,0.8"]),
     ("track-servo-j-84", ["simulate", "--scenario", "track", "--ref", "sin:1,1", "--servo-j", "84",
