@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -369,17 +371,20 @@ class Trace:
     ``extras`` carries scenario-specific series (e.g. tracking error,
     servo boundary slope) that are not part of the CSV contract.
     ``snapshots`` is a list of (t, {field_name: values}) pairs.
+    ``times`` and every column are read-only views of the arrays given,
+    and ``scalars`` and ``extras`` read-only mappings, so the checks made
+    here hold for the Trace's lifetime without a copy.
     """
 
     times: np.ndarray
-    scalars: dict[str, np.ndarray]
-    extras: dict[str, np.ndarray] = field(default_factory=dict)
+    scalars: Mapping[str, np.ndarray]
+    extras: Mapping[str, np.ndarray] = field(default_factory=dict)
     snapshots: list[tuple[float, dict[str, np.ndarray]]] = field(default_factory=list)
     final_state: object | None = None
     blow_up_time: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+        object.__setattr__(self, "times", _read_only(self.times))
         if self.times.size == 0:
             raise ConfigError("Trace needs at least one sample")
         if self.times.size > 1 and not (np.diff(self.times) > 0).all():
@@ -387,12 +392,14 @@ class Trace:
         for name in TRACE_COLUMNS:
             if name not in self.scalars:
                 raise ConfigError(f"Trace missing scalar column {name!r}")
-        for name, arr in list(self.scalars.items()) + list(self.extras.items()):
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != self.times.shape:
-                raise ConfigError(f"column {name!r} length mismatch")
-            if not np.isfinite(arr).all():
-                raise ConfigError(f"column {name!r} contains non-finite samples")
+        for key in ("scalars", "extras"):
+            columns = {name: _read_only(arr) for name, arr in getattr(self, key).items()}
+            for name, arr in columns.items():
+                if arr.shape != self.times.shape:
+                    raise ConfigError(f"column {name!r} length mismatch")
+                if not np.isfinite(arr).all():
+                    raise ConfigError(f"column {name!r} contains non-finite samples")
+            object.__setattr__(self, key, MappingProxyType(columns))
 
     @property
     def blown_up(self) -> bool:
@@ -410,6 +417,13 @@ class Trace:
 
     def terminal(self, name: str) -> float:
         return float(self[name][-1])
+
+
+def _read_only(values) -> np.ndarray:
+    """A read-only float view of ``values``, which stay writeable where they were."""
+    view = np.asarray(values, dtype=float).view()
+    view.flags.writeable = False
+    return view
 
 
 class _Recorder:
@@ -442,6 +456,12 @@ class _Recorder:
         """Record one sample: the values of ``names`` at time t."""
         self.data[self.size] = (t, *values)
         self.size += 1
+
+    def rows(self, m: int) -> np.ndarray:
+        """The next m rows, recorded as samples: the caller fills in t and the values."""
+        i = self.size
+        self.size = i + m
+        return self.data[i : i + m]
 
     def snap(self, t: float, fields: dict[str, np.ndarray]) -> None:
         self.snapshots.append((t, {k: v.copy() for k, v in fields.items()}))

@@ -220,66 +220,51 @@ def grad_values(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 class GradientEnergy:
-    """Trapezoid value of the integral of f_x^2, in preallocated buffers.
+    """Trapezoid values of the integral of f_x^2, one per row, in planned buffers.
 
     ``f_x`` is :func:`grad_values` of ``f``, written with the formulas of
     ``np.gradient(f, dx, edge_order=2)``: central differences inside and
-    second-order one-sided differences at the ends.  Calling an instance
-    returns the same float as squaring that gradient and integrating it
-    with the trapezoid rule, bit for bit.
+    second-order one-sided differences at the ends.  Each value equals
+    that of squaring the row's gradient and integrating it with the
+    trapezoid rule, bit for bit: the same operations run elementwise over
+    the rows, and ``np.add.reduce`` along the contiguous rows sums each
+    one as it sums a single profile.
     """
 
-    __slots__ = ("dx", "_k", "_left", "_right", "_grad", "_inner", "_diff", "_views", "_rows")
+    __slots__ = ("_k", "_weights", "_diff", "_plan")
 
     def __init__(self, n: int, dx: float):
         if n < 3:
             raise ConfigError(f"the gradient needs at least 3 nodes, got {n}")
-        self.dx = dx
         # 2 dx, 0.5 and dx as 0-d ufunc operands
         self._k = tuple(np.array(v) for v in (2.0 * dx, 0.5, dx))
-        # np.gradient's edge weights, on f[0], f[1], f[2] and f[-3], f[-2], f[-1]
-        self._left = (-1.5 / dx, 2.0 / dx, -0.5 / dx)
-        self._right = (0.5 / dx, -2.0 / dx, 1.5 / dx)
-        self._grad = np.empty(n)
-        self._inner = self._grad[1:-1]
-        self._diff = np.empty(n)
-        self._views = (self._diff, self._diff[2:], self._diff[:-2])
-        self._rows = None
-
-    def __call__(self, f: np.ndarray) -> float:
-        return self._energy(f, f[2:], f[:-2])
-
-    def of_difference(self, f: np.ndarray, h: np.ndarray) -> float:
-        """The gradient energy of ``f - h``."""
-        np.subtract(f, h, self._diff)
-        return self._energy(*self._views)
-
-    def _energy(self, f: np.ndarray, ahead: np.ndarray, behind: np.ndarray) -> float:
-        """The energy of ``f``, given its views ``f[2:]`` and ``f[:-2]``."""
-        g, inner = self._grad, self._inner
-        np.subtract(ahead, behind, inner)
-        np.divide(inner, self._k[0], inner)
-        a, b, c = self._left
-        g[0] = a * f.item(0) + b * f.item(1) + c * f.item(2)
-        a, b, c = self._right
-        g[-1] = a * f.item(-3) + b * f.item(-2) + c * f.item(-1)
-        np.multiply(g, g, g)
-        return self.dx * (np.add.reduce(g).item() - 0.5 * (g.item(0) + g.item(-1)))
+        # np.gradient's edge weights on (f[0], f[-3]), (f[1], f[-2]) and (f[2], f[-1])
+        left, right = (-1.5 / dx, 2.0 / dx, -0.5 / dx), (0.5 / dx, -2.0 / dx, 1.5 / dx)
+        self._weights = tuple(np.array(pair) for pair in zip(left, right))
+        self._diff = self._plan = None
 
     def of_row_differences(self, f: np.ndarray, h: np.ndarray) -> np.ndarray:
         """The gradient energy of each row of ``f - h``, both ``(B, n)``.
 
-        Element i equals ``self.of_difference(f[i], h[i])`` bit for bit:
-        the same operations run elementwise over the rows, and
-        ``np.add.reduce`` along the contiguous rows sums each one as it
-        sums a single profile.  Buffers for B rows are built on the first
-        call, so every call on one instance passes B rows.
+        The difference goes to a buffer made on the first call, so every
+        call on one instance passes B rows.
         """
-        if self._rows is None:
-            self._rows = self._row_plan(f.shape)
-        diff, grad, flat_diff, inner, ends, (f0, f1, f2), (a, b, c), tmp, first, last = self._rows
+        if self._diff is None:
+            self._diff = np.empty(f.shape)
+        np.subtract(f, h, self._diff)
+        return self.of_rows(self._diff)
+
+    def of_rows(self, d: np.ndarray) -> np.ndarray:
+        """The gradient energy of each row of ``d``, a C-contiguous ``(B, n)`` array.
+
+        The buffers and views are planned for ``d`` itself, so a caller
+        that passes the same array every time plans once; a new array
+        is planned anew.
+        """
+        if self._plan is None or self._plan[0] is not d:
+            self._plan = self._row_plan(d)
+        _, grad, flat_diff, inner, ends, (f0, f1, f2), (a, b, c), tmp, first, last = self._plan
         two_dx, one_half, dx = self._k
-        np.subtract(f, h, diff)
         # central differences over the flattened rows; the ones that straddle
         # two rows land on edge nodes, which the edge formulas overwrite
         np.subtract(flat_diff[2:], flat_diff[:-2], inner)
@@ -299,20 +284,20 @@ class GradientEnergy:
         np.multiply(dx, total, total)
         return total
 
-    def _row_plan(self, shape: tuple[int, int]) -> tuple:
-        diff, grad = np.empty(shape), np.empty(shape)
-        n, step = shape[1], diff.strides
-        # (f[0], f[-3]), (f[1], f[-2]) and (f[2], f[-1]) of every row, and the
-        # weights np.gradient puts on them
+    def _row_plan(self, diff: np.ndarray) -> tuple:
+        if diff.ndim != 2 or diff.shape[1] < 3 or not diff.flags.c_contiguous:
+            raise ConfigError(f"rows must be a C-contiguous (B, n >= 3) array, got {diff.shape}")
+        grad = np.empty(diff.shape)
+        (rows, n), step = diff.shape, diff.strides
+        # (f[0], f[-3]), (f[1], f[-2]) and (f[2], f[-1]) of every row
         edges = tuple(
             np.lib.stride_tricks.as_strided(
-                diff[:, k:], shape=(shape[0], 2), strides=(step[0], (n - 3) * step[1]),
+                diff[:, k:], shape=(rows, 2), strides=(step[0], (n - 3) * step[1]),
                 writeable=False,
             )
             for k in range(3)
         )
-        weights = tuple(np.array(pair) for pair in zip(self._left, self._right))
         # the first and last node of every row
         ends = grad[:, :: n - 1]
-        return (diff, grad, diff.reshape(-1), grad.reshape(-1)[1:-1], ends, edges, weights,
-                np.empty((shape[0], 2)), ends[:, 0], ends[:, 1])
+        return (diff, grad, diff.reshape(-1), grad.reshape(-1)[1:-1], ends, edges, self._weights,
+                np.empty((rows, 2)), ends[:, 0], ends[:, 1])

@@ -7,10 +7,15 @@ estimate and step the observer.  Using the pre-update estimate keeps
 plant and observer consistent with the continuous-time simultaneity;
 the O(dt) splitting error this introduces is covered by the energy
 residual checks in the test suite.  A runner keeps its state in its
-own variables and steps it in blocks, from one sample or snapshot
-instant to the next, through one shared blow-up test, ``_blown_up``;
-the schedule of samples, snapshots and the final sample lives in one
-private function, ``_run``.  Observer, stabilization and tracking runs
+own variables and steps it in blocks of at most 64 steps, which end
+only at snapshot instants, a blow-up and the horizon, through one
+shared blow-up test, ``_blown_up``; the schedule of blocks, snapshots
+and the final sample lives in one private function, ``_run``.  A block
+keeps the scalars of the sample instants it passes and, for runs that
+integrate the dissipation ``diss_cum``, the error field of every step
+in a slab; when it ends, one row-wise call computes the gradient
+energies of the slab and one the norms of its samples, and the samples
+are recorded.  Observer, stabilization and tracking runs
 share one loop, ``_run_observer_loop``, and differ only in their
 inputs: the controller value and, for tracking, the servo terms and
 the reference.  Open-loop and error-system runs keep their own loops,
@@ -100,47 +105,114 @@ def benchmark_initial_state(grid: Grid, q: float) -> GridFunction:
     return GridFunction(grid, q * grid.nodes - 1.0)
 
 
+#: the most steps one block takes, and so the steps one :class:`_Slab` holds
+_SLAB = 64
+
 #: ``block(k, stop)`` steps a run from step k to step stop, see :func:`_run`
 _Block = Callable[[int, int], "int | None"]
+#: ``flush(rec, k0, k)`` records the samples of the block from step k0 to k
+_Flush = Callable[[_Recorder, int, int], None]
 #: ``row(t)``: the values of a run's columns at the current instant t
 _Row = Callable[[float], tuple[float, ...]]
 #: ``now()``: the current plant field, observer field (or None), zeta, u0 and u
 _Now = Callable[[], tuple]
 
 
-def _run(config: SimConfig, names: tuple[str, ...], block: _Block, row: _Row, now: _Now) -> Trace:
-    """The schedule every runner shares: samples, snapshots and the last instant.
+def _run(
+    config: SimConfig, names: tuple[str, ...], block: _Block, flush: _Flush, row: _Row, now: _Now
+) -> Trace:
+    """The schedule every runner shares: blocks, snapshots and the last instant.
 
     A runner holds its state in its own variables and evaluates the inputs
     of step 0 before this is called.  ``block(k, stop)`` then advances
-    from step k to step ``stop``: each step takes the inputs at hand, steps
-    the fields, runs :func:`_blown_up` on the plant field and evaluates the
-    inputs of the instant it reaches.  It returns None, or the step at which
-    the plant field blew up, where the run ends; a state that turns NaN/Inf
-    raises :class:`NonFiniteState` from it.  Between blocks this
-    records ``row(t)``, the values of the columns ``names``, every
-    ``sample_stride`` steps and the fields of ``now()`` every
-    ``snapshot_stride`` steps; the last instant is always sampled.
+    from step k to step ``stop``, at most :data:`_SLAB` steps on: each step
+    keeps the sample of the instant it starts from if that is on the
+    ``sample_stride``, takes the inputs at hand, steps the fields, runs
+    :func:`_blown_up` on the plant field and evaluates the inputs of the
+    instant it reaches.  It returns None, or the step at which the plant
+    field blew up, where the run ends; a state that turns NaN/Inf raises
+    :class:`NonFiniteState` from it.  After each block ``flush`` records
+    the samples the block kept, the values of the columns ``names``.
+    Blocks also end every ``snapshot_stride`` steps, where this records the
+    fields of ``now()``.  The last instant is always sampled, from
+    ``row(t)``, the columns' values at the current instant t.
     """
-    dt, stride, snap_stride = config.dt, config.sample_stride, config.snapshot_stride
-    n_steps = config.n_steps
-    rec = _Recorder(names, n_steps, stride)
+    dt, snap_stride, n_steps = config.dt, config.snapshot_stride, config.n_steps
+    rec = _Recorder(names, n_steps, config.sample_stride)
     k, blow = 0, None
     with _quiet():
         while blow is None and k < n_steps:
-            t = k * dt
-            if k % stride == 0:
-                rec.row(t, row(t))
-            stop = min(n_steps, k - k % stride + stride)
+            stop = min(n_steps, k + _SLAB)
             if snap_stride:
                 if k % snap_stride == 0:
-                    rec.snap(t, _fields(*now()[:2]))
+                    rec.snap(k * dt, _fields(*now()[:2]))
                 stop = min(stop, k - k % snap_stride + snap_stride)
             blow = block(k, stop)
+            flush(rec, k, stop if blow is None else blow)
             k = stop
         t_blow = None if blow is None else blow * dt
         t_end = n_steps * dt if blow is None else t_blow
         return _finish(config, rec, t_end, t_blow, row(t_end), now())
+
+
+def _put(rec: _Recorder, samples: list[tuple[float, ...]]) -> None:
+    """Record the rows kept in ``samples``, each t and the columns' values, and forget them."""
+    if samples:
+        rec.rows(len(samples))[:] = samples
+        samples.clear()
+
+
+class _Slab:
+    """One block's error fields, turned into gradient energies when it ends.
+
+    The error field is w - what, or the field of an error-system run.  A
+    block writes the field at the instant it starts from into ``rows[0]``
+    and, after its i-th step, the field it reaches into ``rows[i]``, and it
+    appends each step's boundary value x of the field to ``xs``.
+    :meth:`close` then computes the gradient energies of all rows with one
+    row-wise call and adds each step's ``dt * (||f_x||^2 + c1 x^2)`` to
+    ``diss``, in step order, as a loop that took the energy every step did.
+    """
+
+    __slots__ = ("rows", "head", "xs", "diss", "_energy", "_dt", "_c1")
+
+    def __init__(self, config: SimConfig, c1: float):
+        n = config.grid.n
+        buf = np.empty((_SLAB + 1, n))
+        #: each row, and the first _SLAB of them, the fields a block steps from
+        self.rows, self.head = tuple(buf), buf[:_SLAB]
+        self.xs: list[float] = []
+        self.diss = 0.0
+        self._energy = GradientEnergy(n, config.grid.dx)
+        self._dt, self._c1 = config.dt, c1
+
+    def close(self) -> list[float]:
+        """Add the block's steps to ``diss``; return its value at each instant stepped from.
+
+        The rows past the block's steps hold an earlier block's fields, or
+        nothing yet; their energies are computed and not read.
+        """
+        dt, c1, diss, at = self._dt, self._c1, self.diss, []
+        for g, x in zip(self._energy.of_rows(self.head).tolist(), self.xs):
+            at.append(diss)
+            diss += dt * (g + c1 * x * x)
+        self.diss = diss
+        self.xs.clear()
+        return at
+
+
+def _errors(out: np.ndarray, fields: np.ndarray, zt, half_b: float, diss, dx: float) -> None:
+    """Fill in obs_err_norm, E, F and diss_cum, the columns of ``out``, for samples.
+
+    ``fields`` are the samples' error fields as rows, ``zt`` their
+    parameter errors and ``diss`` their diss_cum; every value equals the
+    one a per-sample row computes from the same inputs, bit for bit.
+    """
+    e = 0.5 * _sq_norms(fields, dx)
+    np.sqrt(2.0 * e, out=out[:, 0])
+    out[:, 1] = e
+    out[:, 2] = e + half_b * zt * zt
+    out[:, 3] = diss
 
 
 def _finish(
@@ -191,6 +263,12 @@ def _sq_norm(values: np.ndarray, dx: float) -> float:
     return dx * (v2.sum() - 0.5 * (v2[0] + v2[-1]))
 
 
+def _sq_norms(rows: np.ndarray, dx: float) -> np.ndarray:
+    """:func:`_sq_norm` of each row, bit for bit: each row of the squares is summed alike."""
+    v2 = rows * rows
+    return dx * (np.add.reduce(v2, axis=1) - 0.5 * (v2[:, 0] + v2[:, -1]))
+
+
 def _require_finite(*fields: np.ndarray) -> None:
     """Raise :class:`NonFiniteState` if a field holds NaN/Inf.
 
@@ -234,14 +312,17 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
     bound; the run then stops at the blow-up threshold with the marker
     set rather than raising.
     """
-    dx, q = config.grid.dx, p.q
+    dt, dx, stride, q = config.dt, config.grid.dx, config.sample_stride, p.q
     stepper = _stepper(config, w0)
     (w,) = stepper.rows
+    samples: list[tuple[float, ...]] = []
 
     def block(k: int, stop: int) -> int | None:
         nonlocal w
         step = stepper.step
         while k < stop:
+            if k % stride == 0:
+                samples.append((k * dt, *row(k * dt)))
             (w,) = step(-q * w.item(0), 0.0)
             k += 1
             if _blown_up(w, dx):
@@ -251,7 +332,8 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
     def row(t: float) -> tuple[float, ...]:
         return w[0], w[-1], math.sqrt(_sq_norm(w, dx))
 
-    return _run(config, ("w0", "w1", "wnorm"), block, row, lambda: (w, None, 0.0, 0.0, 0.0))
+    return _run(config, ("w0", "w1", "wnorm"), block, lambda rec, k0, k: _put(rec, samples), row,
+                lambda: (w, None, 0.0, 0.0, 0.0))
 
 
 #: ``inputs(t, what)``: the feedback value u0 and the servo terms v(1,t),
@@ -274,53 +356,54 @@ def _run_observer_loop(
     the servo terms v(1,t), v_x(1,t) and r(t); the observer then
     estimates z = w - v.  Without a reference the three are +0.0, and
     ``x - 0.0 == x`` for every float, so the step is the stabilizing one
-    bit for bit.  Only runs without a reference record ``diss_cum``; its
-    gradient energy catches a NaN/Inf state, which tracking's ``inputs``
-    catch from u0.
+    bit for bit.  Only runs without a reference record ``diss_cum``: their
+    steps write w - what into a :class:`_Slab`, whose squares catch a
+    NaN/Inf state, which tracking's ``inputs`` catch from u0.
     """
-    dt, dx = config.dt, config.grid.dx
+    dt, dx, stride = config.dt, config.grid.dx, config.sample_stride
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
     stepper = _stepper(config, w0, what0)
     observer = _windows(config.grid, stepper, 1)
-    energy = None if ref is not None else GradientEnergy(config.grid.n, dx).of_difference
     w, what = stepper.rows
-    zeta, diss, gsq = zeta0, 0.0, 0.0
+    zeta = zeta0
     with _quiet():
-        if energy is not None:
-            gsq = energy(w, what)
         u0, v1, vx1, r = inputs(0.0, observer[0])
+    samples: list[tuple[float, ...]] = []
+    slab = None if ref is not None else _Slab(config, c1)
+    errors = None if slab is None else slab.rows
 
     def block(k: int, stop: int) -> int | None:
-        nonlocal w, what, zeta, u0, v1, vx1, r, gsq, diss
-        step, update, energy_of = stepper.step, zeta_step, energy
+        nonlocal w, what, zeta, u0, v1, vx1, r
+        step, update, k0 = stepper.step, zeta_step, k
+        if errors is not None:
+            np.subtract(w, what, errors[0])
+            keep = slab.xs.append
         while k < stop:
+            if k % stride == 0:
+                sample(k * dt)
             innov = w.item(-1) - v1 - what.item(-1)
             zeta_new = update(zeta, sgn, innov, u0, dt)
             w_at_0 = w.item(0)
             w, what = step(-q * w_at_0, b * (zeta * u0), -q * (w_at_0 - r), u0 + c1 * innov - vx1)
-            if energy_of is not None:
-                diss += dt * (gsq + c1 * innov * innov)
-                # a NaN/Inf in either field makes the error's gradient energy non-finite
-                gsq = energy_of(w, what)
-                if not math.isfinite(gsq):
-                    _require_finite(w, what)
             zeta = zeta_new
             k += 1
+            if errors is not None:
+                keep(innov)
+                d = errors[k - k0]
+                np.subtract(w, what, d)
+                # a NaN/Inf in either field makes the error's squares non-finite
+                if not math.isfinite(d.dot(d)):
+                    _require_finite(w, what)
             blown = _blown_up(w, dx)
             u0, v1, vx1, r = inputs(k * dt, observer[stepper.index])
             if blown:
                 return k
         return None
 
-    if ref is None:
-        names, observer_row = _OBSERVER_COLUMNS, _observer_row(p, dx)
-
-        def row(t: float) -> tuple[float, ...]:
-            return observer_row(w, what, zeta, u0, zeta * u0, diss)
-    else:
+    half_b, inv_b = 0.5 * abs(b), 1.0 / b
+    if slab is None:
         names = (*TRACE_COLUMNS, "tracking_err", "ref", "v1", "vx1")
         J, nodes = config.servo_truncation_J, config.grid.nodes
-        half_b, inv_b = 0.5 * abs(b), 1.0 / b
 
         def row(t: float) -> tuple[float, ...]:
             e = 0.5 * _sq_norm(w - servo_eval(ref, q, nodes, t, J) - what, dx)
@@ -328,7 +411,35 @@ def _run_observer_loop(
             return (u0, zeta * u0, zeta, w[0], w[-1], math.sqrt(_sq_norm(w, dx)),
                     math.sqrt(2.0 * e), e, e + half_b * zt * zt, w[0] - r, r, v1, vx1)
 
-    return _run(config, names, block, row, lambda: (w, what, zeta, u0, zeta * u0))
+        def sample(t: float) -> None:
+            samples.append((t, *row(t)))
+
+        def flush(rec: _Recorder, k0: int, k: int) -> None:
+            _put(rec, samples)
+    else:
+        names, observer_row = _OBSERVER_COLUMNS, _observer_row(p, dx)
+        plants = np.empty((_SLAB, config.grid.n))
+        copies = tuple(plants)
+
+        def row(t: float) -> tuple[float, ...]:
+            return observer_row(w, what, zeta, u0, zeta * u0, slab.diss)
+
+        def sample(t: float) -> None:
+            np.copyto(copies[len(samples)], w)
+            samples.append((t, u0, zeta * u0, zeta, w.item(0), w.item(-1)))
+
+        def flush(rec: _Recorder, k0: int, k: int) -> None:
+            diss = slab.close()
+            if samples:
+                # the columns of _observer_row, after t
+                out = rec.rows(len(samples))
+                out[:, :6] = samples
+                np.sqrt(_sq_norms(plants[: len(samples)], dx), out=out[:, 6])
+                at = slice(-k0 % stride, k - k0, stride)
+                _errors(out[:, 7:], slab.head[at], inv_b - out[:, 3], half_b, diss[at], dx)
+                samples.clear()
+
+    return _run(config, names, block, flush, row, lambda: (w, what, zeta, u0, zeta * u0))
 
 
 #: the columns of a plant + observer + update-law run's rows without a reference
@@ -434,38 +545,53 @@ def run_error_system(
     ``obs_err_norm``; ``diss_cum`` accumulates
     dt * (||werr_x||^2 + c1 werr(1)^2) for energy-identity tests.
     """
-    dt, dx = config.dt, config.grid.dx
+    dt, dx, stride = config.dt, config.grid.dx, config.sample_stride
     b, c1, sgn = p.b, p.c1, p.sign_b
     half_b = 0.5 * abs(b)
     stepper = _stepper(config, wtilde0)
-    energy = GradientEnergy(config.grid.n, dx)
+    slab = _Slab(config, c1)
+    errors, keep = slab.rows, slab.xs.append
     (wt,) = stepper.rows
-    zt, diss = zetatilde0, 0.0
+    zt = zetatilde0
+    samples: list[tuple[float, ...]] = []
     with _quiet():
-        gsq = energy(wt)
         u0 = u0_signal(0.0)
 
     def block(k: int, stop: int) -> int | None:
-        nonlocal wt, zt, u0, gsq, diss
-        step = stepper.step
+        nonlocal wt, zt, u0
+        step, k0 = stepper.step, k
+        np.copyto(errors[0], wt)
         while k < stop:
             wt1 = wt.item(-1)
-            diss += dt * (gsq + c1 * wt1 * wt1)
+            if k % stride == 0:
+                samples.append((k * dt, u0, zt, wt.item(0), wt1))
+            keep(wt1)
             zt_new = zt + dt * sgn * u0 * wt1
             (wt,) = step(0.0, -b * zt * u0 - c1 * wt1)
-            gsq = energy(wt)
             zt = zt_new
             k += 1
+            np.copyto(errors[k - k0], wt)
             blown = _blown_up(wt, dx)
             u0 = u0_signal(k * dt)
             if blown:
                 return k
         return None
 
+    def flush(rec: _Recorder, k0: int, k: int) -> None:
+        diss = slab.close()
+        if samples:
+            # t, u0, zeta, w0, w1, then wnorm, which equals obs_err_norm, and the rest
+            out = rec.rows(len(samples))
+            out[:, :5] = samples
+            at = slice(-k0 % stride, k - k0, stride)
+            _errors(out[:, 6:], slab.head[at], out[:, 2], half_b, diss[at], dx)
+            out[:, 5] = out[:, 6]
+            samples.clear()
+
     def row(t: float) -> tuple[float, ...]:
         e = 0.5 * _sq_norm(wt, dx)
         nrm = math.sqrt(2.0 * e)
-        return u0, zt, wt[0], wt[-1], nrm, nrm, e, e + half_b * zt * zt, diss
+        return u0, zt, wt[0], wt[-1], nrm, nrm, e, e + half_b * zt * zt, slab.diss
 
     names = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F", "diss_cum")
-    return _run(config, names, block, row, lambda: (wt, None, zt, u0, 0.0))
+    return _run(config, names, block, flush, row, lambda: (wt, None, zt, u0, 0.0))

@@ -242,6 +242,24 @@ class TestTrace:
         assert not tr.blown_up and tr.times.dtype == float and tr.times.tolist() == [0.0, 0.3]
 
 
+    def test_contents_cannot_be_written(self):
+        # times and columns are read-only views of the arrays given, which
+        # stay writeable; the column mappings take no new keys or values
+        t, zeta, gap = np.array([0.0, 0.3]), np.array([0.0, -0.1]), np.ones(2)
+        tr = Trace(times=t, scalars=_trace_scalars(t, zeta=zeta), extras={"gap": gap})
+        with pytest.raises(ValueError, match="read-only"):
+            tr.times[1] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            tr["zeta"][0] = np.nan
+        with pytest.raises(TypeError):
+            tr.scalars["zeta"] = np.array([np.nan, np.nan])
+        with pytest.raises(TypeError):
+            tr.extras["gap"] = np.array([np.nan, np.nan])
+        for mine, given in ((tr.times, t), (tr["zeta"], zeta), (tr["gap"], gap)):
+            assert np.shares_memory(mine, given) and given.flags.writeable
+        assert tr.times.tolist() == [0.0, 0.3] and tr["zeta"].tolist() == [0.0, -0.1]
+
+
 class TestRecorder:
     def test_rows_become_contiguous_columns(self):
         # 7 steps at stride 3 sample at steps 0, 3 and 6 and at the end
@@ -270,4 +288,4 @@ class TestRecorder:
         assert mapped.times.tobytes() == plain.times.tobytes()
         for k in (*TRACE_COLUMNS, "gap"):
             assert mapped[k].tobytes() == plain[k].tobytes(), k
-        assert mapped["w0"].flags.c_contiguous and mapped["w0"].flags.writeable
+        assert mapped["w0"].flags.c_contiguous and rec.data.flags.writeable

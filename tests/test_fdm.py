@@ -218,12 +218,15 @@ class TestGradientEnergy:
     def test_equals_norm_of_grad_values(self, n):
         rng = np.random.default_rng(n)
         g = Grid(n)
-        energy = GradientEnergy(n, g.dx)
-        for _ in range(20):
-            f = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
-            h = rng.standard_normal(n)
-            assert same_bits(energy(f), _sq_norm(grad_values(f, g.dx), g.dx))
-            assert same_bits(energy.of_difference(f, h), _sq_norm(grad_values(f - h, g.dx), g.dx))
+        # the row-wise energies of one row, and of many, against np.gradient's
+        one, many = GradientEnergy(n, g.dx), GradientEnergy(n, g.dx)
+        rows = rng.standard_normal((20, n)) * 10.0 ** rng.uniform(-3, 3, (20, 1))
+        got = many.of_rows(rows)
+        assert got.shape == (20,)
+        for f, energy in zip(rows, got):
+            expected = _sq_norm(grad_values(f, g.dx), g.dx)
+            assert same_bits(energy, expected)
+            assert same_bits(one.of_rows(f[None].copy())[0], expected)
 
     @pytest.mark.parametrize("layout", ["fields-first", "runs-first"])
     @pytest.mark.parametrize("rows", [1, 4])
@@ -245,13 +248,23 @@ class TestGradientEnergy:
             got = energy.of_row_differences(f, h)
             assert got.shape == (rows,)
             for i in range(rows):
-                assert same_bits(got[i], energy.of_difference(f[i], h[i]))
                 assert same_bits(got[i], _sq_norm(grad_values(f[i] - h[i], g.dx), g.dx))
 
     def test_linear_profile(self, grid51):
         # f = 3x has f_x = 3 everywhere, so the integral of f_x^2 is 9
         energy = GradientEnergy(51, grid51.dx)
-        assert energy(3.0 * grid51.nodes) == pytest.approx(9.0, rel=1e-12)
+        assert energy.of_rows(3.0 * grid51.nodes[None]) == pytest.approx(9.0, rel=1e-12)
+
+    def test_rows_are_planned_per_array(self, grid51):
+        # a new array of rows is planned anew: its energies are its own
+        energy = GradientEnergy(51, grid51.dx)
+        slab = np.array([grid51.nodes, 2.0 * grid51.nodes])
+        assert energy.of_rows(slab).tolist() == pytest.approx([1.0, 4.0], rel=1e-12)
+        slab[1] = 3.0 * grid51.nodes
+        assert energy.of_rows(slab)[1] == pytest.approx(9.0, rel=1e-12)
+        assert energy.of_rows(slab[:1].copy()).tolist() == pytest.approx([1.0], rel=1e-12)
+        with pytest.raises(ConfigError, match="C-contiguous"):
+            energy.of_rows(slab.T)
 
 
 class TestQuad:

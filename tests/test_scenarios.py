@@ -29,7 +29,8 @@ from heatadapt import (
 )
 from heatadapt.batch import run_stabilization_batch
 from heatadapt.domain import TRACE_COLUMNS
-from heatadapt.fdm import grad_values
+from heatadapt.fdm import HeatStepper, grad_values
+from heatadapt.scenarios import _blown_up, _require_finite, _sq_norm
 
 
 def cfg(grid, t_final, dt=1e-4, stride=100, snap=0):
@@ -425,6 +426,146 @@ class TestRunnersMatchReferenceRoute:
         fs = tr.final_state
         for f in (fs.w.values, fs.what.values, *tr.snapshots[-1][1].values()):
             assert f.flags.owndata
+
+
+def per_step_run(kind, p, config, w0, what0=None, zeta0=0.0, u0_signal=None):
+    """The observer and error-system loops as they were before their slabs.
+
+    One HeatStepper step at a time, with the gradient energy of the error
+    and its NaN/Inf check after every step and each sample's row built
+    when the run reaches it.  Returns reference_run's tuple.
+    """
+    dt, dx, grid, stride = config.dt, config.grid.dx, config.grid, config.sample_stride
+    q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
+    half_b, inv_b = 0.5 * abs(b), 1.0 / b
+    est = p.estimator_view()
+    stepper = HeatStepper([w0.values] if kind == "error" else [w0.values, what0.values], dx, dt)
+
+    def energy(f):
+        return _sq_norm(grad_values(f, dx), dx)
+
+    def inputs(k, what):
+        if kind == "stabilize":
+            return adaptive_u0(GridFunction._wrap(grid, what.copy()), est)
+        return u0_signal(k * dt)
+
+    if kind == "error":
+        (w,) = stepper.rows
+        what = None
+        gsq = energy(w)
+    else:
+        w, what = stepper.rows
+        gsq = energy(w - what)
+    zeta, diss, u0 = zeta0, 0.0, inputs(0, what)
+
+    def row():
+        if kind == "error":
+            e = 0.5 * _sq_norm(w, dx)
+            nrm = math.sqrt(2.0 * e)
+            values = (u0, zeta, w[0], w[-1], nrm, nrm, e, e + half_b * zeta * zeta, diss)
+            names = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F", "diss_cum")
+        else:
+            e = 0.5 * _sq_norm(w - what, dx)
+            zt = inv_b - zeta
+            values = (u0, zeta * u0, zeta, w[0], w[-1], math.sqrt(_sq_norm(w, dx)),
+                      math.sqrt(2.0 * e), e, e + half_b * zt * zt, diss)
+            names = (*TRACE_COLUMNS, "diss_cum")
+        return dict(zip(names, values))
+
+    def fields():
+        return {"w": w.copy()} if what is None else {"w": w.copy(), "what": what.copy()}
+
+    times, rows, snaps, k, t_blow = [], [], [], 0, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < config.n_steps:
+            if k % stride == 0:
+                times.append(k * dt)
+                rows.append(row())
+            if config.snapshot_stride and k % config.snapshot_stride == 0:
+                snaps.append((k * dt, fields()))
+            if kind == "error":
+                wt1 = w.item(-1)
+                diss += dt * (gsq + c1 * wt1 * wt1)
+                zeta_new = zeta + dt * sgn * u0 * wt1
+                (w,) = stepper.step(0.0, -b * zeta * u0 - c1 * wt1)
+                gsq = energy(w)
+            else:
+                innov = w.item(-1) - what.item(-1)
+                zeta_new = zeta_step(zeta, sgn, innov, u0, dt)
+                w_at_0 = w.item(0)
+                w, what = stepper.step(-q * w_at_0, b * (zeta * u0), -q * w_at_0, u0 + c1 * innov)
+                diss += dt * (gsq + c1 * innov * innov)
+                gsq = energy(w - what)
+                if not math.isfinite(gsq):
+                    _require_finite(w, what)
+            zeta = zeta_new
+            k += 1
+            blown = _blown_up(w, dx)
+            u0 = inputs(k, what)
+            if blown:
+                t_blow = k * dt
+                break
+        times.append(k * dt)
+        rows.append(row())
+    if config.snapshot_stride:
+        snaps.append((k * dt, fields()))
+    u = 0.0 if kind == "error" else zeta * u0
+    return times, rows, snaps, fields(), zeta, u0, u, t_blow
+
+
+class TestSlabsMatchPerStepLoop:
+    """The slab-flushing runners against the loop that took every readout per step."""
+
+    @pytest.mark.parametrize("kind", ["stabilize", "observer", "error"])
+    @pytest.mark.parametrize("stride, snap, q, scale", [
+        (1, 0, 2.0, None),
+        (7, 45, 2.0, None),
+        (64, 0, 2.0, None),
+        (65, 45, 2.0, None),
+        (100, 0, 2.0, None),
+        # the plant blows up mid-slab: stabilize at step 10, observer from a
+        # ramp scaled to norm 0.6e12 at step 111
+        (7, 45, 9.0, 0.6e12),
+    ], ids=["stride-1", "stride-7-snap-45", "stride-64", "stride-65-snap-45", "stride-100",
+            "blow-up"])
+    def test_trace_equals_per_step_loop(self, kind, stride, snap, q, scale, grid51, ramp51):
+        # 301 steps: four full 64-step blocks and a partial one
+        c = cfg(grid51, 0.0301, stride=stride, snap=snap)
+        assert c.n_steps == 301
+        gain = 5.0 if q == 2.0 else 0.01
+        p = Params(q=q, b=-10.0, c0=gain, c1=gain)
+        w0 = ramp51 if scale is None or kind == "stabilize" else GridFunction(
+            grid51, ramp51.values * (scale / l2_norm(ramp51)))
+        what0 = GridFunction(grid51, 0.3 * np.sin(3.0 * grid51.nodes))
+        u0 = lambda t: math.exp(-t)
+        if kind == "stabilize":
+            tr = run_stabilization(p, c, w0, what0, 0.0)
+        elif kind == "observer":
+            tr = run_observer(p, c, w0, what0, -0.1, u0)
+        else:
+            tr = run_error_system(p, c, w0, -0.1, u0)
+        expected = per_step_run(kind, p, c, w0, what0, 0.0 if kind == "stabilize" else -0.1, u0)
+        assert tr.blown_up is (scale is not None and kind != "error")
+        if tr.blown_up:
+            assert round(tr.blow_up_time / c.dt) == {"stabilize": 10, "observer": 111}[kind]
+        assert_matches_reference(tr, expected, snap)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_observer_overflow_raises_at_the_same_step(self, stride, params8, grid51, ramp51):
+        # the observer field overflows in the first step while w stays finite;
+        # both loops raise before they ask for the next input
+        vals = np.zeros(51)
+        vals[24], vals[25] = 1e308, -1e308
+        spike = GridFunction(grid51, vals)
+        c = cfg(grid51, 0.01, stride=stride, snap=45)
+        asked = []
+        for run in (run_observer, lambda *args: per_step_run("observer", *args)):
+            calls = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFiniteState):
+                    run(params8, c, ramp51, spike, 0.0, lambda t: calls.append(t) or 1.0)
+            asked.append(calls)
+        assert asked[0] == asked[1] == [0.0]
 
 
 class TestNonFiniteState:

@@ -38,7 +38,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: (output directory, CLI arguments): every scenario, a servo truncation exit,
 #: both blow-up runs, the oracle-fine pair with its analyze, a batched and
 #: three unbatched sweeps, two sweeps whose batch gives up for a member that
-#: ends early (a blow-up, a flux overflow), and a servo truncation past its bound
+#: ends early (a blow-up, a flux overflow), a servo truncation past its bound,
+#: and three runs whose samples fall inside, on and across the 64-step blocks
+#: of the runners' slabs (sample strides 1, 7 and 65, snapshot strides 45, 130)
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -86,6 +88,15 @@ COMMANDS = (
                        "--values", "0.5,0.8"]),
     ("track-servo-j-84", ["simulate", "--scenario", "track", "--ref", "sin:1,1", "--servo-j", "84",
                           "--t-final", "0.2"]),
+    ("stabilize-stride-1", ["simulate", "--scenario", "stabilize", "--sample-stride", "1",
+                            "--t-final", "0.05", "--pe-tau", "0.01"]),
+    ("observer-stride-7", ["simulate", "--scenario", "observer", "--u0", "exp-decay",
+                           "--zeta0", "-0.1", "--sample-stride", "7", "--snapshot-stride", "45",
+                           "--t-final", "0.3", "--pe-tau", "0.05"]),
+    ("error-system-stride-65", ["simulate", "--scenario", "error-system", "--u0", "exp-decay",
+                                "--zeta0", "-0.1", "--sample-stride", "65",
+                                "--snapshot-stride", "130", "--t-final", "0.5",
+                                "--pe-tau", "0.1"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
