@@ -59,11 +59,13 @@ from .domain import (
 from .fdm import NonFiniteState
 from .scenarios import (
     benchmark_initial_state,
+    check_record_size,
     run_error_system,
     run_observer,
     run_open_loop,
     run_stabilization,
     run_tracking,
+    steps_as_operator,
 )
 
 __all__ = ["RunManifest", "parse_args", "emit_trace", "read_trace_csv", "main", "UsageError"]
@@ -111,6 +113,10 @@ class RunManifest:
     duration_s: float
     #: rows written to trace.csv; None in manifests written before the field
     samples: int | None = None
+    #: "operator" or "stencil", what stepped the run (None for galerkin), and
+    #: the step from which an operator run went on on the stencil, if it did
+    route: str | None = None
+    handover_step: int | None = None
     outputs: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
 
@@ -401,6 +407,7 @@ def _set_up(resolved: dict) -> _Setup:
         snapshot_stride=resolved["snapshot-stride"],
     )
     validate_config(params, config)
+    check_record_size(config, 0 if resolved["scenario"] == "galerkin" else 2)
     run = _Setup(
         resolved=resolved,
         scenario=resolved["scenario"],
@@ -500,6 +507,8 @@ def _finish(run: _Setup, trace: Trace, duration: float) -> int:
         tool_version=__version__,
         duration_s=duration,
         samples=int(trace.times.size),
+        route=getattr(trace.final_state, "route", None),
+        handover_step=getattr(trace.final_state, "handover_step", None),
         verdicts=verdicts,
     )
     emit_trace(trace, manifest, resolved["out"])
@@ -569,8 +578,10 @@ def _report(exc: Exception) -> int:
     return 3 if isinstance(exc, NonFiniteState) else 64
 
 
-#: the fewest stabilize members of a sweep stepped together as one stack; one
-#: stack step costs about as much as 2-3 single-run steps (README, Performance)
+#: the fewest stabilize members of a sweep stepped together as one stack, on
+#: grids above the operator cutoff: one stack step costs about as much as 2-3
+#: single stencil steps, but more than its members' operator steps (README,
+#: Performance)
 _MIN_BATCH = 3
 
 
@@ -579,14 +590,17 @@ def _run_batches(setups: list) -> dict[int, tuple]:
 
     ``setups`` holds a :class:`_Setup` per member that set up and the
     error of one that did not.  Members share a group when their grid,
-    ``dt``, step count and strides agree.  Returns, by member index, the
-    member's Trace and its share of the group's stepping time.  A group
+    ``dt``, step count and strides agree; members on a grid that steps as
+    one operator (:func:`steps_as_operator`) run alone, which is faster.
+    Returns, by member index, the member's Trace and its share of the
+    group's stepping time.  A group
     whose stack gives up, because a member may end early, is left out:
     its members run on their own.
     """
     groups: dict[tuple, list[int]] = {}
     for i, run in enumerate(setups):
-        if isinstance(run, _Setup) and run.scenario == "stabilize":
+        if (isinstance(run, _Setup) and run.scenario == "stabilize"
+                and not steps_as_operator(run.config.grid)):
             c = run.config
             key = (c.grid, c.dt, c.n_steps, c.sample_stride, c.snapshot_stride)
             groups.setdefault(key, []).append(i)

@@ -49,6 +49,7 @@ __all__ = [
     "TruncationInsufficient",
     "backstepping_known_b",
     "adaptive_u0",
+    "feedback_row",
     "BatchFeedback",
     "zeta_step",
     "servo_eval",
@@ -120,6 +121,20 @@ def adaptive_u0(
     if servo is not None:
         u0 += servo.vx1
     return u0
+
+
+def feedback_row(n: int, p: EstimatorParams) -> np.ndarray:
+    """The row g of :func:`adaptive_u0` without servo terms, on the n-node grid.
+
+    ``g = -(q + c0) (e_n + q K)``, with e_n the last node's unit vector and
+    K the trapezoid weights of the kernel, so ``g . what`` is
+    ``adaptive_u0(what, p)`` up to the order of its roundings.  Built from
+    the estimator view alone, so it cannot hold b.
+    """
+    gain = -(p.q + p.c0)
+    g = (gain * p.q) * _exp_kernel(n, p.q)
+    g[-1] += gain
+    return g
 
 
 class BatchFeedback:

@@ -22,9 +22,19 @@ the reference.  Open-loop and error-system runs keep their own loops,
 whose fluxes are ordered differently.  Every runner steps its fields
 with one :class:`~heatadapt.fdm.HeatStepper`, which holds plant and
 observer (or the single field of open-loop and error-system runs) as
-rows of one array and steps them in place.  :mod:`heatadapt.batch`
-steps many stabilization runs on one grid as one stack of rows, but
-only to the horizon: how a run ends early is decided here alone.
+rows of one array and steps them in place.
+
+Observer and stabilize runs on grids of at most :data:`_OPERATOR_MAX_N`
+nodes step instead as one matrix-vector product a step: the loop is
+linear in ``[w, what, m]`` once ``m = zeta u0``, its one bilinear term,
+is written into the state (:func:`_operator`).  The product rounds
+differently from the stencil, within about 1e-14 of a column's scale on
+a stable run.  It decides no run's end: a block whose states are not
+quiet is stepped again on the stencil, which steps the run to its end,
+and the final state records the route and that step.
+:mod:`heatadapt.batch` steps many stabilization runs on one larger grid
+as one stack of rows, but only to the horizon: how a run ends early is
+decided here alone.
 
 Runs are deterministic: identical inputs produce bit-identical traces
 on one platform.  A run whose state norm passes 1e12 stops early with a
@@ -40,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .control import adaptive_u0, servo_boundary, servo_eval, zeta_step
+from .control import adaptive_u0, feedback_row, servo_boundary, servo_eval, zeta_step
 from .domain import (
     ConfigError,
     Grid,
@@ -61,6 +71,9 @@ from .fdm import grad_values, l2_norm, step_heat  # noqa: F401
 __all__ = [
     "ScenarioState",
     "BLOWUP_NORM",
+    "MAX_RECORD_BYTES",
+    "check_record_size",
+    "steps_as_operator",
     "benchmark_initial_state",
     "run_open_loop",
     "run_observer",
@@ -98,6 +111,11 @@ class ScenarioState:
     zeta: float
     last_u0: float
     last_u: float
+    #: what stepped the run: "operator", one matrix product a step, or
+    #: "stencil", :class:`~heatadapt.fdm.HeatStepper`
+    route: str = "stencil"
+    #: the step from which an operator run went on on the stencil, if it did
+    handover_step: int | None = None
 
 
 def benchmark_initial_state(grid: Grid, q: float) -> GridFunction:
@@ -119,7 +137,13 @@ _Now = Callable[[], tuple]
 
 
 def _run(
-    config: SimConfig, names: tuple[str, ...], block: _Block, flush: _Flush, row: _Row, now: _Now
+    config: SimConfig,
+    names: tuple[str, ...],
+    block: _Block,
+    flush: _Flush,
+    row: _Row,
+    now: _Now,
+    route: Callable[[], tuple[str, int | None]] = lambda: ("stencil", None),
 ) -> Trace:
     """The schedule every runner shares: blocks, snapshots and the last instant.
 
@@ -135,7 +159,8 @@ def _run(
     the samples the block kept, the values of the columns ``names``.
     Blocks also end every ``snapshot_stride`` steps, where this records the
     fields of ``now()``.  The last instant is always sampled, from
-    ``row(t)``, the columns' values at the current instant t.
+    ``row(t)``, the columns' values at the current instant t.  ``route()``
+    gives the final state's ``route`` and ``handover_step``.
     """
     dt, snap_stride, n_steps = config.dt, config.snapshot_stride, config.n_steps
     rec = _Recorder(names, n_steps, config.sample_stride)
@@ -152,7 +177,7 @@ def _run(
             k = stop
         t_blow = None if blow is None else blow * dt
         t_end = n_steps * dt if blow is None else t_blow
-        return _finish(config, rec, t_end, t_blow, row(t_end), now())
+        return _finish(config, rec, t_end, t_blow, row(t_end), now(), *route())
 
 
 def _put(rec: _Recorder, samples: list[tuple[float, ...]]) -> None:
@@ -222,6 +247,8 @@ def _finish(
     t_blow: float | None,
     values: tuple[float, ...],
     state: tuple,
+    route: str = "stencil",
+    handover_step: int | None = None,
 ) -> Trace:
     """Record the last instant and build the Trace.
 
@@ -234,7 +261,7 @@ def _finish(
         rec.snap(t_end, _fields(w, what))
     final = ScenarioState(
         t=t_end, w=GridFunction(grid, w), what=None if what is None else GridFunction(grid, what),
-        zeta=zeta, last_u0=u0, last_u=u,
+        zeta=zeta, last_u0=u0, last_u=u, route=route, handover_step=handover_step,
     )
     return rec.build(final, blow_up_time=t_blow)
 
@@ -336,6 +363,95 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
                 lambda: (w, None, 0.0, 0.0, 0.0))
 
 
+#: the largest grid on which runs without a reference step as one product of
+#: :func:`_operator`'s matrix a step: above it the stencil is faster (README,
+#: Performance, which measures the crossover)
+_OPERATOR_MAX_N = 101
+
+
+def steps_as_operator(grid: Grid) -> bool:
+    """Whether observer and stabilize runs on ``grid`` step as one operator product."""
+    return grid.n <= _OPERATOR_MAX_N
+
+
+def _operator(p: Params, config: SimConfig, feedback: np.ndarray | None) -> np.ndarray:
+    """One step of the plant + observer loop as a matrix A: the next state is ``A @ s``.
+
+    The state is ``s = [w, what, m, u0]`` with ``m = zeta u0``.  The rows of
+    w and what are one explicit step of :func:`~heatadapt.fdm.step_heat`
+    with the ghost-node fluxes expanded: ``-q w(0)`` at the left end of
+    both fields, ``b m`` at the plant's right end and ``u0 + c1 (w(1) -
+    what(1))`` at the observer's.  With ``feedback``, the row g of
+    :func:`~heatadapt.control.feedback_row`, u0 is ``g . what``: A has no
+    u0 column, the observer flux takes g, and the last row, ``g`` times the
+    observer rows, gives the next state's u0.  Without it, u0 is the last
+    column, an input, and the last row is 0.  The m row is 0: the caller
+    writes ``zeta u0`` there, the one bilinear term of the loop.
+    """
+    n, dx = config.grid.n, config.grid.dx
+    r = config.dt / (dx * dx)
+    # the weight of a boundary flux in its node's step
+    flux = 2.0 * r * dx
+    A = np.zeros((2 * n + 2, 2 * n + 1 if feedback is not None else 2 * n + 2))
+    for f in (0, n):
+        inner = np.arange(f + 1, f + n - 1)
+        A[inner, inner - 1] = A[inner, inner + 1] = r
+        A[inner, inner] = 1.0 - 2.0 * r
+        last = f + n - 1
+        A[f, f] = A[last, last] = 1.0 - 2.0 * r
+        A[f, f + 1] = A[last, last - 1] = 2.0 * r
+        A[f, 0] += flux * p.q
+    A[n - 1, 2 * n] = flux * p.b
+    A[2 * n - 1, n - 1] += flux * p.c1
+    A[2 * n - 1, 2 * n - 1] -= flux * p.c1
+    if feedback is None:
+        A[2 * n - 1, 2 * n + 1] = flux
+    else:
+        A[2 * n - 1, n : 2 * n] += flux * feedback
+        A[2 * n + 1] = feedback @ A[n : 2 * n]
+    return A
+
+
+def _quiet_states(states: np.ndarray, gain: float) -> bool:
+    """Whether no state of ``states``, rows [w, what, m, u0], can end a run.
+
+    Their squares summing to less than :data:`_QUIET_SQ`, which a NaN/Inf
+    fails, keeps every value under BLOWUP_NORM / 2: no plant norm passes
+    BLOWUP_NORM and no error field's squares overflow.  ``gain`` is twice
+    the largest of ``|b|``, q and ``1 + 2 c1``, so a finite ``gain`` times
+    the largest value bounds every flux, ``-q w(0)``, ``b m`` and
+    ``u0 + c1 (w(1) - what(1))``, with room for rounding.
+    """
+    flat = states.reshape(-1)
+    sq = flat.dot(flat)
+    return sq < _QUIET_SQ and gain * math.sqrt(sq) < math.inf
+
+
+#: the most bytes of samples and snapshots that one run may hold (README, CLI)
+MAX_RECORD_BYTES = 2 << 30
+#: the most values of a sample row: tracking's t and its 13 columns
+_WIDEST_ROW = 14
+
+
+def check_record_size(config: SimConfig, fields: int) -> None:
+    """Raise :class:`ConfigError` if a run would record more than :data:`MAX_RECORD_BYTES`.
+
+    The run keeps ``n_steps // sample_stride + 2`` sample rows of at most
+    :data:`_WIDEST_ROW` floats and, with snapshots, ``n_steps //
+    snapshot_stride + 2`` snapshots of ``fields`` fields, before it starts.
+    """
+    n_steps, snap_stride = config.n_steps, config.snapshot_stride
+    size = 8 * (n_steps // config.sample_stride + 2) * _WIDEST_ROW
+    if snap_stride:
+        size += 8 * (n_steps // snap_stride + 2) * fields * config.grid.n
+    if size > MAX_RECORD_BYTES:
+        raise ConfigError(
+            f"the run would record {size / 2**30:.3g} GiB of samples and snapshots, over the "
+            f"{MAX_RECORD_BYTES / 2**30:g} GiB limit: raise --sample-stride or "
+            "--snapshot-stride, or shorten --t-final"
+        )
+
+
 #: ``inputs(t, what)``: the feedback value u0 and the servo terms v(1,t),
 #: v_x(1,t) and r(t) at instant t, given the observer field what
 _Inputs = Callable[[float, GridFunction], tuple[float, float, float, float]]
@@ -349,6 +465,7 @@ def _run_observer_loop(
     zeta0: float,
     inputs: _Inputs,
     ref: ReferenceSignal | None = None,
+    u0_signal: Callable[[float], float] | None = None,
 ) -> Trace:
     """The plant + observer + update-law loop of observer, stabilize and track.
 
@@ -359,8 +476,17 @@ def _run_observer_loop(
     bit for bit.  Only runs without a reference record ``diss_cum``: their
     steps write w - what into a :class:`_Slab`, whose squares catch a
     NaN/Inf state, which tracking's ``inputs`` catch from u0.
+
+    A run without a reference on a grid of at most :data:`_OPERATOR_MAX_N`
+    nodes steps as one product of the matrix of :func:`_operator` a step:
+    an observer run's u0 is ``u0_signal``, a stabilize run's the
+    operator's readout.  Such a block decides no run's end.  It writes
+    every state into a slab, and a block whose slab is not quiet
+    (:func:`_quiet_states`) is stepped again from its first state on the
+    stencil, which then steps the run to its end: the stencil alone
+    finds a blow-up, a NaN/Inf state or a non-finite flux.
     """
-    dt, dx, stride = config.dt, config.grid.dx, config.sample_stride
+    dt, dx, stride, n = config.dt, config.grid.dx, config.sample_stride, config.grid.n
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
     stepper = _stepper(config, w0, what0)
     observer = _windows(config.grid, stepper, 1)
@@ -416,30 +542,104 @@ def _run_observer_loop(
 
         def flush(rec: _Recorder, k0: int, k: int) -> None:
             _put(rec, samples)
-    else:
-        names, observer_row = _OBSERVER_COLUMNS, _observer_row(p, dx)
-        plants = np.empty((_SLAB, config.grid.n))
-        copies = tuple(plants)
 
-        def row(t: float) -> tuple[float, ...]:
-            return observer_row(w, what, zeta, u0, zeta * u0, slab.diss)
+        return _run(config, names, block, flush, row, lambda: (w, what, zeta, u0, zeta * u0))
 
-        def sample(t: float) -> None:
-            np.copyto(copies[len(samples)], w)
-            samples.append((t, u0, zeta * u0, zeta, w.item(0), w.item(-1)))
+    observer_row = _observer_row(p, dx)
+    plants = np.empty((_SLAB, n))
+    copies = tuple(plants)
 
-        def flush(rec: _Recorder, k0: int, k: int) -> None:
-            diss = slab.close()
-            if samples:
-                # the columns of _observer_row, after t
-                out = rec.rows(len(samples))
-                out[:, :6] = samples
-                np.sqrt(_sq_norms(plants[: len(samples)], dx), out=out[:, 6])
-                at = slice(-k0 % stride, k - k0, stride)
-                _errors(out[:, 7:], slab.head[at], inv_b - out[:, 3], half_b, diss[at], dx)
-                samples.clear()
+    def row(t: float) -> tuple[float, ...]:
+        return observer_row(w, what, zeta, u0, zeta * u0, slab.diss)
 
-    return _run(config, names, block, flush, row, lambda: (w, what, zeta, u0, zeta * u0))
+    def sample(t: float) -> None:
+        np.copyto(copies[len(samples)], w)
+        samples.append((t, u0, zeta * u0, zeta, w.item(0), w.item(-1)))
+
+    def flush(rec: _Recorder, k0: int, k: int) -> None:
+        diss = slab.close()
+        if samples:
+            # the columns of _observer_row, after t
+            out = rec.rows(len(samples))
+            out[:, :6] = samples
+            np.sqrt(_sq_norms(plants[: len(samples)], dx), out=out[:, 6])
+            at = slice(-k0 % stride, k - k0, stride)
+            _errors(out[:, 7:], slab.head[at], inv_b - out[:, 3], half_b, diss[at], dx)
+            samples.clear()
+
+    def now() -> tuple:
+        return w, what, zeta, u0, zeta * u0
+
+    if not steps_as_operator(config.grid):
+        return _run(config, _OBSERVER_COLUMNS, block, flush, row, now)
+
+    # the operator route: the state [w, what, m = zeta u0, u0] of each instant
+    # a block reaches is a row of ``states``; w and what view the first
+    feedback = None if u0_signal is not None else feedback_row(n, p.estimator_view())
+    A = _operator(p, config, feedback)
+    states = np.empty((_SLAB + 1, 2 * n + 2))
+    ins, outs = tuple(s[: A.shape[1]] for s in states), tuple(states)
+    first = states[0]
+    first[:n], first[n : 2 * n], first[2 * n :] = w, what, (zeta * u0, u0)
+    w, what = first[:n], first[n : 2 * n]
+    at_m, at_w1, at_what1 = 2 * n, n - 1, 2 * n - 1
+    gain = 2.0 * max(abs(b), q, 1.0 + 2.0 * c1)
+    zetas: list[float] = []
+    handover = None
+
+    def operator_block(k: int, stop: int) -> int | None:
+        nonlocal w, what, zeta, u0, handover
+        if handover is not None:
+            return block(k, stop)
+        # zeta and u0 keep the block's first values until the block is quiet
+        dot, update, z, u = np.dot, zeta_step, zeta, u0
+        zetas.clear()
+        keep = zetas.append
+        for i in range(stop - k):
+            keep(z)
+            s, y = outs[i], outs[i + 1]
+            innov = s.item(at_w1) - s.item(at_what1)
+            z_new = update(z, sgn, innov, u, dt)
+            dot(A, ins[i], y)
+            z = z_new
+            if u0_signal is None:
+                u = y.item(-1)
+            else:
+                u = y[-1] = u0_signal((k + i + 1) * dt)
+            y[at_m] = z * u
+        if _quiet_states(states[: stop - k + 1], gain):
+            zeta, u0 = z, u
+            return None
+        # step the block again on the stencil, from its first state on
+        handover = k
+        w, what = stepper.rows
+        np.copyto(w, first[:n])
+        np.copyto(what, first[n : 2 * n])
+        return block(k, stop)
+
+    def operator_flush(rec: _Recorder, k0: int, k: int) -> None:
+        if handover is not None:
+            return flush(rec, k0, k)
+        steps = k - k0
+        stepped = states[:steps]
+        errs = slab.head[:steps]
+        np.subtract(stepped[:, :n], stepped[:, n : 2 * n], errs)
+        # each step's innovation w(1) - what(1)
+        slab.xs.extend(errs[:, -1].tolist())
+        diss = slab.close()
+        at = slice(-k0 % stride, steps, stride)
+        picked = stepped[at]
+        if len(picked):
+            out = rec.rows(len(picked))
+            out[:, 0] = np.arange(k0 + at.start, k, stride) * dt
+            out[:, 1], out[:, 2], out[:, 3] = picked[:, -1], picked[:, at_m], zetas[at]
+            out[:, 4], out[:, 5] = picked[:, 0], picked[:, at_w1]
+            np.sqrt(_sq_norms(picked[:, :n], dx), out=out[:, 6])
+            _errors(out[:, 7:], errs[at], inv_b - out[:, 3], half_b, diss[at], dx)
+        first[:] = states[steps]
+
+    return _run(config, _OBSERVER_COLUMNS, operator_block, operator_flush, row, now,
+                lambda: ("operator", handover))
 
 
 #: the columns of a plant + observer + update-law run's rows without a reference
@@ -478,7 +678,8 @@ def run_observer(
     estimation error decays.
     """
     return _run_observer_loop(
-        p, config, w0, what0, zeta0, lambda t, _what: (u0_signal(t), 0.0, 0.0, 0.0)
+        p, config, w0, what0, zeta0, lambda t, _what: (u0_signal(t), 0.0, 0.0, 0.0),
+        u0_signal=u0_signal,
     )
 
 

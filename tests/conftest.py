@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heatadapt import Grid, GridFunction, Params
+from heatadapt import Grid, GridFunction, Params, scenarios
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +29,13 @@ def zeros51(grid51):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def stencil_route(monkeypatch):
+    """Step every run on the stencil, as on grids above the operator cutoff.
+
+    For the tests that pin the stencil's bits: observer and stabilize
+    runs, and their sweeps, no longer take the operator on small grids.
+    """
+    monkeypatch.setattr(scenarios, "_OPERATOR_MAX_N", 0)

@@ -38,9 +38,9 @@ def reference_csv(header, rows) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def spike_profile(path):
-    """51 values with a 1e308, -1e308 pair: the first step overflows."""
-    values = np.zeros(51)
+def spike_profile(path, n=51):
+    """n values with a 1e308, -1e308 pair: the first step overflows."""
+    values = np.zeros(n)
     values[24], values[25] = 1e308, -1e308
     np.savetxt(path, values, fmt="%.17g")
     return f"file:{path}"
@@ -282,6 +282,30 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["verdicts"]["blown_up"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--t-final", "1e12"],
+        ["simulate", "--scenario", "galerkin", "--modes", "2", "--t-final", "1e12"],
+        ["simulate", "--t-final", "1000", "--sample-stride", "100000", "--snapshot-stride", "1"],
+    ], ids=["samples", "galerkin", "snapshots"])
+    def test_a_record_past_the_size_limit_exits_64(self, tmp_path, argv):
+        out = tmp_path / "run"
+        proc = run_subprocess(*argv, "--out", str(out))
+        assert proc.returncode == 64
+        assert proc.stderr.startswith("heatadapt: the run would record ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_a_sweep_member_past_the_size_limit_exits_64(self, tmp_path):
+        out = tmp_path / "sweep"
+        proc = run_subprocess("sweep", "--param", "t-final", "--values", "1,1e12",
+                              "--out", str(out))
+        assert proc.returncode == 64
+        assert proc.stderr.startswith("heatadapt: the run would record ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        assert [r["exit_code"] for r in runs] == [0, 64]
+        assert not Path(runs[1]["out"]).exists()
+
     def test_unsettled_run_with_gate_exits_4(self, tmp_path):
         code = run_cli(
             "simulate", "--scenario", "stabilize", "--t-final", "2",
@@ -357,6 +381,23 @@ class TestSimulateOutputs:
         m = RunManifest.load(old)
         assert m.samples is None
         assert m.scenario == "stabilize" and m.config["n"] == 51
+
+    @pytest.mark.parametrize("scenario, flags, route, handover", [
+        ("stabilize", [], "operator", None),
+        ("observer", ["--u0", "exp-decay"], "operator", None),
+        # quiet for two blocks, then the stencil steps the run to its blow-up
+        ("stabilize", ["--q", "6", "--c0", "0.5", "--c1", "0.5", "--snapshot-stride", "50"],
+         "operator", 100),
+        ("stabilize", ["--dx", "0.008", "--dt", "2e-5"], "stencil", None),
+        ("track", ["--ref", "const:1"], "stencil", None),
+        ("error-system", ["--u0", "exp-decay"], "stencil", None),
+        ("galerkin", ["--u0", "exp-decay"], None, None),
+    ])
+    def test_manifest_records_the_route(self, tmp_path, scenario, flags, route, handover):
+        run_cli("simulate", "--scenario", scenario, *flags, "--t-final", "0.05",
+                "--pe-tau", "0.01", "--out", str(tmp_path))
+        m = RunManifest.load(tmp_path / "manifest.json")
+        assert (m.route, m.handover_step) == (route, handover)
 
     def test_manifest_run_size(self, run_dir):
         m = RunManifest.load(run_dir / "manifest.json")
@@ -725,9 +766,14 @@ STABILIZE_SWEEPS = {
 }
 
 
+#: flags of a 126-node grid, above the operator cutoff, where stabilize sweeps batch
+ABOVE_CUTOFF = ["--dx", "0.008", "--dt", "2e-5"]
+
+
 class TestBatchedSweep:
     """Each sweep member writes what its own simulate run writes, byte for byte."""
 
+    @pytest.mark.usefixtures("stencil_route")
     @pytest.mark.parametrize("case", list(STABILIZE_SWEEPS))
     def test_members_equal_simulate(self, tmp_path, capsys, monkeypatch, case):
         import heatadapt.batch
@@ -779,13 +825,37 @@ class TestBatchedSweep:
             # each batched member's duration is its share of the batch
             assert len(set(durations)) == 1 and durations[0] > 0
 
+    def test_members_on_the_operator_run_alone(self, tmp_path, monkeypatch):
+        # at n <= the cutoff each member steps as one operator product, alone,
+        # and writes what its own simulate run writes
+        import heatadapt.batch
+
+        monkeypatch.setattr(heatadapt.batch, "run_stabilization_batch", None)
+        out = tmp_path / "sweep"
+        flags = ["--t-final", "0.3", "--pe-tau", "0.1", "--snapshot-stride", "700"]
+        assert run_cli("sweep", "--scenario", "stabilize", "--param", "c0", "--values", "3,5,7",
+                       *flags, "--out", str(out)) == 0
+        for i, r in enumerate(json.loads((out / "sweep.json").read_text())["runs"]):
+            alone = tmp_path / f"alone-{i}"
+            assert run_cli("simulate", "--scenario", "stabilize", f"--c0={r['value']!r}", *flags,
+                           "--out", str(alone)) == 0
+            member = Path(r["out"])
+            for name in ("trace.csv", "snapshots.csv"):
+                assert (member / name).read_bytes() == (alone / name).read_bytes(), name
+            got, expected = (json.loads((d / "manifest.json").read_text()) for d in (member, alone))
+            for m in (got, expected):
+                del m["duration_s"], m["outputs"]
+            assert got == expected and got["route"] == "operator"
+
     def test_only_a_batching_sweep_imports_the_batch_module(self, tmp_path):
-        # each process compiles what it imports, which raises its peak memory
+        # each process compiles what it imports, which raises its peak memory;
+        # only sweeps on grids above the operator cutoff batch
         probe = tmp_path / "probe.py"
         probe.write_text(
             "import sys\n"
             "from heatadapt import cli\n"
-            "run = ['--scenario', 'stabilize', '--t-final', '0.01', '--pe-tau', '0.01']\n"
+            "run = ['--scenario', 'stabilize', '--t-final', '0.01', '--pe-tau', '0.01',\n"
+            f"       *{ABOVE_CUTOFF!r}]\n"
             f"cli.main(['simulate', *run, '--out', {str(tmp_path / 'alone')!r}])\n"
             "print('heatadapt.batch' in sys.modules)\n"
             "cli.main(['sweep', *run, '--param', 'c0', '--values', '3,4,5',\n"
@@ -799,18 +869,20 @@ class TestBatchedSweep:
     def test_overflowing_members_print_only_their_lines(self, tmp_path):
         out = tmp_path / "sweep"
         proc = run_subprocess("sweep", "--scenario", "stabilize", "--param", "b",
-                              "--values=-10,-1e307,-1e308", "--t-final", "0.5",
+                              "--values=-10,-1e307,-1e308", "--t-final", "0.5", *ABOVE_CUTOFF,
                               "--out", str(out))
         assert proc.returncode == 64
         assert proc.stderr == "heatadapt: boundary fluxes must be finite\n" * 2
         runs = json.loads((out / "sweep.json").read_text())["runs"]
         assert [r["exit_code"] for r in runs] == [0, 64, 64]
 
-    @pytest.mark.parametrize("values", ["3,5", "3,5,7"], ids=["one-by-one", "batched"])
-    def test_non_finite_member_exits_3_and_the_sweep_goes_on(self, tmp_path, values):
+    @pytest.mark.parametrize("values, grid", [("3,5", []), ("3,5,7", ABOVE_CUTOFF)],
+                             ids=["one-by-one", "batched"])
+    def test_non_finite_member_exits_3_and_the_sweep_goes_on(self, tmp_path, values, grid):
         out = tmp_path / "sweep"
+        init = spike_profile(tmp_path / "f.txt", 126 if grid else 51)
         proc = run_subprocess("sweep", "--scenario", "stabilize", "--param", "c0",
-                              "--values", values, "--init", spike_profile(tmp_path / "f.txt"),
+                              "--values", values, "--init", init, *grid,
                               "--t-final", "0.01", "--pe-tau", "0.01", "--out", str(out))
         count = len(values.split(","))
         assert proc.returncode == 3

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from heatadapt import (
     upsilon_b,
     zeta_step,
 )
+from heatadapt import scenarios
 from heatadapt.batch import run_stabilization_batch
 from heatadapt.domain import TRACE_COLUMNS
 from heatadapt.fdm import HeatStepper, grad_values
@@ -175,6 +180,7 @@ class TestTracking:
         )
         assert np.diff(tr["F"]).max() <= 1e-8
 
+    @pytest.mark.usefixtures("stencil_route")
     @pytest.mark.parametrize("n, dt, t_final, stride, snap, q, gain", [
         (51, 1e-4, 0.3, 37, 50, 2.0, 5.0),
         (201, 1e-5, 0.01, 37, 0, 2.0, 5.0),
@@ -366,6 +372,7 @@ def assert_matches_reference(tr, expected, snap):
 class TestRunnersMatchReferenceRoute:
     """Every runner reproduces the step_heat/grad_values route bit for bit."""
 
+    @pytest.mark.usefixtures("stencil_route")
     @pytest.mark.parametrize(
         "kind, t_final, snap",
         [("open", 1.0, 997), ("observer", 0.3, 700), ("stabilize", 0.3, 0),
@@ -396,6 +403,7 @@ class TestRunnersMatchReferenceRoute:
         assert tr.blown_up is (kind == "open")
         assert_matches_reference(tr, expected, snap)
 
+    @pytest.mark.usefixtures("stencil_route")
     @pytest.mark.parametrize("n, dt, t_final, stride, snap, q, gain", [
         (51, 1e-4, 0.3, 37, 50, 2.0, 5.0),  # snapshot stride coprime to the sample stride
         (201, 1e-5, 0.01, 37, 250, 2.0, 5.0),
@@ -513,6 +521,7 @@ def per_step_run(kind, p, config, w0, what0=None, zeta0=0.0, u0_signal=None):
     return times, rows, snaps, fields(), zeta, u0, u, t_blow
 
 
+@pytest.mark.usefixtures("stencil_route")
 class TestSlabsMatchPerStepLoop:
     """The slab-flushing runners against the loop that took every readout per step."""
 
@@ -617,6 +626,7 @@ def batch_inputs(grid, members):
             [GridFunction(grid, m[2]) for m in members], [m[3] for m in members])
 
 
+@pytest.mark.usefixtures("stencil_route")
 class TestStabilizationBatch:
     """The batched runner against run_stabilization, member by member."""
 
@@ -687,3 +697,168 @@ class TestStabilizationBatch:
         with pytest.raises(ConfigError):
             other = GridFunction.zeros(Grid(26))
             run_stabilization_batch([params8], cfg(grid51, 0.01), [other], [zeros51], [0.0])
+
+
+def assert_near_reference(tr, expected, snap, rel=1e-12):
+    """The trace equals reference_run's results within ``rel`` of each column's scale.
+
+    Times, the blow-up time and the snapshot instants are equal; every
+    column, snapshot field and final value is within ``rel`` times the
+    largest magnitude of its series.
+    """
+    times, rows, snaps, final, zeta, last_u0, last_u, t_blow = expected
+
+    def near(got, want, name):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape, name
+        scale = float(np.abs(want).max())
+        assert float(np.abs(got - want).max()) <= rel * scale, name
+
+    assert tr.blow_up_time == t_blow
+    assert bits(tr.times) == bits(times)
+    for name in (*tr.scalars, *tr.extras):
+        near(tr[name], [r.get(name, 0.0) for r in rows], name)
+    assert set(tr.extras) == set(rows[0]) - set(tr.scalars)
+    assert len(tr.snapshots) == len(snaps) and bool(snaps) == bool(snap)
+    for (t1, f1), (t2, f2) in zip(tr.snapshots, snaps):
+        assert t1 == t2 and f1.keys() == f2.keys()
+        for k in f1:
+            near(f1[k], f2[k], k)
+    fs = tr.final_state
+    assert fs.t == times[-1]
+    near(fs.w.values, final["w"], "w")
+    near(fs.what.values, final["what"], "what")
+    near([fs.zeta, fs.last_u0, fs.last_u], [zeta, last_u0, last_u], "zeta, u0, u")
+
+
+def operator_cutoff_grid():
+    """The largest grid that takes the operator route, and a dt of 0.4 dx^2.
+
+    At dt = dx^2 / 2, which the CFL check admits, the observer's Robin flux
+    makes the explicit step unstable on this grid, on either route.
+    """
+    from heatadapt.scenarios import _OPERATOR_MAX_N
+
+    grid = Grid(_OPERATOR_MAX_N)
+    return grid, 0.4 * grid.dx * grid.dx
+
+
+class TestOperatorRoute:
+    """Observer and stabilize runs on small grids step as one operator product."""
+
+    @pytest.mark.parametrize("kind", ["observer", "stabilize"])
+    @pytest.mark.parametrize("at_cutoff", [False, True], ids=["n51", "cutoff"])
+    @pytest.mark.parametrize("stride, snap", [(1, 0), (7, 45), (37, 130), (65, 64)])
+    def test_trace_near_reference(self, kind, at_cutoff, stride, snap, params8):
+        # 640 steps: ten 64-step blocks, sampled inside, on and across their ends
+        grid, dt = operator_cutoff_grid() if at_cutoff else (Grid(51), 1e-4)
+        c = cfg(grid, 640 * dt, dt=dt, stride=stride, snap=snap)
+        assert c.n_steps == 640
+        w0 = benchmark_initial_state(grid, params8.q)
+        what0 = GridFunction(grid, 0.3 * np.sin(3.0 * grid.nodes))
+        u0 = lambda t: math.exp(-t)
+        if kind == "observer":
+            tr = run_observer(params8, c, w0, what0, 0.05, u0)
+            expected = reference_run(kind, params8, c, w0, what0, 0.05, u0_signal=u0)
+        else:
+            tr = run_stabilization(params8, c, w0, what0, 0.0)
+            expected = reference_run(kind, params8, c, w0, what0, 0.0)
+        assert (tr.final_state.route, tr.final_state.handover_step) == ("operator", None)
+        assert_near_reference(tr, expected, snap)
+
+    @pytest.mark.parametrize("at_cutoff", [False, True], ids=["n51", "cutoff"])
+    def test_observer_error_meets_criterion_7(self, at_cutoff, params8):
+        # the observer's error w - what obeys the error system: criterion 7's
+        # time-L2 bound on its gap to the spectral oracle, same u0 and initial
+        # error (the ramp and 1/b - zeta0 = -0.1)
+        from heatadapt import galerkin_error_system
+
+        grid, dt = operator_cutoff_grid() if at_cutoff else (Grid(51), 1e-4)
+        stride = round(1e-2 / dt)
+        c = cfg(grid, 1.0, dt=dt, stride=stride)
+        u0 = lambda t: math.exp(-t)
+        w0 = benchmark_initial_state(grid, 2.0)
+        tr = run_observer(params8, c, w0, GridFunction.zeros(grid), 0.0, u0)
+        assert tr.final_state.route == "operator"
+        g201 = Grid(201)
+        oracle = galerkin_error_system(32, params8, u0, benchmark_initial_state(g201, 2.0), -0.1,
+                                       1.0, 1e-4, sample_stride=100)
+        assert np.allclose(oracle.times, tr.times, rtol=0, atol=1e-12)
+        d = oracle["wnorm"] - tr["obs_err_norm"]
+        assert math.sqrt(float(np.trapezoid(d * d, tr.times))) <= 1e-2
+
+    @pytest.mark.parametrize("q, gain, handover, step", [
+        (9.0, 0.01, 0, 9),  # blows up in the first block
+        (6.0, 0.5, 200, 227),  # quiet for four blocks, which end at the snapshots
+    ])
+    def test_blow_up_ends_at_the_stencil_step(self, monkeypatch, q, gain, handover, step):
+        grid = Grid(51)
+        c = cfg(grid, 0.5, stride=37, snap=50)
+        p = Params(q=q, b=-10.0, c0=gain, c1=gain)
+        w0 = benchmark_initial_state(grid, q)
+        what0 = GridFunction(grid, 0.3 * np.sin(3.0 * grid.nodes))
+        tr = run_stabilization(p, c, w0, what0, 0.0)
+        assert (tr.final_state.route, tr.final_state.handover_step) == ("operator", handover)
+        monkeypatch.setattr(scenarios, "_OPERATOR_MAX_N", 0)
+        st = run_stabilization(p, c, w0, what0, 0.0)
+        assert (st.final_state.route, st.final_state.handover_step) == ("stencil", None)
+        assert tr.blow_up_time == st.blow_up_time == step * c.dt
+        assert bits(tr.times) == bits(st.times)
+        if handover == 0:
+            # the stencil stepped the whole run from the same state
+            assert_same_run(tr, st)
+
+    @pytest.mark.parametrize("b, dt, steps, zeta0", [
+        (-1e307, 1e-4, 5000, 0.0),
+        (-1e308, 1e-4, 5000, 0.0),
+        # b m = 2.8e308 overflows, but its weight in the step, 2 r dx = 1e-300,
+        # keeps the state quiet: only the flux bound catches it
+        (-2e306, 1e-302, 10, 20.0),
+    ])
+    def test_flux_overflow_raises_as_the_stencil(self, monkeypatch, grid51, ramp51, zeros51,
+                                                 b, dt, steps, zeta0):
+        p = Params(q=2.0, b=b, c0=5.0, c1=5.0)
+        c = cfg(grid51, steps * dt, dt=dt)
+        what0 = ramp51 if zeta0 else zeros51
+        with pytest.raises(ConfigError, match="^boundary fluxes must be finite$"):
+            run_stabilization(p, c, ramp51, what0, zeta0)
+        monkeypatch.setattr(scenarios, "_OPERATOR_MAX_N", 0)
+        with pytest.raises(ConfigError, match="^boundary fluxes must be finite$"):
+            run_stabilization(p, c, ramp51, what0, zeta0)
+
+    @pytest.mark.parametrize("kind", ["observer", "stabilize"])
+    def test_grid_above_the_cutoff_takes_the_stencil(self, monkeypatch, params8, kind):
+        from heatadapt.scenarios import _OPERATOR_MAX_N
+
+        grid = Grid(_OPERATOR_MAX_N + 1)
+        c = cfg(grid, 0.01, dt=4e-5, stride=7, snap=45)
+        w0 = benchmark_initial_state(grid, params8.q)
+        what0 = GridFunction(grid, 0.3 * np.sin(3.0 * grid.nodes))
+
+        def run():
+            if kind == "observer":
+                return run_observer(params8, c, w0, what0, 0.05, lambda t: math.exp(-t))
+            return run_stabilization(params8, c, w0, what0, 0.0)
+
+        tr = run()
+        assert tr.final_state.route == "stencil"
+        monkeypatch.setattr(scenarios, "_OPERATOR_MAX_N", 0)
+        assert_same_run(tr, run())
+
+    def test_trace_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the product runs in BLAS, which may split it over threads
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            for scenario in ("stabilize", "observer"):
+                out = tmp_path / f"{scenario}-{threads}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "heatadapt.cli", "simulate", "--scenario", scenario,
+                     "--u0", "exp-decay", "--zeta0", "-0.1", "--t-final", "0.5",
+                     "--pe-tau", "0.1", "--snapshot-stride", "700", "--out", str(out)],
+                    capture_output=True, text=True, env=env, timeout=120)
+                assert proc.returncode == 0, proc.stderr
+                outputs.append([(out / f).read_bytes() for f in ("trace.csv", "snapshots.csv")])
+        assert outputs[:2] == outputs[2:]

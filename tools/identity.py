@@ -17,6 +17,13 @@ and ``outputs`` keys.  Exit codes and stderr are compared too.  For a
 CSV that differs, a table gives each column's max |delta| over its max
 |value|.  Exit status: 0 when everything is identical, 1 when anything
 differs, 2 when REV cannot be exported.
+
+Observer and stabilize runs on grids of at most 101 nodes
+(``scenarios._OPERATOR_MAX_N``), and their sweeps, step as one operator
+product since that route came in.  It moved their last digits, by at most
+1e-12 of a column's scale, and manifests gained ``route`` and
+``handover_step``, so against a revision before it those outputs differ.
+The four ``*-n101`` and ``*-n102`` commands pin both routes at the cutoff.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: three unbatched sweeps, two sweeps whose batch gives up for a member that
 #: ends early (a blow-up, a flux overflow), a servo truncation past its bound,
 #: and three runs whose samples fall inside, on and across the 64-step blocks
-#: of the runners' slabs (sample strides 1, 7 and 65, snapshot strides 45, 130)
+#: of the runners' slabs (sample strides 1, 7 and 65, snapshot strides 45, 130),
+#: and stabilize and observer runs on the largest grid that steps as one operator
+#: product (n=101) and on the next grid, which steps on the stencil (n=102)
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -97,6 +106,19 @@ COMMANDS = (
                                 "--zeta0", "-0.1", "--sample-stride", "65",
                                 "--snapshot-stride", "130", "--t-final", "0.5",
                                 "--pe-tau", "0.1"]),
+    ("stabilize-n101", ["simulate", "--scenario", "stabilize", "--dx", "0.01", "--dt", "4e-5",
+                        "--t-final", "0.1", "--pe-tau", "0.02", "--sample-stride", "7",
+                        "--snapshot-stride", "700"]),
+    ("observer-n101", ["simulate", "--scenario", "observer", "--u0", "exp-decay",
+                       "--zeta0", "-0.1", "--dx", "0.01", "--dt", "4e-5", "--t-final", "0.1",
+                       "--pe-tau", "0.02", "--sample-stride", "7", "--snapshot-stride", "700"]),
+    ("stabilize-n102", ["simulate", "--scenario", "stabilize", "--dx", "0.009900990099009901",
+                        "--dt", "4e-5", "--t-final", "0.1", "--pe-tau", "0.02",
+                        "--sample-stride", "7", "--snapshot-stride", "700"]),
+    ("observer-n102", ["simulate", "--scenario", "observer", "--u0", "exp-decay",
+                       "--zeta0", "-0.1", "--dx", "0.009900990099009901", "--dt", "4e-5",
+                       "--t-final", "0.1", "--pe-tau", "0.02", "--sample-stride", "7",
+                       "--snapshot-stride", "700"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
@@ -179,7 +201,8 @@ def compare(out_a: Path, out_b: Path) -> tuple[int, list[str]]:
         elif rel.name == "manifest.json":
             ma, mb = _manifest(a), _manifest(b)
             if ma != mb:
-                keys = sorted(k for k in ma.keys() | mb.keys() if ma.get(k) != mb.get(k))
+                keys = sorted(k for k in ma.keys() | mb.keys()
+                              if k not in ma or k not in mb or ma[k] != mb[k])
                 diffs.append(f"{rel}: differs in {', '.join(keys)}")
         elif a.read_bytes() != b.read_bytes():
             diffs.append(f"{rel}: bytes differ")
