@@ -737,9 +737,7 @@ def operator_cutoff_grid():
     At dt = dx^2 / 2, which the CFL check admits, the observer's Robin flux
     makes the explicit step unstable on this grid, on either route.
     """
-    from heatadapt.scenarios import _OPERATOR_MAX_N
-
-    grid = Grid(_OPERATOR_MAX_N)
+    grid = Grid(scenarios._OPERATOR_MAX_N)
     return grid, 0.4 * grid.dx * grid.dx
 
 
@@ -828,9 +826,7 @@ class TestOperatorRoute:
 
     @pytest.mark.parametrize("kind", ["observer", "stabilize"])
     def test_grid_above_the_cutoff_takes_the_stencil(self, monkeypatch, params8, kind):
-        from heatadapt.scenarios import _OPERATOR_MAX_N
-
-        grid = Grid(_OPERATOR_MAX_N + 1)
+        grid = Grid(scenarios._OPERATOR_MAX_N + 1)
         c = cfg(grid, 0.01, dt=4e-5, stride=7, snap=45)
         w0 = benchmark_initial_state(grid, params8.q)
         what0 = GridFunction(grid, 0.3 * np.sin(3.0 * grid.nodes))
