@@ -10,12 +10,13 @@ own run.  The stack handles only the ordinary case, every member run
 to the horizon: how a run ends early is decided by the scalar runner
 alone, and a stack that may hold such a member gives up.  One stack step
 costs about as much as two or three single stencil steps and barely grows
-with B, so batching pays from three members on, but only on grids above
-:data:`~heatadapt.scenarios._OPERATOR_MAX_N` nodes: on smaller ones a
-single run steps as one operator product, and B of them alone cost less
-than the stack (README, Performance: at n=51 a 6-member stack costs
-about 6.4 µs a member-step, operator runs alone about 4.4).  The module is separate so that
-a process that never batches does not compile it.
+with B.  Sweeps use it only on grids above
+:data:`~heatadapt.scenarios._OPERATOR_MAX_N` nodes, where single runs
+step on the stencil: there, end to end, a six-member sweep costs about
+0.8 of its members run alone, and three members break even.  On smaller
+grids a single run steps as one operator product, and B of them alone
+cost less than the stack (README, Performance).  The module is separate
+so that a process that never batches does not compile it.
 """
 
 from __future__ import annotations

@@ -379,6 +379,11 @@ def _tolerance_checks(scenario: str, verdicts: dict, b: float) -> dict:
     return checks
 
 
+#: per scenario, the floats of a sample row, t included, and the fields of a snapshot
+_RECORD_SHAPE = {"open-loop": (4, 1), "observer": (11, 2), "stabilize": (11, 2), "track": (14, 2),
+                 "error-system": (10, 1), "galerkin": (9, 0)}
+
+
 class _Setup(NamedTuple):
     """One simulate run, resolved and checked, that has not run yet."""
 
@@ -407,7 +412,7 @@ def _set_up(resolved: dict) -> _Setup:
         snapshot_stride=resolved["snapshot-stride"],
     )
     validate_config(params, config)
-    check_record_size(config, 0 if resolved["scenario"] == "galerkin" else 2)
+    check_record_size(config, *_RECORD_SHAPE[resolved["scenario"]])
     run = _Setup(
         resolved=resolved,
         scenario=resolved["scenario"],
@@ -580,7 +585,7 @@ def _report(exc: Exception) -> int:
 
 #: the fewest stabilize members of a sweep stepped together as one stack, on
 #: grids above the operator cutoff: one stack step costs about as much as 2-3
-#: single stencil steps, but more than its members' operator steps (README,
+#: single stencil steps, and end to end three members break even (README,
 #: Performance)
 _MIN_BATCH = 3
 

@@ -24,8 +24,8 @@ with one :class:`~heatadapt.fdm.HeatStepper`, which holds plant and
 observer (or the single field of open-loop and error-system runs) as
 rows of one array and steps them in place.
 
-Observer and stabilize runs on grids of at most :data:`_OPERATOR_MAX_N`
-nodes step instead as one matrix-vector product a step: the loop is
+Stabilize runs on grids of at most :data:`_OPERATOR_MAX_N` nodes step
+instead as one matrix-vector product a step: the loop is
 linear in ``[w, what, m]`` once ``m = zeta u0``, its one bilinear term,
 is written into the state (:func:`_operator`).  The product rounds
 differently from the stencil, within about 1e-14 of a column's scale on
@@ -363,36 +363,35 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
                 lambda: (w, None, 0.0, 0.0, 0.0))
 
 
-#: the largest grid on which runs without a reference step as one product of
-#: :func:`_operator`'s matrix a step: above it the stencil is faster (README,
-#: Performance, which measures the crossover)
+#: the largest grid on which stabilize runs step as one product of
+#: :func:`_operator`'s matrix a step: above it the stencil is faster end to
+#: end (README, Performance, which measures the crossover)
 _OPERATOR_MAX_N = 101
 
 
 def steps_as_operator(grid: Grid) -> bool:
-    """Whether observer and stabilize runs on ``grid`` step as one operator product."""
+    """Whether stabilize runs on ``grid`` step as one operator product."""
     return grid.n <= _OPERATOR_MAX_N
 
 
-def _operator(p: Params, config: SimConfig, feedback: np.ndarray | None) -> np.ndarray:
-    """One step of the plant + observer loop as a matrix A: the next state is ``A @ s``.
+def _operator(p: Params, config: SimConfig, feedback: np.ndarray) -> np.ndarray:
+    """One step of the stabilizing loop as a matrix A: the next state is ``A @ s``.
 
-    The state is ``s = [w, what, m, u0]`` with ``m = zeta u0``.  The rows of
-    w and what are one explicit step of :func:`~heatadapt.fdm.step_heat`
-    with the ghost-node fluxes expanded: ``-q w(0)`` at the left end of
-    both fields, ``b m`` at the plant's right end and ``u0 + c1 (w(1) -
-    what(1))`` at the observer's.  With ``feedback``, the row g of
-    :func:`~heatadapt.control.feedback_row`, u0 is ``g . what``: A has no
-    u0 column, the observer flux takes g, and the last row, ``g`` times the
-    observer rows, gives the next state's u0.  Without it, u0 is the last
-    column, an input, and the last row is 0.  The m row is 0: the caller
+    The state is ``s = [w, what, m]`` with ``m = zeta u0``, and ``A @ s``
+    also gives the next u0.  The rows of w and what are one explicit step
+    of :func:`~heatadapt.fdm.step_heat` with the ghost-node fluxes
+    expanded: ``-q w(0)`` at the left end of both fields, ``b m`` at the
+    plant's right end and ``u0 + c1 (w(1) - what(1))`` at the observer's,
+    where u0 is ``feedback . what``, ``feedback`` being the row g of
+    :func:`~heatadapt.control.feedback_row`.  The last row, g times the
+    observer rows, gives the next state's u0.  The m row is 0: the caller
     writes ``zeta u0`` there, the one bilinear term of the loop.
     """
     n, dx = config.grid.n, config.grid.dx
     r = config.dt / (dx * dx)
     # the weight of a boundary flux in its node's step
     flux = 2.0 * r * dx
-    A = np.zeros((2 * n + 2, 2 * n + 1 if feedback is not None else 2 * n + 2))
+    A = np.zeros((2 * n + 2, 2 * n + 1))
     for f in (0, n):
         inner = np.arange(f + 1, f + n - 1)
         A[inner, inner - 1] = A[inner, inner + 1] = r
@@ -404,11 +403,8 @@ def _operator(p: Params, config: SimConfig, feedback: np.ndarray | None) -> np.n
     A[n - 1, 2 * n] = flux * p.b
     A[2 * n - 1, n - 1] += flux * p.c1
     A[2 * n - 1, 2 * n - 1] -= flux * p.c1
-    if feedback is None:
-        A[2 * n - 1, 2 * n + 1] = flux
-    else:
-        A[2 * n - 1, n : 2 * n] += flux * feedback
-        A[2 * n + 1] = feedback @ A[n : 2 * n]
+    A[2 * n - 1, n : 2 * n] += flux * feedback
+    A[2 * n + 1] = feedback @ A[n : 2 * n]
     return A
 
 
@@ -429,19 +425,17 @@ def _quiet_states(states: np.ndarray, gain: float) -> bool:
 
 #: the most bytes of samples and snapshots that one run may hold (README, CLI)
 MAX_RECORD_BYTES = 2 << 30
-#: the most values of a sample row: tracking's t and its 13 columns
-_WIDEST_ROW = 14
 
 
-def check_record_size(config: SimConfig, fields: int) -> None:
+def check_record_size(config: SimConfig, row: int, fields: int) -> None:
     """Raise :class:`ConfigError` if a run would record more than :data:`MAX_RECORD_BYTES`.
 
-    The run keeps ``n_steps // sample_stride + 2`` sample rows of at most
-    :data:`_WIDEST_ROW` floats and, with snapshots, ``n_steps //
-    snapshot_stride + 2`` snapshots of ``fields`` fields, before it starts.
+    The run keeps ``n_steps // sample_stride + 2`` sample rows of ``row``
+    floats, t included, and, with snapshots, ``n_steps // snapshot_stride
+    + 2`` snapshots of ``fields`` fields, before it starts.
     """
     n_steps, snap_stride = config.n_steps, config.snapshot_stride
-    size = 8 * (n_steps // config.sample_stride + 2) * _WIDEST_ROW
+    size = 8 * (n_steps // config.sample_stride + 2) * row
     if snap_stride:
         size += 8 * (n_steps // snap_stride + 2) * fields * config.grid.n
     if size > MAX_RECORD_BYTES:
@@ -465,7 +459,7 @@ def _run_observer_loop(
     zeta0: float,
     inputs: _Inputs,
     ref: ReferenceSignal | None = None,
-    u0_signal: Callable[[float], float] | None = None,
+    feedback: np.ndarray | None = None,
 ) -> Trace:
     """The plant + observer + update-law loop of observer, stabilize and track.
 
@@ -477,14 +471,13 @@ def _run_observer_loop(
     steps write w - what into a :class:`_Slab`, whose squares catch a
     NaN/Inf state, which tracking's ``inputs`` catch from u0.
 
-    A run without a reference on a grid of at most :data:`_OPERATOR_MAX_N`
-    nodes steps as one product of the matrix of :func:`_operator` a step:
-    an observer run's u0 is ``u0_signal``, a stabilize run's the
-    operator's readout.  Such a block decides no run's end.  It writes
-    every state into a slab, and a block whose slab is not quiet
-    (:func:`_quiet_states`) is stepped again from its first state on the
-    stencil, which then steps the run to its end: the stencil alone
-    finds a blow-up, a NaN/Inf state or a non-finite flux.
+    With ``feedback``, the row g of the stabilizing law (``inputs`` must
+    give ``g . what`` as u0), the run steps as one product of the matrix
+    of :func:`_operator` a step, whose readout is u0.  Such a block decides
+    no run's end.  It writes every state into a slab, and a block whose
+    slab is not quiet (:func:`_quiet_states`) is stepped again from its
+    first state on the stencil, which then steps the run to its end: the
+    stencil alone finds a blow-up, a NaN/Inf state or a non-finite flux.
     """
     dt, dx, stride, n = config.dt, config.grid.dx, config.sample_stride, config.grid.n
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
@@ -570,15 +563,14 @@ def _run_observer_loop(
     def now() -> tuple:
         return w, what, zeta, u0, zeta * u0
 
-    if not steps_as_operator(config.grid):
+    if feedback is None:
         return _run(config, _OBSERVER_COLUMNS, block, flush, row, now)
 
     # the operator route: the state [w, what, m = zeta u0, u0] of each instant
     # a block reaches is a row of ``states``; w and what view the first
-    feedback = None if u0_signal is not None else feedback_row(n, p.estimator_view())
     A = _operator(p, config, feedback)
     states = np.empty((_SLAB + 1, 2 * n + 2))
-    ins, outs = tuple(s[: A.shape[1]] for s in states), tuple(states)
+    ins, outs = tuple(s[: 2 * n + 1] for s in states), tuple(states)
     first = states[0]
     first[:n], first[n : 2 * n], first[2 * n :] = w, what, (zeta * u0, u0)
     w, what = first[:n], first[n : 2 * n]
@@ -602,10 +594,7 @@ def _run_observer_loop(
             z_new = update(z, sgn, innov, u, dt)
             dot(A, ins[i], y)
             z = z_new
-            if u0_signal is None:
-                u = y.item(-1)
-            else:
-                u = y[-1] = u0_signal((k + i + 1) * dt)
+            u = y.item(-1)
             y[at_m] = z * u
         if _quiet_states(states[: stop - k + 1], gain):
             zeta, u0 = z, u
@@ -678,8 +667,7 @@ def run_observer(
     estimation error decays.
     """
     return _run_observer_loop(
-        p, config, w0, what0, zeta0, lambda t, _what: (u0_signal(t), 0.0, 0.0, 0.0),
-        u0_signal=u0_signal,
+        p, config, w0, what0, zeta0, lambda t, _what: (u0_signal(t), 0.0, 0.0, 0.0)
     )
 
 
@@ -690,10 +678,16 @@ def run_stabilization(
     what0: GridFunction,
     zeta0: float,
 ) -> Trace:
-    """Full adaptive output-feedback stabilization loop."""
+    """Full adaptive output-feedback stabilization loop.
+
+    On a grid of at most :data:`_OPERATOR_MAX_N` nodes it steps as one
+    operator product a step (:func:`_run_observer_loop`).
+    """
     est = p.estimator_view()
+    feedback = feedback_row(config.grid.n, est) if steps_as_operator(config.grid) else None
     return _run_observer_loop(
-        p, config, w0, what0, zeta0, lambda t, what: (adaptive_u0(what, est), 0.0, 0.0, 0.0)
+        p, config, w0, what0, zeta0, lambda t, what: (adaptive_u0(what, est), 0.0, 0.0, 0.0),
+        feedback=feedback,
     )
 
 

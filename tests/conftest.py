@@ -35,7 +35,7 @@ def rng():
 def stencil_route(monkeypatch):
     """Step every run on the stencil, as on grids above the operator cutoff.
 
-    For the tests that pin the stencil's bits: observer and stabilize
-    runs, and their sweeps, no longer take the operator on small grids.
+    For the tests that pin the stencil's bits: stabilize runs, and their
+    sweeps, take the operator on small grids.
     """
     monkeypatch.setattr(scenarios, "_OPERATOR_MAX_N", 0)

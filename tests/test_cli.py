@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from heatadapt import analysis, domain, scenarios
 from heatadapt.cli import (
-    _SIM_FLAGS, SCENARIOS, RunManifest, UsageError, emit_trace, main, parse_args, read_trace_csv,
+    _RECORD_SHAPE, _SIM_FLAGS, SCENARIOS, RunManifest, UsageError, _set_up, emit_trace, main,
+    parse_args, read_trace_csv,
 )
 from heatadapt.domain import _CHUNK_ROWS, TRACE_COLUMNS, ConfigError, Trace
 
@@ -295,6 +297,34 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_a_record_just_under_the_size_limit_sets_up(self, tmp_path):
+        # 2e7 rows of 11 values are 1.64 GiB; tracking's 14 a row pass 2 GiB
+        argv = ["--t-final", "2000", "--sample-stride", "1", "--out", str(tmp_path / "run")]
+        _set_up(parse_args(["simulate", "--scenario", "stabilize", *argv])[1])
+        assert (tmp_path / "run").is_dir()
+        with pytest.raises(ConfigError, match="would record 2.09 GiB"):
+            _set_up(parse_args(["simulate", "--scenario", "track", *argv])[1])
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_record_shape_is_the_recorders(self, tmp_path, monkeypatch, scenario):
+        shapes = []
+
+        class Recorder(domain._Recorder):
+            def __init__(self, names, *args, **kwargs):
+                super().__init__(names, *args, **kwargs)
+                shapes.append([1 + len(names), 0])
+
+            def snap(self, t, fields):
+                super().snap(t, fields)
+                shapes[-1][1] = len(fields)
+
+        monkeypatch.setattr(scenarios, "_Recorder", Recorder)
+        monkeypatch.setattr(analysis, "_Recorder", Recorder)
+        assert run_cli("simulate", "--scenario", scenario, "--modes", "2", "--t-final", "0.01",
+                       "--pe-tau", "0.01", "--snapshot-stride", "10",
+                       "--out", str(tmp_path)) == 0
+        assert shapes == [list(_RECORD_SHAPE[scenario])]
+
     def test_a_sweep_member_past_the_size_limit_exits_64(self, tmp_path):
         out = tmp_path / "sweep"
         proc = run_subprocess("sweep", "--param", "t-final", "--values", "1,1e12",
@@ -384,7 +414,7 @@ class TestSimulateOutputs:
 
     @pytest.mark.parametrize("scenario, flags, route, handover", [
         ("stabilize", [], "operator", None),
-        ("observer", ["--u0", "exp-decay"], "operator", None),
+        ("observer", ["--u0", "exp-decay"], "stencil", None),
         # quiet for two blocks, then the stencil steps the run to its blow-up
         ("stabilize", ["--q", "6", "--c0", "0.5", "--c1", "0.5", "--snapshot-stride", "50"],
          "operator", 100),
