@@ -65,7 +65,6 @@ from .scenarios import (
     run_open_loop,
     run_stabilization,
     run_tracking,
-    steps_as_operator,
 )
 
 __all__ = ["RunManifest", "parse_args", "emit_trace", "read_trace_csv", "main", "UsageError"]
@@ -583,83 +582,24 @@ def _report(exc: Exception) -> int:
     return 3 if isinstance(exc, NonFiniteState) else 64
 
 
-#: the fewest stabilize members of a sweep stepped together as one stack, on
-#: grids above the operator cutoff: one stack step costs about as much as 2-3
-#: single stencil steps, and end to end three members break even (README,
-#: Performance)
-_MIN_BATCH = 3
-
-
-def _run_batches(setups: list) -> dict[int, tuple]:
-    """Step each group of at least _MIN_BATCH stabilize members as one stack.
-
-    ``setups`` holds a :class:`_Setup` per member that set up and the
-    error of one that did not.  Members share a group when their grid,
-    ``dt``, step count and strides agree; members on a grid that steps as
-    one operator (:func:`steps_as_operator`) run alone, which is faster.
-    Returns, by member index, the member's Trace and its share of the
-    group's stepping time.  A group
-    whose stack gives up, because a member may end early, is left out:
-    its members run on their own.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, run in enumerate(setups):
-        if (isinstance(run, _Setup) and run.scenario == "stabilize"
-                and not steps_as_operator(run.config.grid)):
-            c = run.config
-            key = (c.grid, c.dt, c.n_steps, c.sample_stride, c.snapshot_stride)
-            groups.setdefault(key, []).append(i)
-    done = {}
-    for members in groups.values():
-        if len(members) < _MIN_BATCH:
-            continue
-        from .batch import run_stabilization_batch  # only a sweep that batches compiles it
-
-        group = [setups[i] for i in members]
-        grid = group[0].config.grid
-        start = time.perf_counter()
-        traces = run_stabilization_batch(
-            [r.params for r in group], group[0].config, [r.w0 for r in group],
-            [GridFunction.zeros(grid)] * len(group), [r.resolved["zeta0"] for r in group],
-        )
-        share = (time.perf_counter() - start) / len(group)
-        if traces is not None:
-            done.update((i, (trace, share)) for i, trace in zip(members, traces))
-    return done
-
-
 def _sweep(resolved: dict) -> int:
     """Run simulate once per value, each into ``NNN-param=repr(value)``.
 
-    Every member is set up first.  Stabilize members that can share a
-    stack run as batches (:func:`_run_batches`), the rest one at a time,
-    among them every member of a batch that gave up; members then finish,
-    or report their error, in input order.
+    Members run one at a time, in input order, so ``sweep.json`` and the
+    ``heatadapt:`` lines on stderr keep the order of the values.
     """
     param, values = resolved["param"], resolved["values"]
     base_out = _make_out_dir(resolved["out"])
-    outs, setups = [], []
+    runs = []
     for i, v in enumerate(values):
         sub = dict(resolved)
         sub[param] = v
         sub["out"] = str(base_out / f"{i:03d}-{param}={v!r}")
-        outs.append(sub["out"])
         try:
-            setups.append(_set_up(sub))
+            code = _simulate(sub)
         except _EXPECTED_ERRORS as exc:
-            setups.append(exc)
-    batched = _run_batches(setups)
-    codes = []
-    for i, run in enumerate(setups):
-        if not isinstance(run, _Setup):
-            codes.append(_report(run))
-            continue
-        try:
-            codes.append(_finish(run, *(batched[i] if i in batched else _run(run))))
-        except _EXPECTED_ERRORS as exc:
-            codes.append(_report(exc))
-    runs = [{"out": out, "value": v, "exit_code": code}
-            for out, v, code in zip(outs, values, codes)]
+            code = _report(exc)
+        runs.append({"out": sub["out"], "value": v, "exit_code": code})
     index = {"param": param, "runs": runs}
     (base_out / "sweep.json").write_text(json.dumps(index, indent=2) + "\n")
     return max(r["exit_code"] for r in runs)

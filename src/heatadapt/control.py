@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +49,6 @@ __all__ = [
     "backstepping_known_b",
     "adaptive_u0",
     "feedback_row",
-    "BatchFeedback",
     "zeta_step",
     "servo_eval",
     "servo_boundary",
@@ -137,36 +135,12 @@ def feedback_row(n: int, p: EstimatorParams) -> np.ndarray:
     return g
 
 
-class BatchFeedback:
-    """:func:`adaptive_u0` of many observer rows at once, one law per row.
-
-    Built from one :class:`~heatadapt.domain.EstimatorParams` per row, so
-    like :func:`adaptive_u0` it cannot read b.  Calling it on a ``(B, n)``
-    stack of observer profiles returns the B feedback values, each equal
-    to :func:`adaptive_u0` of its row without servo terms, bit for bit:
-    ``np.vecdot`` runs the same dot product per row as the 1-D ``K @ f``.
-    """
-
-    __slots__ = ("_kernels", "_q", "_gain")
-
-    def __init__(self, grid: Grid, params: Sequence[EstimatorParams]):
-        q = np.array([p.q for p in params], dtype=float)
-        self._kernels = np.stack([_exp_kernel(grid.n, p.q) for p in params])
-        self._q = q
-        self._gain = -(q + np.array([p.c0 for p in params], dtype=float))
-
-    def __call__(self, what: np.ndarray) -> np.ndarray:
-        # -(q + c0) * (f(1) + q * (K @ f)), row by row
-        return self._gain * (what[:, -1] + self._q * np.vecdot(what, self._kernels))
-
-
 def zeta_step(zeta: float, sign_b: int, innovation: float, u0: float, dt: float) -> float:
     """One explicit Euler step of the reciprocal-coefficient update law.
 
     innovation is the measured boundary mismatch driving the update;
     flipping sign_b exactly negates the increment, and the state is
-    unchanged whenever innovation or u0 vanishes.  Every operation is
-    elementwise, so arrays of per-run values step many runs at once.
+    unchanged whenever innovation or u0 vanishes.
     """
     return zeta - sign_b * innovation * u0 * dt
 

@@ -437,18 +437,26 @@ class _Recorder:
     view of it.  With ``mapped`` the array is an anonymous memory mapping,
     so its pages go back to the system when the trace is dropped; malloc
     can instead leave a large freed array behind as a heap hole that a
-    later, larger buffer cannot use.
+    later, larger buffer cannot use.  An array that the system refuses,
+    under a memory limit, raises :class:`ConfigError` naming its size.
     """
 
     def __init__(self, names: tuple[str, ...], n_steps: int, stride: int, mapped: bool = False):
         self.names = names
         shape = (n_steps // stride + 2, 1 + len(names))
+        size = 8 * shape[0] * shape[1]
         buf = None
-        if mapped:
-            import mmap  # loaded only by the runs that map their samples
+        try:
+            if mapped:
+                import mmap  # loaded only by the runs that map their samples
 
-            buf = mmap.mmap(-1, 8 * shape[0] * shape[1])
-        self.data = np.ndarray(shape, order="F", buffer=buf)
+                buf = mmap.mmap(-1, size)
+            self.data = np.ndarray(shape, order="F", buffer=buf)
+        except (MemoryError, OSError) as exc:
+            raise ConfigError(
+                f"cannot allocate {size / 2**30:.3g} GiB for the run's samples: "
+                "raise --sample-stride or shorten --t-final"
+            ) from exc
         self.size = 0
         self.snapshots: list[tuple[float, dict[str, np.ndarray]]] = []
 

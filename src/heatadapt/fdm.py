@@ -85,39 +85,34 @@ def step_heat(
 class HeatStepper:
     """Explicit steps of many fields on one grid, in place.
 
-    The fields are the rows of a ``(..., n)`` array: ``(k, n)`` for k
-    fields of one run, ``(2, B, n)`` for the plant rows and then the
-    observer rows of B runs.  Two preallocated buffers take turns as input and output,
-    and their slice views are built once, so a step allocates nothing.
+    The fields are the rows of a ``(k, n)`` array, the k fields of one
+    run.  Two preallocated buffers take turns as input and output, and
+    their slice views are built once, so a step allocates nothing.
     Each row after a step equals :func:`step_heat` of that row with the
     same fluxes, bit for bit: the interior is the same ufunc sequence,
     the boundary nodes the same expressions.  The interior update runs
     once over the flattened buffer, so it also writes the boundary nodes
     where two rows meet; the boundary expressions then overwrite them.
 
-    :meth:`step` takes the fluxes as Python floats, :meth:`step_rows` as
-    arrays with one flux per row.  A step does not scan for NaN/Inf;
-    callers detect a non-finite state from a scalar they compute anyway.
+    A step does not scan for NaN/Inf; callers detect a non-finite state
+    from a scalar they compute anyway.
     """
 
-    __slots__ = (
-        "dx", "index", "rows", "buffers", "_two_r", "_k", "_tmp", "_edge", "_plans", "_cols"
-    )
+    __slots__ = ("dx", "index", "rows", "buffers", "_two_r", "_k", "_tmp", "_plans")
 
     def __init__(self, fields, dx: float, dt: float):
         # C order, so that the flat views below are views of the buffer, not copies
         cur = np.array(fields, dtype=float, order="C")
-        if cur.ndim < 2 or cur.shape[-1] < 3:
-            raise ConfigError(f"fields must be a (..., n >= 3) array, got shape {cur.shape}")
+        if cur.ndim != 2 or cur.shape[1] < 3:
+            raise ConfigError(f"fields must be a (k, n >= 3) array, got shape {cur.shape}")
         self.dx = dx
         r = dt / (dx * dx)
         self._two_r = 2.0 * r
         # ufunc operands as 0-d arrays, which numpy takes faster than Python floats
-        self._k = tuple(np.array(v) for v in (2.0, r, self._two_r, dx))
+        self._k = tuple(np.array(v) for v in (2.0, r))
         self.buffers = (cur, np.empty_like(cur))
         self._tmp = np.empty(cur.size - 2)
-        n = cur.shape[-1]
-        self._edge = np.empty(cur.size // n)
+        n = cur.shape[1]
         # interior, right and left neighbours of each flattened buffer, and its rows
         views = [(flat[1:-1], flat[2:], flat[:-2], tuple(flat.reshape(-1, n)))
                  for flat in (u.reshape(-1) for u in self.buffers)]
@@ -126,11 +121,6 @@ class HeatStepper:
         self._plans = tuple(
             (*ins[:3], outs[0], tuple(zip(ins[3], outs[3])), outs[3])
             for ins, outs in (views, views[::-1])
-        )
-        #: columns 0, 1, -2 and -1 of each buffer's rows, as 1-D views for step_rows
-        self._cols = tuple(
-            (flat[0::n], flat[1::n], flat[n - 2 :: n], flat[n - 1 :: n])
-            for flat in (u.reshape(-1) for u in self.buffers)
         )
         #: index into ``buffers`` of the current state, and that buffer's rows
         self.index = 0
@@ -147,7 +137,7 @@ class HeatStepper:
             if not math.isfinite(f):
                 raise ConfigError("boundary fluxes must be finite")
         ui, up, um, oi, pairs, out_rows = self._plans[self.index]
-        tmp, (two, r, _, _), two_r, dx = self._tmp, self._k, self._two_r, self.dx
+        tmp, (two, r), two_r, dx = self._tmp, self._k, self._two_r, self.dx
         # u[1:-1] + r * (u[2:] - 2.0 * u[1:-1] + u[:-2]), as in step_heat
         np.multiply(two, ui, tmp)
         np.subtract(up, tmp, tmp)
@@ -162,41 +152,6 @@ class HeatStepper:
         self.index ^= 1
         self.rows = out_rows
         return out_rows
-
-    def step_rows(self, left, right) -> np.ndarray:
-        """Advance every row one step with array fluxes; return the new buffer.
-
-        ``left`` and ``right`` are 1-D arrays with one flux per row, in the
-        order of :attr:`rows`.  The interior is :meth:`step`'s, and the
-        boundary nodes get its expressions elementwise, so each row equals
-        :func:`step_heat` of it bit for bit.  The fluxes are not checked:
-        the caller passes finite values.
-        """
-        ui, up, um, oi, _, out_rows = self._plans[self.index]
-        u0, u1, u_2, u_1 = self._cols[self.index]
-        self.index ^= 1
-        o0, _, _, o_1 = self._cols[self.index]
-        tmp, (two, r, two_r, dx), edge = self._tmp, self._k, self._edge
-        # the interior exactly as in step
-        np.multiply(two, ui, tmp)
-        np.subtract(up, tmp, tmp)
-        np.add(tmp, um, tmp)
-        np.multiply(r, tmp, tmp)
-        np.add(ui, tmp, oi)
-        # u0 + two_r * (u1 - u0 - dx * left), with the output column as scratch
-        np.subtract(u1, u0, o0)
-        np.multiply(dx, left, edge)
-        np.subtract(o0, edge, o0)
-        np.multiply(two_r, o0, o0)
-        np.add(u0, o0, o0)
-        # u_1 + two_r * (u_2 - u_1 + dx * right)
-        np.subtract(u_2, u_1, o_1)
-        np.multiply(dx, right, edge)
-        np.add(o_1, edge, o_1)
-        np.multiply(two_r, o_1, o_1)
-        np.add(u_1, o_1, o_1)
-        self.rows = out_rows
-        return self.buffers[self.index]
 
 
 def _trapz(values: np.ndarray, dx: float) -> float:
@@ -222,7 +177,8 @@ def grad_values(values: np.ndarray, dx: float) -> np.ndarray:
 class GradientEnergy:
     """Trapezoid values of the integral of f_x^2, one per row, in planned buffers.
 
-    ``f_x`` is :func:`grad_values` of ``f``, written with the formulas of
+    The rows are the error fields of a runner's slab, one per step of a
+    block (:class:`~heatadapt.scenarios._Slab`).  ``f_x`` is :func:`grad_values` of ``f``, written with the formulas of
     ``np.gradient(f, dx, edge_order=2)``: central differences inside and
     second-order one-sided differences at the ends.  Each value equals
     that of squaring the row's gradient and integrating it with the
@@ -231,7 +187,7 @@ class GradientEnergy:
     one as it sums a single profile.
     """
 
-    __slots__ = ("_k", "_weights", "_diff", "_plan")
+    __slots__ = ("_k", "_weights", "_plan")
 
     def __init__(self, n: int, dx: float):
         if n < 3:
@@ -241,21 +197,10 @@ class GradientEnergy:
         # np.gradient's edge weights on (f[0], f[-3]), (f[1], f[-2]) and (f[2], f[-1])
         left, right = (-1.5 / dx, 2.0 / dx, -0.5 / dx), (0.5 / dx, -2.0 / dx, 1.5 / dx)
         self._weights = tuple(np.array(pair) for pair in zip(left, right))
-        self._diff = self._plan = None
-
-    def of_row_differences(self, f: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """The gradient energy of each row of ``f - h``, both ``(B, n)``.
-
-        The difference goes to a buffer made on the first call, so every
-        call on one instance passes B rows.
-        """
-        if self._diff is None:
-            self._diff = np.empty(f.shape)
-        np.subtract(f, h, self._diff)
-        return self.of_rows(self._diff)
+        self._plan = None
 
     def of_rows(self, d: np.ndarray) -> np.ndarray:
-        """The gradient energy of each row of ``d``, a C-contiguous ``(B, n)`` array.
+        """The gradient energy of each row of ``d``, a C-contiguous ``(m, n)`` array.
 
         The buffers and views are planned for ``d`` itself, so a caller
         that passes the same array every time plans once; a new array
@@ -286,7 +231,7 @@ class GradientEnergy:
 
     def _row_plan(self, diff: np.ndarray) -> tuple:
         if diff.ndim != 2 or diff.shape[1] < 3 or not diff.flags.c_contiguous:
-            raise ConfigError(f"rows must be a C-contiguous (B, n >= 3) array, got {diff.shape}")
+            raise ConfigError(f"rows must be a C-contiguous (m, n >= 3) array, got {diff.shape}")
         grad = np.empty(diff.shape)
         (rows, n), step = diff.shape, diff.strides
         # (f[0], f[-3]), (f[1], f[-2]) and (f[2], f[-1]) of every row

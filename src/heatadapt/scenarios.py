@@ -31,10 +31,8 @@ is written into the state (:func:`_operator`).  The product rounds
 differently from the stencil, within about 1e-14 of a column's scale on
 a stable run.  It decides no run's end: a block whose states are not
 quiet is stepped again on the stencil, which steps the run to its end,
-and the final state records the route and that step.
-:mod:`heatadapt.batch` steps many stabilization runs on one larger grid
-as one stack of rows, but only to the horizon: how a run ends early is
-decided here alone.
+and the final state records the route and that step.  A sweep runs
+each of its members through these runners, one at a time.
 
 Runs are deterministic: identical inputs produce bit-identical traces
 on one platform.  A run whose state norm passes 1e12 stops early with a
@@ -73,7 +71,6 @@ __all__ = [
     "BLOWUP_NORM",
     "MAX_RECORD_BYTES",
     "check_record_size",
-    "steps_as_operator",
     "benchmark_initial_state",
     "run_open_loop",
     "run_observer",
@@ -308,17 +305,12 @@ def _require_finite(*fields: np.ndarray) -> None:
             raise NonFiniteState("heat step produced non-finite values")
 
 
-def _initial_fields(config: SimConfig, *fields: GridFunction) -> list[np.ndarray]:
-    """The values of the initial fields, which must be on the run's grid."""
+def _stepper(config: SimConfig, *fields: GridFunction) -> HeatStepper:
+    """A stepper over copies of the initial fields, which must be on the run's grid."""
     for f in fields:
         if f.grid != config.grid:
             raise ConfigError("initial data must live on the configured grid")
-    return [f.values for f in fields]
-
-
-def _stepper(config: SimConfig, *fields: GridFunction) -> HeatStepper:
-    """A stepper over copies of the initial fields, which must be on the run's grid."""
-    return HeatStepper(_initial_fields(config, *fields), config.grid.dx, config.dt)
+    return HeatStepper([f.values for f in fields], config.grid.dx, config.dt)
 
 
 def _windows(grid: Grid, stepper: HeatStepper, row: int) -> tuple[GridFunction, ...]:
@@ -367,11 +359,6 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
 #: :func:`_operator`'s matrix a step: above it the stencil is faster end to
 #: end (README, Performance, which measures the crossover)
 _OPERATOR_MAX_N = 101
-
-
-def steps_as_operator(grid: Grid) -> bool:
-    """Whether stabilize runs on ``grid`` step as one operator product."""
-    return grid.n <= _OPERATOR_MAX_N
 
 
 def _operator(p: Params, config: SimConfig, feedback: np.ndarray) -> np.ndarray:
@@ -684,7 +671,8 @@ def run_stabilization(
     operator product a step (:func:`_run_observer_loop`).
     """
     est = p.estimator_view()
-    feedback = feedback_row(config.grid.n, est) if steps_as_operator(config.grid) else None
+    n = config.grid.n
+    feedback = feedback_row(n, est) if n <= _OPERATOR_MAX_N else None
     return _run_observer_loop(
         p, config, w0, what0, zeta0, lambda t, what: (adaptive_u0(what, est), 0.0, 0.0, 0.0),
         feedback=feedback,

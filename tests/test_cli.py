@@ -34,6 +34,26 @@ def run_subprocess(*args):
     return run_python("-m", "heatadapt.cli", *args)
 
 
+#: the CLI, its address space capped 1 GiB above what it holds once heatadapt
+#: is imported, so that no array of a GiB or more fits
+CAPPED_MAIN = """
+import resource, sys
+from heatadapt.cli import main
+with open("/proc/self/statm") as f:
+    cap = int(f.read().split()[0]) * resource.getpagesize() + (1 << 30)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(main(sys.argv[1:]))
+"""
+
+#: the rest of the line after "heatadapt: cannot allocate N GiB"
+ALLOCATION_HINT = "for the run's samples: raise --sample-stride or shorten --t-final"
+
+
+def run_capped(*args):
+    """Run the CLI in a fresh interpreter under :data:`CAPPED_MAIN`'s memory cap."""
+    return run_python("-c", CAPPED_MAIN, *args)
+
+
 def reference_csv(header, rows) -> bytes:
     """CSV bytes with every value printed by ``format(v, ".17g")``, LF newlines."""
     lines = [header] + [",".join(format(float(v), ".17g") for v in row) for row in rows]
@@ -335,6 +355,29 @@ class TestExitCodes:
         runs = json.loads((out / "sweep.json").read_text())["runs"]
         assert [r["exit_code"] for r in runs] == [0, 64]
         assert not Path(runs[1]["out"]).exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    @pytest.mark.parametrize("argv, gib", [
+        (["simulate", "--t-final", "2000", "--sample-stride", "1"], "1.64"),
+        (["simulate", "--scenario", "galerkin", "--modes", "2", "--t-final", "2500",
+          "--sample-stride", "1"], "1.68"),
+    ], ids=["samples", "galerkin-mapped"])
+    def test_an_allocation_the_system_refuses_exits_64(self, tmp_path, argv, gib):
+        # under the size limit, but over what the address-space cap leaves
+        proc = run_capped(*argv, "--out", str(tmp_path / "run"))
+        assert proc.returncode == 64
+        assert proc.stderr == f"heatadapt: cannot allocate {gib} GiB {ALLOCATION_HINT}\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_a_sweep_member_the_system_refuses_exits_64_and_the_sweep_goes_on(self, tmp_path):
+        out = tmp_path / "sweep"
+        proc = run_capped("sweep", "--param", "t-final", "--values", "2000,0.1",
+                          "--sample-stride", "1", "--out", str(out))
+        assert proc.returncode == 64
+        assert proc.stderr == f"heatadapt: cannot allocate 1.64 GiB {ALLOCATION_HINT}\n"
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        assert [r["exit_code"] for r in runs] == [64, 0]
+        assert Path(runs[1]["out"], "trace.csv").exists()
 
     def test_unsettled_run_with_gate_exits_4(self, tmp_path):
         code = run_cli(
@@ -796,27 +839,18 @@ STABILIZE_SWEEPS = {
 }
 
 
-#: flags of a 126-node grid, above the operator cutoff, where stabilize sweeps batch
+#: flags of a 126-node grid, above the operator cutoff, where stabilize runs step on the stencil
 ABOVE_CUTOFF = ["--dx", "0.008", "--dt", "2e-5"]
 
 
 class TestBatchedSweep:
-    """Each sweep member writes what its own simulate run writes, byte for byte."""
+    """Each member of a sweep (a batch of runs) writes what its own simulate run writes."""
 
     @pytest.mark.usefixtures("stencil_route")
     @pytest.mark.parametrize("case", list(STABILIZE_SWEEPS))
-    def test_members_equal_simulate(self, tmp_path, capsys, monkeypatch, case):
-        import heatadapt.batch
-
+    def test_members_equal_simulate(self, tmp_path, capsys, case):
+        # on the stencil, as every stabilize run above the operator cutoff
         param, values, flags, codes = STABILIZE_SWEEPS[case]
-        batches = []
-        batch = heatadapt.batch.run_stabilization_batch
-
-        def recording_batch(params, *args):
-            batches.append(len(params))
-            return batch(params, *args)
-
-        monkeypatch.setattr(heatadapt.batch, "run_stabilization_batch", recording_batch)
         out = tmp_path / "sweep"
         code = run_cli("sweep", "--scenario", "stabilize", "--param", param,
                        f"--values={values}", *flags, "--out", str(out))
@@ -845,22 +879,12 @@ class TestBatchedSweep:
             expected.pop("outputs")
             assert got == expected
         assert sweep_err == single_err
+        # each member's duration is its own run's
+        assert all(d > 0 for d in durations)
 
-        # only groups of at least _MIN_BATCH members with one shape are batched
-        expected_batches = {"c0": [6], "q-blow-up": [3], "b-overflow": [3],
-                            "zeta0-snapshots": [3], "t-final-groups": [3],
-                            "t-final-default-tau": [3]}
-        assert batches == expected_batches.get(case, [])
-        if case == "c0":
-            # each batched member's duration is its share of the batch
-            assert len(set(durations)) == 1 and durations[0] > 0
-
-    def test_members_on_the_operator_run_alone(self, tmp_path, monkeypatch):
+    def test_members_on_the_operator_run_alone(self, tmp_path):
         # at n <= the cutoff each member steps as one operator product, alone,
         # and writes what its own simulate run writes
-        import heatadapt.batch
-
-        monkeypatch.setattr(heatadapt.batch, "run_stabilization_batch", None)
         out = tmp_path / "sweep"
         flags = ["--t-final", "0.3", "--pe-tau", "0.1", "--snapshot-stride", "700"]
         assert run_cli("sweep", "--scenario", "stabilize", "--param", "c0", "--values", "3,5,7",
@@ -877,25 +901,6 @@ class TestBatchedSweep:
                 del m["duration_s"], m["outputs"]
             assert got == expected and got["route"] == "operator"
 
-    def test_only_a_batching_sweep_imports_the_batch_module(self, tmp_path):
-        # each process compiles what it imports, which raises its peak memory;
-        # only sweeps on grids above the operator cutoff batch
-        probe = tmp_path / "probe.py"
-        probe.write_text(
-            "import sys\n"
-            "from heatadapt import cli\n"
-            "run = ['--scenario', 'stabilize', '--t-final', '0.01', '--pe-tau', '0.01',\n"
-            f"       *{ABOVE_CUTOFF!r}]\n"
-            f"cli.main(['simulate', *run, '--out', {str(tmp_path / 'alone')!r}])\n"
-            "print('heatadapt.batch' in sys.modules)\n"
-            "cli.main(['sweep', *run, '--param', 'c0', '--values', '3,4,5',\n"
-            f"          '--out', {str(tmp_path / 'sweep')!r}])\n"
-            "print('heatadapt.batch' in sys.modules)\n"
-        )
-        proc = run_python(str(probe))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
-
     def test_overflowing_members_print_only_their_lines(self, tmp_path):
         out = tmp_path / "sweep"
         proc = run_subprocess("sweep", "--scenario", "stabilize", "--param", "b",
@@ -907,7 +912,7 @@ class TestBatchedSweep:
         assert [r["exit_code"] for r in runs] == [0, 64, 64]
 
     @pytest.mark.parametrize("values, grid", [("3,5", []), ("3,5,7", ABOVE_CUTOFF)],
-                             ids=["one-by-one", "batched"])
+                             ids=["one-by-one", "above-cutoff"])
     def test_non_finite_member_exits_3_and_the_sweep_goes_on(self, tmp_path, values, grid):
         out = tmp_path / "sweep"
         init = spike_profile(tmp_path / "f.txt", 126 if grid else 51)

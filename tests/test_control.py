@@ -15,7 +15,7 @@ from heatadapt import (
     servo_eval,
     zeta_step,
 )
-from heatadapt.control import DEFAULT_TAIL_TOL, BatchFeedback, ServoTerms, _exp_kernel
+from heatadapt.control import DEFAULT_TAIL_TOL, ServoTerms, _exp_kernel
 
 
 @pytest.fixture()
@@ -52,22 +52,6 @@ class TestAdaptiveU0:
         # for r* = 3, q = 2 the servo boundary slope is -q r* = -6
         servo = servo_boundary(ReferenceSignal.constant(3.0), 2.0, 0.0, 0)
         assert adaptive_u0(zeros51, params8.estimator_view(), servo) == -6.0
-
-    @pytest.mark.parametrize("n", [3, 51, 201])
-    def test_batch_feedback_equals_each_row(self, n):
-        rng = np.random.default_rng(n)
-        grid = Grid(n)
-        ests = [
-            Params(q=q, b=b, c0=c0, c1=1.0).estimator_view()
-            for q, b, c0 in [(2.0, -10.0, 5.0), (9.0, 3.0, 0.01), (0.5, -1e-3, 8.0), (2.0, 1.0, 3.0)]
-        ]
-        feedback = BatchFeedback(grid, ests)
-        # the observer rows of a (2, B, n) stack, as the batched runner keeps them
-        stack = rng.standard_normal((2, len(ests), n)) * 10.0 ** rng.uniform(-3, 3, (len(ests), 1))
-        got = feedback(stack[1])
-        for value, row, est in zip(got, stack[1], ests):
-            expected = adaptive_u0(GridFunction(grid, row), est)
-            assert float(value).hex() == expected.hex()
 
     @pytest.mark.parametrize("n", [3, 51, 201])
     def test_equals_the_array_form(self, n):

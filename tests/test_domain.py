@@ -22,7 +22,7 @@ from heatadapt.domain import MAX_SERVO_J, TRACE_COLUMNS, _Recorder
 
 @pytest.mark.parametrize(
     "module", ["heatadapt", *(f"heatadapt.{m}" for m in
-               ("analysis", "batch", "cli", "control", "domain", "fdm", "scenarios"))],
+               ("analysis", "cli", "control", "domain", "fdm", "scenarios"))],
 )
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)

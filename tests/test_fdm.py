@@ -164,23 +164,6 @@ class TestHeatStepper:
             for row, f in zip(rows, ref):
                 assert row.tobytes() == f.values.tobytes()
 
-    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), (2, 4)])
-    @pytest.mark.parametrize("n", [3, 51, 201])
-    def test_step_rows_equals_step_heat(self, n, shape):
-        rng = np.random.default_rng(n + 10 * len(shape) + shape[-1])
-        g = Grid(n)
-        dt = 0.4 * g.dx**2
-        fields = rng.standard_normal((*shape, n)) * 10.0 ** rng.uniform(-3, 3, (*shape, 1))
-        stepper = HeatStepper(fields, g.dx, dt)
-        ref = [GridFunction(g, row) for row in fields.reshape(-1, n)]
-        for _ in range(20):
-            left, right = rng.standard_normal((2, len(ref))) * 10.0 ** rng.uniform(-3, 3, (2, 1))
-            buf = stepper.step_rows(left, right)
-            ref = [step_heat(f, FluxBC(left[i], right[i]), dt) for i, f in enumerate(ref)]
-            assert buf is stepper.buffers[stepper.index] and buf.shape == fields.shape
-            for row, f in zip(stepper.rows, ref):
-                assert row.tobytes() == f.values.tobytes()
-
     def test_fields_in_any_memory_order(self, grid51):
         # the flat interior views must be views of the buffer, whatever the
         # order of the array the stepper copies
@@ -227,28 +210,6 @@ class TestGradientEnergy:
             expected = _sq_norm(grad_values(f, g.dx), g.dx)
             assert same_bits(energy, expected)
             assert same_bits(one.of_rows(f[None].copy())[0], expected)
-
-    @pytest.mark.parametrize("layout", ["fields-first", "runs-first"])
-    @pytest.mark.parametrize("rows", [1, 4])
-    @pytest.mark.parametrize("n", [3, 4, 5, 51, 201])
-    def test_row_differences_equal_each_row(self, n, rows, layout):
-        # rows of a (2, B, n) stack are contiguous blocks; those of a (B, 2, n)
-        # stack sit every other row
-        rng = np.random.default_rng(100 * n + rows)
-        g = Grid(n)
-        energy = GradientEnergy(n, g.dx)
-        for _ in range(5):
-            scale = 10.0 ** rng.uniform(-3, 3, (rows, 1))
-            if layout == "fields-first":
-                stack = rng.standard_normal((2, rows, n)) * scale
-                f, h = stack[0], stack[1]
-            else:
-                stack = rng.standard_normal((rows, 2, n)) * scale[:, None]
-                f, h = stack[:, 0], stack[:, 1]
-            got = energy.of_row_differences(f, h)
-            assert got.shape == (rows,)
-            for i in range(rows):
-                assert same_bits(got[i], _sq_norm(grad_values(f[i] - h[i], g.dx), g.dx))
 
     def test_linear_profile(self, grid51):
         # f = 3x has f_x = 3 everywhere, so the integral of f_x^2 is 9

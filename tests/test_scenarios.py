@@ -32,7 +32,6 @@ from heatadapt import (
     zeta_step,
 )
 from heatadapt import scenarios
-from heatadapt.batch import run_stabilization_batch
 from heatadapt.domain import TRACE_COLUMNS
 from heatadapt.fdm import HeatStepper, grad_values
 from heatadapt.scenarios import _blown_up, _require_finite, _sq_norm
@@ -601,7 +600,7 @@ class TestNonFiniteState:
 
 
 def assert_same_run(got, expected):
-    """A batched member's trace equals its own run's, bit for bit."""
+    """Two runs' traces are equal, bit for bit."""
     assert got.blown_up is expected.blown_up and got.blow_up_time == expected.blow_up_time
     assert bits(got.times) == bits(expected.times)
     assert got.scalars.keys() == expected.scalars.keys()
@@ -618,85 +617,6 @@ def assert_same_run(got, expected):
     assert a.t == b.t
     assert bits(a.w.values) == bits(b.w.values) and bits(a.what.values) == bits(b.what.values)
     assert bits([a.zeta, a.last_u0, a.last_u]) == bits([b.zeta, b.last_u0, b.last_u])
-
-
-def batch_inputs(grid, members):
-    """The batched runner's params, w0s, what0s and zeta0s, from (params, w0, what0, zeta0)."""
-    return ([m[0] for m in members], [GridFunction(grid, m[1]) for m in members],
-            [GridFunction(grid, m[2]) for m in members], [m[3] for m in members])
-
-
-@pytest.mark.usefixtures("stencil_route")
-class TestStabilizationBatch:
-    """The batched runner against run_stabilization, member by member."""
-
-    @pytest.mark.parametrize("n, dt, t_final, stride, snap", [
-        (51, 1e-4, 0.5, 37, 700), (201, 1e-5, 0.02, 50, 300),
-    ])
-    def test_members_equal_single_runs(self, n, dt, t_final, stride, snap):
-        grid = Grid(n)
-        config = cfg(grid, t_final, dt=dt, stride=stride, snap=snap)
-        x = grid.nodes
-        members = [
-            # (params, w0, what0, zeta0), each run to the horizon
-            (Params(q=2.0, b=-10.0, c0=5.0, c1=5.0), 2.0 * x - 1.0, 0.0 * x, 0.0),
-            (Params(q=2.0, b=-10.0, c0=3.0, c1=0.5), 2.0 * x - 1.0, 0.3 * np.sin(3.0 * x), -0.05),
-            (Params(q=3.5, b=4.0, c0=8.0, c1=2.0), np.cos(2.0 * x), 0.0 * x, 0.2),
-            (Params(q=0.5, b=0.1, c0=4.0, c1=9.0), 0.5 * x - 1.0, 0.1 * x, 1.0),
-        ]
-        inputs = batch_inputs(grid, members)
-        got = run_stabilization_batch(inputs[0], config, *inputs[1:])
-        assert isinstance(got, list) and len(got) == len(members)
-        for g, (p, *init) in zip(got, zip(*inputs)):
-            expected = run_stabilization(p, config, *init)
-            assert not expected.blown_up
-            assert_same_run(g, expected)
-
-    @pytest.mark.parametrize("ending", ["blow-up", "first-step-overflow", "flux-overflow",
-                                        "trace-overflow"])
-    def test_a_member_that_ends_early_gives_the_stack_up(self, ending):
-        grid = Grid(51)
-        x = grid.nodes
-        spike = np.zeros(51)
-        spike[25], spike[26] = 1e308, -1e308
-        ordinary = (Params(q=2.0, b=-10.0, c0=5.0, c1=5.0), 2.0 * x - 1.0, 0.0 * x, 0.0)
-        huge_b = Params(q=2.0, b=-1e308, c0=5.0, c1=5.0)
-        # (params, w0, what0, zeta0), horizon, and the error its own run raises
-        member, t_final, error = {
-            # q=9 with tiny gains blows up at n=51
-            "blow-up": ((Params(q=9.0, b=-10.0, c0=0.01, c1=0.01), 9.0 * x - 1.0, 0.0 * x, 0.0),
-                        0.5, None),
-            # the plant field overflows in the first step
-            "first-step-overflow": ((ordinary[0], spike, 0.0 * x, 0.0), 0.5,
-                                    (NonFiniteState, "non-finite values")),
-            # b * u overflows once u0 is nonzero
-            "flux-overflow": ((huge_b, *ordinary[1:]), 0.5, (ConfigError, "fluxes must be finite")),
-            # one finite step whose F column overflows, so that its trace does not build
-            "trace-overflow": ((huge_b, *ordinary[1:3], 10.0), 1e-4,
-                               (ConfigError, "'F' contains non-finite samples")),
-        }[ending]
-        config = cfg(grid, t_final, stride=37, snap=700)
-        inputs = batch_inputs(grid, [ordinary, member, ordinary])
-        alone = [col[1] for col in inputs]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if error is None:
-                assert run_stabilization(alone[0], config, *alone[1:]).blown_up
-            else:
-                with pytest.raises(error[0], match=error[1]):
-                    run_stabilization(alone[0], config, *alone[1:])
-        assert run_stabilization_batch(inputs[0], config, *inputs[1:]) is None
-
-    def test_one_member(self, params8, grid51, ramp51, zeros51):
-        config = cfg(grid51, 0.05, stride=7)
-        (got,) = run_stabilization_batch([params8], config, [ramp51], [zeros51], [0.0])
-        assert_same_run(got, run_stabilization(params8, config, ramp51, zeros51, 0.0))
-
-    def test_rejects_mismatched_inputs(self, params8, grid51, ramp51, zeros51):
-        with pytest.raises(ConfigError):
-            run_stabilization_batch([params8, params8], cfg(grid51, 0.01), [ramp51], [zeros51], [0.0])
-        with pytest.raises(ConfigError):
-            other = GridFunction.zeros(Grid(26))
-            run_stabilization_batch([params8], cfg(grid51, 0.01), [other], [zeros51], [0.0])
 
 
 def assert_near_reference(tr, expected, snap, rel=1e-12):

@@ -23,8 +23,14 @@ and their sweeps, step as one operator product since that route came in,
 and manifests gained ``route`` and ``handover_step``, so against a
 revision before it those outputs differ.  The route moved the last digits
 of stable runs by about 1e-14 of a column's scale; the chaotic run before
-a blow-up, ``sweep-q-blow-up-batched/001-q=5.0``, moved by up to 8.7e-3.
+a blow-up, ``sweep-q-blow-up/001-q=5.0``, moved by up to 8.7e-3.
 ``stabilize-n101`` and ``stabilize-n102`` pin both routes at the cutoff.
+
+Sweeps run each member through ``simulate``'s own path.  Before that,
+``stabilize`` sweeps of at least three members above the cutoff stepped
+them as one stack, which ``sweep-c0-n126`` and ``sweep-q-blow-up-n126``
+(a stack that gives up for a member that blows up) pin: against such a
+revision they must be identical too.
 """
 
 from __future__ import annotations
@@ -44,13 +50,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 #: (output directory, CLI arguments): every scenario, a servo truncation exit,
-#: both blow-up runs, the oracle-fine pair with its analyze, a batched and
-#: three unbatched sweeps, two sweeps whose batch gives up for a member that
-#: ends early (a blow-up, a flux overflow), a servo truncation past its bound,
-#: and three runs whose samples fall inside, on and across the 64-step blocks
-#: of the runners' slabs (sample strides 1, 7 and 65, snapshot strides 45, 130),
-#: and stabilize runs on the largest grid that steps as one operator product
-#: (n=101) and on the next grid, which steps on the stencil (n=102)
+#: both blow-up runs, the oracle-fine pair with its analyze, four sweeps, two
+#: sweeps with a member that ends early (a blow-up, a flux overflow), a servo
+#: truncation past its bound, three runs whose samples fall inside, on and
+#: across the 64-step blocks of the runners' slabs (sample strides 1, 7 and 65,
+#: snapshot strides 45, 130), stabilize runs on the largest grid that steps as
+#: one operator product (n=101) and on the next grid, which steps on the
+#: stencil (n=102), and two stabilize sweeps on the stencil (n=126)
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -82,18 +88,18 @@ COMMANDS = (
                           "--t-final", "1", "--pe-tau", "0.5"]),
     ("blowup-stabilize", ["simulate", "--scenario", "stabilize", "--q", "9", "--c0", "0.01",
                           "--c1", "0.01", "--t-final", "1", "--pe-tau", "0.5"]),
-    ("sweep-c0-batched", ["sweep", "--scenario", "stabilize", "--param", "c0",
-                          "--values", "3,4,5,6,7,8", "--t-final", "0.5", "--pe-tau", "0.1"]),
+    ("sweep-c0-six", ["sweep", "--scenario", "stabilize", "--param", "c0",
+                      "--values", "3,4,5,6,7,8", "--t-final", "0.5", "--pe-tau", "0.1"]),
     ("sweep-c0", ["sweep", "--scenario", "stabilize", "--param", "c0",
                   "--values", "3,8", "--t-final", "0.5", "--pe-tau", "0.1"]),
     ("sweep-track", ["sweep", "--scenario", "track", "--ref", "sin:1,1", "--param", "c0",
                      "--values", "3,5", "--t-final", "0.5", "--pe-tau", "0.1"]),
-    ("sweep-q-blow-up-batched", ["sweep", "--scenario", "stabilize", "--param", "q",
-                                 "--values", "2,5,9", "--c0", "0.01", "--c1", "0.01",
-                                 "--t-final", "1", "--pe-tau", "0.5"]),
-    ("sweep-b-overflow-batched", ["sweep", "--scenario", "stabilize", "--param", "b",
-                                  "--values=-10,-1e307,-1e308", "--t-final", "0.5",
-                                  "--pe-tau", "0.1"]),
+    ("sweep-q-blow-up", ["sweep", "--scenario", "stabilize", "--param", "q",
+                         "--values", "2,5,9", "--c0", "0.01", "--c1", "0.01",
+                         "--t-final", "1", "--pe-tau", "0.5"]),
+    ("sweep-b-overflow", ["sweep", "--scenario", "stabilize", "--param", "b",
+                          "--values=-10,-1e307,-1e308", "--t-final", "0.5",
+                          "--pe-tau", "0.1"]),
     ("sweep-t-final", ["sweep", "--scenario", "stabilize", "--param", "t-final",
                        "--values", "0.5,0.8"]),
     ("track-servo-j-84", ["simulate", "--scenario", "track", "--ref", "sin:1,1", "--servo-j", "84",
@@ -113,6 +119,13 @@ COMMANDS = (
     ("stabilize-n102", ["simulate", "--scenario", "stabilize", "--dx", "0.009900990099009901",
                         "--dt", "4e-5", "--t-final", "0.1", "--pe-tau", "0.02",
                         "--sample-stride", "7", "--snapshot-stride", "700"]),
+    ("sweep-c0-n126", ["sweep", "--scenario", "stabilize", "--param", "c0",
+                       "--values", "3,4,5,6", "--dx", "0.008", "--dt", "2e-5",
+                       "--t-final", "0.1", "--pe-tau", "0.02", "--snapshot-stride", "2000"]),
+    ("sweep-q-blow-up-n126", ["sweep", "--scenario", "stabilize", "--param", "q",
+                              "--values", "2,5,9", "--c0", "0.01", "--c1", "0.01",
+                              "--dx", "0.008", "--dt", "2e-5", "--t-final", "0.3",
+                              "--pe-tau", "0.1"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
