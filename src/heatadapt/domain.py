@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -426,8 +427,20 @@ def _read_only(values) -> np.ndarray:
     return view
 
 
+@contextmanager
+def _allocating(shape: tuple[int, ...], what: str, flag: str):
+    """Turn a refused allocation of ``shape`` floats, made within, into a ConfigError."""
+    try:
+        yield
+    except (MemoryError, OSError) as exc:
+        raise ConfigError(
+            f"cannot allocate {8 * math.prod(shape) / 2**30:.3g} GiB for the run's {what}: "
+            f"raise {flag} or shorten --t-final"
+        ) from exc
+
+
 class _Recorder:
-    """Writes per-sample rows into one preallocated array, and keeps snapshots.
+    """Writes per-sample rows and snapshots into arrays preallocated for the run.
 
     Every row holds the sample time and then the values of ``names``, in
     that order.  The array has room for a sample every ``stride`` of
@@ -437,28 +450,32 @@ class _Recorder:
     view of it.  With ``mapped`` the array is an anonymous memory mapping,
     so its pages go back to the system when the trace is dropped; malloc
     can instead leave a large freed array behind as a heap hole that a
-    later, larger buffer cannot use.  An array that the system refuses,
-    under a memory limit, raises :class:`ConfigError` naming its size.
+    later, larger buffer cannot use.  With a ``snapshot_stride``, a second
+    array has room for a snapshot every ``snapshot_stride`` steps plus the
+    last, each of ``fields`` fields of ``n`` values, and each snapshot's
+    fields are views of it.  An array that the system refuses, under a
+    memory limit, raises :class:`ConfigError` naming its size, before the
+    run takes its first step.
     """
 
-    def __init__(self, names: tuple[str, ...], n_steps: int, stride: int, mapped: bool = False):
+    def __init__(self, names: tuple[str, ...], n_steps: int, stride: int, mapped: bool = False,
+                 snapshot_stride: int = 0, fields: int = 0, n: int = 0):
         self.names = names
         shape = (n_steps // stride + 2, 1 + len(names))
-        size = 8 * shape[0] * shape[1]
-        buf = None
-        try:
+        with _allocating(shape, "samples", "--sample-stride"):
+            buf = None
             if mapped:
                 import mmap  # loaded only by the runs that map their samples
 
-                buf = mmap.mmap(-1, size)
+                buf = mmap.mmap(-1, 8 * shape[0] * shape[1])
             self.data = np.ndarray(shape, order="F", buffer=buf)
-        except (MemoryError, OSError) as exc:
-            raise ConfigError(
-                f"cannot allocate {size / 2**30:.3g} GiB for the run's samples: "
-                "raise --sample-stride or shorten --t-final"
-            ) from exc
         self.size = 0
         self.snapshots: list[tuple[float, dict[str, np.ndarray]]] = []
+        self._snaps = None
+        if snapshot_stride:
+            shape = (n_steps // snapshot_stride + 2, fields, n)
+            with _allocating(shape, "snapshots", "--snapshot-stride"):
+                self._snaps = np.empty(shape)
 
     def row(self, t: float, values: tuple[float, ...]) -> None:
         """Record one sample: the values of ``names`` at time t."""
@@ -472,7 +489,10 @@ class _Recorder:
         return self.data[i : i + m]
 
     def snap(self, t: float, fields: dict[str, np.ndarray]) -> None:
-        self.snapshots.append((t, {k: v.copy() for k, v in fields.items()}))
+        """Record a snapshot: copies of ``fields`` at time t, in the next slot."""
+        slot = self._snaps[len(self.snapshots)]
+        slot[:] = tuple(fields.values())
+        self.snapshots.append((t, dict(zip(fields, slot))))
 
     def build(self, final_state, blow_up_time=None) -> Trace:
         """The Trace of the rows recorded.

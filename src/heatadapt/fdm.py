@@ -177,8 +177,9 @@ def grad_values(values: np.ndarray, dx: float) -> np.ndarray:
 class GradientEnergy:
     """Trapezoid values of the integral of f_x^2, one per row, in planned buffers.
 
-    The rows are the error fields of a runner's slab, one per step of a
-    block (:class:`~heatadapt.scenarios._Slab`).  ``f_x`` is :func:`grad_values` of ``f``, written with the formulas of
+    The rows are the error fields of a runner's block, one per step: the
+    error system's field, or ``w - what`` of the observer loop's states.
+    ``f_x`` is :func:`grad_values` of ``f``, written with the formulas of
     ``np.gradient(f, dx, edge_order=2)``: central differences inside and
     second-order one-sided differences at the ends.  Each value equals
     that of squaring the row's gradient and integrating it with the

@@ -10,12 +10,14 @@ residual checks in the test suite.  A runner keeps its state in its
 own variables and steps it in blocks of at most 64 steps, which end
 only at snapshot instants, a blow-up and the horizon, through one
 shared blow-up test, ``_blown_up``; the schedule of blocks, snapshots
-and the final sample lives in one private function, ``_run``.  A block
-keeps the scalars of the sample instants it passes and, for runs that
-integrate the dissipation ``diss_cum``, the error field of every step
-in a slab; when it ends, one row-wise call computes the gradient
-energies of the slab and one the norms of its samples, and the samples
-are recorded.  Observer, stabilization and tracking runs
+and the final sample lives in one private function, ``_run``.  The runs
+that integrate the dissipation ``diss_cum`` (observer, stabilization
+and error-system) record nothing else per step: a block writes the
+state of the instant it starts from and of every instant it reaches
+into a row of a slab, and keeps the scalars of each step that the state
+lacks.  When the block ends, one flush reads the samples, the gradient
+energies and ``diss_cum`` from the slab with row-wise calls.  Tracking and open-loop blocks instead build the row of each
+sample instant they pass.  Observer, stabilization and tracking runs
 share one loop, ``_run_observer_loop``, and differ only in their
 inputs: the controller value and, for tracking, the servo terms and
 the reference.  Open-loop and error-system runs keep their own loops,
@@ -25,9 +27,10 @@ observer (or the single field of open-loop and error-system runs) as
 rows of one array and steps them in place.
 
 Stabilize runs on grids of at most :data:`_OPERATOR_MAX_N` nodes step
-instead as one matrix-vector product a step: the loop is
-linear in ``[w, what, m]`` once ``m = zeta u0``, its one bilinear term,
-is written into the state (:func:`_operator`).  The product rounds
+instead as one matrix-vector product a step, into the same slab, which
+the same flush reads: the loop is linear in ``[w, what, m]`` once
+``m = zeta u0``, its one bilinear term, is written into the state
+(:func:`_operator`).  The product rounds
 differently from the stencil, within about 1e-14 of a column's scale on
 a stable run.  It decides no run's end: a block whose states are not
 quiet is stepped again on the stencil, which steps the run to its end,
@@ -120,7 +123,7 @@ def benchmark_initial_state(grid: Grid, q: float) -> GridFunction:
     return GridFunction(grid, q * grid.nodes - 1.0)
 
 
-#: the most steps one block takes, and so the steps one :class:`_Slab` holds
+#: the most steps one block takes, and so the steps a slab of a block's states holds
 _SLAB = 64
 
 #: ``block(k, stop)`` steps a run from step k to step stop, see :func:`_run`
@@ -147,20 +150,22 @@ def _run(
     A runner holds its state in its own variables and evaluates the inputs
     of step 0 before this is called.  ``block(k, stop)`` then advances
     from step k to step ``stop``, at most :data:`_SLAB` steps on: each step
-    keeps the sample of the instant it starts from if that is on the
-    ``sample_stride``, takes the inputs at hand, steps the fields, runs
+    keeps what ``flush`` needs of the instant it starts from, takes the
+    inputs at hand, steps the fields, runs
     :func:`_blown_up` on the plant field and evaluates the inputs of the
     instant it reaches.  It returns None, or the step at which the plant
     field blew up, where the run ends; a state that turns NaN/Inf raises
     :class:`NonFiniteState` from it.  After each block ``flush`` records
-    the samples the block kept, the values of the columns ``names``.
+    the samples of the instants on the ``sample_stride`` that the block
+    stepped from, the values of the columns ``names``.
     Blocks also end every ``snapshot_stride`` steps, where this records the
     fields of ``now()``.  The last instant is always sampled, from
     ``row(t)``, the columns' values at the current instant t.  ``route()``
     gives the final state's ``route`` and ``handover_step``.
     """
     dt, snap_stride, n_steps = config.dt, config.snapshot_stride, config.n_steps
-    rec = _Recorder(names, n_steps, config.sample_stride)
+    rec = _Recorder(names, n_steps, config.sample_stride, snapshot_stride=snap_stride,
+                    fields=len(_fields(*now()[:2])), n=config.grid.n)
     k, blow = 0, None
     with _quiet():
         while blow is None and k < n_steps:
@@ -184,43 +189,20 @@ def _put(rec: _Recorder, samples: list[tuple[float, ...]]) -> None:
         samples.clear()
 
 
-class _Slab:
-    """One block's error fields, turned into gradient energies when it ends.
+def _dissipation(energies: np.ndarray, xs: list[float], diss: float, dt: float,
+                 c1: float) -> tuple[list[float], float]:
+    """``diss_cum`` at the instant each step of a block starts from, and after its last step.
 
-    The error field is w - what, or the field of an error-system run.  A
-    block writes the field at the instant it starts from into ``rows[0]``
-    and, after its i-th step, the field it reaches into ``rows[i]``, and it
-    appends each step's boundary value x of the field to ``xs``.
-    :meth:`close` then computes the gradient energies of all rows with one
-    row-wise call and adds each step's ``dt * (||f_x||^2 + c1 x^2)`` to
-    ``diss``, in step order, as a loop that took the energy every step did.
+    ``energies`` are the gradient energies of the fields the steps start
+    from, ``xs`` their boundary values x, one per step; ``energies`` may
+    hold more.  Each step adds ``dt * (||f_x||^2 + c1 x^2)`` to ``diss``,
+    in step order, as a loop that took the energy every step did.
     """
-
-    __slots__ = ("rows", "head", "xs", "diss", "_energy", "_dt", "_c1")
-
-    def __init__(self, config: SimConfig, c1: float):
-        n = config.grid.n
-        buf = np.empty((_SLAB + 1, n))
-        #: each row, and the first _SLAB of them, the fields a block steps from
-        self.rows, self.head = tuple(buf), buf[:_SLAB]
-        self.xs: list[float] = []
-        self.diss = 0.0
-        self._energy = GradientEnergy(n, config.grid.dx)
-        self._dt, self._c1 = config.dt, c1
-
-    def close(self) -> list[float]:
-        """Add the block's steps to ``diss``; return its value at each instant stepped from.
-
-        The rows past the block's steps hold an earlier block's fields, or
-        nothing yet; their energies are computed and not read.
-        """
-        dt, c1, diss, at = self._dt, self._c1, self.diss, []
-        for g, x in zip(self._energy.of_rows(self.head).tolist(), self.xs):
-            at.append(diss)
-            diss += dt * (g + c1 * x * x)
-        self.diss = diss
-        self.xs.clear()
-        return at
+    at = []
+    for g, x in zip(energies.tolist(), xs):
+        at.append(diss)
+        diss += dt * (g + c1 * x * x)
+    return at, diss
 
 
 def _errors(out: np.ndarray, fields: np.ndarray, zt, half_b: float, diss, dx: float) -> None:
@@ -454,116 +436,121 @@ def _run_observer_loop(
     the servo terms v(1,t), v_x(1,t) and r(t); the observer then
     estimates z = w - v.  Without a reference the three are +0.0, and
     ``x - 0.0 == x`` for every float, so the step is the stabilizing one
-    bit for bit.  Only runs without a reference record ``diss_cum``: their
-    steps write w - what into a :class:`_Slab`, whose squares catch a
-    NaN/Inf state, which tracking's ``inputs`` catch from u0.
+    bit for bit.  Tracking runs build each sample's row when they reach
+    it, and their ``inputs`` catch a NaN/Inf state from u0.
+
+    Runs without a reference record ``diss_cum``.  Each block writes the
+    state ``[w, what, m = zeta u0, u0]`` of the instant it starts from and
+    of every instant it reaches into a row of one slab, and keeps each
+    step's starting zeta; the squares of a row's fields catch a NaN/Inf
+    state.  When the block ends, one flush reads its samples, gradient
+    energies and ``diss_cum`` from the slab.
 
     With ``feedback``, the row g of the stabilizing law (``inputs`` must
     give ``g . what`` as u0), the run steps as one product of the matrix
-    of :func:`_operator` a step, whose readout is u0.  Such a block decides
-    no run's end.  It writes every state into a slab, and a block whose
-    slab is not quiet (:func:`_quiet_states`) is stepped again from its
-    first state on the stencil, which then steps the run to its end: the
-    stencil alone finds a blow-up, a NaN/Inf state or a non-finite flux.
+    of :func:`_operator` a step, whose readout is u0, into the same slab.
+    Such a block decides no run's end: a block whose slab is not quiet
+    (:func:`_quiet_states`) is stepped again from its first state on the
+    stencil, which then steps the run to its end: the stencil alone finds
+    a blow-up, a NaN/Inf state or a non-finite flux.
     """
     dt, dx, stride, n = config.dt, config.grid.dx, config.sample_stride, config.grid.n
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
+    half_b, inv_b = 0.5 * abs(b), 1.0 / b
     stepper = _stepper(config, w0, what0)
     observer = _windows(config.grid, stepper, 1)
     w, what = stepper.rows
-    zeta = zeta0
+    zeta, diss, record = zeta0, 0.0, ref is None
     with _quiet():
         u0, v1, vx1, r = inputs(0.0, observer[0])
     samples: list[tuple[float, ...]] = []
-    slab = None if ref is not None else _Slab(config, c1)
-    errors = None if slab is None else slab.rows
+    J, nodes = config.servo_truncation_J, config.grid.nodes
+    zetas: list[float] = []
+    if record:
+        # the state of each instant a block starts from or reaches, each a row
+        # of ``states``, and in ``zetas`` each step's starting zeta
+        states = np.empty((_SLAB + 1, 2 * n + 2))
+        rows, first = tuple(states), states[0]
+        # each stepper buffer, whose rows are w and what, as one flat array
+        flat = tuple(buf.reshape(-1) for buf in stepper.buffers)
+        fields = tuple(s[: 2 * n] for s in rows)
+        first[: 2 * n], first[2 * n :] = flat[0], (zeta * u0, u0)
+        at_m, at_w1 = 2 * n, n - 1
+        energy, errs = GradientEnergy(n, dx), np.empty((_SLAB, n))
+
+    def row(t: float) -> tuple[float, ...]:
+        v = 0.0 if ref is None else servo_eval(ref, q, nodes, t, J)
+        e = 0.5 * _sq_norm(w - v - what, dx)
+        zt = inv_b - zeta
+        values = (u0, zeta * u0, zeta, w[0], w[-1], math.sqrt(_sq_norm(w, dx)),
+                  math.sqrt(2.0 * e), e, e + half_b * zt * zt)
+        return (*values, diss) if ref is None else (*values, w[0] - r, r, v1, vx1)
 
     def block(k: int, stop: int) -> int | None:
         nonlocal w, what, zeta, u0, v1, vx1, r
-        step, update, k0 = stepper.step, zeta_step, k
-        if errors is not None:
-            np.subtract(w, what, errors[0])
-            keep = slab.xs.append
+        step, update, keep, k0 = stepper.step, zeta_step, zetas.append, k
+        zetas.clear()
         while k < stop:
-            if k % stride == 0:
-                sample(k * dt)
+            if record:
+                keep(zeta)
+            elif k % stride == 0:
+                samples.append((k * dt, *row(k * dt)))
             innov = w.item(-1) - v1 - what.item(-1)
             zeta_new = update(zeta, sgn, innov, u0, dt)
             w_at_0 = w.item(0)
             w, what = step(-q * w_at_0, b * (zeta * u0), -q * (w_at_0 - r), u0 + c1 * innov - vx1)
             zeta = zeta_new
             k += 1
-            if errors is not None:
-                keep(innov)
-                d = errors[k - k0]
-                np.subtract(w, what, d)
-                # a NaN/Inf in either field makes the error's squares non-finite
-                if not math.isfinite(d.dot(d)):
-                    _require_finite(w, what)
+            if record:
+                f, s = fields[k - k0], rows[k - k0]
+                f[...] = flat[stepper.index]
+                # a NaN/Inf in w or what makes the squares of their values non-finite
+                if not math.isfinite(f.dot(f)):
+                    _require_finite(f)
             blown = _blown_up(w, dx)
             u0, v1, vx1, r = inputs(k * dt, observer[stepper.index])
+            if record:
+                s[at_m] = zeta * u0
+                s[-1] = u0
             if blown:
                 return k
         return None
 
-    half_b, inv_b = 0.5 * abs(b), 1.0 / b
-    if slab is None:
-        names = (*TRACE_COLUMNS, "tracking_err", "ref", "v1", "vx1")
-        J, nodes = config.servo_truncation_J, config.grid.nodes
-
-        def row(t: float) -> tuple[float, ...]:
-            e = 0.5 * _sq_norm(w - servo_eval(ref, q, nodes, t, J) - what, dx)
-            zt = inv_b - zeta
-            return (u0, zeta * u0, zeta, w[0], w[-1], math.sqrt(_sq_norm(w, dx)),
-                    math.sqrt(2.0 * e), e, e + half_b * zt * zt, w[0] - r, r, v1, vx1)
-
-        def sample(t: float) -> None:
-            samples.append((t, *row(t)))
-
-        def flush(rec: _Recorder, k0: int, k: int) -> None:
-            _put(rec, samples)
-
-        return _run(config, names, block, flush, row, lambda: (w, what, zeta, u0, zeta * u0))
-
-    observer_row = _observer_row(p, dx)
-    plants = np.empty((_SLAB, n))
-    copies = tuple(plants)
-
-    def row(t: float) -> tuple[float, ...]:
-        return observer_row(w, what, zeta, u0, zeta * u0, slab.diss)
-
-    def sample(t: float) -> None:
-        np.copyto(copies[len(samples)], w)
-        samples.append((t, u0, zeta * u0, zeta, w.item(0), w.item(-1)))
-
-    def flush(rec: _Recorder, k0: int, k: int) -> None:
-        diss = slab.close()
-        if samples:
-            # the columns of _observer_row, after t
-            out = rec.rows(len(samples))
-            out[:, :6] = samples
-            np.sqrt(_sq_norms(plants[: len(samples)], dx), out=out[:, 6])
-            at = slice(-k0 % stride, k - k0, stride)
-            _errors(out[:, 7:], slab.head[at], inv_b - out[:, 3], half_b, diss[at], dx)
-            samples.clear()
-
     def now() -> tuple:
         return w, what, zeta, u0, zeta * u0
+
+    if not record:
+        names = (*TRACE_COLUMNS, "tracking_err", "ref", "v1", "vx1")
+        return _run(config, names, block, lambda rec, k0, k: _put(rec, samples), row, now)
+
+    def flush(rec: _Recorder, k0: int, k: int) -> None:
+        nonlocal diss
+        steps = k - k0
+        stepped = states[:steps]
+        np.subtract(stepped[:, :n], stepped[:, n : 2 * n], errs[:steps])
+        # each step's innovation w(1) - what(1) is the last value of its error
+        at_diss, diss = _dissipation(energy.of_rows(errs), errs[:steps, -1].tolist(), diss, dt, c1)
+        at = slice(-k0 % stride, steps, stride)
+        picked = stepped[at]
+        if len(picked):
+            # the columns of _OBSERVER_COLUMNS, after t
+            out = rec.rows(len(picked))
+            out[:, 0] = np.arange(k0 + at.start, k, stride) * dt
+            out[:, 1], out[:, 2], out[:, 3] = picked[:, -1], picked[:, at_m], zetas[at]
+            out[:, 4], out[:, 5] = picked[:, 0], picked[:, at_w1]
+            np.sqrt(_sq_norms(picked[:, :n], dx), out=out[:, 6])
+            _errors(out[:, 7:], errs[at], inv_b - out[:, 3], half_b, at_diss[at], dx)
+        first[:] = rows[steps]
 
     if feedback is None:
         return _run(config, _OBSERVER_COLUMNS, block, flush, row, now)
 
-    # the operator route: the state [w, what, m = zeta u0, u0] of each instant
-    # a block reaches is a row of ``states``; w and what view the first
+    # the operator route: w and what view the first state of the block
     A = _operator(p, config, feedback)
-    states = np.empty((_SLAB + 1, 2 * n + 2))
-    ins, outs = tuple(s[: 2 * n + 1] for s in states), tuple(states)
-    first = states[0]
-    first[:n], first[n : 2 * n], first[2 * n :] = w, what, (zeta * u0, u0)
+    ins = tuple(s[: 2 * n + 1] for s in rows)
     w, what = first[:n], first[n : 2 * n]
-    at_m, at_w1, at_what1 = 2 * n, n - 1, 2 * n - 1
+    at_what1 = 2 * n - 1
     gain = 2.0 * max(abs(b), q, 1.0 + 2.0 * c1)
-    zetas: list[float] = []
     handover = None
 
     def operator_block(k: int, stop: int) -> int | None:
@@ -576,7 +563,7 @@ def _run_observer_loop(
         keep = zetas.append
         for i in range(stop - k):
             keep(z)
-            s, y = outs[i], outs[i + 1]
+            s, y = rows[i], rows[i + 1]
             innov = s.item(at_w1) - s.item(at_what1)
             z_new = update(z, sgn, innov, u, dt)
             dot(A, ins[i], y)
@@ -588,55 +575,16 @@ def _run_observer_loop(
             return None
         # step the block again on the stencil, from its first state on
         handover = k
+        np.copyto(flat[stepper.index], fields[0])
         w, what = stepper.rows
-        np.copyto(w, first[:n])
-        np.copyto(what, first[n : 2 * n])
         return block(k, stop)
 
-    def operator_flush(rec: _Recorder, k0: int, k: int) -> None:
-        if handover is not None:
-            return flush(rec, k0, k)
-        steps = k - k0
-        stepped = states[:steps]
-        errs = slab.head[:steps]
-        np.subtract(stepped[:, :n], stepped[:, n : 2 * n], errs)
-        # each step's innovation w(1) - what(1)
-        slab.xs.extend(errs[:, -1].tolist())
-        diss = slab.close()
-        at = slice(-k0 % stride, steps, stride)
-        picked = stepped[at]
-        if len(picked):
-            out = rec.rows(len(picked))
-            out[:, 0] = np.arange(k0 + at.start, k, stride) * dt
-            out[:, 1], out[:, 2], out[:, 3] = picked[:, -1], picked[:, at_m], zetas[at]
-            out[:, 4], out[:, 5] = picked[:, 0], picked[:, at_w1]
-            np.sqrt(_sq_norms(picked[:, :n], dx), out=out[:, 6])
-            _errors(out[:, 7:], errs[at], inv_b - out[:, 3], half_b, diss[at], dx)
-        first[:] = states[steps]
-
-    return _run(config, _OBSERVER_COLUMNS, operator_block, operator_flush, row, now,
+    return _run(config, _OBSERVER_COLUMNS, operator_block, flush, row, now,
                 lambda: ("operator", handover))
 
 
 #: the columns of a plant + observer + update-law run's rows without a reference
 _OBSERVER_COLUMNS = (*TRACE_COLUMNS, "diss_cum")
-
-
-def _observer_row(p: Params, dx: float) -> Callable[..., tuple[float, ...]]:
-    """``row(w, what, zeta, u0, u, diss_cum)``: a plant + observer run's sample.
-
-    The values are those of _OBSERVER_COLUMNS.
-    """
-    half_b = 0.5 * abs(p.b)
-    inv_b = 1.0 / p.b
-
-    def row(w, what, zeta, u0, u, diss_cum) -> tuple[float, ...]:
-        e = 0.5 * _sq_norm(w - what, dx)
-        zt = inv_b - zeta
-        return (u0, u, zeta, w[0], w[-1], math.sqrt(_sq_norm(w, dx)),
-                math.sqrt(2.0 * e), e, e + half_b * zt * zt, diss_cum)
-
-    return row
 
 
 def run_observer(
@@ -728,32 +676,34 @@ def run_error_system(
     ``obs_err_norm``; ``diss_cum`` accumulates
     dt * (||werr_x||^2 + c1 werr(1)^2) for energy-identity tests.
     """
-    dt, dx, stride = config.dt, config.grid.dx, config.sample_stride
+    dt, dx, stride, n = config.dt, config.grid.dx, config.sample_stride, config.grid.n
     b, c1, sgn = p.b, p.c1, p.sign_b
     half_b = 0.5 * abs(b)
     stepper = _stepper(config, wtilde0)
-    slab = _Slab(config, c1)
-    errors, keep = slab.rows, slab.xs.append
     (wt,) = stepper.rows
-    zt = zetatilde0
-    samples: list[tuple[float, ...]] = []
+    zt, diss = zetatilde0, 0.0
     with _quiet():
         u0 = u0_signal(0.0)
+    # the field of each instant a block starts from or reaches, each a row of
+    # ``slab``, and each step's starting u0 and zt
+    slab = np.empty((_SLAB + 1, n))
+    rows, head = tuple(slab), slab[:_SLAB]
+    np.copyto(rows[0], wt)
+    kept: list[tuple[float, float]] = []
+    energy = GradientEnergy(n, dx)
 
     def block(k: int, stop: int) -> int | None:
         nonlocal wt, zt, u0
-        step, k0 = stepper.step, k
-        np.copyto(errors[0], wt)
+        step, keep, k0 = stepper.step, kept.append, k
+        kept.clear()
         while k < stop:
+            keep((u0, zt))
             wt1 = wt.item(-1)
-            if k % stride == 0:
-                samples.append((k * dt, u0, zt, wt.item(0), wt1))
-            keep(wt1)
             zt_new = zt + dt * sgn * u0 * wt1
             (wt,) = step(0.0, -b * zt * u0 - c1 * wt1)
             zt = zt_new
             k += 1
-            np.copyto(errors[k - k0], wt)
+            rows[k - k0][...] = wt
             blown = _blown_up(wt, dx)
             u0 = u0_signal(k * dt)
             if blown:
@@ -761,20 +711,26 @@ def run_error_system(
         return None
 
     def flush(rec: _Recorder, k0: int, k: int) -> None:
-        diss = slab.close()
-        if samples:
+        nonlocal diss
+        steps = k - k0
+        # each step's wt(1) is the last value of its row
+        at_diss, diss = _dissipation(energy.of_rows(head), head[:steps, -1].tolist(), diss, dt, c1)
+        at = slice(-k0 % stride, steps, stride)
+        picked = head[at]
+        if len(picked):
             # t, u0, zeta, w0, w1, then wnorm, which equals obs_err_norm, and the rest
-            out = rec.rows(len(samples))
-            out[:, :5] = samples
-            at = slice(-k0 % stride, k - k0, stride)
-            _errors(out[:, 6:], slab.head[at], out[:, 2], half_b, diss[at], dx)
+            out = rec.rows(len(picked))
+            out[:, 0] = np.arange(k0 + at.start, k, stride) * dt
+            out[:, 1:3] = kept[at]
+            out[:, 3], out[:, 4] = picked[:, 0], picked[:, -1]
+            _errors(out[:, 6:], picked, out[:, 2], half_b, at_diss[at], dx)
             out[:, 5] = out[:, 6]
-            samples.clear()
+        np.copyto(rows[0], rows[steps])
 
     def row(t: float) -> tuple[float, ...]:
         e = 0.5 * _sq_norm(wt, dx)
         nrm = math.sqrt(2.0 * e)
-        return u0, zt, wt[0], wt[-1], nrm, nrm, e, e + half_b * zt * zt, slab.diss
+        return u0, zt, wt[0], wt[-1], nrm, nrm, e, e + half_b * zt * zt, diss
 
     names = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F", "diss_cum")
     return _run(config, names, block, flush, row, lambda: (wt, None, zt, u0, 0.0))

@@ -369,6 +369,18 @@ class TestExitCodes:
         assert proc.stderr == f"heatadapt: cannot allocate {gib} GiB {ALLOCATION_HINT}\n"
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_snapshots_the_system_refuses_exit_64_before_the_first_step(self, tmp_path):
+        # 400002 snapshots of two 201-node fields are 1.2 GiB, under the size
+        # limit but over what the address-space cap leaves
+        out = tmp_path / "run"
+        proc = run_capped("simulate", "--dx", "0.005", "--dt", "1e-5", "--t-final", "4",
+                          "--pe-tau", "0.5", "--snapshot-stride", "1", "--out", str(out))
+        assert proc.returncode == 64
+        assert proc.stderr == ("heatadapt: cannot allocate 1.2 GiB for the run's snapshots: "
+                               "raise --snapshot-stride or shorten --t-final\n")
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
     def test_a_sweep_member_the_system_refuses_exits_64_and_the_sweep_goes_on(self, tmp_path):
         out = tmp_path / "sweep"
         proc = run_capped("sweep", "--param", "t-final", "--values", "2000,0.1",

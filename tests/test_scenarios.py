@@ -426,13 +426,29 @@ class TestRunnersMatchReferenceRoute:
             assert k < c.n_steps and k % stride and k % snap
         assert_matches_reference(tr, expected, snap)
 
-    def test_returned_fields_are_copies(self, params8, grid51, ramp51, zeros51):
+    def test_returned_fields_are_copies(self, monkeypatch, params8, grid51, ramp51, zeros51):
         # the stepper's buffers are reused every step; nothing a runner
-        # returns may be a view of them
-        tr = run_stabilization(params8, cfg(grid51, 0.01, snap=50), ramp51, zeros51, 0.0)
-        fs = tr.final_state
-        for f in (fs.w.values, fs.what.values, *tr.snapshots[-1][1].values()):
-            assert f.flags.owndata
+        # returns may be a view of them.  Snapshots are views of the
+        # recorder's array, each of its own slot.  Both routes, operator first.
+        steppers = []
+
+        class Stepper(HeatStepper):
+            def __init__(self, *args):
+                super().__init__(*args)
+                steppers.append(self)
+
+        monkeypatch.setattr(scenarios, "HeatStepper", Stepper)
+        for cutoff in (scenarios._OPERATOR_MAX_N, 0):
+            monkeypatch.setattr(scenarios, "_OPERATOR_MAX_N", cutoff)
+            tr = run_stabilization(params8, cfg(grid51, 0.01, snap=50), ramp51, zeros51, 0.0)
+            assert tr.final_state.route == ("operator" if cutoff else "stencil")
+            fs = tr.final_state
+            assert fs.w.values.flags.owndata and fs.what.values.flags.owndata
+            snaps = [f for _, fields in tr.snapshots for f in fields.values()]
+            assert len(snaps) == 2 * 3
+            for i, f in enumerate(snaps):
+                assert not any(np.shares_memory(f, buf) for buf in steppers[-1].buffers)
+                assert not any(np.shares_memory(f, g) for g in snaps[i + 1 :])
 
 
 def per_step_run(kind, p, config, w0, what0=None, zeta0=0.0, u0_signal=None):
@@ -553,10 +569,23 @@ class TestSlabsMatchPerStepLoop:
         else:
             tr = run_error_system(p, c, w0, -0.1, u0)
         expected = per_step_run(kind, p, c, w0, what0, 0.0 if kind == "stabilize" else -0.1, u0)
-        assert tr.blown_up is (scale is not None and kind != "error")
+        if kind == "error":
+            # the error field decays under u0 = exp(-t), even from the scaled ramp
+            assert not tr.blown_up
+        else:
+            assert tr.blown_up is (scale is not None)
         if tr.blown_up:
             assert round(tr.blow_up_time / c.dt) == {"stabilize": 10, "observer": 111}[kind]
         assert_matches_reference(tr, expected, snap)
+
+    def test_error_system_blow_up_equals_per_step_loop(self, params8, grid51, ramp51):
+        # u0 = 300 drives the error field past the threshold at step 219, inside
+        # the block [180, 225) that the snapshot at step 225 ends
+        c = cfg(grid51, 0.0301, stride=7, snap=45)
+        u0 = lambda t: 300.0
+        tr = run_error_system(params8, c, ramp51, -0.1, u0)
+        assert tr.blown_up and round(tr.blow_up_time / c.dt) == 219
+        assert_matches_reference(tr, per_step_run("error", params8, c, ramp51, None, -0.1, u0), 45)
 
     @pytest.mark.parametrize("stride", [1, 7])
     def test_observer_overflow_raises_at_the_same_step(self, stride, params8, grid51, ramp51):
@@ -612,7 +641,7 @@ def assert_same_run(got, expected):
     assert len(got.snapshots) == len(expected.snapshots)
     for (t1, f1), (t2, f2) in zip(got.snapshots, expected.snapshots):
         assert t1 == t2 and f1.keys() == f2.keys()
-        assert all(bits(f1[k]) == bits(f2[k]) and f1[k].flags.owndata for k in f1)
+        assert all(bits(f1[k]) == bits(f2[k]) for k in f1)
     a, b = got.final_state, expected.final_state
     assert a.t == b.t
     assert bits(a.w.values) == bits(b.w.values) and bits(a.what.values) == bits(b.what.values)

@@ -56,7 +56,10 @@ ROOT = Path(__file__).resolve().parents[1]
 #: across the 64-step blocks of the runners' slabs (sample strides 1, 7 and 65,
 #: snapshot strides 45, 130), stabilize runs on the largest grid that steps as
 #: one operator product (n=101) and on the next grid, which steps on the
-#: stencil (n=102), and two stabilize sweeps on the stencil (n=126)
+#: stencil (n=102), two stabilize sweeps on the stencil (n=126), a stabilize
+#: run that hands over from the operator to the stencil at step 100 and blows
+#: up at step 129, with samples on both sides, and an error-system run that
+#: blows up at step 219, inside a block
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -126,6 +129,12 @@ COMMANDS = (
                               "--values", "2,5,9", "--c0", "0.01", "--c1", "0.01",
                               "--dx", "0.008", "--dt", "2e-5", "--t-final", "0.3",
                               "--pe-tau", "0.1"]),
+    ("stabilize-handover", ["simulate", "--scenario", "stabilize", "--q", "6", "--c0", "0.5",
+                            "--c1", "0.5", "--t-final", "0.5", "--pe-tau", "0.1",
+                            "--sample-stride", "37", "--snapshot-stride", "50"]),
+    ("error-system-blow-up", ["simulate", "--scenario", "error-system", "--u0", "const:300",
+                              "--zeta0", "-0.1", "--t-final", "0.05", "--pe-tau", "0.01",
+                              "--sample-stride", "7", "--snapshot-stride", "45"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
