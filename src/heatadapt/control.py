@@ -163,34 +163,49 @@ class _ServoSeries:
         # 1/k! for k = 0 .. 2J+3: one slot past J for the tail estimate
         self._inv_fact = 1.0 / np.array([math.factorial(k) for k in range(2 * J + 4)], dtype=float)
         table = np.zeros((3, J + 2))
-        self._omega = 0.0
+        #: the reference's frequency, 0 for a constant or zero reference
+        self.omega = 0.0
         if ref.kind == "constant":
             table[0, 0] = ref.value
         elif ref.kind == "sinusoid":
             amplitudes = ref.amplitude * ref.omega ** np.arange(J + 2)
             table[1, 0::4], table[2, 1::4] = amplitudes[0::4], amplitudes[1::4]
             table[1, 2::4], table[2, 3::4] = -amplitudes[2::4], -amplitudes[3::4]
-            self._omega = ref.omega
+            self.omega = ref.omega
         self._table = table
         # coefficients of r^(j) in v(1,t) and, for j >= 1, in -(v_x(1,t) + q r(t))
         inv_2j, inv_2j1 = self._inv_fact[0::2], self._inv_fact[1::2]
         c_v1 = inv_2j - q * inv_2j1
         c_vx1 = q * inv_2j[1:] - inv_2j1[:-1]
         c_tail = max(abs(c_v1[-1]), abs(c_vx1[-1]))
-        # rows v(1,t), v_x(1,t) and the tail; columns the weights of 1, sin, cos
         v1, vx1 = table[:, :-1] @ c_v1[:-1], -q * table[:, 0] - table[:, 1:-1] @ c_vx1[:-1]
-        self._boundary_weights = np.array([v1, vx1, table[:, -1] * c_tail]).tolist()
+        #: rows r(t), v(1,t), v_x(1,t) and the tail; columns the weights of 1, sin, cos
+        self.weights = np.array([table[:, 0], v1, vx1, table[:, -1] * c_tail])
+        self._boundary_weights = self.weights[1:].tolist()
+
+    def kernel(self, x: np.ndarray) -> np.ndarray:
+        """The series at positions x as a (len(x), J + 2) table: term j is r^(j)(t) times column j."""
+        powers = x[..., None] ** (2 * np.arange(self.J + 2))
+        return self._inv_fact[0::2] * powers - self.q * self._inv_fact[1::2] * powers * x[..., None]
+
+    def profiles(self, kernel: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """v(x,t) at the positions of ``kernel``, one row per instant whose sin and cos of omega t are s, c.
+
+        Each row equals :meth:`profile` at that instant bit for bit: the same
+        products, and each row's terms summed alike.
+        """
+        level, sines, cosines = self._table
+        r = level + sines * s[:, None] + cosines * c[:, None]
+        return (r[:, None, :] * kernel)[..., :-1].sum(axis=-1)
 
     def profile(self, x, t: float, tail_tol: float):
         """Series value at position(s) x; x may be a scalar or an array."""
         xa = np.asarray(x, dtype=float)
         if np.any(xa < 0.0) or np.any(xa > 1.0):
             raise ValueError("x outside [0, 1]")
-        wt, (level, sines, cosines) = self._omega * t, self._table
+        wt, (level, sines, cosines) = self.omega * t, self._table
         r = level + sines * math.sin(wt) + cosines * math.cos(wt)  # r^(j)(t), j = 0 .. J+1
-        powers = xa[..., None] ** (2 * np.arange(self.J + 2))
-        terms = r * (self._inv_fact[0::2] * powers
-                     - self.q * self._inv_fact[1::2] * powers * xa[..., None])
+        terms = r * self.kernel(xa)
         tail = float(np.max(np.abs(terms[..., -1])))
         if tail > tail_tol:
             raise TruncationInsufficient(
@@ -200,7 +215,7 @@ class _ServoSeries:
         return float(total) if np.isscalar(x) or xa.ndim == 0 else total
 
     def boundary(self, t: float, tail_tol: float) -> ServoTerms:
-        wt = self._omega * t
+        wt = self.omega * t
         s, c = math.sin(wt), math.cos(wt)
         (v0, vs, vc), (x0, xs, xc), (e0, es, ec) = self._boundary_weights
         tail = abs(e0 + es * s + ec * c)

@@ -188,7 +188,7 @@ class GradientEnergy:
     one as it sums a single profile.
     """
 
-    __slots__ = ("_k", "_weights", "_plan")
+    __slots__ = ("_k", "_weights", "_rows")
 
     def __init__(self, n: int, dx: float):
         if n < 3:
@@ -198,18 +198,27 @@ class GradientEnergy:
         # np.gradient's edge weights on (f[0], f[-3]), (f[1], f[-2]) and (f[2], f[-1])
         left, right = (-1.5 / dx, 2.0 / dx, -0.5 / dx), (0.5 / dx, -2.0 / dx, 1.5 / dx)
         self._weights = tuple(np.array(pair) for pair in zip(left, right))
-        self._plan = None
+        #: the array last passed, the buffers of its rows and a plan per row count
+        self._rows = None
 
-    def of_rows(self, d: np.ndarray) -> np.ndarray:
-        """The gradient energy of each row of ``d``, a C-contiguous ``(m, n)`` array.
+    def of_rows(self, d: np.ndarray, m: int | None = None) -> np.ndarray:
+        """The gradient energy of each of the first m rows of ``d``, a C-contiguous ``(rows, n)`` array.
 
-        The buffers and views are planned for ``d`` itself, so a caller
-        that passes the same array every time plans once; a new array
-        is planned anew.
+        m defaults to every row.  The buffers are allocated for ``d`` itself
+        and the views planned once per m, so a caller that passes the same
+        array every time pays for the m rows it asks for and plans once per
+        row count; a new array is planned anew.
         """
-        if self._plan is None or self._plan[0] is not d:
-            self._plan = self._row_plan(d)
-        _, grad, flat_diff, inner, ends, (f0, f1, f2), (a, b, c), tmp, first, last = self._plan
+        if self._rows is None or self._rows[0] is not d:
+            if d.ndim != 2 or d.shape[1] < 3 or not d.flags.c_contiguous:
+                raise ConfigError(f"rows must be a C-contiguous (m, n >= 3) array, got {d.shape}")
+            self._rows = (d, np.empty(d.shape), np.empty((len(d), 2)), {})
+        _, grads, tmps, plans = self._rows
+        m = len(d) if m is None else m
+        plan = plans.get(m)
+        if plan is None:
+            plan = plans[m] = self._row_plan(d[:m], grads[:m], tmps[:m])
+        grad, flat_diff, inner, ends, (f0, f1, f2), (a, b, c), tmp, first, last = plan
         two_dx, one_half, dx = self._k
         # central differences over the flattened rows; the ones that straddle
         # two rows land on edge nodes, which the edge formulas overwrite
@@ -230,10 +239,7 @@ class GradientEnergy:
         np.multiply(dx, total, total)
         return total
 
-    def _row_plan(self, diff: np.ndarray) -> tuple:
-        if diff.ndim != 2 or diff.shape[1] < 3 or not diff.flags.c_contiguous:
-            raise ConfigError(f"rows must be a C-contiguous (m, n >= 3) array, got {diff.shape}")
-        grad = np.empty(diff.shape)
+    def _row_plan(self, diff: np.ndarray, grad: np.ndarray, tmp: np.ndarray) -> tuple:
         (rows, n), step = diff.shape, diff.strides
         # (f[0], f[-3]), (f[1], f[-2]) and (f[2], f[-1]) of every row
         edges = tuple(
@@ -245,5 +251,5 @@ class GradientEnergy:
         )
         # the first and last node of every row
         ends = grad[:, :: n - 1]
-        return (diff, grad, diff.reshape(-1), grad.reshape(-1)[1:-1], ends, edges, self._weights,
-                np.empty((rows, 2)), ends[:, 0], ends[:, 1])
+        return (grad, diff.reshape(-1), grad.reshape(-1)[1:-1], ends, edges, self._weights, tmp,
+                ends[:, 0], ends[:, 1])

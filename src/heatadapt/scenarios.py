@@ -10,32 +10,35 @@ residual checks in the test suite.  A runner keeps its state in its
 own variables and steps it in blocks of at most 64 steps, which end
 only at snapshot instants, a blow-up and the horizon, through one
 shared blow-up test, ``_blown_up``; the schedule of blocks, snapshots
-and the final sample lives in one private function, ``_run``.  The runs
-that integrate the dissipation ``diss_cum`` (observer, stabilization
-and error-system) record nothing else per step: a block writes the
+and the final sample lives in one private function, ``_run``.  Every
+run but open-loop records nothing else per step: a block writes the
 state of the instant it starts from and of every instant it reaches
 into a row of a slab, and keeps the scalars of each step that the state
-lacks.  When the block ends, one flush reads the samples, the gradient
-energies and ``diss_cum`` from the slab with row-wise calls.  Tracking and open-loop blocks instead build the row of each
-sample instant they pass.  Observer, stabilization and tracking runs
-share one loop, ``_run_observer_loop``, and differ only in their
-inputs: the controller value and, for tracking, the servo terms and
-the reference.  Open-loop and error-system runs keep their own loops,
-whose fluxes are ordered differently.  Every runner steps its fields
-with one :class:`~heatadapt.fdm.HeatStepper`, which holds plant and
-observer (or the single field of open-loop and error-system runs) as
-rows of one array and steps them in place.
+lacks.  When the block ends, one flush reads the samples, and for the
+runs that integrate the dissipation ``diss_cum`` (observer,
+stabilization and error-system) the gradient energies and ``diss_cum``,
+from the slab with row-wise calls.  Open-loop blocks instead build the
+row of each sample instant they pass.  Observer, stabilization and
+tracking runs share one loop, ``_run_observer_loop``, and differ only in
+their inputs: the controller value and, for tracking, the servo terms
+and the reference.  Open-loop and error-system runs keep their own
+loops, whose fluxes are ordered differently.  Every runner steps its
+fields with one :class:`~heatadapt.fdm.HeatStepper`, which holds plant
+and observer (or the single field of open-loop and error-system runs)
+as rows of one array and steps them in place.
 
-Stabilize runs on grids of at most :data:`_OPERATOR_MAX_N` nodes step
-instead as one matrix-vector product a step, into the same slab, which
-the same flush reads: the loop is linear in ``[w, what, m]`` once
-``m = zeta u0``, its one bilinear term, is written into the state
-(:func:`_operator`).  The product rounds
-differently from the stencil, within about 1e-14 of a column's scale on
-a stable run.  It decides no run's end: a block whose states are not
-quiet is stepped again on the stencil, which steps the run to its end,
-and the final state records the route and that step.  A sweep runs
-each of its members through these runners, one at a time.
+Stabilize and tracking runs on grids of at most :data:`_OPERATOR_MAX_N`
+nodes step instead as one matrix-vector product a step, into the same
+slab, which the same flush reads: the loop is linear in ``[w, what, m]``
+once ``m = zeta u0``, its one bilinear term, is written into the state,
+and tracking's servo terms are linear in ``(1, sin wt, cos wt)``, which
+the state carries and a rotation block steps (:func:`_operator`).  The
+product rounds differently from the stencil, within about 1e-14 of a
+column's scale on a stable run.  It decides no run's end: a block whose
+states are not quiet, or whose servo tail comes near its tolerance, is
+stepped again on the stencil, which steps the run to its end, and the
+final state records the route and that step.  A sweep runs each of its
+members through these runners, one at a time.
 
 Runs are deterministic: identical inputs produce bit-identical traces
 on one platform.  A run whose state norm passes 1e12 stops early with a
@@ -51,7 +54,15 @@ from typing import Callable
 
 import numpy as np
 
-from .control import adaptive_u0, feedback_row, servo_boundary, servo_eval, zeta_step
+from .control import (
+    DEFAULT_TAIL_TOL,
+    _servo_series,
+    _ServoSeries,
+    adaptive_u0,
+    feedback_row,
+    servo_boundary,
+    zeta_step,
+)
 from .domain import (
     ConfigError,
     Grid,
@@ -67,6 +78,7 @@ from .fdm import GradientEnergy, HeatStepper, NonFiniteState
 
 # The runners no longer call these; bench/tracer.py wraps them under these
 # names, so they stay importable from here.
+from .control import servo_eval  # noqa: F401
 from .fdm import grad_values, l2_norm, step_heat  # noqa: F401
 
 __all__ = [
@@ -194,8 +206,7 @@ def _dissipation(energies: np.ndarray, xs: list[float], diss: float, dt: float,
     """``diss_cum`` at the instant each step of a block starts from, and after its last step.
 
     ``energies`` are the gradient energies of the fields the steps start
-    from, ``xs`` their boundary values x, one per step; ``energies`` may
-    hold more.  Each step adds ``dt * (||f_x||^2 + c1 x^2)`` to ``diss``,
+    from and ``xs`` their boundary values x, one per step.  Each step adds ``dt * (||f_x||^2 + c1 x^2)`` to ``diss``,
     in step order, as a loop that took the energy every step did.
     """
     at = []
@@ -205,18 +216,17 @@ def _dissipation(energies: np.ndarray, xs: list[float], diss: float, dt: float,
     return at, diss
 
 
-def _errors(out: np.ndarray, fields: np.ndarray, zt, half_b: float, diss, dx: float) -> None:
-    """Fill in obs_err_norm, E, F and diss_cum, the columns of ``out``, for samples.
+def _errors(out: np.ndarray, fields: np.ndarray, zt, half_b: float, dx: float) -> None:
+    """Fill in obs_err_norm, E and F, the columns of ``out``, for samples.
 
-    ``fields`` are the samples' error fields as rows, ``zt`` their
-    parameter errors and ``diss`` their diss_cum; every value equals the
-    one a per-sample row computes from the same inputs, bit for bit.
+    ``fields`` are the samples' error fields as rows and ``zt`` their
+    parameter errors; every value equals the one a per-sample row
+    computes from the same inputs, bit for bit.
     """
     e = 0.5 * _sq_norms(fields, dx)
     np.sqrt(2.0 * e, out=out[:, 0])
     out[:, 1] = e
     out[:, 2] = e + half_b * zt * zt
-    out[:, 3] = diss
 
 
 def _finish(
@@ -343,8 +353,9 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
 _OPERATOR_MAX_N = 101
 
 
-def _operator(p: Params, config: SimConfig, feedback: np.ndarray) -> np.ndarray:
-    """One step of the stabilizing loop as a matrix A: the next state is ``A @ s``.
+def _operator(p: Params, config: SimConfig, feedback: np.ndarray,
+              servo: tuple[np.ndarray, float] | None = None) -> np.ndarray:
+    """One step of the stabilizing or tracking loop as a matrix A: the next state is ``A @ s``.
 
     The state is ``s = [w, what, m]`` with ``m = zeta u0``, and ``A @ s``
     also gives the next u0.  The rows of w and what are one explicit step
@@ -355,12 +366,21 @@ def _operator(p: Params, config: SimConfig, feedback: np.ndarray) -> np.ndarray:
     :func:`~heatadapt.control.feedback_row`.  The last row, g times the
     observer rows, gives the next state's u0.  The m row is 0: the caller
     writes ``zeta u0`` there, the one bilinear term of the loop.
+
+    With ``servo``, the weights of r(t), v(1,t) and v_x(1,t) on
+    ``(1, sin wt, cos wt)`` as rows and the angle ``omega dt``, the state
+    goes on with those three entries, which a rotation block steps, and
+    what is the shifted estimate z.  Its fluxes ``-q (w(0) - r)`` and
+    ``u0 + c1 (w(1) - v1 - what(1)) - v_x1``, with u0 now ``g . what +
+    v_x1``, add the columns ``-2 r dx q r(t)`` and ``-2 r dx c1 v1(t)``,
+    and the readouts are the next r, v1 and u0.
     """
     n, dx = config.grid.n, config.grid.dx
     r = config.dt / (dx * dx)
     # the weight of a boundary flux in its node's step
     flux = 2.0 * r * dx
-    A = np.zeros((2 * n + 2, 2 * n + 1))
+    width = 2 * n + (1 if servo is None else 4)
+    A = np.zeros((width + (1 if servo is None else 3), width))
     for f in (0, n):
         inner = np.arange(f + 1, f + n - 1)
         A[inner, inner - 1] = A[inner, inner + 1] = r
@@ -373,19 +393,34 @@ def _operator(p: Params, config: SimConfig, feedback: np.ndarray) -> np.ndarray:
     A[2 * n - 1, n - 1] += flux * p.c1
     A[2 * n - 1, 2 * n - 1] -= flux * p.c1
     A[2 * n - 1, n : 2 * n] += flux * feedback
-    A[2 * n + 1] = feedback @ A[n : 2 * n]
+    if servo is not None:
+        (ref, v1, vx1), theta = servo
+        basis = slice(2 * n + 1, 2 * n + 4)
+        A[n, basis] -= flux * p.q * ref
+        A[2 * n - 1, basis] -= flux * p.c1 * v1
+        # (1, sin wt, cos wt) on to t + dt
+        c, s = math.cos(theta), math.sin(theta)
+        rotation = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+        A[basis, basis] = rotation
+        A[width, basis] = ref @ rotation
+        A[width + 1, basis] = v1 @ rotation
+    A[-1] = feedback @ A[n : 2 * n]
+    if servo is not None:
+        A[-1, basis] += vx1 @ rotation
     return A
 
 
 def _quiet_states(states: np.ndarray, gain: float) -> bool:
-    """Whether no state of ``states``, rows [w, what, m, u0], can end a run.
+    """Whether no state of ``states``, the rows of :func:`_run_observer_loop`'s slab, can end a run.
 
     Their squares summing to less than :data:`_QUIET_SQ`, which a NaN/Inf
     fails, keeps every value under BLOWUP_NORM / 2: no plant norm passes
     BLOWUP_NORM and no error field's squares overflow.  ``gain`` is twice
-    the largest of ``|b|``, q and ``1 + 2 c1``, so a finite ``gain`` times
-    the largest value bounds every flux, ``-q w(0)``, ``b m`` and
-    ``u0 + c1 (w(1) - what(1))``, with room for rounding.
+    the largest weight of a value in a flux: ``|b|``, q and ``1 + 2 c1``,
+    with tracking's servo weights added, so a finite ``gain`` times the
+    largest value bounds every flux, ``-q w(0)``, ``b m`` and
+    ``u0 + c1 (w(1) - what(1))`` or their tracking forms, with room for
+    rounding.
     """
     flat = states.reshape(-1)
     sq = flat.dot(flat)
@@ -427,32 +462,36 @@ def _run_observer_loop(
     what0: GridFunction,
     zeta0: float,
     inputs: _Inputs,
-    ref: ReferenceSignal | None = None,
+    servo: _ServoSeries | None = None,
     feedback: np.ndarray | None = None,
 ) -> Trace:
     """The plant + observer + update-law loop of observer, stabilize and track.
 
     ``inputs(t, what)`` gives the controller value u0 and, for tracking,
-    the servo terms v(1,t), v_x(1,t) and r(t); the observer then
-    estimates z = w - v.  Without a reference the three are +0.0, and
-    ``x - 0.0 == x`` for every float, so the step is the stabilizing one
-    bit for bit.  Tracking runs build each sample's row when they reach
-    it, and their ``inputs`` catch a NaN/Inf state from u0.
+    the servo terms v(1,t), v_x(1,t) and r(t) of the reference's
+    ``servo`` series; the observer then estimates z = w - v.  Without a
+    reference the three are +0.0, and ``x - 0.0 == x`` for every float,
+    so the step is the stabilizing one bit for bit.  Tracking's ``inputs``
+    catch a NaN/Inf state from u0.
 
-    Runs without a reference record ``diss_cum``.  Each block writes the
-    state ``[w, what, m = zeta u0, u0]`` of the instant it starts from and
-    of every instant it reaches into a row of one slab, and keeps each
-    step's starting zeta; the squares of a row's fields catch a NaN/Inf
-    state.  When the block ends, one flush reads its samples, gradient
-    energies and ``diss_cum`` from the slab.
+    Each block writes the state of the instant it starts from and of
+    every instant it reaches into a row of one slab, and keeps each step's
+    starting zeta; without a reference the squares of a row's fields catch
+    a NaN/Inf state.  A row is ``[w, what, m = zeta u0, u0]``, or for tracking
+    ``[w, what, m, 1, sin wt, cos wt, r, v1, u0]``.  When the block ends,
+    one flush reads its samples from the slab, and without a reference
+    also the gradient energies and ``diss_cum``.
 
     With ``feedback``, the row g of the stabilizing law (``inputs`` must
-    give ``g . what`` as u0), the run steps as one product of the matrix
-    of :func:`_operator` a step, whose readout is u0, into the same slab.
-    Such a block decides no run's end: a block whose slab is not quiet
-    (:func:`_quiet_states`) is stepped again from its first state on the
-    stencil, which then steps the run to its end: the stencil alone finds
-    a blow-up, a NaN/Inf state or a non-finite flux.
+    give ``g . what`` plus v_x(1,t) as u0), the run steps as one product
+    of the matrix of :func:`_operator` a step, whose readouts are u0 and,
+    for tracking, r and v1, into the same slab.  A tracking block first
+    resets its sin and cos from ``math``.  Such a block decides no run's
+    end: a block whose slab is not quiet (:func:`_quiet_states`), or whose
+    servo tail comes near ``DEFAULT_TAIL_TOL``, is stepped again from its
+    first state on the stencil, which then steps the run to its end: the
+    stencil alone finds a blow-up, a NaN/Inf state, a non-finite flux or
+    a servo series that is truncated too early.
     """
     dt, dx, stride, n = config.dt, config.grid.dx, config.sample_stride, config.grid.n
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
@@ -460,57 +499,57 @@ def _run_observer_loop(
     stepper = _stepper(config, w0, what0)
     observer = _windows(config.grid, stepper, 1)
     w, what = stepper.rows
-    zeta, diss, record = zeta0, 0.0, ref is None
+    zeta, diss, track = zeta0, 0.0, servo is not None
     with _quiet():
         u0, v1, vx1, r = inputs(0.0, observer[0])
-    samples: list[tuple[float, ...]] = []
-    J, nodes = config.servo_truncation_J, config.grid.nodes
+    # the state of each instant a block starts from or reaches, each a row of
+    # ``states``, and in ``zetas`` each step's starting zeta
+    states = np.empty((_SLAB + 1, 2 * n + (7 if track else 2)))
+    rows, first = tuple(states), states[0]
     zetas: list[float] = []
-    if record:
-        # the state of each instant a block starts from or reaches, each a row
-        # of ``states``, and in ``zetas`` each step's starting zeta
-        states = np.empty((_SLAB + 1, 2 * n + 2))
-        rows, first = tuple(states), states[0]
-        # each stepper buffer, whose rows are w and what, as one flat array
-        flat = tuple(buf.reshape(-1) for buf in stepper.buffers)
-        fields = tuple(s[: 2 * n] for s in rows)
-        first[: 2 * n], first[2 * n :] = flat[0], (zeta * u0, u0)
-        at_m, at_w1 = 2 * n, n - 1
+    # each stepper buffer, whose rows are w and what, as one flat array
+    flat = tuple(buf.reshape(-1) for buf in stepper.buffers)
+    fields = tuple(s[: 2 * n] for s in rows)
+    at_m, at_w1, at_what1 = 2 * n, n - 1, 2 * n - 1
+    first[: 2 * n] = flat[0]
+    if track:
+        omega, kernel = servo.omega, servo.kernel(config.grid.nodes)
+        at_sin, at_cos, at_r, at_v1 = range(2 * n + 2, 2 * n + 6)
+        vx1_weights = servo.weights[2].tolist()
+        # the entry 1 of every row: the operator's products keep it, the stencil leaves it
+        states[:, at_m + 1] = 1.0
+        first[at_m:] = (zeta * u0, 1.0, math.sin(omega * 0.0), math.cos(omega * 0.0), r, v1, u0)
+        names = _TRACKING_COLUMNS
+    else:
+        first[at_m:] = (zeta * u0, u0)
         energy, errs = GradientEnergy(n, dx), np.empty((_SLAB, n))
-
-    def row(t: float) -> tuple[float, ...]:
-        v = 0.0 if ref is None else servo_eval(ref, q, nodes, t, J)
-        e = 0.5 * _sq_norm(w - v - what, dx)
-        zt = inv_b - zeta
-        values = (u0, zeta * u0, zeta, w[0], w[-1], math.sqrt(_sq_norm(w, dx)),
-                  math.sqrt(2.0 * e), e, e + half_b * zt * zt)
-        return (*values, diss) if ref is None else (*values, w[0] - r, r, v1, vx1)
+        names = _OBSERVER_COLUMNS
 
     def block(k: int, stop: int) -> int | None:
         nonlocal w, what, zeta, u0, v1, vx1, r
         step, update, keep, k0 = stepper.step, zeta_step, zetas.append, k
         zetas.clear()
         while k < stop:
-            if record:
-                keep(zeta)
-            elif k % stride == 0:
-                samples.append((k * dt, *row(k * dt)))
+            keep(zeta)
             innov = w.item(-1) - v1 - what.item(-1)
             zeta_new = update(zeta, sgn, innov, u0, dt)
             w_at_0 = w.item(0)
             w, what = step(-q * w_at_0, b * (zeta * u0), -q * (w_at_0 - r), u0 + c1 * innov - vx1)
             zeta = zeta_new
             k += 1
-            if record:
-                f, s = fields[k - k0], rows[k - k0]
-                f[...] = flat[stepper.index]
-                # a NaN/Inf in w or what makes the squares of their values non-finite
-                if not math.isfinite(f.dot(f)):
-                    _require_finite(f)
+            f, s = fields[k - k0], rows[k - k0]
+            f[...] = flat[stepper.index]
+            # a NaN/Inf in w or what makes the squares of their values non-finite;
+            # tracking's inputs catch one in what from u0, and _blown_up one in w
+            if not (track or math.isfinite(f.dot(f))):
+                _require_finite(f)
             blown = _blown_up(w, dx)
             u0, v1, vx1, r = inputs(k * dt, observer[stepper.index])
-            if record:
-                s[at_m] = zeta * u0
+            s[at_m] = zeta * u0
+            if track:
+                wt = omega * (k * dt)
+                s[at_sin:] = (math.sin(wt), math.cos(wt), r, v1, u0)
+            else:
                 s[-1] = u0
             if blown:
                 return k
@@ -519,72 +558,120 @@ def _run_observer_loop(
     def now() -> tuple:
         return w, what, zeta, u0, zeta * u0
 
-    if not record:
-        names = (*TRACE_COLUMNS, "tracking_err", "ref", "v1", "vx1")
-        return _run(config, names, block, lambda rec, k0, k: _put(rec, samples), row, now)
+    def fill(out: np.ndarray, picked: np.ndarray, zs, at_diss) -> None:
+        """The columns ``names`` of the samples whose states are the rows ``picked``.
+
+        ``zs`` are their zetas and, without a reference, ``at_diss`` their
+        diss_cum.  Every value equals the one a per-sample row computes
+        from the same state, bit for bit.
+        """
+        out[:, 0], out[:, 1], out[:, 2] = picked[:, -1], picked[:, at_m], zs
+        out[:, 3], out[:, 4] = picked[:, 0], picked[:, at_w1]
+        plant_rows, observer_rows = picked[:, :n], picked[:, n : 2 * n]
+        np.sqrt(_sq_norms(plant_rows, dx), out=out[:, 5])
+        if not track:
+            _errors(out[:, 6:9], plant_rows - observer_rows, inv_b - out[:, 2], half_b, dx)
+            out[:, 9] = at_diss
+            return
+        sin, cos = picked[:, at_sin], picked[:, at_cos]
+        errors = plant_rows - servo.profiles(kernel, sin, cos) - observer_rows
+        _errors(out[:, 6:9], errors, inv_b - out[:, 2], half_b, dx)
+        ref = picked[:, at_r]
+        np.subtract(out[:, 3], ref, out=out[:, 9])
+        out[:, 10], out[:, 11] = ref, picked[:, at_v1]
+        x0, xs, xc = vx1_weights
+        out[:, 12] = x0 + xs * sin + xc * cos
 
     def flush(rec: _Recorder, k0: int, k: int) -> None:
         nonlocal diss
         steps = k - k0
-        stepped = states[:steps]
-        np.subtract(stepped[:, :n], stepped[:, n : 2 * n], errs[:steps])
-        # each step's innovation w(1) - what(1) is the last value of its error
-        at_diss, diss = _dissipation(energy.of_rows(errs), errs[:steps, -1].tolist(), diss, dt, c1)
-        at = slice(-k0 % stride, steps, stride)
-        picked = stepped[at]
+        at, at_diss = slice(-k0 % stride, steps, stride), None
+        if not track:
+            np.subtract(states[:steps, :n], states[:steps, n : 2 * n], errs[:steps])
+            # each step's innovation w(1) - what(1) is the last value of its error
+            energies = energy.of_rows(errs, steps)
+            at_diss, diss = _dissipation(energies, errs[:steps, -1].tolist(), diss, dt, c1)
+            at_diss = at_diss[at]
+        picked = states[:steps][at]
         if len(picked):
-            # the columns of _OBSERVER_COLUMNS, after t
             out = rec.rows(len(picked))
             out[:, 0] = np.arange(k0 + at.start, k, stride) * dt
-            out[:, 1], out[:, 2], out[:, 3] = picked[:, -1], picked[:, at_m], zetas[at]
-            out[:, 4], out[:, 5] = picked[:, 0], picked[:, at_w1]
-            np.sqrt(_sq_norms(picked[:, :n], dx), out=out[:, 6])
-            _errors(out[:, 7:], errs[at], inv_b - out[:, 3], half_b, at_diss[at], dx)
+            fill(out[:, 1:], picked, zetas[at], at_diss)
         first[:] = rows[steps]
 
+    def row(t: float) -> tuple[float, ...]:
+        # the state of the current instant t is the slab's first row
+        out = np.empty((1, len(names)))
+        fill(out, states[:1], [zeta], [diss])
+        return tuple(out[0].tolist())
+
     if feedback is None:
-        return _run(config, _OBSERVER_COLUMNS, block, flush, row, now)
+        return _run(config, names, block, flush, row, now)
 
     # the operator route: w and what view the first state of the block
-    A = _operator(p, config, feedback)
-    ins = tuple(s[: 2 * n + 1] for s in rows)
+    A = _operator(p, config, feedback, (servo.weights[:3], omega * dt) if track else None)
+    ins = tuple(s[: A.shape[1]] for s in rows)
     w, what = first[:n], first[n : 2 * n]
-    at_what1 = 2 * n - 1
-    gain = 2.0 * max(abs(b), q, 1.0 + 2.0 * c1)
+    # every flux is at most gain / 2 times the largest value of a quiet slab,
+    # whose rows hold 1: the servo terms through their weights on (1, sin, cos)
+    r_sum, v1_sum, vx1_sum = np.abs(servo.weights[:3]).sum(axis=1).tolist() if track else (0.0,) * 3
+    gain = 2.0 * max(abs(b), q * (1.0 + r_sum), 1.0 + c1 * (2.0 + v1_sum) + vx1_sum)
+    tail = servo.weights[3] if track and servo.weights[3].any() else None
+    if tail is not None:
+        # the slab's sin and cos stay within about 64 ulps of math's: a block
+        # whose tail comes this near the tolerance leaves every instant there
+        # to the stencil, which takes sin and cos from math
+        tail_limit = DEFAULT_TAIL_TOL - 1e-12 * float(np.abs(tail).sum())
     handover = None
 
     def operator_block(k: int, stop: int) -> int | None:
-        nonlocal w, what, zeta, u0, handover
+        nonlocal w, what, zeta, u0, v1, vx1, r, handover
         if handover is not None:
             return block(k, stop)
+        if track:
+            wt = omega * (k * dt)
+            first[at_sin], first[at_cos] = math.sin(wt), math.cos(wt)
         # zeta and u0 keep the block's first values until the block is quiet
-        dot, update, z, u = np.dot, zeta_step, zeta, u0
+        dot, update, z, u, steps = np.dot, zeta_step, zeta, u0, stop - k
         zetas.clear()
         keep = zetas.append
-        for i in range(stop - k):
+        for i in range(steps):
             keep(z)
             s, y = rows[i], rows[i + 1]
-            innov = s.item(at_w1) - s.item(at_what1)
+            if track:
+                innov = s.item(at_w1) - s.item(at_v1) - s.item(at_what1)
+            else:
+                innov = s.item(at_w1) - s.item(at_what1)
             z_new = update(z, sgn, innov, u, dt)
             dot(A, ins[i], y)
             z = z_new
             u = y.item(-1)
             y[at_m] = z * u
-        if _quiet_states(states[: stop - k + 1], gain):
+        if _quiet_states(states[: steps + 1], gain) and (
+                tail is None or _tails(tail, states[1 : steps + 1, at_sin : at_cos + 1]) <= tail_limit):
             zeta, u0 = z, u
             return None
         # step the block again on the stencil, from its first state on
         handover = k
         np.copyto(flat[stepper.index], fields[0])
         w, what = stepper.rows
+        if track:
+            _, v1, vx1, r = inputs(k * dt, observer[stepper.index])
         return block(k, stop)
 
-    return _run(config, _OBSERVER_COLUMNS, operator_block, flush, row, now,
-                lambda: ("operator", handover))
+    return _run(config, names, operator_block, flush, row, now, lambda: ("operator", handover))
+
+
+def _tails(weights: np.ndarray, sin_cos: np.ndarray) -> float:
+    """The largest servo tail ``|e0 + es sin + ec cos|`` over the rows of ``sin_cos``; NaN if one is."""
+    e0, es, ec = weights.tolist()
+    return float(np.abs(e0 + es * sin_cos[:, 0] + ec * sin_cos[:, 1]).max())
 
 
 #: the columns of a plant + observer + update-law run's rows without a reference
 _OBSERVER_COLUMNS = (*TRACE_COLUMNS, "diss_cum")
+#: the columns of a tracking run's rows
+_TRACKING_COLUMNS = (*TRACE_COLUMNS, "tracking_err", "ref", "v1", "vx1")
 
 
 def run_observer(
@@ -643,9 +730,11 @@ def run_tracking(
     feedback.  The trace records the tracking error w(0,t) - r(t) and
     the servo slope series (the signal whose excitation decides whether
     the reciprocal estimate converges) alongside the standard columns.
+    On a grid of at most :data:`_OPERATOR_MAX_N` nodes it steps as one
+    operator product a step, as stabilization does.
     """
     est = p.estimator_view()
-    q, J = p.q, config.servo_truncation_J
+    q, J, n = p.q, config.servo_truncation_J, config.grid.n
 
     def inputs(t: float, zhat: GridFunction) -> tuple[float, float, float, float]:
         servo = servo_boundary(ref, q, t, J)
@@ -655,7 +744,9 @@ def run_tracking(
             _require_finite(zhat.values)
         return u0, servo.v1, servo.vx1, ref.derivative(0, t)
 
-    return _run_observer_loop(p, config, w0, zhat0, zeta0, inputs, ref)
+    feedback = feedback_row(n, est) if n <= _OPERATOR_MAX_N else None
+    return _run_observer_loop(p, config, w0, zhat0, zeta0, inputs, _servo_series(ref, q, J),
+                              feedback)
 
 
 def run_error_system(
@@ -714,7 +805,8 @@ def run_error_system(
         nonlocal diss
         steps = k - k0
         # each step's wt(1) is the last value of its row
-        at_diss, diss = _dissipation(energy.of_rows(head), head[:steps, -1].tolist(), diss, dt, c1)
+        energies = energy.of_rows(head, steps)
+        at_diss, diss = _dissipation(energies, head[:steps, -1].tolist(), diss, dt, c1)
         at = slice(-k0 % stride, steps, stride)
         picked = head[at]
         if len(picked):
@@ -723,8 +815,8 @@ def run_error_system(
             out[:, 0] = np.arange(k0 + at.start, k, stride) * dt
             out[:, 1:3] = kept[at]
             out[:, 3], out[:, 4] = picked[:, 0], picked[:, -1]
-            _errors(out[:, 6:], picked, out[:, 2], half_b, at_diss[at], dx)
-            out[:, 5] = out[:, 6]
+            _errors(out[:, 6:9], picked, out[:, 2], half_b, dx)
+            out[:, 5], out[:, 9] = out[:, 6], at_diss[at]
         np.copyto(rows[0], rows[steps])
 
     def row(t: float) -> tuple[float, ...]:

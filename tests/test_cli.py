@@ -204,6 +204,15 @@ class TestExitCodes:
             assert err == "heatadapt: servo_truncation_J must be <= 83, got 84\n"
             assert not out.exists()
 
+    def test_truncated_servo_series_exits_64(self, tmp_path, capsys):
+        # the tail of sin t at J = 1 passes 1e-6 at the first step, which
+        # the stencil takes again after the operator's block hands it over
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--scenario", "track", "--ref", "sin:1,1", "--servo-j", "1",
+                       "--t-final", "0.2", "--out", str(out)) == 64
+        err = capsys.readouterr().err
+        assert err == "heatadapt: servo boundary tail 8.333e-06 exceeds 1.000e-06 at J=1\n"
+
     def test_largest_servo_truncation_tracks(self, tmp_path):
         assert run_cli("simulate", "--scenario", "track", "--ref", "sin:1,1", "--servo-j", "83",
                        "--t-final", "0.2", "--out", str(tmp_path / "run")) == 0
@@ -474,9 +483,12 @@ class TestSimulateOutputs:
         ("stabilize", ["--q", "6", "--c0", "0.5", "--c1", "0.5", "--snapshot-stride", "50"],
          "operator", 100),
         ("stabilize", ["--dx", "0.008", "--dt", "2e-5"], "stencil", None),
-        ("track", ["--ref", "const:1"], "stencil", None),
+        ("track", ["--ref", "const:1"], "operator", None),
         ("error-system", ["--u0", "exp-decay"], "stencil", None),
         ("galerkin", ["--u0", "exp-decay"], None, None),
+        # n=102, one node past the operator cutoff
+        ("track", ["--ref", "sin:1,1", "--dx", "0.009900990099009901", "--dt", "4e-5"],
+         "stencil", None),
     ])
     def test_manifest_records_the_route(self, tmp_path, scenario, flags, route, handover):
         run_cli("simulate", "--scenario", scenario, *flags, "--t-final", "0.05",

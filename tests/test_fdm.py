@@ -227,6 +227,18 @@ class TestGradientEnergy:
         with pytest.raises(ConfigError, match="C-contiguous"):
             energy.of_rows(slab.T)
 
+    def test_first_rows_equal_all_rows(self, grid51):
+        # a block of m steps asks for its m rows of the runner's slab, in any
+        # order of m; each value equals that of the row's energy alone
+        rng = np.random.default_rng(7)
+        slab = rng.standard_normal((64, 51))
+        energy, alone = GradientEnergy(51, grid51.dx), GradientEnergy(51, grid51.dx)
+        expected = [alone.of_rows(f[None].copy())[0] for f in slab]
+        for m in (64, 1, 37, 2, 64, 37):
+            got = energy.of_rows(slab, m)
+            assert got.shape == (m,)
+            assert all(same_bits(g, e) for g, e in zip(got, expected))
+
 
 class TestQuad:
     def test_zero(self, zeros51):

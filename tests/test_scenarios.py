@@ -32,6 +32,7 @@ from heatadapt import (
     zeta_step,
 )
 from heatadapt import scenarios
+from heatadapt.control import TruncationInsufficient
 from heatadapt.domain import TRACE_COLUMNS
 from heatadapt.fdm import HeatStepper, grad_values
 from heatadapt.scenarios import _blown_up, _require_finite, _sq_norm
@@ -690,8 +691,13 @@ def operator_cutoff_grid():
     return grid, 0.4 * grid.dx * grid.dx
 
 
+SINE = ReferenceSignal.sinusoid(1.0, 1.0)
+REFERENCES = {"sin": SINE, "const": ReferenceSignal.constant(3.0),
+              "zero": ReferenceSignal.zero()}
+
+
 class TestOperatorRoute:
-    """Stabilize runs on small grids step as one operator product."""
+    """Stabilize and tracking runs on small grids step as one operator product."""
 
     @pytest.mark.parametrize("at_cutoff", [False, True], ids=["n51", "cutoff"])
     @pytest.mark.parametrize("stride, snap", [(1, 0), (7, 45), (37, 130), (65, 64)])
@@ -768,8 +774,9 @@ class TestOperatorRoute:
             run_stabilization(p, c, ramp51, what0, zeta0)
 
     @pytest.mark.parametrize("kind, n", [("stabilize", scenarios._OPERATOR_MAX_N + 1),
-                                         ("observer", 51)],
-                             ids=["stabilize-above-cutoff", "observer"])
+                                         ("observer", 51),
+                                         ("track", scenarios._OPERATOR_MAX_N + 1)],
+                             ids=["stabilize-above-cutoff", "observer", "track-above-cutoff"])
     def test_takes_the_stencil(self, monkeypatch, params8, kind, n):
         grid = Grid(n)
         c = cfg(grid, 0.01, dt=4e-5, stride=7, snap=45)
@@ -779,12 +786,102 @@ class TestOperatorRoute:
         def run():
             if kind == "observer":
                 return run_observer(params8, c, w0, what0, 0.05, lambda t: math.exp(-t))
+            if kind == "track":
+                return run_tracking(params8, c, w0, what0, 0.0, SINE)
             return run_stabilization(params8, c, w0, what0, 0.0)
 
         tr = run()
         assert tr.final_state.route == "stencil"
         monkeypatch.setattr(scenarios, "_OPERATOR_MAX_N", 0)
         assert_same_run(tr, run())
+
+    @pytest.mark.parametrize("ref", REFERENCES)
+    @pytest.mark.parametrize("at_cutoff", [False, True], ids=["n51", "cutoff"])
+    @pytest.mark.parametrize("stride, snap", [(1, 0), (7, 45), (37, 130), (65, 64)])
+    def test_tracking_near_reference(self, at_cutoff, stride, snap, ref, params8):
+        # as test_trace_near_reference, for tracking runs: the servo columns
+        # and the rotation of (sin, cos) over ten blocks
+        grid, dt = operator_cutoff_grid() if at_cutoff else (Grid(51), 1e-4)
+        c = cfg(grid, 640 * dt, dt=dt, stride=stride, snap=snap)
+        w0 = benchmark_initial_state(grid, params8.q)
+        what0 = GridFunction(grid, 0.3 * np.sin(3.0 * grid.nodes))
+        tr = run_tracking(params8, c, w0, what0, 0.0, REFERENCES[ref])
+        expected = reference_run("track", params8, c, w0, what0, 0.0, ref=REFERENCES[ref])
+        assert (tr.final_state.route, tr.final_state.handover_step) == ("operator", None)
+        assert_near_reference(tr, expected, snap)
+
+    @pytest.mark.parametrize("q, gain, handover, step", [
+        (9.0, 0.01, 0, 9),  # blows up in the first block
+        (6.0, 0.5, 200, 226),  # quiet for four blocks, which end at the snapshots
+    ])
+    def test_tracking_blow_up_ends_at_the_stencil_step(self, monkeypatch, q, gain, handover,
+                                                         step):
+        grid = Grid(51)
+        c = cfg(grid, 0.5, stride=37, snap=50)
+        p = Params(q=q, b=-10.0, c0=gain, c1=gain)
+        w0 = benchmark_initial_state(grid, q)
+        what0 = GridFunction(grid, 0.3 * np.sin(3.0 * grid.nodes))
+        tr = run_tracking(p, c, w0, what0, 0.0, SINE)
+        assert (tr.final_state.route, tr.final_state.handover_step) == ("operator", handover)
+        monkeypatch.setattr(scenarios, "_OPERATOR_MAX_N", 0)
+        st = run_tracking(p, c, w0, what0, 0.0, SINE)
+        assert (st.final_state.route, st.final_state.handover_step) == ("stencil", None)
+        assert tr.blow_up_time == st.blow_up_time == step * c.dt
+        assert bits(tr.times) == bits(st.times)
+        if handover == 0:
+            assert_same_run(tr, st)
+
+    def test_tracking_spike_raises_on_both_routes(self, monkeypatch, params8, grid51, ramp51):
+        # the +-1e308 pair in the shifted estimate overflows the first step
+        vals = np.zeros(51)
+        vals[24], vals[25] = 1e308, -1e308
+        spike = GridFunction(grid51, vals)
+        for cutoff in (scenarios._OPERATOR_MAX_N, 0):
+            monkeypatch.setattr(scenarios, "_OPERATOR_MAX_N", cutoff)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFiniteState):
+                    run_tracking(params8, cfg(grid51, 0.01), ramp51, spike, 0.0, SINE)
+
+    def test_tracking_tail_failure_raises_as_the_stencil(self, monkeypatch, params8, grid51,
+                                                         ramp51, zeros51):
+        # at J = 1 the tail of sin 0.1t grows as sin 0.1t and passes 1e-6 at
+        # step 121, in the second block: the operator steps the first
+        slow = ReferenceSignal.sinusoid(1.0, 0.1)
+
+        def run(t_final):
+            c = SimConfig(dt=1e-4, t_final=t_final, grid=grid51, pe_window_tau=0.01,
+                          servo_truncation_J=1)
+            return run_tracking(params8, c, ramp51, zeros51, 0.0, slow)
+
+        fs = run(0.012).final_state
+        assert (fs.route, fs.handover_step) == ("operator", None)
+        messages = []
+        for cutoff in (scenarios._OPERATOR_MAX_N, 0):
+            monkeypatch.setattr(scenarios, "_OPERATOR_MAX_N", cutoff)
+            with pytest.raises(TruncationInsufficient) as exc:
+                run(0.05)
+            messages.append(str(exc.value))
+        with pytest.raises(TruncationInsufficient) as exc:
+            servo_boundary(slow, params8.q, 121 * 1e-4, 1)
+        assert messages == [str(exc.value)] * 2
+        assert messages[0] == "servo boundary tail 1.008e-06 exceeds 1.000e-06 at J=1"
+
+    def test_tracking_sin_cos_stay_near_math(self, monkeypatch, params8, grid51, ramp51,
+                                             zeros51):
+        # each block resets (sin, cos) of omega t from math and rotates them:
+        # every instant's pair, as the blocks' tail checks see it, over 5 s
+        seen = []
+        tails = scenarios._tails
+        monkeypatch.setattr(scenarios, "_tails",
+                            lambda weights, sc: seen.append(sc.copy()) or tails(weights, sc))
+        c = cfg(grid51, 5.0)
+        tr = run_tracking(params8, c, ramp51, zeros51, 0.0, SINE)
+        assert (tr.final_state.route, tr.final_state.handover_step) == ("operator", None)
+        got = np.concatenate(seen)
+        assert len(got) == c.n_steps
+        wt = [SINE.omega * (k * c.dt) for k in range(1, c.n_steps + 1)]
+        exact = np.array([[math.sin(a), math.cos(a)] for a in wt])
+        assert np.abs(got - exact).max() <= 64 * np.spacing(1.0)
 
     def test_trace_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # the product runs in BLAS, which may split it over threads

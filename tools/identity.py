@@ -26,6 +26,15 @@ of stable runs by about 1e-14 of a column's scale; the chaotic run before
 a blow-up, ``sweep-q-blow-up/001-q=5.0``, moved by up to 8.7e-3.
 ``stabilize-n101`` and ``stabilize-n102`` pin both routes at the cutoff.
 
+Tracking runs on the same grids step as one operator product too, with
+``(1, sin wt, cos wt)`` in the state, since that route came in.  Against
+a revision before it, ``track-*`` and ``sweep-track`` outputs moved by
+about 1e-14 of a column's scale, and a ``track`` manifest's ``route``
+reads ``operator`` there (``stencil`` before); ``track-truncated`` keeps
+its exit code and stderr.  ``track-n101`` and ``track-n102`` pin both
+routes at the cutoff, and ``track-handover`` a run that hands over to
+the stencil at step 100 and blows up at step 138.
+
 Sweeps run each member through ``simulate``'s own path.  Before that,
 ``stabilize`` sweeps of at least three members above the cutoff stepped
 them as one stack, which ``sweep-c0-n126`` and ``sweep-q-blow-up-n126``
@@ -58,8 +67,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: one operator product (n=101) and on the next grid, which steps on the
 #: stencil (n=102), two stabilize sweeps on the stencil (n=126), a stabilize
 #: run that hands over from the operator to the stencil at step 100 and blows
-#: up at step 129, with samples on both sides, and an error-system run that
-#: blows up at step 219, inside a block
+#: up at step 129, with samples on both sides, an error-system run that
+#: blows up at step 219, inside a block, and the same three for tracking: runs
+#: at n=101 and n=102 and one that hands over at step 100 and blows up at 138
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -135,6 +145,15 @@ COMMANDS = (
     ("error-system-blow-up", ["simulate", "--scenario", "error-system", "--u0", "const:300",
                               "--zeta0", "-0.1", "--t-final", "0.05", "--pe-tau", "0.01",
                               "--sample-stride", "7", "--snapshot-stride", "45"]),
+    ("track-n101", ["simulate", "--scenario", "track", "--ref", "sin:1,1", "--dx", "0.01",
+                    "--dt", "4e-5", "--t-final", "0.1", "--pe-tau", "0.02",
+                    "--sample-stride", "7", "--snapshot-stride", "700"]),
+    ("track-n102", ["simulate", "--scenario", "track", "--ref", "sin:1,1",
+                    "--dx", "0.009900990099009901", "--dt", "4e-5", "--t-final", "0.1",
+                    "--pe-tau", "0.02", "--sample-stride", "7", "--snapshot-stride", "700"]),
+    ("track-handover", ["simulate", "--scenario", "track", "--ref", "sin:1,1", "--q", "6",
+                        "--c0", "0.5", "--c1", "0.5", "--t-final", "0.5", "--pe-tau", "0.1",
+                        "--sample-stride", "37", "--snapshot-stride", "50"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
