@@ -184,14 +184,18 @@ class _ServoSeries:
         self._boundary_weights = self.weights[1:].tolist()
 
     def kernel(self, x: np.ndarray) -> np.ndarray:
-        """The series at positions x as a (len(x), J + 2) table: term j is r^(j)(t) times column j."""
+        """The series at positions x as a (len(x), J + 2) table.
+
+        Term j of v(x,t) is r^(j)(t) times column j.
+        """
         powers = x[..., None] ** (2 * np.arange(self.J + 2))
-        return self._inv_fact[0::2] * powers - self.q * self._inv_fact[1::2] * powers * x[..., None]
+        odd = self.q * self._inv_fact[1::2] * powers * x[..., None]
+        return self._inv_fact[0::2] * powers - odd
 
     def profiles(self, kernel: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """v(x,t) at the positions of ``kernel``, one row per instant whose sin and cos of omega t are s, c.
+        """v(x,t) at the positions of ``kernel``, one row per instant.
 
-        Each row equals :meth:`profile` at that instant bit for bit: the same
+        ``s`` and ``c`` are the instants' sin and cos of omega t.  Each row equals :meth:`profile` at that instant bit for bit: the same
         products, and each row's terms summed alike.
         """
         level, sines, cosines = self._table

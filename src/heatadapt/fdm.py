@@ -202,9 +202,9 @@ class GradientEnergy:
         self._rows = None
 
     def of_rows(self, d: np.ndarray, m: int | None = None) -> np.ndarray:
-        """The gradient energy of each of the first m rows of ``d``, a C-contiguous ``(rows, n)`` array.
+        """The gradient energy of each of the first m rows of ``d``.
 
-        m defaults to every row.  The buffers are allocated for ``d`` itself
+        ``d`` is a C-contiguous ``(rows, n)`` array; m defaults to every row.  The buffers are allocated for ``d`` itself
         and the views planned once per m, so a caller that passes the same
         array every time pays for the m rows it asks for and plans once per
         row count; a new array is planned anew.

@@ -373,7 +373,7 @@ def _operator(p: Params, config: SimConfig, feedback: np.ndarray,
     what is the shifted estimate z.  Its fluxes ``-q (w(0) - r)`` and
     ``u0 + c1 (w(1) - v1 - what(1)) - v_x1``, with u0 now ``g . what +
     v_x1``, add the columns ``-2 r dx q r(t)`` and ``-2 r dx c1 v1(t)``,
-    and the readouts are the next r, v1 and u0.
+    and the readouts are the next r, ``w(1) - v1`` and u0.
     """
     n, dx = config.grid.n, config.grid.dx
     r = config.dt / (dx * dx)
@@ -403,7 +403,8 @@ def _operator(p: Params, config: SimConfig, feedback: np.ndarray,
         rotation = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
         A[basis, basis] = rotation
         A[width, basis] = ref @ rotation
-        A[width + 1, basis] = v1 @ rotation
+        A[width + 1] = A[n - 1]
+        A[width + 1, basis] -= v1 @ rotation
     A[-1] = feedback @ A[n : 2 * n]
     if servo is not None:
         A[-1, basis] += vx1 @ rotation
@@ -411,7 +412,7 @@ def _operator(p: Params, config: SimConfig, feedback: np.ndarray,
 
 
 def _quiet_states(states: np.ndarray, gain: float) -> bool:
-    """Whether no state of ``states``, the rows of :func:`_run_observer_loop`'s slab, can end a run.
+    """Whether no state of ``states``, rows of :func:`_run_observer_loop`'s slab, can end a run.
 
     Their squares summing to less than :data:`_QUIET_SQ`, which a NaN/Inf
     fails, keeps every value under BLOWUP_NORM / 2: no plant norm passes
@@ -478,14 +479,14 @@ def _run_observer_loop(
     every instant it reaches into a row of one slab, and keeps each step's
     starting zeta; without a reference the squares of a row's fields catch
     a NaN/Inf state.  A row is ``[w, what, m = zeta u0, u0]``, or for tracking
-    ``[w, what, m, 1, sin wt, cos wt, r, v1, u0]``.  When the block ends,
+    ``[w, what, m, 1, sin wt, cos wt, r, w(1) - v1, u0]``.  When the block ends,
     one flush reads its samples from the slab, and without a reference
     also the gradient energies and ``diss_cum``.
 
     With ``feedback``, the row g of the stabilizing law (``inputs`` must
     give ``g . what`` plus v_x(1,t) as u0), the run steps as one product
     of the matrix of :func:`_operator` a step, whose readouts are u0 and,
-    for tracking, r and v1, into the same slab.  A tracking block first
+    for tracking, r and ``w(1) - v1``, into the same slab.  A tracking block first
     resets its sin and cos from ``math``.  Such a block decides no run's
     end: a block whose slab is not quiet (:func:`_quiet_states`), or whose
     servo tail comes near ``DEFAULT_TAIL_TOL``, is stepped again from its
@@ -510,15 +511,19 @@ def _run_observer_loop(
     # each stepper buffer, whose rows are w and what, as one flat array
     flat = tuple(buf.reshape(-1) for buf in stepper.buffers)
     fields = tuple(s[: 2 * n] for s in rows)
+    # the innovation is x1 - what(1): x1 is w(1), or for tracking w(1) - v(1,t),
+    # which a tracking row holds
     at_m, at_w1, at_what1 = 2 * n, n - 1, 2 * n - 1
+    at_x1 = at_w1
     first[: 2 * n] = flat[0]
     if track:
         omega, kernel = servo.omega, servo.kernel(config.grid.nodes)
-        at_sin, at_cos, at_r, at_v1 = range(2 * n + 2, 2 * n + 6)
-        vx1_weights = servo.weights[2].tolist()
+        at_sin, at_cos, at_r, at_x1 = range(2 * n + 2, 2 * n + 6)
+        v1_weights, vx1_weights = servo.weights[1:3].tolist()
         # the entry 1 of every row: the operator's products keep it, the stencil leaves it
         states[:, at_m + 1] = 1.0
-        first[at_m:] = (zeta * u0, 1.0, math.sin(omega * 0.0), math.cos(omega * 0.0), r, v1, u0)
+        first[at_m:] = (zeta * u0, 1.0, math.sin(omega * 0.0), math.cos(omega * 0.0), r,
+                        w.item(-1) - v1, u0)
         names = _TRACKING_COLUMNS
     else:
         first[at_m:] = (zeta * u0, u0)
@@ -548,7 +553,7 @@ def _run_observer_loop(
             s[at_m] = zeta * u0
             if track:
                 wt = omega * (k * dt)
-                s[at_sin:] = (math.sin(wt), math.cos(wt), r, v1, u0)
+                s[at_sin:] = (math.sin(wt), math.cos(wt), r, w.item(-1) - v1, u0)
             else:
                 s[-1] = u0
             if blown:
@@ -578,9 +583,9 @@ def _run_observer_loop(
         _errors(out[:, 6:9], errors, inv_b - out[:, 2], half_b, dx)
         ref = picked[:, at_r]
         np.subtract(out[:, 3], ref, out=out[:, 9])
-        out[:, 10], out[:, 11] = ref, picked[:, at_v1]
-        x0, xs, xc = vx1_weights
-        out[:, 12] = x0 + xs * sin + xc * cos
+        out[:, 10] = ref
+        for at, (c0, cs, cc) in ((11, v1_weights), (12, vx1_weights)):
+            out[:, at] = c0 + cs * sin + cc * cos
 
     def flush(rec: _Recorder, k0: int, k: int) -> None:
         nonlocal diss
@@ -609,12 +614,14 @@ def _run_observer_loop(
         return _run(config, names, block, flush, row, now)
 
     # the operator route: w and what view the first state of the block
-    A = _operator(p, config, feedback, (servo.weights[:3], omega * dt) if track else None)
+    with _quiet():
+        A = _operator(p, config, feedback, (servo.weights[:3], omega * dt) if track else None)
     ins = tuple(s[: A.shape[1]] for s in rows)
     w, what = first[:n], first[n : 2 * n]
     # every flux is at most gain / 2 times the largest value of a quiet slab,
     # whose rows hold 1: the servo terms through their weights on (1, sin, cos)
-    r_sum, v1_sum, vx1_sum = np.abs(servo.weights[:3]).sum(axis=1).tolist() if track else (0.0,) * 3
+    sums = np.abs(servo.weights[:3]).sum(axis=1).tolist() if track else (0.0, 0.0, 0.0)
+    r_sum, v1_sum, vx1_sum = sums
     gain = 2.0 * max(abs(b), q * (1.0 + r_sum), 1.0 + c1 * (2.0 + v1_sum) + vx1_sum)
     tail = servo.weights[3] if track and servo.weights[3].any() else None
     if tail is not None:
@@ -638,17 +645,15 @@ def _run_observer_loop(
         for i in range(steps):
             keep(z)
             s, y = rows[i], rows[i + 1]
-            if track:
-                innov = s.item(at_w1) - s.item(at_v1) - s.item(at_what1)
-            else:
-                innov = s.item(at_w1) - s.item(at_what1)
-            z_new = update(z, sgn, innov, u, dt)
+            z_new = update(z, sgn, s.item(at_x1) - s.item(at_what1), u, dt)
             dot(A, ins[i], y)
             z = z_new
             u = y.item(-1)
             y[at_m] = z * u
-        if _quiet_states(states[: steps + 1], gain) and (
-                tail is None or _tails(tail, states[1 : steps + 1, at_sin : at_cos + 1]) <= tail_limit):
+        quiet = _quiet_states(states[: steps + 1], gain)
+        if quiet and tail is not None:
+            quiet = _tails(tail, states[1 : steps + 1, at_sin : at_cos + 1]) <= tail_limit
+        if quiet:
             zeta, u0 = z, u
             return None
         # step the block again on the stencil, from its first state on
@@ -663,7 +668,10 @@ def _run_observer_loop(
 
 
 def _tails(weights: np.ndarray, sin_cos: np.ndarray) -> float:
-    """The largest servo tail ``|e0 + es sin + ec cos|`` over the rows of ``sin_cos``; NaN if one is."""
+    """The largest servo tail ``|e0 + es sin + ec cos|`` over the rows of ``sin_cos``.
+
+    NaN if one of them is.
+    """
     e0, es, ec = weights.tolist()
     return float(np.abs(e0 + es * sin_cos[:, 0] + ec * sin_cos[:, 1]).max())
 
@@ -745,8 +753,9 @@ def run_tracking(
         return u0, servo.v1, servo.vx1, ref.derivative(0, t)
 
     feedback = feedback_row(n, est) if n <= _OPERATOR_MAX_N else None
-    return _run_observer_loop(p, config, w0, zhat0, zeta0, inputs, _servo_series(ref, q, J),
-                              feedback)
+    with _quiet():
+        servo = _servo_series(ref, q, J)
+    return _run_observer_loop(p, config, w0, zhat0, zeta0, inputs, servo, feedback)
 
 
 def run_error_system(

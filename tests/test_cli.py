@@ -213,6 +213,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "heatadapt: servo boundary tail 8.333e-06 exceeds 1.000e-06 at J=1\n"
 
+    @pytest.mark.parametrize("servo_j, reason", [
+        (1, "servo boundary tail inf exceeds 1.000e-06 at J=1"),
+        (3, "boundary fluxes must be finite"),
+    ])
+    def test_servo_weights_past_the_float_range_exit_64(self, tmp_path, servo_j, reason):
+        # omega**2 overflows: the tail at t = 0, inf * sin 0, is NaN and
+        # passes, so the run builds its operator from non-finite weights and
+        # ends in the stencil's error, with no numpy warning on stderr
+        proc = run_subprocess("simulate", "--scenario", "track", "--ref", "sin:1,1e160",
+                              "--servo-j", str(servo_j), "--t-final", "0.01", "--pe-tau", "0.005",
+                              "--out", str(tmp_path / "run"))
+        assert (proc.returncode, proc.stderr) == (64, f"heatadapt: {reason}\n")
+
     def test_largest_servo_truncation_tracks(self, tmp_path):
         assert run_cli("simulate", "--scenario", "track", "--ref", "sin:1,1", "--servo-j", "83",
                        "--t-final", "0.2", "--out", str(tmp_path / "run")) == 0
