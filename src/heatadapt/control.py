@@ -202,6 +202,25 @@ class _ServoSeries:
         r = level + sines * s[:, None] + cosines * c[:, None]
         return (r[:, None, :] * kernel)[..., :-1].sum(axis=-1)
 
+    def ahead(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """The rotation R that takes (1, sin wt, cos wt) on to t + dt, and ``weights @ R``.
+
+        A row of ``weights @ R`` gives its term at t + dt from the entries at t.
+        """
+        c, s = math.cos(self.omega * dt), math.sin(self.omega * dt)
+        rotation = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+        return rotation, self.weights @ rotation
+
+    def tails_below(self, s: np.ndarray, c: np.ndarray, tail_tol: float) -> bool:
+        """Whether the tail is under tail_tol at every instant whose sin and cos of omega t are s, c.
+
+        s and c may stray from math's by a few dozen ulps: a tail within
+        1e-12 of its weights of tail_tol, or NaN, does not count as under it.
+        """
+        e0, es, ec = self._boundary_weights[2]
+        limit = tail_tol - 1e-12 * (abs(e0) + abs(es) + abs(ec))
+        return bool(np.abs(e0 + es * s + ec * c).max() <= limit)
+
     def profile(self, x, t: float, tail_tol: float):
         """Series value at position(s) x; x may be a scalar or an array."""
         xa = np.asarray(x, dtype=float)

@@ -206,8 +206,9 @@ def _dissipation(energies: np.ndarray, xs: list[float], diss: float, dt: float,
     """``diss_cum`` at the instant each step of a block starts from, and after its last step.
 
     ``energies`` are the gradient energies of the fields the steps start
-    from and ``xs`` their boundary values x, one per step.  Each step adds ``dt * (||f_x||^2 + c1 x^2)`` to ``diss``,
-    in step order, as a loop that took the energy every step did.
+    from and ``xs`` their boundary values x, one per step.  Each step adds
+    ``dt * (||f_x||^2 + c1 x^2)`` to ``diss``, in step order, as a loop
+    that took the energy every step did.
     """
     at = []
     for g, x in zip(energies.tolist(), xs):
@@ -354,7 +355,7 @@ _OPERATOR_MAX_N = 101
 
 
 def _operator(p: Params, config: SimConfig, feedback: np.ndarray,
-              servo: tuple[np.ndarray, float] | None = None) -> np.ndarray:
+              servo: _ServoSeries | None = None) -> np.ndarray:
     """One step of the stabilizing or tracking loop as a matrix A: the next state is ``A @ s``.
 
     The state is ``s = [w, what, m]`` with ``m = zeta u0``, and ``A @ s``
@@ -367,9 +368,9 @@ def _operator(p: Params, config: SimConfig, feedback: np.ndarray,
     observer rows, gives the next state's u0.  The m row is 0: the caller
     writes ``zeta u0`` there, the one bilinear term of the loop.
 
-    With ``servo``, the weights of r(t), v(1,t) and v_x(1,t) on
-    ``(1, sin wt, cos wt)`` as rows and the angle ``omega dt``, the state
-    goes on with those three entries, which a rotation block steps, and
+    With the ``servo`` series of a reference, whose terms r(t), v(1,t) and
+    v_x(1,t) are weights on ``(1, sin wt, cos wt)``, the state goes on
+    with those three entries, which a rotation block steps, and
     what is the shifted estimate z.  Its fluxes ``-q (w(0) - r)`` and
     ``u0 + c1 (w(1) - v1 - what(1)) - v_x1``, with u0 now ``g . what +
     v_x1``, add the columns ``-2 r dx q r(t)`` and ``-2 r dx c1 v1(t)``,
@@ -394,20 +395,17 @@ def _operator(p: Params, config: SimConfig, feedback: np.ndarray,
     A[2 * n - 1, 2 * n - 1] -= flux * p.c1
     A[2 * n - 1, n : 2 * n] += flux * feedback
     if servo is not None:
-        (ref, v1, vx1), theta = servo
         basis = slice(2 * n + 1, 2 * n + 4)
-        A[n, basis] -= flux * p.q * ref
-        A[2 * n - 1, basis] -= flux * p.c1 * v1
-        # (1, sin wt, cos wt) on to t + dt
-        c, s = math.cos(theta), math.sin(theta)
-        rotation = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
+        A[n, basis] -= flux * p.q * servo.weights[0]
+        A[2 * n - 1, basis] -= flux * p.c1 * servo.weights[1]
+        rotation, (ref, v1, vx1, _) = servo.ahead(config.dt)
         A[basis, basis] = rotation
-        A[width, basis] = ref @ rotation
+        A[width, basis] = ref
         A[width + 1] = A[n - 1]
-        A[width + 1, basis] -= v1 @ rotation
+        A[width + 1, basis] -= v1
     A[-1] = feedback @ A[n : 2 * n]
     if servo is not None:
-        A[-1, basis] += vx1 @ rotation
+        A[-1, basis] += vx1
     return A
 
 
@@ -615,7 +613,7 @@ def _run_observer_loop(
 
     # the operator route: w and what view the first state of the block
     with _quiet():
-        A = _operator(p, config, feedback, (servo.weights[:3], omega * dt) if track else None)
+        A = _operator(p, config, feedback, servo)
     ins = tuple(s[: A.shape[1]] for s in rows)
     w, what = first[:n], first[n : 2 * n]
     # every flux is at most gain / 2 times the largest value of a quiet slab,
@@ -623,12 +621,9 @@ def _run_observer_loop(
     sums = np.abs(servo.weights[:3]).sum(axis=1).tolist() if track else (0.0, 0.0, 0.0)
     r_sum, v1_sum, vx1_sum = sums
     gain = 2.0 * max(abs(b), q * (1.0 + r_sum), 1.0 + c1 * (2.0 + v1_sum) + vx1_sum)
-    tail = servo.weights[3] if track and servo.weights[3].any() else None
-    if tail is not None:
-        # the slab's sin and cos stay within about 64 ulps of math's: a block
-        # whose tail comes this near the tolerance leaves every instant there
-        # to the stencil, which takes sin and cos from math
-        tail_limit = DEFAULT_TAIL_TOL - 1e-12 * float(np.abs(tail).sum())
+    # a block whose tail comes near the tolerance leaves every instant there to
+    # the stencil, which takes sin and cos from math
+    tail = track and bool(servo.weights[3].any())
     handover = None
 
     def operator_block(k: int, stop: int) -> int | None:
@@ -651,8 +646,9 @@ def _run_observer_loop(
             u = y.item(-1)
             y[at_m] = z * u
         quiet = _quiet_states(states[: steps + 1], gain)
-        if quiet and tail is not None:
-            quiet = _tails(tail, states[1 : steps + 1, at_sin : at_cos + 1]) <= tail_limit
+        if quiet and tail:
+            reached = states[1 : steps + 1]
+            quiet = servo.tails_below(reached[:, at_sin], reached[:, at_cos], DEFAULT_TAIL_TOL)
         if quiet:
             zeta, u0 = z, u
             return None
@@ -665,15 +661,6 @@ def _run_observer_loop(
         return block(k, stop)
 
     return _run(config, names, operator_block, flush, row, now, lambda: ("operator", handover))
-
-
-def _tails(weights: np.ndarray, sin_cos: np.ndarray) -> float:
-    """The largest servo tail ``|e0 + es sin + ec cos|`` over the rows of ``sin_cos``.
-
-    NaN if one of them is.
-    """
-    e0, es, ec = weights.tolist()
-    return float(np.abs(e0 + es * sin_cos[:, 0] + ec * sin_cos[:, 1]).max())
 
 
 #: the columns of a plant + observer + update-law run's rows without a reference

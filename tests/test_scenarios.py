@@ -17,6 +17,7 @@ from heatadapt import (
     Params,
     ReferenceSignal,
     SimConfig,
+    TruncationInsufficient,
     adaptive_u0,
     benchmark_initial_state,
     l2_norm,
@@ -32,7 +33,7 @@ from heatadapt import (
     zeta_step,
 )
 from heatadapt import scenarios
-from heatadapt.control import TruncationInsufficient
+from heatadapt.control import _ServoSeries
 from heatadapt.domain import TRACE_COLUMNS
 from heatadapt.fdm import HeatStepper, grad_values
 from heatadapt.scenarios import _blown_up, _require_finite, _sq_norm
@@ -871,9 +872,13 @@ class TestOperatorRoute:
         # each block resets (sin, cos) of omega t from math and rotates them:
         # every instant's pair, as the blocks' tail checks see it, over 5 s
         seen = []
-        tails = scenarios._tails
-        monkeypatch.setattr(scenarios, "_tails",
-                            lambda weights, sc: seen.append(sc.copy()) or tails(weights, sc))
+        tails_below = _ServoSeries.tails_below
+
+        def spy(series, s, c, tail_tol):
+            seen.append(np.stack([s, c], axis=1))
+            return tails_below(series, s, c, tail_tol)
+
+        monkeypatch.setattr(_ServoSeries, "tails_below", spy)
         c = cfg(grid51, 5.0)
         tr = run_tracking(params8, c, ramp51, zeros51, 0.0, SINE)
         assert (tr.final_state.route, tr.final_state.handover_step) == ("operator", None)
