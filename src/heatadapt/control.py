@@ -209,7 +209,9 @@ class _ServoSeries:
         """
         c, s = math.cos(self.omega * dt), math.sin(self.omega * dt)
         rotation = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
-        return rotation, self.weights @ rotation
+        # written out: a first matrix-matrix product would fault in BLAS's work buffers
+        level, sines, cosines = self.weights.T
+        return rotation, np.stack([level, c * sines - s * cosines, s * sines + c * cosines], 1)
 
     def tails_below(self, s: np.ndarray, c: np.ndarray, tail_tol: float) -> bool:
         """Whether the tail is under tail_tol at every instant whose sin and cos of omega t are s, c.
