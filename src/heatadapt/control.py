@@ -195,7 +195,8 @@ class _ServoSeries:
     def profiles(self, kernel: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
         """v(x,t) at the positions of ``kernel``, one row per instant.
 
-        ``s`` and ``c`` are the instants' sin and cos of omega t.  Each row equals :meth:`profile` at that instant bit for bit: the same
+        ``s`` and ``c`` are the instants' sin and cos of omega t.  Each row
+        equals :meth:`profile` at that instant bit for bit: the same
         products, and each row's terms summed alike.
         """
         level, sines, cosines = self._table
