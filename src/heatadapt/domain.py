@@ -138,6 +138,8 @@ class Grid:
         if not dx > 0:
             raise ConfigError(f"dx must be > 0, got {dx}")
         n_float = 1.0 / dx + 1.0
+        if not math.isfinite(n_float):
+            raise ConfigError(f"dx={dx} gives more grid nodes than a float can count")
         n = int(round(n_float))
         if abs(n_float - n) > 1e-9:
             raise ConfigError(f"dx={dx} does not divide [0,1] into whole cells")
@@ -254,7 +256,8 @@ def _step_count(dt: float, t_final: float) -> int:
     """The number of steps of dt in t_final.
 
     Raises ConfigError unless dt > 0 and t_final is finite and holds at
-    least one step and a whole number of them (to a relative 1e-9).
+    least one step and a whole number of them (to a relative 1e-9), a
+    number that ``t_final / dt`` gives as a finite float.
     """
     if not (dt > 0):
         raise ConfigError(f"dt must be > 0, got {dt}")
@@ -262,7 +265,10 @@ def _step_count(dt: float, t_final: float) -> int:
         raise ConfigError(f"t_final must be finite, got {t_final}")
     if t_final < dt:
         raise ConfigError(f"t_final={t_final} shorter than one step")
-    n = int(round(t_final / dt))
+    ratio = t_final / dt
+    if not math.isfinite(ratio):
+        raise ConfigError(f"t_final={t_final} holds more steps of dt={dt} than a float can count")
+    n = int(round(ratio))
     if abs(n * dt - t_final) > 1e-9 * t_final:
         raise ConfigError(f"t_final={t_final} is not a whole number of steps of dt={dt}")
     return n

@@ -10,15 +10,18 @@ residual checks in the test suite.  A runner keeps its state in its
 own variables and steps it in blocks of at most 64 steps, which end
 only at snapshot instants, a blow-up and the horizon, through one
 shared blow-up test, ``_blown_up``; the schedule of blocks, snapshots
-and the final sample lives in one private function, ``_run``.  Every
-run but open-loop records nothing else per step: a block writes the
-state of the instant it starts from and of every instant it reaches
-into a row of a slab, and keeps the scalars of each step that the state
-lacks.  When the block ends, one flush reads the samples, and for the
-runs that integrate the dissipation ``diss_cum`` (observer,
-stabilization and error-system) the gradient energies and ``diss_cum``,
-from the slab with row-wise calls.  Open-loop blocks instead build the
-row of each sample instant they pass.  Observer, stabilization and
+and samples lives in one private function, ``_run``.  No run records
+anything else per step: a block writes the state of every instant it
+reaches into a row of a slab, whose first row holds the instant it
+starts from, and keeps the scalars of each instant that the state
+lacks.  When the block ends, ``_run`` picks the rows on the sample
+stride, writes their t and asks the runner for the values of their
+columns, one row-wise ``fill``, then carries the row the block reached
+into the slab's first row; the last instant is sampled from that row
+with the same ``fill``.  The runs that integrate the dissipation
+``diss_cum`` (observer, stabilization and error-system) take it, and
+the gradient energies, from each block's rows with row-wise calls when
+the block ends.  Observer, stabilization and
 tracking runs share one loop, ``_run_observer_loop``, and differ only in
 their inputs: the controller value and, for tracking, the servo terms
 and the reference.  Open-loop and error-system runs keep their own
@@ -29,7 +32,7 @@ as rows of one array and steps them in place.
 
 Stabilize and tracking runs on grids of at most :data:`_OPERATOR_MAX_N`
 nodes step instead as one matrix-vector product a step, into the same
-slab, which the same flush reads: the loop is linear in ``[w, what, m]``
+slab, which the same ``fill`` reads: the loop is linear in ``[w, what, m]``
 once ``m = zeta u0``, its one bilinear term, is written into the state,
 and tracking's servo terms are linear in ``(1, sin wt, cos wt)``, which
 the state carries and a rotation block steps (:func:`_operator`).  The
@@ -140,10 +143,8 @@ _SLAB = 64
 
 #: ``block(k, stop)`` steps a run from step k to step stop, see :func:`_run`
 _Block = Callable[[int, int], "int | None"]
-#: ``flush(rec, k0, k)`` records the samples of the block from step k0 to k
-_Flush = Callable[[_Recorder, int, int], None]
-#: ``row(t)``: the values of a run's columns at the current instant t
-_Row = Callable[[float], tuple[float, ...]]
+#: ``fill(out, at)`` writes the values of a run's columns at the slab rows ``at`` into ``out``
+_Fill = Callable[[np.ndarray, slice], None]
 #: ``now()``: the current plant field, observer field (or None), zeta, u0 and u
 _Now = Callable[[], tuple]
 
@@ -151,33 +152,47 @@ _Now = Callable[[], tuple]
 def _run(
     config: SimConfig,
     names: tuple[str, ...],
+    slab: np.ndarray,
     block: _Block,
-    flush: _Flush,
-    row: _Row,
+    fill: _Fill,
     now: _Now,
     route: Callable[[], tuple[str, int | None]] = lambda: ("stencil", None),
 ) -> Trace:
-    """The schedule every runner shares: blocks, snapshots and the last instant.
+    """The schedule and the record every runner shares: blocks, snapshots and samples.
 
-    A runner holds its state in its own variables and evaluates the inputs
-    of step 0 before this is called.  ``block(k, stop)`` then advances
-    from step k to step ``stop``, at most :data:`_SLAB` steps on: each step
-    keeps what ``flush`` needs of the instant it starts from, takes the
-    inputs at hand, steps the fields, runs
-    :func:`_blown_up` on the plant field and evaluates the inputs of the
-    instant it reaches.  It returns None, or the step at which the plant
+    A runner holds its state in its own variables, evaluates the inputs
+    of step 0 and writes that instant's state into the first row of
+    ``slab`` before this is called.  ``block(k, stop)`` then advances from
+    step k to step ``stop``, at most :data:`_SLAB` steps on: each step
+    takes the inputs at hand, steps the fields, runs :func:`_blown_up` on
+    the plant field, evaluates the inputs of the instant it reaches and
+    writes that instant's state into the next row of the slab, so that
+    row i holds step k + i; the runner keeps what a row lacks, for every
+    row the block holds.  It returns None, or the step at which the plant
     field blew up, where the run ends; a state that turns NaN/Inf raises
-    :class:`NonFiniteState` from it.  After each block ``flush`` records
-    the samples of the instants on the ``sample_stride`` that the block
-    stepped from, the values of the columns ``names``.
-    Blocks also end every ``snapshot_stride`` steps, where this records the
-    fields of ``now()``.  The last instant is always sampled, from
-    ``row(t)``, the columns' values at the current instant t.  ``route()``
-    gives the final state's ``route`` and ``handover_step``.
+    :class:`NonFiniteState` from it.  After each block this records the
+    samples of the instants on the ``sample_stride`` that the block
+    stepped from: it writes their t, and ``fill(out, at)`` writes the
+    values of the columns ``names`` at their rows ``at`` into ``out``.
+    Then it carries the row the block reached into the first.  Blocks
+    also end every ``snapshot_stride`` steps, where this records the
+    fields of ``now()``.  The last instant is always sampled, from the row
+    the run reached.  ``route()`` gives the final state's ``route`` and
+    ``handover_step``.
     """
-    dt, snap_stride, n_steps = config.dt, config.snapshot_stride, config.n_steps
-    rec = _Recorder(names, n_steps, config.sample_stride, snapshot_stride=snap_stride,
+    dt, stride, n_steps = config.dt, config.sample_stride, config.n_steps
+    snap_stride = config.snapshot_stride
+    rec = _Recorder(names, n_steps, stride, snapshot_stride=snap_stride,
                     fields=len(_fields(*now()[:2])), n=config.grid.n)
+
+    def sample(k0: int, at: slice) -> None:
+        # the rows ``at`` of the block that started from step k0
+        ks = range(k0 + at.start, k0 + at.stop, at.step)
+        if ks:
+            out = rec.rows(len(ks))
+            out[:, 0] = np.arange(ks.start, ks.stop, ks.step) * dt
+            fill(out[:, 1:], at)
+
     k, blow = 0, None
     with _quiet():
         while blow is None and k < n_steps:
@@ -187,34 +202,29 @@ def _run(
                     rec.snap(k * dt, _fields(*now()[:2]))
                 stop = min(stop, k - k % snap_stride + snap_stride)
             blow = block(k, stop)
-            flush(rec, k, stop if blow is None else blow)
-            k = stop
-        t_blow = None if blow is None else blow * dt
-        t_end = n_steps * dt if blow is None else t_blow
-        return _finish(config, rec, t_end, t_blow, row(t_end), now(), *route())
-
-
-def _put(rec: _Recorder, samples: list[tuple[float, ...]]) -> None:
-    """Record the rows kept in ``samples``, each t and the columns' values, and forget them."""
-    if samples:
-        rec.rows(len(samples))[:] = samples
-        samples.clear()
+            steps = (stop if blow is None else blow) - k
+            sample(k, slice(-k % stride, steps, stride))
+            slab[0] = slab[steps]
+            k += steps
+        sample(k - steps, slice(steps, steps + 1, 1))
+        return _finish(config, rec, k * dt, None if blow is None else k * dt, now(), *route())
 
 
 def _dissipation(energies: np.ndarray, xs: list[float], diss: float, dt: float,
-                 c1: float) -> tuple[list[float], float]:
+                 c1: float) -> list[float]:
     """``diss_cum`` at the instant each step of a block starts from, and after its last step.
 
     ``energies`` are the gradient energies of the fields the steps start
-    from and ``xs`` their boundary values x, one per step.  Each step adds
-    ``dt * (||f_x||^2 + c1 x^2)`` to ``diss``, in step order, as a loop
-    that took the energy every step did.
+    from and ``xs`` their boundary values x, one per step; ``diss`` is
+    ``diss_cum`` where the block starts.  Each step adds
+    ``dt * (||f_x||^2 + c1 x^2)``, in step order, as a loop that took the
+    energy every step did.
     """
-    at = []
+    at = [diss]
     for g, x in zip(energies.tolist(), xs):
-        at.append(diss)
         diss += dt * (g + c1 * x * x)
-    return at, diss
+        at.append(diss)
+    return at
 
 
 def _errors(out: np.ndarray, fields: np.ndarray, zt, half_b: float, dx: float) -> None:
@@ -235,18 +245,16 @@ def _finish(
     rec: _Recorder,
     t_end: float,
     t_blow: float | None,
-    values: tuple[float, ...],
     state: tuple,
     route: str = "stencil",
     handover_step: int | None = None,
 ) -> Trace:
-    """Record the last instant and build the Trace.
+    """Record the last instant's snapshot and build the Trace.
 
-    ``values`` is the instant's row and ``state`` what ``now()`` gives there.
+    ``state`` is what ``now()`` gives at the last instant.
     """
     grid = config.grid
     w, what, zeta, u0, u = state
-    rec.row(t_end, values)
     if config.snapshot_stride:
         rec.snap(t_end, _fields(w, what))
     final = ScenarioState(
@@ -324,27 +332,31 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
     bound; the run then stops at the blow-up threshold with the marker
     set rather than raising.
     """
-    dt, dx, stride, q = config.dt, config.grid.dx, config.sample_stride, p.q
+    dx, q = config.grid.dx, p.q
     stepper = _stepper(config, w0)
     (w,) = stepper.rows
-    samples: list[tuple[float, ...]] = []
+    # the field of each instant a block starts from or reaches, each a row of ``slab``
+    slab = np.empty((_SLAB + 1, config.grid.n))
+    rows = tuple(slab)
+    np.copyto(rows[0], w)
 
     def block(k: int, stop: int) -> int | None:
         nonlocal w
-        step = stepper.step
+        step, k0 = stepper.step, k
         while k < stop:
-            if k % stride == 0:
-                samples.append((k * dt, *row(k * dt)))
             (w,) = step(-q * w.item(0), 0.0)
             k += 1
+            rows[k - k0][...] = w
             if _blown_up(w, dx):
                 return k
         return None
 
-    def row(t: float) -> tuple[float, ...]:
-        return w[0], w[-1], math.sqrt(_sq_norm(w, dx))
+    def fill(out: np.ndarray, at: slice) -> None:
+        picked = slab[at]
+        out[:, 0], out[:, 1] = picked[:, 0], picked[:, -1]
+        np.sqrt(_sq_norms(picked, dx), out=out[:, 2])
 
-    return _run(config, ("w0", "w1", "wnorm"), block, lambda rec, k0, k: _put(rec, samples), row,
+    return _run(config, ("w0", "w1", "wnorm"), slab, block, fill,
                 lambda: (w, None, 0.0, 0.0, 0.0))
 
 
@@ -473,13 +485,13 @@ def _run_observer_loop(
     so the step is the stabilizing one bit for bit.  Tracking's ``inputs``
     catch a NaN/Inf state from u0.
 
-    Each block writes the state of the instant it starts from and of
-    every instant it reaches into a row of one slab, and keeps each step's
-    starting zeta; without a reference the squares of a row's fields catch
-    a NaN/Inf state.  A row is ``[w, what, m = zeta u0, u0]``, or for tracking
-    ``[w, what, m, 1, sin wt, cos wt, r, w(1) - v1, u0]``.  When the block ends,
-    one flush reads its samples from the slab, and without a reference
-    also the gradient energies and ``diss_cum``.
+    Each block writes the state of every instant it reaches into a row of
+    one slab and keeps each instant's zeta; without a reference the
+    squares of a row's fields catch a NaN/Inf state.  A row is
+    ``[w, what, m = zeta u0, u0]``, or for tracking
+    ``[w, what, m, 1, sin wt, cos wt, r, w(1) - v1, u0]``.  Without a
+    reference the block ends by taking the gradient energies and each
+    instant's ``diss_cum`` from its rows.
 
     With ``feedback``, the row g of the stabilizing law (``inputs`` must
     give ``g . what`` plus v_x(1,t) as u0), the run steps as one product
@@ -492,20 +504,21 @@ def _run_observer_loop(
     stencil alone finds a blow-up, a NaN/Inf state, a non-finite flux or
     a servo series that is truncated too early.
     """
-    dt, dx, stride, n = config.dt, config.grid.dx, config.sample_stride, config.grid.n
+    dt, dx, n = config.dt, config.grid.dx, config.grid.n
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
     half_b, inv_b = 0.5 * abs(b), 1.0 / b
     stepper = _stepper(config, w0, what0)
     observer = _windows(config.grid, stepper, 1)
     w, what = stepper.rows
-    zeta, diss, track = zeta0, 0.0, servo is not None
+    zeta, track = zeta0, servo is not None
     with _quiet():
         u0, v1, vx1, r = inputs(0.0, observer[0])
     # the state of each instant a block starts from or reaches, each a row of
-    # ``states``, and in ``zetas`` each step's starting zeta
+    # ``states``, and its zeta in ``zetas`` and, without a reference, its
+    # diss_cum in ``at_diss``
     states = np.empty((_SLAB + 1, 2 * n + (7 if track else 2)))
     rows, first = tuple(states), states[0]
-    zetas: list[float] = []
+    zetas, at_diss = [zeta], [0.0]
     # each stepper buffer, whose rows are w and what, as one flat array
     flat = tuple(buf.reshape(-1) for buf in stepper.buffers)
     fields = tuple(s[: 2 * n] for s in rows)
@@ -528,12 +541,19 @@ def _run_observer_loop(
         energy, errs = GradientEnergy(n, dx), np.empty((_SLAB, n))
         names = _OBSERVER_COLUMNS
 
+    def dissipate(steps: int) -> None:
+        nonlocal at_diss
+        np.subtract(states[:steps, :n], states[:steps, n : 2 * n], errs[:steps])
+        # each step's innovation w(1) - what(1) is the last value of its error
+        energies = energy.of_rows(errs, steps)
+        at_diss = _dissipation(energies, errs[:steps, -1].tolist(), at_diss[-1], dt, c1)
+
     def block(k: int, stop: int) -> int | None:
         nonlocal w, what, zeta, u0, v1, vx1, r
-        step, update, keep, k0 = stepper.step, zeta_step, zetas.append, k
-        zetas.clear()
+        step, update, k0, blow = stepper.step, zeta_step, k, None
+        zetas[:] = (zeta,)
+        keep = zetas.append
         while k < stop:
-            keep(zeta)
             innov = w.item(-1) - v1 - what.item(-1)
             zeta_new = update(zeta, sgn, innov, u0, dt)
             w_at_0 = w.item(0)
@@ -554,27 +574,31 @@ def _run_observer_loop(
                 s[at_sin:] = (math.sin(wt), math.cos(wt), r, w.item(-1) - v1, u0)
             else:
                 s[-1] = u0
+            keep(zeta)
             if blown:
-                return k
-        return None
+                blow = k
+                break
+        if not track:
+            dissipate(k - k0)
+        return blow
 
     def now() -> tuple:
         return w, what, zeta, u0, zeta * u0
 
-    def fill(out: np.ndarray, picked: np.ndarray, zs, at_diss) -> None:
-        """The columns ``names`` of the samples whose states are the rows ``picked``.
+    def fill(out: np.ndarray, at: slice) -> None:
+        """The columns ``names`` of the slab rows ``at``.
 
-        ``zs`` are their zetas and, without a reference, ``at_diss`` their
-        diss_cum.  Every value equals the one a per-sample row computes
-        from the same state, bit for bit.
+        Every value equals the one a per-sample row computes from the same
+        state, bit for bit.
         """
-        out[:, 0], out[:, 1], out[:, 2] = picked[:, -1], picked[:, at_m], zs
+        picked = states[at]
+        out[:, 0], out[:, 1], out[:, 2] = picked[:, -1], picked[:, at_m], zetas[at]
         out[:, 3], out[:, 4] = picked[:, 0], picked[:, at_w1]
         plant_rows, observer_rows = picked[:, :n], picked[:, n : 2 * n]
         np.sqrt(_sq_norms(plant_rows, dx), out=out[:, 5])
         if not track:
             _errors(out[:, 6:9], plant_rows - observer_rows, inv_b - out[:, 2], half_b, dx)
-            out[:, 9] = at_diss
+            out[:, 9] = at_diss[at]
             return
         sin, cos = picked[:, at_sin], picked[:, at_cos]
         errors = plant_rows - servo.profiles(kernel, sin, cos) - observer_rows
@@ -585,31 +609,8 @@ def _run_observer_loop(
         for at, (c0, cs, cc) in ((11, v1_weights), (12, vx1_weights)):
             out[:, at] = c0 + cs * sin + cc * cos
 
-    def flush(rec: _Recorder, k0: int, k: int) -> None:
-        nonlocal diss
-        steps = k - k0
-        at, at_diss = slice(-k0 % stride, steps, stride), None
-        if not track:
-            np.subtract(states[:steps, :n], states[:steps, n : 2 * n], errs[:steps])
-            # each step's innovation w(1) - what(1) is the last value of its error
-            energies = energy.of_rows(errs, steps)
-            at_diss, diss = _dissipation(energies, errs[:steps, -1].tolist(), diss, dt, c1)
-            at_diss = at_diss[at]
-        picked = states[:steps][at]
-        if len(picked):
-            out = rec.rows(len(picked))
-            out[:, 0] = np.arange(k0 + at.start, k, stride) * dt
-            fill(out[:, 1:], picked, zetas[at], at_diss)
-        first[:] = rows[steps]
-
-    def row(t: float) -> tuple[float, ...]:
-        # the state of the current instant t is the slab's first row
-        out = np.empty((1, len(names)))
-        fill(out, states[:1], [zeta], [diss])
-        return tuple(out[0].tolist())
-
     if feedback is None:
-        return _run(config, names, block, flush, row, now)
+        return _run(config, names, states, block, fill, now)
 
     # the operator route: w and what view the first state of the block
     with _quiet():
@@ -635,22 +636,23 @@ def _run_observer_loop(
             first[at_sin], first[at_cos] = math.sin(wt), math.cos(wt)
         # zeta and u0 keep the block's first values until the block is quiet
         dot, update, z, u, steps = np.dot, zeta_step, zeta, u0, stop - k
-        zetas.clear()
+        zetas[:] = (z,)
         keep = zetas.append
         for i in range(steps):
-            keep(z)
             s, y = rows[i], rows[i + 1]
-            z_new = update(z, sgn, s.item(at_x1) - s.item(at_what1), u, dt)
+            z = update(z, sgn, s.item(at_x1) - s.item(at_what1), u, dt)
             dot(A, ins[i], y)
-            z = z_new
             u = y.item(-1)
             y[at_m] = z * u
+            keep(z)
         quiet = _quiet_states(states[: steps + 1], gain)
         if quiet and tail:
             reached = states[1 : steps + 1]
             quiet = servo.tails_below(reached[:, at_sin], reached[:, at_cos], DEFAULT_TAIL_TOL)
         if quiet:
             zeta, u0 = z, u
+            if not track:
+                dissipate(steps)
             return None
         # step the block again on the stencil, from its first state on
         handover = k
@@ -660,7 +662,8 @@ def _run_observer_loop(
             _, v1, vx1, r = inputs(k * dt, observer[stepper.index])
         return block(k, stop)
 
-    return _run(config, names, operator_block, flush, row, now, lambda: ("operator", handover))
+    return _run(config, names, states, operator_block, fill, now,
+                lambda: ("operator", handover))
 
 
 #: the columns of a plant + observer + update-law run's rows without a reference
@@ -763,28 +766,28 @@ def run_error_system(
     ``obs_err_norm``; ``diss_cum`` accumulates
     dt * (||werr_x||^2 + c1 werr(1)^2) for energy-identity tests.
     """
-    dt, dx, stride, n = config.dt, config.grid.dx, config.sample_stride, config.grid.n
+    dt, dx, n = config.dt, config.grid.dx, config.grid.n
     b, c1, sgn = p.b, p.c1, p.sign_b
     half_b = 0.5 * abs(b)
     stepper = _stepper(config, wtilde0)
     (wt,) = stepper.rows
-    zt, diss = zetatilde0, 0.0
+    zt = zetatilde0
     with _quiet():
         u0 = u0_signal(0.0)
     # the field of each instant a block starts from or reaches, each a row of
-    # ``slab``, and each step's starting u0 and zt
+    # ``slab``, its u0 and zt in ``kept`` and its diss_cum in ``at_diss``
     slab = np.empty((_SLAB + 1, n))
-    rows, head = tuple(slab), slab[:_SLAB]
+    rows = tuple(slab)
     np.copyto(rows[0], wt)
-    kept: list[tuple[float, float]] = []
+    kept, at_diss = [(u0, zt)], [0.0]
     energy = GradientEnergy(n, dx)
 
     def block(k: int, stop: int) -> int | None:
-        nonlocal wt, zt, u0
-        step, keep, k0 = stepper.step, kept.append, k
-        kept.clear()
+        nonlocal wt, zt, u0, at_diss
+        step, k0, blow = stepper.step, k, None
+        kept[:] = ((u0, zt),)
+        keep = kept.append
         while k < stop:
-            keep((u0, zt))
             wt1 = wt.item(-1)
             zt_new = zt + dt * sgn * u0 * wt1
             (wt,) = step(0.0, -b * zt * u0 - c1 * wt1)
@@ -793,32 +796,23 @@ def run_error_system(
             rows[k - k0][...] = wt
             blown = _blown_up(wt, dx)
             u0 = u0_signal(k * dt)
+            keep((u0, zt))
             if blown:
-                return k
-        return None
-
-    def flush(rec: _Recorder, k0: int, k: int) -> None:
-        nonlocal diss
+                blow = k
+                break
         steps = k - k0
         # each step's wt(1) is the last value of its row
-        energies = energy.of_rows(head, steps)
-        at_diss, diss = _dissipation(energies, head[:steps, -1].tolist(), diss, dt, c1)
-        at = slice(-k0 % stride, steps, stride)
-        picked = head[at]
-        if len(picked):
-            # t, u0, zeta, w0, w1, then wnorm, which equals obs_err_norm, and the rest
-            out = rec.rows(len(picked))
-            out[:, 0] = np.arange(k0 + at.start, k, stride) * dt
-            out[:, 1:3] = kept[at]
-            out[:, 3], out[:, 4] = picked[:, 0], picked[:, -1]
-            _errors(out[:, 6:9], picked, out[:, 2], half_b, dx)
-            out[:, 5], out[:, 9] = out[:, 6], at_diss[at]
-        np.copyto(rows[0], rows[steps])
+        energies = energy.of_rows(slab, steps)
+        at_diss = _dissipation(energies, slab[:steps, -1].tolist(), at_diss[-1], dt, c1)
+        return blow
 
-    def row(t: float) -> tuple[float, ...]:
-        e = 0.5 * _sq_norm(wt, dx)
-        nrm = math.sqrt(2.0 * e)
-        return u0, zt, wt[0], wt[-1], nrm, nrm, e, e + half_b * zt * zt, diss
+    def fill(out: np.ndarray, at: slice) -> None:
+        # u0, zeta, w0, w1, then wnorm, which equals obs_err_norm, and the rest
+        picked = slab[at]
+        out[:, 0:2] = kept[at]
+        out[:, 2], out[:, 3] = picked[:, 0], picked[:, -1]
+        _errors(out[:, 5:8], picked, out[:, 1], half_b, dx)
+        out[:, 4], out[:, 8] = out[:, 5], at_diss[at]
 
     names = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F", "diss_cum")
-    return _run(config, names, block, flush, row, lambda: (wt, None, zt, u0, 0.0))
+    return _run(config, names, slab, block, fill, lambda: (wt, None, zt, u0, 0.0))

@@ -191,6 +191,30 @@ class TestExitCodes:
         runs = json.loads((out / "sweep.json").read_text())["runs"]
         assert [r["exit_code"] for r in runs] == [64, 0]
 
+    @pytest.mark.parametrize("scenario, flag, value, reason", [
+        ("stabilize", "dt", "5e-324", "t_final=5.0 holds more steps of dt=5e-324"),
+        ("galerkin", "dt", "5e-324", "t_final=5.0 holds more steps of dt=5e-324"),
+        ("stabilize", "dx", "5e-324", "dx=5e-324 gives more grid nodes"),
+        ("stabilize", "t-final", "1e308", "t_final=1e+308 holds more steps of dt=0.0001"),
+    ], ids=["dt", "galerkin-dt", "dx", "t-final"])
+    def test_step_or_node_count_past_the_float_range_exits_64(self, tmp_path, capsys, scenario,
+                                                               flag, value, reason):
+        # t_final / dt or 1 / dx overflows to inf, which no count converts from
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--scenario", scenario, f"--{flag}", value,
+                       "--out", str(out)) == 64
+        assert capsys.readouterr().err == f"heatadapt: {reason} than a float can count\n"
+        assert not out.exists()
+
+    def test_sweep_member_past_the_float_range_exits_64(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--scenario", "stabilize", "--param", "t-final",
+                       "--values", "0.1,1e308", "--pe-tau", "0.1", "--out", str(out)) == 64
+        assert capsys.readouterr().err == (
+            "heatadapt: t_final=1e+308 holds more steps of dt=0.0001 than a float can count\n")
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        assert [r["exit_code"] for r in runs] == [0, 64]
+
     @pytest.mark.parametrize("scenario", ["track", "stabilize"])
     def test_servo_truncation_past_the_float_range_exits_64(self, tmp_path, capsys, scenario):
         # (2J + 3)! is past the float range from J = 84 on

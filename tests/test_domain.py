@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,11 @@ class TestGrid:
         with pytest.raises(ConfigError):
             Grid.from_dx(0.021)
 
+    def test_from_dx_too_small_to_count_rejected(self):
+        # 1/dx overflows to inf, which no node count converts from
+        with pytest.raises(ConfigError, match="dx=5e-324 gives more grid nodes"):
+            Grid.from_dx(5e-324)
+
     def test_nodes_read_only(self):
         g = Grid(11)
         with pytest.raises(ValueError):
@@ -150,6 +156,12 @@ class TestSimConfig:
     def test_horizon_must_be_finite(self, grid51, t_final):
         with pytest.raises(ConfigError, match="t_final must be finite"):
             SimConfig(dt=1e-4, t_final=t_final, grid=grid51)
+
+    @pytest.mark.parametrize("dt, t_final", [(5e-324, 5.0), (1e-4, 1e308)])
+    def test_step_count_past_the_float_range_rejected(self, grid51, dt, t_final):
+        # t_final / dt overflows to inf, which no step count converts from
+        with pytest.raises(ConfigError, match=re.escape(f"t_final={t_final} holds more steps of dt={dt}")):
+            SimConfig(dt=dt, t_final=t_final, grid=grid51)
 
     def test_pe_window_longer_than_horizon(self, grid51):
         with pytest.raises(ConfigError):

@@ -540,17 +540,20 @@ def per_step_run(kind, p, config, w0, what0=None, zeta0=0.0, u0_signal=None):
 
 @pytest.mark.usefixtures("stencil_route")
 class TestSlabsMatchPerStepLoop:
-    """The slab-flushing runners against the loop that took every readout per step."""
+    """The slab runners against a loop that took every readout per step.
 
-    @pytest.mark.parametrize("kind", ["stabilize", "observer", "error"])
+    That loop is per_step_run, or for open-loop reference_run.
+    """
+
+    @pytest.mark.parametrize("kind", ["stabilize", "observer", "error", "open"])
     @pytest.mark.parametrize("stride, snap, q, scale", [
         (1, 0, 2.0, None),
         (7, 45, 2.0, None),
         (64, 0, 2.0, None),
         (65, 45, 2.0, None),
         (100, 0, 2.0, None),
-        # the plant blows up mid-slab: stabilize at step 10, observer from a
-        # ramp scaled to norm 0.6e12 at step 111
+        # the plant blows up mid-slab: stabilize at step 10, observer and
+        # open-loop from a ramp scaled to norm 0.6e12 at step 111
         (7, 45, 9.0, 0.6e12),
     ], ids=["stride-1", "stride-7-snap-45", "stride-64", "stride-65-snap-45", "stride-100",
             "blow-up"])
@@ -568,16 +571,23 @@ class TestSlabsMatchPerStepLoop:
             tr = run_stabilization(p, c, w0, what0, 0.0)
         elif kind == "observer":
             tr = run_observer(p, c, w0, what0, -0.1, u0)
-        else:
+        elif kind == "error":
             tr = run_error_system(p, c, w0, -0.1, u0)
-        expected = per_step_run(kind, p, c, w0, what0, 0.0 if kind == "stabilize" else -0.1, u0)
+        else:
+            tr = run_open_loop(p, c, w0)
+        if kind == "open":
+            expected = reference_run(kind, p, c, w0)
+        else:
+            expected = per_step_run(kind, p, c, w0, what0, 0.0 if kind == "stabilize" else -0.1,
+                                    u0)
         if kind == "error":
             # the error field decays under u0 = exp(-t), even from the scaled ramp
             assert not tr.blown_up
         else:
             assert tr.blown_up is (scale is not None)
         if tr.blown_up:
-            assert round(tr.blow_up_time / c.dt) == {"stabilize": 10, "observer": 111}[kind]
+            assert round(tr.blow_up_time / c.dt) == {"stabilize": 10, "observer": 111,
+                                                     "open": 111}[kind]
         assert_matches_reference(tr, expected, snap)
 
     def test_error_system_blow_up_equals_per_step_loop(self, params8, grid51, ramp51):

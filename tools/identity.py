@@ -68,8 +68,10 @@ ROOT = Path(__file__).resolve().parents[1]
 #: stencil (n=102), two stabilize sweeps on the stencil (n=126), a stabilize
 #: run that hands over from the operator to the stencil at step 100 and blows
 #: up at step 129, with samples on both sides, an error-system run that
-#: blows up at step 219, inside a block, and the same three for tracking: runs
-#: at n=101 and n=102 and one that hands over at step 100 and blows up at 138
+#: blows up at step 219, inside a block, the same three for tracking: runs
+#: at n=101 and n=102 and one that hands over at step 100 and blows up at 138,
+#: and an open-loop run with samples and snapshots across the blocks that
+#: blows up at step 4579, inside a block and on no sample or snapshot stride
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -154,6 +156,9 @@ COMMANDS = (
     ("track-handover", ["simulate", "--scenario", "track", "--ref", "sin:1,1", "--q", "6",
                         "--c0", "0.5", "--c1", "0.5", "--t-final", "0.5", "--pe-tau", "0.1",
                         "--sample-stride", "37", "--snapshot-stride", "50"]),
+    ("open-loop-stride-7", ["simulate", "--scenario", "open-loop", "--q", "9", "--t-final", "1",
+                            "--pe-tau", "0.5", "--sample-stride", "7",
+                            "--snapshot-stride", "45"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
