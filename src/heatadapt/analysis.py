@@ -158,6 +158,9 @@ def upsilon_b(s: float, b: float) -> float:
 #: real-axis absolute-stability bound of the classical 4th-order scheme
 _RK4_REAL_STABILITY = 2.785
 
+#: the most samples that :func:`galerkin_error_system` keeps before it records them
+_SAMPLE_CHUNK = 512
+
 
 def galerkin_error_system(
     N: int,
@@ -238,13 +241,27 @@ def galerkin_error_system(
     names = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F")
     rec = _Recorder(names, n_steps, sample_stride, mapped=True)
     z, u, hh, h6 = float(zetatilde0), u0_signal(0.0), h / 2, h / 6
+    # the fluxes s_1..s_4 of a step and V s, and the samples not yet recorded:
+    # each is t, u0, ztilde, wtilde_N(0), wtilde_N(1) and ||a||^2
+    s, vs, kept = np.empty(4), np.empty(N), []
+    keep, v_dot, multiply, add = kept.append, V.dot, np.multiply, np.add
+
+    def flush() -> None:
+        chunk = np.array(kept)
+        out = rec.rows(len(kept))
+        out[:, :5] = chunk[:, :5]
+        e, zs = 0.5 * chunk[:, 5], chunk[:, 2]
+        np.sqrt(2.0 * e, out=out[:, 5])
+        out[:, 6], out[:, 7], out[:, 8] = out[:, 5], e, e + half_b * zs * zs
+        kept.clear()
+
     with _quiet():
         m = M.dot(a).tolist()
         for k in range(n_steps + 1):
             if k % sample_stride == 0 or k == n_steps:
-                e = 0.5 * float(a.dot(a))
-                nrm = math.sqrt(2.0 * e)
-                rec.row(k * h, (u, z, m[0], m[1], nrm, nrm, e, e + half_b * z * z))
+                keep((k * h, u, z, m[0], m[1], a.dot(a)))
+                if len(kept) == _SAMPLE_CHUNK or k == n_steps:
+                    flush()
             if k == n_steps:
                 break
             _, w1, w2, w3, w4 = m
@@ -260,7 +277,11 @@ def galerkin_error_system(
             if not (math.isfinite(s1) and math.isfinite(s2)
                     and math.isfinite(s3) and math.isfinite(s4)):
                 raise ConfigError("boundary fluxes must be finite")
-            a = R * a + V.dot((s1, s2, s3, s4))
+            s[0], s[1], s[2], s[3] = s1, s2, s3, s4
+            # a = R * a + V s, in place
+            v_dot(s, vs)
+            multiply(R, a, a)
+            add(a, vs, a)
             z = z + h6 * (k1 + 2 * k2 + 2 * k3 + sgn * u * w4)
             m = M.dot(a).tolist()
             if not (math.isfinite(m[0]) and math.isfinite(z)):

@@ -261,6 +261,9 @@ def parse_args(argv: list[str]) -> tuple[str, dict]:
             raise UsageError(f"bad --values: {exc}") from exc
         if not resolved["values"]:
             raise UsageError("--values is empty")
+        for v in resolved["values"]:
+            if not math.isfinite(v):
+                raise UsageError(f"--values holds {v!r}: every value must be finite")
         if len(set(resolved["values"])) != len(resolved["values"]):
             raise UsageError(f"--values repeats a value: {args.values}")
         return "sweep", resolved

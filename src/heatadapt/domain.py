@@ -101,6 +101,8 @@ class Params:
         _check_gains(self)
         if self.b == 0 or not math.isfinite(self.b):
             raise ConfigError(f"b must be nonzero and finite, got {self.b}")
+        if not math.isfinite(1.0 / self.b):
+            raise ConfigError(f"b={self.b} has no finite reciprocal 1/b, which zeta estimates")
 
     @property
     def sign_b(self) -> int:
@@ -482,11 +484,6 @@ class _Recorder:
             shape = (n_steps // snapshot_stride + 2, fields, n)
             with _allocating(shape, "snapshots", "--snapshot-stride"):
                 self._snaps = np.empty(shape)
-
-    def row(self, t: float, values: tuple[float, ...]) -> None:
-        """Record one sample: the values of ``names`` at time t."""
-        self.data[self.size] = (t, *values)
-        self.size += 1
 
     def rows(self, m: int) -> np.ndarray:
         """The next m rows, recorded as samples: the caller fills in t and the values."""

@@ -12,9 +12,9 @@ stepper's O(dx^2) spatial accuracy.
 
 :func:`step_heat` and :func:`grad_values` allocate their results and are
 the reference route.  :class:`HeatStepper` and :class:`GradientEnergy`
-repeat their arithmetic operation for operation in preallocated
-buffers, so a simulation loop gets bit-identical values without
-allocating per step.
+repeat their arithmetic operation for operation, from one row of a
+slab of states into the next or in planned buffers, so a simulation
+loop gets bit-identical values without allocating per step.
 """
 
 from __future__ import annotations
@@ -83,61 +83,59 @@ def step_heat(
 
 
 class HeatStepper:
-    """Explicit steps of many fields on one grid, in place.
+    """Explicit steps of k fields on one grid, from one row of a slab into the next.
 
-    The fields are the rows of a ``(k, n)`` array, the k fields of one
-    run.  Two preallocated buffers take turns as input and output, and
-    their slice views are built once, so a step allocates nothing.
-    Each row after a step equals :func:`step_heat` of that row with the
-    same fluxes, bit for bit: the interior is the same ufunc sequence,
-    the boundary nodes the same expressions.  The interior update runs
-    once over the flattened buffer, so it also writes the boundary nodes
-    where two rows meet; the boundary expressions then overwrite them.
+    Row i of the C-contiguous ``slab`` holds the state of an instant, its
+    first k n values the k fields; the stepper touches no other value.  The
+    initial ``(k, n)`` ``fields`` are copied into the first row.  The views
+    of a step from each row are built once, so a step allocates and copies
+    nothing.  Each field after a step equals :func:`step_heat` of it with
+    the same fluxes, bit for bit: the interior is the same ufunc sequence,
+    run once over a row's k n values, and the boundary nodes, which that
+    run also writes where two fields meet, the same expressions.
 
     A step does not scan for NaN/Inf; callers detect a non-finite state
     from a scalar they compute anyway.
     """
 
-    __slots__ = ("dx", "index", "rows", "buffers", "_two_r", "_k", "_tmp", "_plans")
+    __slots__ = ("rows", "_plans")
 
-    def __init__(self, fields, dx: float, dt: float):
-        # C order, so that the flat views below are views of the buffer, not copies
-        cur = np.array(fields, dtype=float, order="C")
-        if cur.ndim != 2 or cur.shape[1] < 3:
-            raise ConfigError(f"fields must be a (k, n >= 3) array, got shape {cur.shape}")
-        self.dx = dx
+    def __init__(self, slab: np.ndarray, fields, dx: float, dt: float):
+        shape = np.shape(fields)
+        size = math.prod(shape)
+        if (len(shape) != 2 or shape[1] < 3 or slab.ndim != 2 or len(slab) < 2
+                or slab.shape[1] < size or not slab.flags.c_contiguous):
+            raise ConfigError(f"fields must be a (k, n >= 3) array that fits the rows of a "
+                              f"C-contiguous slab, got {shape} and {slab.shape}")
+        slab[0, :size] = np.ravel(fields)
         r = dt / (dx * dx)
-        self._two_r = 2.0 * r
-        # ufunc operands as 0-d arrays, which numpy takes faster than Python floats
-        self._k = tuple(np.array(v) for v in (2.0, r))
-        self.buffers = (cur, np.empty_like(cur))
-        self._tmp = np.empty(cur.size - 2)
-        n = cur.shape[1]
-        # interior, right and left neighbours of each flattened buffer, and its rows
-        views = [(flat[1:-1], flat[2:], flat[:-2], tuple(flat.reshape(-1, n)))
-                 for flat in (u.reshape(-1) for u in self.buffers)]
-        #: per buffer, the plan of a step from it: its interior and neighbours,
-        #: the other buffer's interior, each (row, output row) pair and the output rows
-        self._plans = tuple(
-            (*ins[:3], outs[0], tuple(zip(ins[3], outs[3])), outs[3])
-            for ins, outs in (views, views[::-1])
-        )
-        #: index into ``buffers`` of the current state, and that buffer's rows
-        self.index = 0
-        self.rows = views[0][3]
+        # a buffer, the ufunc operands as 0-d arrays, which numpy takes faster
+        # than Python floats, and the boundary expressions' constants
+        shared = ((np.empty(size - 2), np.array(2.0), np.array(r), 2.0 * r, dx),) * len(slab)
+        # the fields of every row, their interiors and neighbours, as views
+        cols = slab[:, :size]
+        inner, right, left = list(cols[:, 1:-1]), list(cols[:, 2:]), list(cols[:, :-2])
+        #: per slab row, views of the fields it holds
+        self.rows = rows = tuple(map(tuple, cols.reshape(-1, *shape)))
+        #: per row, the plan of a step from it: its interior and neighbours, the
+        #: next row's interior, each (field, next field) pair, the next fields
+        #: and what every step shares
+        self._plans = tuple(zip(inner, right, left, inner[1:],
+                                map(tuple, map(zip, rows, rows[1:])), rows[1:], shared))
 
-    def step(self, *fluxes: float) -> tuple[np.ndarray, ...]:
-        """Advance every row one step; return the rows of the new state.
+    def step(self, i: int, *fluxes: float, check: bool = True) -> tuple[np.ndarray, ...]:
+        """Advance every field from slab row i into row i + 1; return that row's fields.
 
-        ``fluxes`` are the left and right fluxes of row 0, then of row 1,
-        and so on.  A non-finite flux raises :class:`ConfigError`, as
-        :class:`FluxBC` does, before any value is written.
+        ``fluxes`` are the left and right fluxes of field 0, then of field
+        1, and so on.  With ``check`` a non-finite flux raises
+        :class:`ConfigError`, as :class:`FluxBC` does, before any value is
+        written; without it the flux reaches the boundary node it enters.
         """
-        for f in fluxes:
-            if not math.isfinite(f):
-                raise ConfigError("boundary fluxes must be finite")
-        ui, up, um, oi, pairs, out_rows = self._plans[self.index]
-        tmp, (two, r), two_r, dx = self._tmp, self._k, self._two_r, self.dx
+        if check:
+            for f in fluxes:
+                if not math.isfinite(f):
+                    raise ConfigError("boundary fluxes must be finite")
+        ui, up, um, oi, pairs, out_rows, (tmp, two, r, two_r, dx) = self._plans[i]
         # u[1:-1] + r * (u[2:] - 2.0 * u[1:-1] + u[:-2]), as in step_heat
         np.multiply(two, ui, tmp)
         np.subtract(up, tmp, tmp)
@@ -149,8 +147,6 @@ class HeatStepper:
             u0, u_1 = u.item(0), u.item(-1)
             out[0] = u0 + two_r * (u.item(1) - u0 - dx * left)
             out[-1] = u_1 + two_r * (u.item(-2) - u_1 + dx * right)
-        self.index ^= 1
-        self.rows = out_rows
         return out_rows
 
 

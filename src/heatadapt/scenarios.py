@@ -10,25 +10,25 @@ residual checks in the test suite.  A runner keeps its state in its
 own variables and steps it in blocks of at most 64 steps, which end
 only at snapshot instants, a blow-up and the horizon, through one
 shared blow-up test, ``_blown_up``; the schedule of blocks, snapshots
-and samples lives in one private function, ``_run``.  No run records
-anything else per step: a block writes the state of every instant it
-reaches into a row of a slab, whose first row holds the instant it
+and samples lives in one private function, ``_run``.  A block steps
+the fields (plant and observer, or the one field of open-loop and
+error-system runs) with one :class:`~heatadapt.fdm.HeatStepper` from
+one row of a slab into the next, the first row holding the instant it
 starts from, and keeps the scalars of each instant that the state
-lacks.  When the block ends, ``_run`` picks the rows on the sample
-stride, writes their t and asks the runner for the values of their
-columns, one row-wise ``fill``, then carries the row the block reached
-into the slab's first row; the last instant is sampled from that row
-with the same ``fill``.  The runs that integrate the dissipation
-``diss_cum`` (observer, stabilization and error-system) take it, and
-the gradient energies, from each block's rows with row-wise calls when
-the block ends.  Observer, stabilization and
+lacks; nothing else is recorded per step.  When the block ends,
+``_run`` picks the rows on the sample stride, writes their t and asks
+the runner for the values of their columns, one row-wise ``fill``,
+then carries the row the block reached into the first; the last
+instant is sampled from that row with the same ``fill``.  The runs
+that integrate the dissipation ``diss_cum`` (observer, stabilization
+and error-system) take it, and the gradient energies, from each
+block's rows with row-wise calls.  Observer, stabilization and
 tracking runs share one loop, ``_run_observer_loop``, and differ only in
 their inputs: the controller value and, for tracking, the servo terms
 and the reference.  Open-loop and error-system runs keep their own
-loops, whose fluxes are ordered differently.  Every runner steps its
-fields with one :class:`~heatadapt.fdm.HeatStepper`, which holds plant
-and observer (or the single field of open-loop and error-system runs)
-as rows of one array and steps them in place.
+loops, whose fluxes are ordered differently.  An error-system block
+skips the blow-up test and the flux check and tests its rows once; a
+block that fails is stepped again with both.
 
 Stabilize and tracking runs on grids of at most :data:`_OPERATOR_MAX_N`
 nodes step instead as one matrix-vector product a step, into the same
@@ -164,11 +164,11 @@ def _run(
     of step 0 and writes that instant's state into the first row of
     ``slab`` before this is called.  ``block(k, stop)`` then advances from
     step k to step ``stop``, at most :data:`_SLAB` steps on: each step
-    takes the inputs at hand, steps the fields, runs :func:`_blown_up` on
-    the plant field, evaluates the inputs of the instant it reaches and
-    writes that instant's state into the next row of the slab, so that
-    row i holds step k + i; the runner keeps what a row lacks, for every
-    row the block holds.  It returns None, or the step at which the plant
+    takes the inputs at hand, steps the fields from one row of the slab
+    into the next, so that row i holds step k + i, runs :func:`_blown_up`
+    on the plant field (the error system tests its rows once instead) and
+    evaluates the inputs of the instant it reaches; the runner keeps what
+    a row lacks.  It returns None, or the step at which the plant
     field blew up, where the run ends; a state that turns NaN/Inf raises
     :class:`NonFiniteState` from it.  After each block this records the
     samples of the instants on the ``sample_stride`` that the block
@@ -306,23 +306,21 @@ def _require_finite(*fields: np.ndarray) -> None:
             raise NonFiniteState("heat step produced non-finite values")
 
 
-def _stepper(config: SimConfig, *fields: GridFunction) -> HeatStepper:
-    """A stepper over copies of the initial fields, which must be on the run's grid."""
+def _slab(width: int) -> np.ndarray:
+    """``_SLAB + 1`` rows of ``width`` values from a 64-byte boundary, not the heap's whim."""
+    size = (_SLAB + 1) * width
+    buf = np.empty(size + 7)
+    # the address, not from .ctypes, which imports ctypes
+    start = -buf.__array_interface__["data"][0] % 64 // 8
+    return buf[start : start + size].reshape(_SLAB + 1, width)
+
+
+def _stepper(config: SimConfig, slab: np.ndarray, *fields: GridFunction) -> HeatStepper:
+    """A stepper over ``slab`` from the initial fields, which must be on the run's grid."""
     for f in fields:
         if f.grid != config.grid:
             raise ConfigError("initial data must live on the configured grid")
-    return HeatStepper([f.values for f in fields], config.grid.dx, config.dt)
-
-
-def _windows(grid: Grid, stepper: HeatStepper, row: int) -> tuple[GridFunction, ...]:
-    """Read-only GridFunction views of one row, one per stepper buffer.
-
-    ``windows[stepper.index]`` shows the row's current values without a
-    copy, for :func:`adaptive_u0`, which reads it within the step.  The
-    values change under it as the run goes on, so no window leaves the
-    runner.
-    """
-    return tuple(GridFunction._wrap(grid, buf[row]) for buf in stepper.buffers)
+    return HeatStepper(slab, [f.values for f in fields], config.grid.dx, config.dt)
 
 
 def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
@@ -333,22 +331,18 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
     set rather than raising.
     """
     dx, q = config.grid.dx, p.q
-    stepper = _stepper(config, w0)
-    (w,) = stepper.rows
     # the field of each instant a block starts from or reaches, each a row of ``slab``
-    slab = np.empty((_SLAB + 1, config.grid.n))
-    rows = tuple(slab)
-    np.copyto(rows[0], w)
+    slab = _slab(config.grid.n)
+    stepper = _stepper(config, slab, w0)
+    (w,) = stepper.rows[0]
 
     def block(k: int, stop: int) -> int | None:
         nonlocal w
-        step, k0 = stepper.step, k
-        while k < stop:
-            (w,) = step(-q * w.item(0), 0.0)
-            k += 1
-            rows[k - k0][...] = w
+        step = stepper.step
+        for i in range(stop - k):
+            (w,) = step(i, -q * w.item(0), 0.0)
             if _blown_up(w, dx):
-                return k
+                return k + i + 1
         return None
 
     def fill(out: np.ndarray, at: slice) -> None:
@@ -507,26 +501,24 @@ def _run_observer_loop(
     dt, dx, n = config.dt, config.grid.dx, config.grid.n
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
     half_b, inv_b = 0.5 * abs(b), 1.0 / b
-    stepper = _stepper(config, w0, what0)
-    observer = _windows(config.grid, stepper, 1)
-    w, what = stepper.rows
     zeta, track = zeta0, servo is not None
-    with _quiet():
-        u0, v1, vx1, r = inputs(0.0, observer[0])
     # the state of each instant a block starts from or reaches, each a row of
     # ``states``, and its zeta in ``zetas`` and, without a reference, its
     # diss_cum in ``at_diss``
-    states = np.empty((_SLAB + 1, 2 * n + (7 if track else 2)))
+    states = _slab(2 * n + (7 if track else 2))
+    stepper = _stepper(config, states, w0, what0)
+    # each row's what, for inputs; no window leaves the runner
+    observer = tuple(GridFunction._wrap(config.grid, s[n : 2 * n]) for s in states)
+    w, what = stepper.rows[0]
+    with _quiet():
+        u0, v1, vx1, r = inputs(0.0, observer[0])
     rows, first = tuple(states), states[0]
     zetas, at_diss = [zeta], [0.0]
-    # each stepper buffer, whose rows are w and what, as one flat array
-    flat = tuple(buf.reshape(-1) for buf in stepper.buffers)
     fields = tuple(s[: 2 * n] for s in rows)
     # the innovation is x1 - what(1): x1 is w(1), or for tracking w(1) - v(1,t),
     # which a tracking row holds
     at_m, at_w1, at_what1 = 2 * n, n - 1, 2 * n - 1
     at_x1 = at_w1
-    first[: 2 * n] = flat[0]
     if track:
         omega, kernel = servo.omega, servo.kernel(config.grid.nodes)
         at_sin, at_cos, at_r, at_x1 = range(2 * n + 2, 2 * n + 6)
@@ -557,17 +549,17 @@ def _run_observer_loop(
             innov = w.item(-1) - v1 - what.item(-1)
             zeta_new = update(zeta, sgn, innov, u0, dt)
             w_at_0 = w.item(0)
-            w, what = step(-q * w_at_0, b * (zeta * u0), -q * (w_at_0 - r), u0 + c1 * innov - vx1)
+            w, what = step(k - k0, -q * w_at_0, b * (zeta * u0), -q * (w_at_0 - r),
+                           u0 + c1 * innov - vx1)
             zeta = zeta_new
             k += 1
             f, s = fields[k - k0], rows[k - k0]
-            f[...] = flat[stepper.index]
             # a NaN/Inf in w or what makes the squares of their values non-finite;
             # tracking's inputs catch one in what from u0, and _blown_up one in w
             if not (track or math.isfinite(f.dot(f))):
                 _require_finite(f)
             blown = _blown_up(w, dx)
-            u0, v1, vx1, r = inputs(k * dt, observer[stepper.index])
+            u0, v1, vx1, r = inputs(k * dt, observer[k - k0])
             s[at_m] = zeta * u0
             if track:
                 wt = omega * (k * dt)
@@ -616,7 +608,6 @@ def _run_observer_loop(
     with _quiet():
         A = _operator(p, config, feedback, servo)
     ins = tuple(s[: A.shape[1]] for s in rows)
-    w, what = first[:n], first[n : 2 * n]
     # every flux is at most gain / 2 times the largest value of a quiet slab,
     # whose rows hold 1: the servo terms through their weights on (1, sin, cos)
     sums = np.abs(servo.weights[:3]).sum(axis=1).tolist() if track else (0.0, 0.0, 0.0)
@@ -654,12 +645,10 @@ def _run_observer_loop(
             if not track:
                 dissipate(steps)
             return None
-        # step the block again on the stencil, from its first state on
+        # step the block again on the stencil, from the first row, which w and what view
         handover = k
-        np.copyto(flat[stepper.index], fields[0])
-        w, what = stepper.rows
         if track:
-            _, v1, vx1, r = inputs(k * dt, observer[stepper.index])
+            _, v1, vx1, r = inputs(k * dt, observer[0])
         return block(k, stop)
 
     return _run(config, names, states, operator_block, fill, now,
@@ -765,42 +754,51 @@ def run_error_system(
     The ``zeta`` column holds the parameter error and ``wnorm`` equals
     ``obs_err_norm``; ``diss_cum`` accumulates
     dt * (||werr_x||^2 + c1 werr(1)^2) for energy-identity tests.
+
+    A block steps unchecked and tests its rows once; one that fails is
+    stepped again with the checks, so ``u0_signal`` may see instants past
+    the end of the run.
     """
     dt, dx, n = config.dt, config.grid.dx, config.grid.n
     b, c1, sgn = p.b, p.c1, p.sign_b
     half_b = 0.5 * abs(b)
-    stepper = _stepper(config, wtilde0)
-    (wt,) = stepper.rows
+    # the field of each instant a block starts from or reaches, each a row of
+    # ``slab``, its u0 and zt in ``kept`` and its diss_cum in ``at_diss``
+    slab = _slab(n)
+    stepper = _stepper(config, slab, wtilde0)
+    (wt,) = stepper.rows[0]
     zt = zetatilde0
     with _quiet():
         u0 = u0_signal(0.0)
-    # the field of each instant a block starts from or reaches, each a row of
-    # ``slab``, its u0 and zt in ``kept`` and its diss_cum in ``at_diss``
-    slab = np.empty((_SLAB + 1, n))
-    rows = tuple(slab)
-    np.copyto(rows[0], wt)
     kept, at_diss = [(u0, zt)], [0.0]
     energy = GradientEnergy(n, dx)
 
     def block(k: int, stop: int) -> int | None:
         nonlocal wt, zt, u0, at_diss
-        step, k0, blow = stepper.step, k, None
-        kept[:] = ((u0, zt),)
-        keep = kept.append
-        while k < stop:
-            wt1 = wt.item(-1)
-            zt_new = zt + dt * sgn * u0 * wt1
-            (wt,) = step(0.0, -b * zt * u0 - c1 * wt1)
-            zt = zt_new
-            k += 1
-            rows[k - k0][...] = wt
-            blown = _blown_up(wt, dx)
-            u0 = u0_signal(k * dt)
-            keep((u0, zt))
-            if blown:
-                blow = k
+        step, first = stepper.step, (u0, zt)
+        # unchecked, every flux and zt reaches a row, which one test then sees
+        for checked in (False, True):
+            (wt,) = stepper.rows[0]
+            (u0, zt), blow = first, None
+            kept[:] = (first,)
+            keep = kept.append
+            for i in range(stop - k):
+                wt1 = wt.item(-1)
+                zt_new = zt + dt * sgn * u0 * wt1
+                (wt,) = step(i, 0.0, -b * zt * u0 - c1 * wt1, check=checked)
+                zt = zt_new
+                blown = checked and _blown_up(wt, dx)
+                u0 = u0_signal((k + i + 1) * dt)
+                keep((u0, zt))
+                if blown:
+                    blow = k + i + 1
+                    break
+            steps = len(kept) - 1
+            # _blown_up's first test of each row, which NaN/Inf fails; not as one BLAS
+            # dot over the slab, which may start threads
+            reached = slab[1 : steps + 1]
+            if checked or np.add.reduce(reached * reached, axis=1).max() < _QUIET_SQ:
                 break
-        steps = k - k0
         # each step's wt(1) is the last value of its row
         energies = energy.of_rows(slab, steps)
         at_diss = _dissipation(energies, slab[:steps, -1].tolist(), at_diss[-1], dt, c1)

@@ -25,6 +25,7 @@ from heatadapt import (
     run_error_system,
     upsilon_b,
 )
+from heatadapt.analysis import _SAMPLE_CHUNK
 from heatadapt.domain import TRACE_COLUMNS
 
 
@@ -273,10 +274,10 @@ class TestGalerkinMatchesReferenceRoute:
     times and u0 are bit for bit the same.
     """
 
-    def check(self, N, p, u0, w0, z0, stride):
+    def check(self, N, p, u0, w0, z0, stride, t_final=0.05):
         # 200 steps of h = 2.5e-4, near the RK4 stability bound at N = 32,
         # where every stage coupling weighs in; a stride of 7 does not divide them
-        args = (N, p, u0, w0, z0, 0.05, 2.5e-4, stride)
+        args = (N, p, u0, w0, z0, t_final, 2.5e-4, stride)
         tr = galerkin_error_system(*args)
         times, cols = reference_galerkin(*args)
         assert tr.times.tobytes() == times.tobytes()
@@ -293,6 +294,15 @@ class TestGalerkinMatchesReferenceRoute:
         p = Params(q=2.0, b=b, c0=5.0, c1=5.0)
         w0 = benchmark_initial_state(Grid(201), 2.0)
         self.check(N, p, U0_SIGNALS[u0], w0, -0.1, stride)
+
+    @pytest.mark.parametrize("steps, stride", [(1100, 1), (1100, 2), (2 * _SAMPLE_CHUNK - 1, 1)],
+                             ids=["chunks-2.15", "chunks-1.08", "chunks-2"])
+    def test_samples_across_chunks(self, params8, steps, stride):
+        # the samples are recorded a chunk at a time: a part chunk at the end,
+        # and two whole chunks, the last of which the last sample fills
+        assert steps // stride + 1 > _SAMPLE_CHUNK
+        w0 = benchmark_initial_state(Grid(201), 2.0)
+        self.check(32, params8, math.sin, w0, -0.1, stride, steps * 2.5e-4)
 
     @pytest.mark.parametrize("N", [1, 8, 32])
     def test_zero_data_stays_zero(self, params8, N):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -181,12 +182,18 @@ class TestExitCodes:
                        "--out", str(out)) == 64
         assert capsys.readouterr().err == f"heatadapt: {reason}\n"
         assert not out.exists()
-        # as a sweep member, which reports it while the sweep goes on
+        # as a sweep member, which reports it while the sweep goes on; a sweep
+        # refuses a value that is not finite before any member runs
         good = {"dx": "0.05", "pe-threshold": "0.001", "q": "2"}.get(flag, "0.1")
         rest = [] if flag == "t-final" else ["--t-final", "0.1"]
         assert run_cli("sweep", "--scenario", "open-loop", "--param", flag,
                        "--values", f"{value},{good}", "--pe-tau", "0.1", *rest,
                        "--out", str(out)) == 64
+        if not math.isfinite(float(value)):
+            assert capsys.readouterr().err == (
+                f"heatadapt: --values holds {float(value)!r}: every value must be finite\n")
+            assert not out.exists()
+            return
         assert capsys.readouterr().err == f"heatadapt: {reason}\n"
         runs = json.loads((out / "sweep.json").read_text())["runs"]
         assert [r["exit_code"] for r in runs] == [64, 0]
@@ -204,6 +211,15 @@ class TestExitCodes:
         assert run_cli("simulate", "--scenario", scenario, f"--{flag}", value,
                        "--out", str(out)) == 64
         assert capsys.readouterr().err == f"heatadapt: {reason} than a float can count\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("b", ["5e-324", "-1e-309"])
+    def test_b_without_a_finite_reciprocal_exits_64(self, tmp_path, capsys, b):
+        # zeta estimates 1/b, which overflows: the run is refused before it starts
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--scenario", "stabilize", f"--b={b}", "--out", str(out)) == 64
+        assert capsys.readouterr().err == (
+            f"heatadapt: b={float(b)!r} has no finite reciprocal 1/b, which zeta estimates\n")
         assert not out.exists()
 
     def test_sweep_member_past_the_float_range_exits_64(self, tmp_path, capsys):
@@ -865,6 +881,29 @@ class TestSweep:
         assert err.startswith("heatadapt: ") and err.count("\n") == 1
         runs = json.loads((out / "sweep.json").read_text())["runs"]
         assert [r["exit_code"] for r in runs] == [64, 0]
+
+    @pytest.mark.parametrize("values, bad", [("nan,1", "nan"), ("inf", "inf"), ("1,-inf", "-inf")])
+    def test_sweep_refuses_non_finite_values(self, tmp_path, capsys, values, bad):
+        out = tmp_path / "swn"
+        assert run_cli("sweep", "--scenario", "open-loop", "--param", "q", "--values", values,
+                       "--t-final", "0.1", "--pe-tau", "0.1", "--out", str(out)) == 64
+        assert capsys.readouterr().err == (
+            f"heatadapt: --values holds {bad}: every value must be finite\n")
+        assert not out.exists()
+
+    def test_sweep_json_is_strict_json(self, tmp_path):
+        # a member that fails and the largest finite values: sweep.json still
+        # holds no NaN or Infinity, which strict JSON parsers refuse
+        def refuse(constant):
+            raise ValueError(f"sweep.json holds {constant}")
+
+        out = tmp_path / "sws"
+        assert run_cli("sweep", "--scenario", "open-loop", "--param", "q",
+                       "--values", "1.7976931348623157e308,2", "--t-final", "0.1",
+                       "--pe-tau", "0.1", "--out", str(out)) == 3
+        index = json.loads((out / "sweep.json").read_text(), parse_constant=refuse)
+        assert [r["value"] for r in index["runs"]] == [1.7976931348623157e308, 2.0]
+        assert [r["exit_code"] for r in index["runs"]] == [3, 0]
 
     def test_sweep_rejects_duplicate_values(self, tmp_path):
         out = tmp_path / "swd"

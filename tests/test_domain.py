@@ -39,6 +39,11 @@ class TestParams:
     def test_sign_derived_for_positive_b(self):
         assert Params(q=1.0, b=3.0, c0=1.0, c1=1.0).sign_b == 1
 
+    @pytest.mark.parametrize("b", [5e-324, -5e-324, 1e-309])
+    def test_b_without_a_finite_reciprocal_rejected(self, b):
+        with pytest.raises(ConfigError, match=f"b={b!r} has no finite reciprocal"):
+            Params(q=2.0, b=b, c0=5.0, c1=5.0)
+
     def test_zero_b_rejected(self):
         with pytest.raises(ConfigError, match="b must be nonzero and finite, got 0.0"):
             Params(q=2.0, b=0.0, c0=5.0, c1=5.0)
@@ -276,8 +281,8 @@ class TestRecorder:
     def test_rows_become_contiguous_columns(self):
         # 7 steps at stride 3 sample at steps 0, 3 and 6 and at the end
         rec = _Recorder(("w0", "gap", "wnorm"), 7, 3)
-        for k in range(4):
-            rec.row(0.5 * k, (k, -k, 2.0 * k))
+        rec.rows(1)[:] = (0.0, 0, 0, 0.0)
+        rec.rows(3)[:] = [(0.5 * k, k, -k, 2.0 * k) for k in range(1, 4)]
         tr = rec.build(final_state=None)
         assert rec.data.shape == (4, 4)
         assert tr.times.tolist() == [0.0, 0.5, 1.0, 1.5]
@@ -294,7 +299,7 @@ class TestRecorder:
         for mapped in (False, True):
             rec = _Recorder(("w0", "gap"), 7, 3, mapped=mapped)
             for k in range(4):
-                rec.row(0.5 * k, (k, -k))
+                rec.rows(1)[:] = (0.5 * k, k, -k)
             traces.append(rec.build(final_state=None))
         plain, mapped = traces
         assert mapped.times.tobytes() == plain.times.tobytes()

@@ -142,58 +142,83 @@ class TestStepHeat:
 
 
 class TestHeatStepper:
-    """The in-place kernel against the reference route, bit for bit."""
+    """The slab kernel against the reference route, bit for bit."""
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n", [3, 51, 201])
     def test_each_step_equals_step_heat(self, n, k):
+        # 20 steps down a slab of 21 rows, whose rows hold 3 more values than the fields
         rng = np.random.default_rng(1000 * n + k)
         g = Grid(n)
         dt = 0.4 * g.dx**2
         fields = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
-        stepper = HeatStepper(fields, g.dx, dt)
+        slab = np.full((21, k * n + 3), 7.0)
+        stepper = HeatStepper(slab, fields, g.dx, dt)
+        assert slab[0, : k * n].tobytes() == fields.tobytes()
         ref = [GridFunction(g, row) for row in fields]
-        for _ in range(20):
+        for i in range(20):
             fluxes = rng.standard_normal(2 * k) * 10.0 ** rng.uniform(-3, 3, 2 * k)
-            rows = stepper.step(*fluxes.tolist())
+            rows = stepper.step(i, *fluxes.tolist())
             ref = [
-                step_heat(f, FluxBC(fluxes[2 * i], fluxes[2 * i + 1]), dt)
-                for i, f in enumerate(ref)
+                step_heat(f, FluxBC(fluxes[2 * j], fluxes[2 * j + 1]), dt)
+                for j, f in enumerate(ref)
             ]
-            assert rows is stepper.rows
+            assert rows is stepper.rows[i + 1]
+            assert all(np.shares_memory(row, slab[i + 1]) for row in rows)
             for row, f in zip(rows, ref):
                 assert row.tobytes() == f.values.tobytes()
+        # the values past the fields are neither read nor written
+        assert (slab[:, k * n :] == 7.0).all()
 
     def test_fields_in_any_memory_order(self, grid51):
-        # the flat interior views must be views of the buffer, whatever the
-        # order of the array the stepper copies
+        # the first row holds the fields in C order, whatever the order of
+        # the array the stepper copies
         rng = np.random.default_rng(7)
         fields = np.asfortranarray(rng.standard_normal((3, 51)))
         dt = 0.4 * grid51.dx**2
-        stepper = HeatStepper(fields, grid51.dx, dt)
-        stepper.step(*[0.5, -0.5] * 3)
-        for row, f in zip(stepper.rows, fields):
+        stepper = HeatStepper(np.empty((2, 3 * 51)), fields, grid51.dx, dt)
+        stepper.step(0, *[0.5, -0.5] * 3)
+        for row, f in zip(stepper.rows[1], fields):
             expected = step_heat(GridFunction(grid51, f), FluxBC(0.5, -0.5), dt)
             assert row.tobytes() == expected.values.tobytes()
 
     def test_input_fields_are_copied(self, ramp51):
-        stepper = HeatStepper([ramp51.values], ramp51.grid.dx, 1e-4)
-        stepper.step(0.5, -0.5)
-        stepper.step(0.5, -0.5)
+        stepper = HeatStepper(np.empty((3, 51)), [ramp51.values], ramp51.grid.dx, 1e-4)
+        stepper.step(0, 0.5, -0.5)
+        stepper.step(1, 0.5, -0.5)
         np.testing.assert_array_equal(ramp51.values, 2.0 * ramp51.grid.nodes - 1.0)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_flux_raises_before_writing(self, ramp51, bad):
-        stepper = HeatStepper([ramp51.values, ramp51.values], ramp51.grid.dx, 1e-4)
-        before = stepper.rows
+        slab = np.zeros((2, 2 * 51))
+        stepper = HeatStepper(slab, [ramp51.values, ramp51.values], ramp51.grid.dx, 1e-4)
         with pytest.raises(ConfigError, match="boundary fluxes must be finite"):
-            stepper.step(0.0, 0.0, 0.0, bad)
-        assert stepper.rows is before
-        np.testing.assert_array_equal(before[1], ramp51.values)
+            stepper.step(0, 0.0, 0.0, 0.0, bad)
+        assert not slab[1].any()
+        np.testing.assert_array_equal(stepper.rows[0][1], ramp51.values)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_unchecked_flux_reaches_its_boundary_node(self, ramp51, bad):
+        # without the check a non-finite flux shows in the next row, so a
+        # test of that row's values stands for the check
+        stepper = HeatStepper(np.zeros((2, 51)), [ramp51.values], ramp51.grid.dx, 1e-4)
+        with np.errstate(invalid="ignore"):
+            (row,) = stepper.step(0, 0.0, bad, check=False)
+        assert not math.isfinite(row[-1]) and np.isfinite(row[:-1]).all()
 
     def test_rejects_too_few_nodes(self):
         with pytest.raises(ConfigError):
-            HeatStepper(np.zeros((2, 2)), 1.0, 0.1)
+            HeatStepper(np.zeros((2, 4)), np.zeros((2, 2)), 1.0, 0.1)
+
+    @pytest.mark.parametrize("slab", [
+        np.zeros((2, 50)),  # rows too short for the fields
+        np.zeros((1, 51)),  # no row to step into
+        np.zeros((51, 2)).T,  # not C-contiguous
+        np.zeros(102),  # not rows
+    ], ids=["width", "rows", "order", "flat"])
+    def test_rejects_a_slab_the_fields_do_not_fit(self, slab):
+        with pytest.raises(ConfigError):
+            HeatStepper(slab, np.zeros((1, 51)), 0.02, 1e-4)
 
 
 class TestGradientEnergy:

@@ -429,17 +429,16 @@ class TestRunnersMatchReferenceRoute:
         assert_matches_reference(tr, expected, snap)
 
     def test_returned_fields_are_copies(self, monkeypatch, params8, grid51, ramp51, zeros51):
-        # the stepper's buffers are reused every step; nothing a runner
-        # returns may be a view of them.  Snapshots are views of the
+        # the runner's slab is reused every block; nothing a runner
+        # returns may be a view of it.  Snapshots are views of the
         # recorder's array, each of its own slot.  Both routes, operator first.
-        steppers = []
+        slabs = []
 
-        class Stepper(HeatStepper):
-            def __init__(self, *args):
-                super().__init__(*args)
-                steppers.append(self)
+        def slab(width, _slab=scenarios._slab):
+            slabs.append(_slab(width))
+            return slabs[-1]
 
-        monkeypatch.setattr(scenarios, "HeatStepper", Stepper)
+        monkeypatch.setattr(scenarios, "_slab", slab)
         for cutoff in (scenarios._OPERATOR_MAX_N, 0):
             monkeypatch.setattr(scenarios, "_OPERATOR_MAX_N", cutoff)
             tr = run_stabilization(params8, cfg(grid51, 0.01, snap=50), ramp51, zeros51, 0.0)
@@ -449,7 +448,7 @@ class TestRunnersMatchReferenceRoute:
             snaps = [f for _, fields in tr.snapshots for f in fields.values()]
             assert len(snaps) == 2 * 3
             for i, f in enumerate(snaps):
-                assert not any(np.shares_memory(f, buf) for buf in steppers[-1].buffers)
+                assert not np.shares_memory(f, slabs[-1])
                 assert not any(np.shares_memory(f, g) for g in snaps[i + 1 :])
 
 
@@ -464,7 +463,15 @@ def per_step_run(kind, p, config, w0, what0=None, zeta0=0.0, u0_signal=None):
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
     half_b, inv_b = 0.5 * abs(b), 1.0 / b
     est = p.estimator_view()
-    stepper = HeatStepper([w0.values] if kind == "error" else [w0.values, what0.values], dx, dt)
+    # steps from the first row of a two-row slab into the second, then copies it back
+    slab = np.empty((2, (1 if kind == "error" else 2) * w0.grid.n))
+    stepper = HeatStepper(slab, [w0.values] if kind == "error" else [w0.values, what0.values],
+                          dx, dt)
+
+    def step(*fluxes):
+        stepper.step(0, *fluxes)
+        slab[0] = slab[1]
+        return stepper.rows[0]
 
     def energy(f):
         return _sq_norm(grad_values(f, dx), dx)
@@ -475,11 +482,11 @@ def per_step_run(kind, p, config, w0, what0=None, zeta0=0.0, u0_signal=None):
         return u0_signal(k * dt)
 
     if kind == "error":
-        (w,) = stepper.rows
+        (w,) = stepper.rows[0]
         what = None
         gsq = energy(w)
     else:
-        w, what = stepper.rows
+        w, what = stepper.rows[0]
         gsq = energy(w - what)
     zeta, diss, u0 = zeta0, 0.0, inputs(0, what)
 
@@ -512,13 +519,13 @@ def per_step_run(kind, p, config, w0, what0=None, zeta0=0.0, u0_signal=None):
                 wt1 = w.item(-1)
                 diss += dt * (gsq + c1 * wt1 * wt1)
                 zeta_new = zeta + dt * sgn * u0 * wt1
-                (w,) = stepper.step(0.0, -b * zeta * u0 - c1 * wt1)
+                (w,) = step(0.0, -b * zeta * u0 - c1 * wt1)
                 gsq = energy(w)
             else:
                 innov = w.item(-1) - what.item(-1)
                 zeta_new = zeta_step(zeta, sgn, innov, u0, dt)
                 w_at_0 = w.item(0)
-                w, what = stepper.step(-q * w_at_0, b * (zeta * u0), -q * w_at_0, u0 + c1 * innov)
+                w, what = step(-q * w_at_0, b * (zeta * u0), -q * w_at_0, u0 + c1 * innov)
                 diss += dt * (gsq + c1 * innov * innov)
                 gsq = energy(w - what)
                 if not math.isfinite(gsq):
@@ -615,6 +622,88 @@ class TestSlabsMatchPerStepLoop:
                     run(params8, c, ramp51, spike, 0.0, lambda t: calls.append(t) or 1.0)
             asked.append(calls)
         assert asked[0] == asked[1] == [0.0]
+
+
+class TestErrorSystemBlockCheck:
+    """The error system's blocks step unchecked and test their rows once.
+
+    A block that fails the test is stepped again with the per-step checks,
+    so each run must end as per_step_run does, at the same step.  The
+    instants asked of u0 show where a run raised: both loops raise before
+    they ask for the next one.
+    """
+
+    @staticmethod
+    def raise_both(exc, c, w0, u0):
+        asked = []
+        for run in (run_error_system,
+                    lambda p, c, w0, z0, u0: per_step_run("error", p, c, w0, None, z0, u0)):
+            calls = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(exc) as info:
+                    run(Params(q=2.0, b=-10.0, c0=5.0, c1=5.0), c, w0, -0.1,
+                        lambda t: calls.append(t) or u0(t))
+            asked.append((calls, str(info.value)))
+        return asked
+
+    @pytest.mark.parametrize("k", [64, 100, 127], ids=["first", "mid", "last"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_flux_that_turns_non_finite_in_a_block(self, grid51, ramp51, bad, k):
+        # u0 turns non-finite at step k of the block [64, 128): the flux of
+        # that step is the first non-finite one
+        c = cfg(grid51, 0.0301, stride=7)
+        (got, msg), (expected, expected_msg) = self.raise_both(
+            ConfigError, c, ramp51, lambda t: bad if t >= k * c.dt else math.exp(-t))
+        assert msg == expected_msg == "boundary fluxes must be finite"
+        assert expected == [i * c.dt for i in range(k + 1)]
+        # the unchecked pass asked up to the block's end, the checked one again up to step k
+        assert got == expected + [i * c.dt for i in range(k + 1, 129)] + expected[65:]
+
+    def test_field_that_turns_non_finite(self, grid51):
+        # the field overflows in the first step of the first block, with
+        # every flux finite; the checked pass raises before it asks for u0
+        vals = np.zeros(51)
+        vals[24], vals[25] = 1e308, -1e308
+        c = cfg(grid51, 0.0301, stride=7)
+        (got, msg), (expected, expected_msg) = self.raise_both(
+            NonFiniteState, c, GridFunction(grid51, vals), lambda t: 1.0)
+        assert msg == expected_msg
+        assert expected == [0.0]
+        assert got == [i * c.dt for i in range(65)]
+
+    def test_blow_up_mid_block_at_stride_1(self, params8, grid51, ramp51):
+        # u0 = 300 drives the error field past the threshold at step 219,
+        # inside the block [192, 256); every sample is on the stride
+        c = cfg(grid51, 0.0301, stride=1)
+        u0 = lambda t: 300.0
+        tr = run_error_system(params8, c, ramp51, -0.1, u0)
+        assert tr.blown_up and round(tr.blow_up_time / c.dt) == 219
+        assert_matches_reference(tr, per_step_run("error", params8, c, ramp51, None, -0.1, u0), 0)
+
+
+@pytest.mark.parametrize("cutoff", [0, scenarios._OPERATOR_MAX_N], ids=["stencil", "operator"])
+def test_every_slab_starts_on_a_64_byte_boundary(monkeypatch, cutoff, params8, grid51, ramp51,
+                                                 zeros51):
+    slabs = []
+
+    class Stepper(HeatStepper):
+        def __init__(self, slab, *args):
+            super().__init__(slab, *args)
+            slabs.append(slab)
+
+    monkeypatch.setattr(scenarios, "HeatStepper", Stepper)
+    monkeypatch.setattr(scenarios, "_OPERATOR_MAX_N", cutoff)
+    c = cfg(grid51, 0.01)
+    u0 = lambda t: 1.0
+    for run in (lambda: run_open_loop(params8, c, ramp51),
+                lambda: run_observer(params8, c, ramp51, zeros51, 0.0, u0),
+                lambda: run_stabilization(params8, c, ramp51, zeros51, 0.0),
+                lambda: run_tracking(params8, c, ramp51, zeros51, 0.0,
+                                     ReferenceSignal.sinusoid(1.0, 1.0)),
+                lambda: run_error_system(params8, c, ramp51, -0.1, u0)):
+        slabs.clear()
+        run()
+        assert slabs and [slab.ctypes.data % 64 for slab in slabs] == [0] * len(slabs)
 
 
 class TestNonFiniteState:
