@@ -160,6 +160,8 @@ _RK4_REAL_STABILITY = 2.785
 
 #: the most samples that :func:`galerkin_error_system` keeps before it records them
 _SAMPLE_CHUNK = 512
+#: the columns of a :func:`galerkin_error_system` run's rows
+_GALERKIN_COLUMNS = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F")
 
 
 def galerkin_error_system(
@@ -238,8 +240,7 @@ def galerkin_error_system(
     p21, p31, p32, p41, p42, p43 = pairs
 
     b, sgn, c1, half_b = p.b, float(p.sign_b), p.c1, 0.5 * abs(p.b)
-    names = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F")
-    rec = _Recorder(names, n_steps, sample_stride, mapped=True)
+    rec = _Recorder(_GALERKIN_COLUMNS, n_steps, sample_stride, mapped=True)
     z, u, hh, h6 = float(zetatilde0), u0_signal(0.0), h / 2, h / 6
     # the fluxes s_1..s_4 of a step and V s, and the samples not yet recorded:
     # each is t, u0, ztilde, wtilde_N(0), wtilde_N(1) and ||a||^2

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, analysis, scenarios
 from .analysis import (
     InsufficientDuration,
     UnresolvableMode,
@@ -69,23 +69,84 @@ from .scenarios import (
 
 __all__ = ["RunManifest", "parse_args", "emit_trace", "read_trace_csv", "main", "UsageError"]
 
-SCENARIOS = ("open-loop", "observer", "stabilize", "track", "error-system", "galerkin")
+
+class _Setup(NamedTuple):
+    """One simulate run, resolved and checked, that has not run yet."""
+
+    resolved: dict
+    scenario: _Scenario
+    params: Params
+    config: SimConfig
+    ref: ReferenceSignal
+    u0_signal: Callable[[float], float]
+    w0: GridFunction
+    #: the observer's initial field, zero
+    what0: GridFunction
+
+
+class _Scenario(NamedTuple):
+    """What the CLI knows of one scenario."""
+
+    #: runs the set-up and returns its trace
+    run: Callable[[_Setup], Trace]
+    #: the runner's columns past t, and the fields of each of its snapshots
+    columns: tuple[str, ...]
+    snapshot_fields: int
+    #: which of "ref", "u0" and "modes" the run takes, and so the manifest records
+    inputs: tuple[str, ...] = ()
+    #: the verdicts the run adds to the common ones, and its frozen tolerances
+    verdicts: Callable[[_Setup, Trace], dict] | None = None
+    tolerances: dict | None = None
+
+
+def _pe_verdict(trace: Trace, column: str, config: SimConfig) -> dict | None:
+    """The PE check of one column over the run's window; None if the run is shorter."""
+    try:
+        return pe_check(trace.times, trace[column], tau=config.pe_window_tau,
+                        threshold=config.pe_threshold).to_dict()
+    except InsufficientDuration:
+        return None
+
+
+#: every scenario, in --scenario's order; each runner looks its function up in
+#: this module when it runs, so a wrapper set here (bench/tracer.py) is what runs
+_SCENARIOS = {
+    "open-loop": _Scenario(lambda r: run_open_loop(r.params, r.config, r.w0),
+                           scenarios._OPEN_LOOP_COLUMNS, 1),
+    "observer": _Scenario(
+        lambda r: run_observer(r.params, r.config, r.w0, r.what0, r.resolved["zeta0"], r.u0_signal),
+        scenarios._OBSERVER_COLUMNS, 2, ("u0",)),
+    "stabilize": _Scenario(
+        lambda r: run_stabilization(r.params, r.config, r.w0, r.what0, r.resolved["zeta0"]),
+        scenarios._OBSERVER_COLUMNS, 2, tolerances={
+            "wnorm_final": 1e-2,
+            "obs_err_norm_final": 1e-3,
+            "zeta_settle_gap": 1e-4,
+            # |zeta(t_final) - 1/b| over the settle gap: without PE, zeta settles
+            # at a value distinct from 1/b by this multiple of its own drift
+            "zeta_offset_over_settle_gap_min": 1e3}),
+    "track": _Scenario(
+        lambda r: run_tracking(r.params, r.config, r.w0, r.what0, r.resolved["zeta0"], r.ref),
+        scenarios._TRACKING_COLUMNS, 2, ("ref",),
+        lambda r, trace: {"tracking_err_final": trace.terminal("tracking_err"),
+                          "pe_vx1": _pe_verdict(trace, "vx1", r.config),
+                          "reference_uniformly_bounded": r.ref.uniformly_bounded},
+        {"tracking_err_final": 0.03, "zeta_reciprocal_final": 0.005}),
+    "error-system": _Scenario(
+        lambda r: run_error_system(r.params, r.config, r.w0, r.resolved["zeta0"], r.u0_signal),
+        scenarios._ERROR_SYSTEM_COLUMNS, 1, ("u0",)),
+    "galerkin": _Scenario(
+        lambda r: galerkin_error_system(
+            N=r.resolved["modes"], p=r.params, u0_signal=r.u0_signal, wtilde0=r.w0,
+            zetatilde0=r.resolved["zeta0"], t_final=r.config.t_final, dt_ode=r.config.dt,
+            sample_stride=r.config.sample_stride),
+        analysis._GALERKIN_COLUMNS, 0, ("u0", "modes")),
+}
+
+SCENARIOS = tuple(_SCENARIOS)
 
 #: frozen per-scenario verdict tolerances, recorded in every manifest
-ACCEPTANCE_TOLERANCES = {
-    "stabilize": {
-        "wnorm_final": 1e-2,
-        "obs_err_norm_final": 1e-3,
-        "zeta_settle_gap": 1e-4,
-        # |zeta(t_final) - 1/b| over the settle gap: without PE, zeta settles
-        # at a value distinct from 1/b by this multiple of its own drift
-        "zeta_offset_over_settle_gap_min": 1e3,
-    },
-    "track": {
-        "tracking_err_final": 0.03,
-        "zeta_reciprocal_final": 0.005,
-    },
-}
+ACCEPTANCE_TOLERANCES = {name: s.tolerances for name, s in _SCENARIOS.items() if s.tolerances}
 
 
 class UsageError(Exception):
@@ -273,19 +334,16 @@ def parse_args(argv: list[str]) -> tuple[str, dict]:
 def _parse_ref(spec: str) -> ReferenceSignal:
     if spec == "zero":
         return ReferenceSignal.zero()
-    if spec.startswith("const:"):
-        try:
+    if spec.startswith("sin:") and spec.count(",") != 1:
+        raise UsageError(f"bad reference {spec!r}: expected sin:A,W")
+    try:
+        if spec.startswith("const:"):
             return ReferenceSignal.constant(float(spec[6:]))
-        except ValueError as exc:
-            raise UsageError(f"bad reference {spec!r}: {exc}") from exc
-    if spec.startswith("sin:"):
-        parts = spec[4:].split(",")
-        if len(parts) != 2:
-            raise UsageError(f"bad reference {spec!r}: expected sin:A,W")
-        try:
-            return ReferenceSignal.sinusoid(float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise UsageError(f"bad reference {spec!r}: {exc}") from exc
+        if spec.startswith("sin:"):
+            amplitude, omega = spec[4:].split(",")
+            return ReferenceSignal.sinusoid(float(amplitude), float(omega))
+    except ValueError as exc:
+        raise UsageError(f"bad reference {spec!r}: {exc}") from exc
     raise UsageError(f"bad reference {spec!r}")
 
 
@@ -340,16 +398,14 @@ def emit_trace(trace: Trace, manifest: RunManifest, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = write_trace_csv(trace, out)
+    paths["manifest_json"] = str(out / "manifest.json")
     manifest.outputs = dict(paths)
-    manifest_path = out / "manifest.json"
-    manifest.outputs["manifest_json"] = str(manifest_path)
-    manifest.save(manifest_path)
-    paths["manifest_json"] = str(manifest_path)
+    manifest.save(out / "manifest.json")
     return paths
 
 
-def _tolerance_checks(scenario: str, verdicts: dict, b: float) -> dict:
-    """Compare a run's verdicts against ACCEPTANCE_TOLERANCES[scenario].
+def _tolerance_checks(tolerances: dict, verdicts: dict, b: float) -> dict:
+    """Compare a run's verdicts against its scenario's tolerances.
 
     Names ending in ``_min`` are lower bounds, the others upper bounds.
     ``value`` and ``ok`` are None where the settle window did not fit the
@@ -371,7 +427,7 @@ def _tolerance_checks(scenario: str, verdicts: dict, b: float) -> dict:
     if "tracking_err_final" in verdicts:
         values["tracking_err_final"] = abs(verdicts["tracking_err_final"])
     checks = {}
-    for name, bound in ACCEPTANCE_TOLERANCES[scenario].items():
+    for name, bound in tolerances.items():
         value = values.get(name)
         if value is None:
             ok = None
@@ -379,23 +435,6 @@ def _tolerance_checks(scenario: str, verdicts: dict, b: float) -> dict:
             ok = value >= bound if name.endswith("_min") else value <= bound
         checks[name] = {"value": value, "bound": bound, "ok": ok}
     return checks
-
-
-#: per scenario, the floats of a sample row, t included, and the fields of a snapshot
-_RECORD_SHAPE = {"open-loop": (4, 1), "observer": (11, 2), "stabilize": (11, 2), "track": (14, 2),
-                 "error-system": (10, 1), "galerkin": (9, 0)}
-
-
-class _Setup(NamedTuple):
-    """One simulate run, resolved and checked, that has not run yet."""
-
-    resolved: dict
-    scenario: str
-    params: Params
-    config: SimConfig
-    ref: ReferenceSignal
-    u0_signal: Callable[[float], float]
-    w0: GridFunction
 
 
 def _set_up(resolved: dict) -> _Setup:
@@ -414,53 +453,25 @@ def _set_up(resolved: dict) -> _Setup:
         snapshot_stride=resolved["snapshot-stride"],
     )
     validate_config(params, config)
-    check_record_size(config, *_RECORD_SHAPE[resolved["scenario"]])
+    scenario = _SCENARIOS[resolved["scenario"]]
+    check_record_size(config, 1 + len(scenario.columns), scenario.snapshot_fields)
     run = _Setup(
         resolved=resolved,
-        scenario=resolved["scenario"],
+        scenario=scenario,
         params=params,
         config=config,
         ref=_parse_ref(resolved["ref"]),
         u0_signal=_parse_u0(resolved["u0"]),
         w0=_parse_init(resolved["init"], grid, q),
+        what0=GridFunction.zeros(grid),
     )
     _make_out_dir(resolved["out"])
     return run
 
 
-def _run(run: _Setup) -> tuple[Trace, float]:
-    """Run the scenario; return its trace and the seconds it took."""
-    params, config, w0 = run.params, run.config, run.w0
-    zeta0, u0_signal = run.resolved["zeta0"], run.u0_signal
-    zeros = GridFunction.zeros(config.grid)
-    start = time.perf_counter()
-    if run.scenario == "open-loop":
-        trace = run_open_loop(params, config, w0)
-    elif run.scenario == "observer":
-        trace = run_observer(params, config, w0, zeros, zeta0, u0_signal)
-    elif run.scenario == "stabilize":
-        trace = run_stabilization(params, config, w0, zeros, zeta0)
-    elif run.scenario == "track":
-        trace = run_tracking(params, config, w0, zeros, zeta0, run.ref)
-    elif run.scenario == "error-system":
-        trace = run_error_system(params, config, w0, zeta0, u0_signal)
-    else:  # galerkin
-        trace = galerkin_error_system(
-            N=run.resolved["modes"],
-            p=params,
-            u0_signal=u0_signal,
-            wtilde0=w0,
-            zetatilde0=zeta0,
-            t_final=config.t_final,
-            dt_ode=config.dt,
-            sample_stride=config.sample_stride,
-        )
-    return trace, time.perf_counter() - start
-
-
 def _finish(run: _Setup, trace: Trace, duration: float) -> int:
     """Judge a finished run, write its outputs and return its exit code."""
-    scenario, params, config, resolved = run.scenario, run.params, run.config, run.resolved
+    params, config, resolved, scenario = run.params, run.config, run.resolved, run.scenario
     verdicts: dict = {"blown_up": trace.blown_up, "blow_up_time": trace.blow_up_time}
     settle = min(1.0, config.t_final / 2.0)
     try:
@@ -470,32 +481,16 @@ def _finish(run: _Setup, trace: Trace, duration: float) -> int:
     except InsufficientDuration:
         verdicts["limits"] = None
         all_converged = not trace.blown_up
-    try:
-        pe = pe_check(
-            trace.times, trace["u0"],
-            tau=config.pe_window_tau, threshold=config.pe_threshold,
-        )
-        verdicts["pe_u0"] = pe.to_dict()
-    except InsufficientDuration:
-        verdicts["pe_u0"] = None
-    if scenario == "track":
-        verdicts["tracking_err_final"] = trace.terminal("tracking_err")
-        try:
-            pe_v = pe_check(
-                trace.times, trace["vx1"],
-                tau=config.pe_window_tau, threshold=config.pe_threshold,
-            )
-            verdicts["pe_vx1"] = pe_v.to_dict()
-        except InsufficientDuration:
-            verdicts["pe_vx1"] = None
-        verdicts["reference_uniformly_bounded"] = run.ref.uniformly_bounded
-    if scenario in ACCEPTANCE_TOLERANCES:
-        verdicts["tolerances"] = ACCEPTANCE_TOLERANCES[scenario]
-        verdicts["tolerance_checks"] = _tolerance_checks(scenario, verdicts, params.b)
+    verdicts["pe_u0"] = _pe_verdict(trace, "u0", config)
+    if scenario.verdicts is not None:
+        verdicts.update(scenario.verdicts(run, trace))
+    if scenario.tolerances is not None:
+        verdicts["tolerances"] = scenario.tolerances
+        verdicts["tolerance_checks"] = _tolerance_checks(scenario.tolerances, verdicts, params.b)
 
     grid = config.grid
     manifest = RunManifest(
-        scenario=scenario,
+        scenario=resolved["scenario"],
         params={"q": params.q, "b": params.b, "sign_b": params.sign_b,
                 "c0": params.c0, "c1": params.c1},
         config={"dx": grid.dx, "n": grid.n, "dt": config.dt,
@@ -506,9 +501,9 @@ def _finish(run: _Setup, trace: Trace, duration: float) -> int:
                 "pe_threshold": config.pe_threshold,
                 "sample_stride": config.sample_stride,
                 "snapshot_stride": config.snapshot_stride,
-                "modes": resolved["modes"] if scenario == "galerkin" else None},
-        reference=run.ref.describe() if scenario == "track" else None,
-        u0_signal=resolved["u0"] if scenario in ("observer", "error-system", "galerkin") else None,
+                "modes": resolved["modes"] if "modes" in scenario.inputs else None},
+        reference=run.ref.describe() if "ref" in scenario.inputs else None,
+        u0_signal=resolved["u0"] if "u0" in scenario.inputs else None,
         init=resolved["init"],
         zeta0=resolved["zeta0"],
         tool_version=__version__,
@@ -529,7 +524,9 @@ def _finish(run: _Setup, trace: Trace, duration: float) -> int:
 
 def _simulate(resolved: dict) -> int:
     run = _set_up(resolved)
-    return _finish(run, *_run(run))
+    start = time.perf_counter()
+    trace = run.scenario.run(run)
+    return _finish(run, trace, time.perf_counter() - start)
 
 
 def _analyze(args: dict) -> int:

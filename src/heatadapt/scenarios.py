@@ -350,8 +350,7 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
         out[:, 0], out[:, 1] = picked[:, 0], picked[:, -1]
         np.sqrt(_sq_norms(picked, dx), out=out[:, 2])
 
-    return _run(config, ("w0", "w1", "wnorm"), slab, block, fill,
-                lambda: (w, None, 0.0, 0.0, 0.0))
+    return _run(config, _OPEN_LOOP_COLUMNS, slab, block, fill, lambda: (w, None, 0.0, 0.0, 0.0))
 
 
 #: the largest grid on which stabilize runs step as one product of
@@ -626,13 +625,13 @@ def _run_observer_loop(
             wt = omega * (k * dt)
             first[at_sin], first[at_cos] = math.sin(wt), math.cos(wt)
         # zeta and u0 keep the block's first values until the block is quiet
-        dot, update, z, u, steps = np.dot, zeta_step, zeta, u0, stop - k
+        dot, update, z, u, steps = A.dot, zeta_step, zeta, u0, stop - k
         zetas[:] = (z,)
         keep = zetas.append
         for i in range(steps):
             s, y = rows[i], rows[i + 1]
             z = update(z, sgn, s.item(at_x1) - s.item(at_what1), u, dt)
-            dot(A, ins[i], y)
+            dot(ins[i], y)
             u = y.item(-1)
             y[at_m] = z * u
             keep(z)
@@ -659,6 +658,10 @@ def _run_observer_loop(
 _OBSERVER_COLUMNS = (*TRACE_COLUMNS, "diss_cum")
 #: the columns of a tracking run's rows
 _TRACKING_COLUMNS = (*TRACE_COLUMNS, "tracking_err", "ref", "v1", "vx1")
+#: the columns of an open-loop run's rows
+_OPEN_LOOP_COLUMNS = ("w0", "w1", "wnorm")
+#: the columns of an error-system run's rows
+_ERROR_SYSTEM_COLUMNS = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F", "diss_cum")
 
 
 def run_observer(
@@ -812,5 +815,4 @@ def run_error_system(
         _errors(out[:, 5:8], picked, out[:, 1], half_b, dx)
         out[:, 4], out[:, 8] = out[:, 5], at_diss[at]
 
-    names = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F", "diss_cum")
-    return _run(config, names, slab, block, fill, lambda: (wt, None, zt, u0, 0.0))
+    return _run(config, _ERROR_SYSTEM_COLUMNS, slab, block, fill, lambda: (wt, None, zt, u0, 0.0))

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatadapt import analysis, domain, scenarios
+from heatadapt import analysis, cli, domain, scenarios
 from heatadapt.cli import (
-    _RECORD_SHAPE, _SIM_FLAGS, SCENARIOS, RunManifest, UsageError, _set_up, emit_trace, main,
+    _SCENARIOS, _SIM_FLAGS, SCENARIOS, RunManifest, UsageError, _set_up, emit_trace, main,
     parse_args, read_trace_csv,
 )
 from heatadapt.domain import _CHUNK_ROWS, TRACE_COLUMNS, ConfigError, Trace
@@ -152,6 +152,20 @@ class TestExitCodes:
     def test_usage_error_exits_64(self, tmp_path):
         assert run_cli("simulate", "--ref", "tri:1", "--scenario", "track",
                        "--t-final", "0.1", "--out", str(tmp_path)) == 64
+
+    @pytest.mark.parametrize("spec, reason", [
+        ("tri:1", "bad reference 'tri:1'"),
+        ("sin:1", "bad reference 'sin:1': expected sin:A,W"),
+        ("sin:1,2,3", "bad reference 'sin:1,2,3': expected sin:A,W"),
+        ("sin:1,x", "bad reference 'sin:1,x': could not convert string to float: 'x'"),
+        ("const:", "bad reference 'const:': could not convert string to float: ''"),
+    ])
+    def test_bad_reference_exits_64_whatever_the_scenario(self, tmp_path, capsys, spec, reason):
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--scenario", "stabilize", "--ref", spec,
+                       "--out", str(out)) == 64
+        assert capsys.readouterr().err == f"heatadapt: {reason}\n"
+        assert not out.exists()
 
     def test_horizon_not_whole_steps_exits_64(self, tmp_path):
         out = tmp_path / "run"
@@ -394,7 +408,7 @@ class TestExitCodes:
         class Recorder(domain._Recorder):
             def __init__(self, names, *args, **kwargs):
                 super().__init__(names, *args, **kwargs)
-                shapes.append([1 + len(names), 0])
+                shapes.append([tuple(names), 0])
 
             def snap(self, t, fields):
                 super().snap(t, fields)
@@ -405,7 +419,8 @@ class TestExitCodes:
         assert run_cli("simulate", "--scenario", scenario, "--modes", "2", "--t-final", "0.01",
                        "--pe-tau", "0.01", "--snapshot-stride", "10",
                        "--out", str(tmp_path)) == 0
-        assert shapes == [list(_RECORD_SHAPE[scenario])]
+        record = _SCENARIOS[scenario]
+        assert shapes == [[record.columns, record.snapshot_fields]]
 
     def test_a_sweep_member_past_the_size_limit_exits_64(self, tmp_path):
         out = tmp_path / "sweep"
@@ -643,6 +658,38 @@ class TestSimulateVariants:
         assert code == 0
         assert (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_runner_is_looked_up_through_cli(self, tmp_path, monkeypatch, scenario):
+        # bench/tracer.py wraps the runners where cli looks them up, so a
+        # wrapper set on cli must be the function the scenario runs
+        calls = dict.fromkeys(RUNNERS.values(), 0)
+
+        def counting(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        assert run_cli("simulate", "--scenario", scenario, "--modes", "2", "--t-final", "0.01",
+                       "--pe-tau", "0.01", "--out", str(tmp_path)) == 0
+        assert calls == {name: int(name == RUNNERS[scenario]) for name in calls}
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_manifest_records_the_scenarios_inputs_and_verdicts(self, tmp_path, scenario):
+        inputs, verdicts = SCENARIO_MANIFESTS[scenario]
+        assert run_cli("simulate", "--scenario", scenario, "--modes", "2", "--t-final", "0.01",
+                       "--pe-tau", "0.01", "--out", str(tmp_path)) == 0
+        m = json.loads((tmp_path / "manifest.json").read_text())
+        recorded = {"reference": m["reference"], "u0_signal": m["u0_signal"],
+                    "modes": m["config"]["modes"]}
+        assert {k for k, v in recorded.items() if v is not None} == inputs
+        common = ["blown_up", "blow_up_time", "limits", "pe_u0"]
+        assert list(m["verdicts"]) == common + verdicts
+
     def test_fast_sinusoid_reference_flagged(self, tmp_path):
         # omega > 1 violates the uniform derivative bound; the run is still
         # permitted but the manifest carries the caveat
@@ -659,6 +706,23 @@ class TestSimulateVariants:
                 "--t-final", "0.3", "--pe-tau", "0.2", "--out", str(out2))
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m2["verdicts"]["reference_uniformly_bounded"] is True
+
+
+#: the function each scenario runs, by its name in heatadapt.cli
+RUNNERS = {"open-loop": "run_open_loop", "observer": "run_observer",
+           "stabilize": "run_stabilization", "track": "run_tracking",
+           "error-system": "run_error_system", "galerkin": "galerkin_error_system"}
+
+#: per scenario, the inputs its manifest records and its verdicts past the common ones
+SCENARIO_MANIFESTS = {
+    "open-loop": (set(), []),
+    "observer": ({"u0_signal"}, []),
+    "stabilize": (set(), ["tolerances", "tolerance_checks"]),
+    "track": ({"reference"}, ["tracking_err_final", "pe_vx1", "reference_uniformly_bounded",
+                              "tolerances", "tolerance_checks"]),
+    "error-system": ({"u0_signal"}, []),
+    "galerkin": ({"u0_signal", "modes"}, []),
+}
 
 
 #: values whose shortest round-trip text needs care: subnormals, signed

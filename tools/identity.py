@@ -12,10 +12,10 @@ length, so the paths the outputs record are the same.
 
 Every ``trace.csv``, ``snapshots.csv``, ``analysis.json``,
 ``sweep.json`` and any other file is compared byte for byte, except
-``manifest.json``, which is compared as JSON without its ``duration_s``
-and ``outputs`` keys.  Exit codes and stderr are compared too.  For a
-CSV that differs, a table gives each column's max |delta| over its max
-|value|.  Exit status: 0 when everything is identical, 1 when anything
+``manifest.json``, which is compared as JSON, key order included,
+without its ``duration_s`` and ``outputs`` keys.  Exit codes and stderr
+are compared too.  For a CSV that differs, a table gives each column's
+max |delta| over its max |value|.  Exit status: 0 when everything is identical, 1 when anything
 differs, 2 when REV cannot be exported.
 
 Stabilize runs on grids of at most 101 nodes (``scenarios._OPERATOR_MAX_N``),
@@ -70,8 +70,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: up at step 129, with samples on both sides, an error-system run that
 #: blows up at step 219, inside a block, the same three for tracking: runs
 #: at n=101 and n=102 and one that hands over at step 100 and blows up at 138,
-#: and an open-loop run with samples and snapshots across the blocks that
-#: blows up at step 4579, inside a block and on no sample or snapshot stride
+#: an open-loop run with samples and snapshots across the blocks that
+#: blows up at step 4579, inside a block and on no sample or snapshot stride,
+#: and two runs with a malformed spec for an input their scenario does not take
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -159,6 +160,8 @@ COMMANDS = (
     ("open-loop-stride-7", ["simulate", "--scenario", "open-loop", "--q", "9", "--t-final", "1",
                             "--pe-tau", "0.5", "--sample-stride", "7",
                             "--snapshot-stride", "45"]),
+    ("stabilize-unused-ref", ["simulate", "--scenario", "stabilize", "--ref", "tri:1"]),
+    ("open-loop-unused-u0", ["simulate", "--scenario", "open-loop", "--u0", "bogus"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
@@ -240,10 +243,12 @@ def compare(out_a: Path, out_b: Path) -> tuple[int, list[str]]:
             diffs.append(f"{rel}: only in {'base' if a.is_file() else 'this tree'}")
         elif rel.name == "manifest.json":
             ma, mb = _manifest(a), _manifest(b)
-            if ma != mb:
+            # dumps keeps the key order of every level, which == on dicts ignores
+            if json.dumps(ma) != json.dumps(mb):
                 keys = sorted(k for k in ma.keys() | mb.keys()
-                              if k not in ma or k not in mb or ma[k] != mb[k])
-                diffs.append(f"{rel}: differs in {', '.join(keys)}")
+                              if k not in ma or k not in mb
+                              or json.dumps(ma[k]) != json.dumps(mb[k]))
+                diffs.append(f"{rel}: differs in {', '.join(keys) or 'key order'}")
         elif a.read_bytes() != b.read_bytes():
             diffs.append(f"{rel}: bytes differ")
             if rel.suffix == ".csv":
