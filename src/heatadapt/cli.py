@@ -6,8 +6,9 @@ Commands:
   sweep      run simulate over a list of values of one parameter
 
 Exit codes: 0 success, 2 CFL violation, 3 blow-up (also a state that
-turned NaN/Inf), 4 requested verdict gate failed, 64 usage or other
-configuration error.
+turned NaN/Inf, and a numerical blow-up of a dt that passes the CFL
+check, which is necessary but not sufficient for stability), 4 requested
+verdict gate failed, 64 usage or other configuration error.
 
 trace.csv carries the fixed header t,u0,u,zeta,w0,w1,wnorm,obs_err_norm,E,F,
 one row per sample, decimal values with 17 significant digits, LF newlines;
@@ -214,7 +215,8 @@ _SIM_FLAGS = (
     _Flag("c0", float, 5.0, "controller gain (> 0)"),
     _Flag("c1", float, 5.0, "observer injection gain (> 0)"),
     _Flag("dx", float, 0.02, "grid spacing, must divide [0,1]"),
-    _Flag("dt", float, 1e-4, "time step, needs dt <= dx^2/2"),
+    _Flag("dt", float, 1e-4, "time step, needs dt <= dx^2/2; that is necessary but not "
+          "sufficient for stability, and a dt close to it can blow up numerically (exit 3)"),
     _Flag("t-final", float, 5.0),
     _Flag("ref", str, "zero", "zero | const:R | sin:A,W"),
     _Flag("zeta0", float, 0.0, "initial estimate (error scenarios: initial error)"),

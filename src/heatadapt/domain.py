@@ -40,7 +40,14 @@ class ConfigError(ValueError):
 
 
 class CflViolation(ConfigError):
-    """Time step exceeds the explicit-scheme stability bound dt <= dx^2/2."""
+    """Time step above dx^2/2, where the explicit step is unstable.
+
+    The bound dt <= dx^2/2 is necessary but not sufficient: where a
+    field's own boundary value enters its flux (the observer's ``c1`` term
+    and the feedback), the step turns unstable below it, so a run inside
+    the bound can still blow up numerically and end as a blow-up (README,
+    CLI).
+    """
 
 
 #: the largest servo series truncation: the series needs (2J + 3)! as a float
@@ -207,8 +214,10 @@ class GridFunction:
 class SimConfig:
     """Discretization, horizon and diagnostic settings for one run.
 
-    dt must satisfy the explicit-scheme stability bound dt <= dx^2/2 and
-    divide t_final into a whole number of steps (to a relative 1e-9).
+    dt must satisfy dt <= dx^2/2, which the explicit scheme's stability
+    needs but which does not ensure it where a Robin or feedback term
+    enters a flux (see :class:`CflViolation`), and divide t_final into a
+    whole number of steps (to a relative 1e-9).
     snapshot_stride == 0 disables field snapshots entirely.
     """
 

@@ -6,33 +6,35 @@ the reciprocal estimate, then step the plant with the pre-update
 estimate and step the observer.  Using the pre-update estimate keeps
 plant and observer consistent with the continuous-time simultaneity;
 the O(dt) splitting error this introduces is covered by the energy
-residual checks in the test suite.  A runner keeps its state in its
-own variables and steps it in blocks of at most 64 steps, which end
-only at snapshot instants, a blow-up and the horizon, through one
-shared blow-up test, ``_blown_up``; the schedule of blocks, snapshots
-and samples lives in one private function, ``_run``.  A block steps
-the fields (plant and observer, or the one field of open-loop and
-error-system runs) with one :class:`~heatadapt.fdm.HeatStepper` from
-one row of a slab into the next, the first row holding the instant it
-starts from, and keeps the scalars of each instant that the state
-lacks; nothing else is recorded per step.  When the block ends,
-``_run`` picks the rows on the sample stride, writes their t and asks
-the runner for the values of their columns, one row-wise ``fill``,
-then carries the row the block reached into the first; the last
-instant is sampled from that row with the same ``fill``.  The runs
-that integrate the dissipation ``diss_cum`` (observer, stabilization
-and error-system) take it, and the gradient energies, from each
-block's rows with row-wise calls.  Observer, stabilization and
-tracking runs share one loop, ``_run_observer_loop``, and differ only in
-their inputs: the controller value and, for tracking, the servo terms
-and the reference.  Open-loop and error-system runs keep their own
-loops, whose fluxes are ordered differently.  An error-system block
-skips the blow-up test and the flux check and tests its rows once; a
-block that fails is stepped again with both.
+residual checks in the test suite.  Blocks step, chunks record.  A
+runner keeps its state in its own variables and steps it in blocks of
+at most 64 steps, which end only at snapshot instants, a blow-up and
+the horizon, through one shared blow-up test, ``_blown_up``; the
+schedule of blocks, snapshots and samples, and the record, live in one
+private function, ``_run``.  A block steps the fields (plant and
+observer, or the one field of open-loop and error-system runs) with one
+:class:`~heatadapt.fdm.HeatStepper` from one row of a slab into the
+next, the first row holding the instant it starts from, and keeps the
+scalars of each instant that the state lacks; nothing else is recorded
+per step.  After a block, ``_run`` only stages what the record needs in
+the buffers of a chunk of blocks: the error field of each step, for the
+runs that integrate the dissipation ``diss_cum`` (observer,
+stabilization and error-system), and the row, scalars and t of each
+instant on the sample stride.  Once per chunk, and at the end of the
+run, it takes the chunk's gradient energies with one row-wise call,
+``diss_cum`` with one ``np.add.accumulate``, and the values of every
+staged sample with one row-wise ``fill`` of the runner's.  Observer,
+stabilization and tracking runs share one loop, ``_run_observer_loop``,
+and differ only in their inputs: the controller value and, for
+tracking, the servo terms and the reference.  Open-loop and
+error-system runs keep their own loops, whose fluxes are ordered
+differently.  An error-system block skips the blow-up test and the flux
+check and tests its rows once; a block that fails is stepped again with
+both.
 
 Stabilize and tracking runs on grids of at most :data:`_OPERATOR_MAX_N`
 nodes step instead as one matrix-vector product a step, into the same
-slab, which the same ``fill`` reads: the loop is linear in ``[w, what, m]``
+slab, which the same record reads: the loop is linear in ``[w, what, m]``
 once ``m = zeta u0``, its one bilinear term, is written into the state,
 and tracking's servo terms are linear in ``(1, sin wt, cos wt)``, which
 the state carries and a rotation block steps (:func:`_operator`).  The
@@ -143,10 +145,27 @@ _SLAB = 64
 
 #: ``block(k, stop)`` steps a run from step k to step stop, see :func:`_run`
 _Block = Callable[[int, int], "int | None"]
-#: ``fill(out, at)`` writes the values of a run's columns at the slab rows ``at`` into ``out``
-_Fill = Callable[[np.ndarray, slice], None]
+#: ``fill(out, rows, kept)`` writes the values of a run's columns at staged rows into ``out``
+_Fill = Callable[[np.ndarray, np.ndarray, "np.ndarray | None"], None]
 #: ``now()``: the current plant field, observer field (or None), zeta, u0 and u
 _Now = Callable[[], tuple]
+
+#: the most bytes of one chunk buffer: glibc's default mmap threshold, above
+#: which malloc maps an array afresh and its pages add to the peak RSS
+_CHUNK_BYTES = 128 << 10
+
+
+def _chunk_steps(n: int, width: int, stride: int) -> int:
+    """The most steps one chunk records: a multiple of :data:`_SLAB`, at least one block.
+
+    A chunk keeps a row of n values for each step, the error field it
+    starts from, and a row of ``width`` values for each instant it samples
+    on ``stride`` and for the last; both stay within :data:`_CHUNK_BYTES`
+    unless one block does not fit.
+    """
+    rows = _CHUNK_BYTES // 8
+    steps = min(rows // n, (rows // width - 1) * stride)
+    return max(_SLAB, steps - steps % _SLAB)
 
 
 def _run(
@@ -156,9 +175,12 @@ def _run(
     block: _Block,
     fill: _Fill,
     now: _Now,
+    kept: list | None = None,
+    errors: Callable[[np.ndarray, np.ndarray], None] | None = None,
+    c1: float = 0.0,
     route: Callable[[], tuple[str, int | None]] = lambda: ("stencil", None),
 ) -> Trace:
-    """The schedule and the record every runner shares: blocks, snapshots and samples.
+    """The schedule and the record every runner shares: blocks step, chunks record.
 
     A runner holds its state in its own variables, evaluates the inputs
     of step 0 and writes that instant's state into the first row of
@@ -167,33 +189,65 @@ def _run(
     takes the inputs at hand, steps the fields from one row of the slab
     into the next, so that row i holds step k + i, runs :func:`_blown_up`
     on the plant field (the error system tests its rows once instead) and
-    evaluates the inputs of the instant it reaches; the runner keeps what
-    a row lacks.  It returns None, or the step at which the plant
-    field blew up, where the run ends; a state that turns NaN/Inf raises
-    :class:`NonFiniteState` from it.  After each block this records the
-    samples of the instants on the ``sample_stride`` that the block
-    stepped from: it writes their t, and ``fill(out, at)`` writes the
-    values of the columns ``names`` at their rows ``at`` into ``out``.
-    Then it carries the row the block reached into the first.  Blocks
-    also end every ``snapshot_stride`` steps, where this records the
-    fields of ``now()``.  The last instant is always sampled, from the row
-    the run reached.  ``route()`` gives the final state's ``route`` and
-    ``handover_step``.
+    evaluates the inputs of the instant it reaches; the runner keeps the
+    scalars that a row lacks in the list ``kept``, an item per row.  It
+    returns None, or the step at which the plant field blew up, where the
+    run ends; a state that turns NaN/Inf raises :class:`NonFiniteState`
+    from it.  Blocks also end every ``snapshot_stride`` steps, where this
+    records the fields of ``now()``.
+
+    After each block this stages what the record needs in a chunk of
+    blocks (:func:`_chunk_steps`): with ``errors``, ``errors(out, rows)``
+    writes the error field of each slab row a step started from; and each
+    instant on the ``sample_stride`` leaves its t, row and item of
+    ``kept``.  Then it carries the row the block reached into the first,
+    from which the last instant is sampled.  Before a block that would
+    overflow the chunk, and at the end, it records the chunk: ``diss_cum``
+    with the boundary gain ``c1`` (:func:`_dissipation`), then ``fill(out,
+    rows, kept)`` writes the other columns ``names`` of the staged rows.
+    ``route()`` gives the final state's ``route`` and ``handover_step``.
     """
     dt, stride, n_steps = config.dt, config.sample_stride, config.n_steps
-    snap_stride = config.snapshot_stride
+    snap_stride, n = config.snapshot_stride, config.grid.n
     rec = _Recorder(names, n_steps, stride, snapshot_stride=snap_stride,
-                    fields=len(_fields(*now()[:2])), n=config.grid.n)
+                    fields=len(_fields(*now()[:2])), n=n)
+    chunk = _chunk_steps(n, slab.shape[1], stride)
+    room = min(chunk, -(-chunk // stride)) + 1
+    # the chunk's sampled rows and their items of ``kept``
+    picked = np.empty((room, slab.shape[1]))
+    picked_kept = None if kept is None else np.empty((room, *np.shape(kept[0])))
+    if errors is not None:
+        # the error field of each step of the chunk, and diss_cum where the
+        # chunk starts and after each step
+        errs, diss = np.empty((chunk, n)), np.zeros(chunk + 1)
+        energy, at_diss = GradientEnergy(n, config.grid.dx), 1 + names.index("diss_cum")
+    # the step of each sample the chunk staged
+    marks = []
 
     def sample(k0: int, at: slice) -> None:
         # the rows ``at`` of the block that started from step k0
         ks = range(k0 + at.start, k0 + at.stop, at.step)
         if ks:
-            out = rec.rows(len(ks))
-            out[:, 0] = np.arange(ks.start, ks.stop, ks.step) * dt
-            fill(out[:, 1:], at)
+            j, c = len(marks), len(ks)
+            picked[j : j + c] = slab[at]
+            if kept is not None:
+                picked_kept[j : j + c] = kept[at]
+            marks.extend(ks)
 
-    k, blow = 0, None
+    def record(k0: int, m: int) -> None:
+        # the chunk of m steps from step k0
+        c, ks = len(marks), np.array(marks, dtype=int)
+        out = rec.rows(c)
+        out[:, 0] = ks * dt
+        if c:
+            fill(out[:, 1:], picked[:c], None if kept is None else picked_kept[:c])
+        if errors is not None:
+            # each step's boundary value x is the last value of its error field
+            _dissipation(diss[: m + 1], energy.of_rows(errs, m), errs[:m, -1], dt, c1)
+            out[:, at_diss], diss[0] = diss[ks - k0], diss[m]
+        marks.clear()
+
+    k, m, blow = 0, 0, None
     with _quiet():
         while blow is None and k < n_steps:
             stop = min(n_steps, k + _SLAB)
@@ -201,30 +255,40 @@ def _run(
                 if k % snap_stride == 0:
                     rec.snap(k * dt, _fields(*now()[:2]))
                 stop = min(stop, k - k % snap_stride + snap_stride)
+            if m + stop - k > chunk:
+                record(k - m, m)
+                m = 0
             blow = block(k, stop)
             steps = (stop if blow is None else blow) - k
+            if errors is not None:
+                errors(errs[m : m + steps], slab[:steps])
             sample(k, slice(-k % stride, steps, stride))
             slab[0] = slab[steps]
-            k += steps
+            k, m = k + steps, m + steps
         sample(k - steps, slice(steps, steps + 1, 1))
-        return _finish(config, rec, k * dt, None if blow is None else k * dt, now(), *route())
+        record(k - m, m)
+    w, what, zeta, u0, u = now()
+    if snap_stride:
+        rec.snap(k * dt, _fields(w, what))
+    final = ScenarioState(k * dt, GridFunction(config.grid, w),
+                          None if what is None else GridFunction(config.grid, what), zeta, u0, u,
+                          *route())
+    return rec.build(final, blow_up_time=None if blow is None else k * dt)
 
 
-def _dissipation(energies: np.ndarray, xs: list[float], diss: float, dt: float,
-                 c1: float) -> list[float]:
-    """``diss_cum`` at the instant each step of a block starts from, and after its last step.
+def _dissipation(diss: np.ndarray, energies: np.ndarray, xs: np.ndarray, dt: float,
+                 c1: float) -> None:
+    """``diss_cum`` after each step of a chunk, into ``diss[1:]``.
 
-    ``energies`` are the gradient energies of the fields the steps start
-    from and ``xs`` their boundary values x, one per step; ``diss`` is
-    ``diss_cum`` where the block starts.  Each step adds
-    ``dt * (||f_x||^2 + c1 x^2)``, in step order, as a loop that took the
-    energy every step did.
+    ``diss[0]`` is ``diss_cum`` where the chunk starts, ``energies`` are
+    the gradient energies of the fields the steps start from and ``xs``
+    their boundary values x, one per step.  Each step adds
+    ``dt * (||f_x||^2 + c1 x^2)``, evaluated elementwise in that order,
+    and ``np.add.accumulate`` sums the terms in step order, so every value
+    equals that of a loop that adds them one at a time, bit for bit.
     """
-    at = [diss]
-    for g, x in zip(energies.tolist(), xs):
-        diss += dt * (g + c1 * x * x)
-        at.append(diss)
-    return at
+    np.multiply(dt, energies + c1 * xs * xs, out=diss[1:])
+    np.add.accumulate(diss, out=diss)
 
 
 def _errors(out: np.ndarray, fields: np.ndarray, zt, half_b: float, dx: float) -> None:
@@ -238,30 +302,6 @@ def _errors(out: np.ndarray, fields: np.ndarray, zt, half_b: float, dx: float) -
     np.sqrt(2.0 * e, out=out[:, 0])
     out[:, 1] = e
     out[:, 2] = e + half_b * zt * zt
-
-
-def _finish(
-    config: SimConfig,
-    rec: _Recorder,
-    t_end: float,
-    t_blow: float | None,
-    state: tuple,
-    route: str = "stencil",
-    handover_step: int | None = None,
-) -> Trace:
-    """Record the last instant's snapshot and build the Trace.
-
-    ``state`` is what ``now()`` gives at the last instant.
-    """
-    grid = config.grid
-    w, what, zeta, u0, u = state
-    if config.snapshot_stride:
-        rec.snap(t_end, _fields(w, what))
-    final = ScenarioState(
-        t=t_end, w=GridFunction(grid, w), what=None if what is None else GridFunction(grid, what),
-        zeta=zeta, last_u0=u0, last_u=u, route=route, handover_step=handover_step,
-    )
-    return rec.build(final, blow_up_time=t_blow)
 
 
 def _fields(w: np.ndarray, what: np.ndarray | None) -> dict[str, np.ndarray]:
@@ -345,8 +385,7 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
                 return k + i + 1
         return None
 
-    def fill(out: np.ndarray, at: slice) -> None:
-        picked = slab[at]
+    def fill(out: np.ndarray, picked: np.ndarray, _kept: None) -> None:
         out[:, 0], out[:, 1] = picked[:, 0], picked[:, -1]
         np.sqrt(_sq_norms(picked, dx), out=out[:, 2])
 
@@ -483,8 +522,7 @@ def _run_observer_loop(
     squares of a row's fields catch a NaN/Inf state.  A row is
     ``[w, what, m = zeta u0, u0]``, or for tracking
     ``[w, what, m, 1, sin wt, cos wt, r, w(1) - v1, u0]``.  Without a
-    reference the block ends by taking the gradient energies and each
-    instant's ``diss_cum`` from its rows.
+    reference :func:`_run` takes ``diss_cum`` from the rows' ``w - what``.
 
     With ``feedback``, the row g of the stabilizing law (``inputs`` must
     give ``g . what`` plus v_x(1,t) as u0), the run steps as one product
@@ -502,8 +540,7 @@ def _run_observer_loop(
     half_b, inv_b = 0.5 * abs(b), 1.0 / b
     zeta, track = zeta0, servo is not None
     # the state of each instant a block starts from or reaches, each a row of
-    # ``states``, and its zeta in ``zetas`` and, without a reference, its
-    # diss_cum in ``at_diss``
+    # ``states``, and its zeta in ``zetas``
     states = _slab(2 * n + (7 if track else 2))
     stepper = _stepper(config, states, w0, what0)
     # each row's what, for inputs; no window leaves the runner
@@ -512,7 +549,7 @@ def _run_observer_loop(
     with _quiet():
         u0, v1, vx1, r = inputs(0.0, observer[0])
     rows, first = tuple(states), states[0]
-    zetas, at_diss = [zeta], [0.0]
+    zetas = [zeta]
     fields = tuple(s[: 2 * n] for s in rows)
     # the innovation is x1 - what(1): x1 is w(1), or for tracking w(1) - v(1,t),
     # which a tracking row holds
@@ -529,15 +566,11 @@ def _run_observer_loop(
         names = _TRACKING_COLUMNS
     else:
         first[at_m:] = (zeta * u0, u0)
-        energy, errs = GradientEnergy(n, dx), np.empty((_SLAB, n))
         names = _OBSERVER_COLUMNS
 
-    def dissipate(steps: int) -> None:
-        nonlocal at_diss
-        np.subtract(states[:steps, :n], states[:steps, n : 2 * n], errs[:steps])
-        # each step's innovation w(1) - what(1) is the last value of its error
-        energies = energy.of_rows(errs, steps)
-        at_diss = _dissipation(energies, errs[:steps, -1].tolist(), at_diss[-1], dt, c1)
+    def error_fields(out: np.ndarray, rows: np.ndarray) -> None:
+        # w - what, whose last value is the innovation w(1) - what(1)
+        np.subtract(rows[:, :n], rows[:, n : 2 * n], out)
 
     def block(k: int, stop: int) -> int | None:
         nonlocal w, what, zeta, u0, v1, vx1, r
@@ -569,27 +602,23 @@ def _run_observer_loop(
             if blown:
                 blow = k
                 break
-        if not track:
-            dissipate(k - k0)
         return blow
 
     def now() -> tuple:
         return w, what, zeta, u0, zeta * u0
 
-    def fill(out: np.ndarray, at: slice) -> None:
-        """The columns ``names`` of the slab rows ``at``.
+    def fill(out: np.ndarray, picked: np.ndarray, zts: np.ndarray) -> None:
+        """The columns ``names`` but diss_cum of the staged states ``picked`` and zetas ``zts``.
 
         Every value equals the one a per-sample row computes from the same
         state, bit for bit.
         """
-        picked = states[at]
-        out[:, 0], out[:, 1], out[:, 2] = picked[:, -1], picked[:, at_m], zetas[at]
+        out[:, 0], out[:, 1], out[:, 2] = picked[:, -1], picked[:, at_m], zts
         out[:, 3], out[:, 4] = picked[:, 0], picked[:, at_w1]
         plant_rows, observer_rows = picked[:, :n], picked[:, n : 2 * n]
         np.sqrt(_sq_norms(plant_rows, dx), out=out[:, 5])
         if not track:
             _errors(out[:, 6:9], plant_rows - observer_rows, inv_b - out[:, 2], half_b, dx)
-            out[:, 9] = at_diss[at]
             return
         sin, cos = picked[:, at_sin], picked[:, at_cos]
         errors = plant_rows - servo.profiles(kernel, sin, cos) - observer_rows
@@ -600,8 +629,9 @@ def _run_observer_loop(
         for at, (c0, cs, cc) in ((11, v1_weights), (12, vx1_weights)):
             out[:, at] = c0 + cs * sin + cc * cos
 
+    record = (zetas, None if track else error_fields, c1)
     if feedback is None:
-        return _run(config, names, states, block, fill, now)
+        return _run(config, names, states, block, fill, now, *record)
 
     # the operator route: w and what view the first state of the block
     with _quiet():
@@ -641,8 +671,6 @@ def _run_observer_loop(
             quiet = servo.tails_below(reached[:, at_sin], reached[:, at_cos], DEFAULT_TAIL_TOL)
         if quiet:
             zeta, u0 = z, u
-            if not track:
-                dissipate(steps)
             return None
         # step the block again on the stencil, from the first row, which w and what view
         handover = k
@@ -650,7 +678,7 @@ def _run_observer_loop(
             _, v1, vx1, r = inputs(k * dt, observer[0])
         return block(k, stop)
 
-    return _run(config, names, states, operator_block, fill, now,
+    return _run(config, names, states, operator_block, fill, now, *record,
                 lambda: ("operator", handover))
 
 
@@ -766,18 +794,17 @@ def run_error_system(
     b, c1, sgn = p.b, p.c1, p.sign_b
     half_b = 0.5 * abs(b)
     # the field of each instant a block starts from or reaches, each a row of
-    # ``slab``, its u0 and zt in ``kept`` and its diss_cum in ``at_diss``
+    # ``slab``, and its u0 and zt in ``kept``
     slab = _slab(n)
     stepper = _stepper(config, slab, wtilde0)
     (wt,) = stepper.rows[0]
     zt = zetatilde0
     with _quiet():
         u0 = u0_signal(0.0)
-    kept, at_diss = [(u0, zt)], [0.0]
-    energy = GradientEnergy(n, dx)
+    kept = [(u0, zt)]
 
     def block(k: int, stop: int) -> int | None:
-        nonlocal wt, zt, u0, at_diss
+        nonlocal wt, zt, u0
         step, first = stepper.step, (u0, zt)
         # unchecked, every flux and zt reaches a row, which one test then sees
         for checked in (False, True):
@@ -802,17 +829,15 @@ def run_error_system(
             reached = slab[1 : steps + 1]
             if checked or np.add.reduce(reached * reached, axis=1).max() < _QUIET_SQ:
                 break
-        # each step's wt(1) is the last value of its row
-        energies = energy.of_rows(slab, steps)
-        at_diss = _dissipation(energies, slab[:steps, -1].tolist(), at_diss[-1], dt, c1)
         return blow
 
-    def fill(out: np.ndarray, at: slice) -> None:
+    def fill(out: np.ndarray, picked: np.ndarray, inputs: np.ndarray) -> None:
         # u0, zeta, w0, w1, then wnorm, which equals obs_err_norm, and the rest
-        picked = slab[at]
-        out[:, 0:2] = kept[at]
+        out[:, 0:2] = inputs
         out[:, 2], out[:, 3] = picked[:, 0], picked[:, -1]
         _errors(out[:, 5:8], picked, out[:, 1], half_b, dx)
-        out[:, 4], out[:, 8] = out[:, 5], at_diss[at]
+        out[:, 4] = out[:, 5]
 
-    return _run(config, _ERROR_SYSTEM_COLUMNS, slab, block, fill, lambda: (wt, None, zt, u0, 0.0))
+    # the field is the error, and each step's wt(1) the last value of its row
+    return _run(config, _ERROR_SYSTEM_COLUMNS, slab, block, fill, lambda: (wt, None, zt, u0, 0.0),
+                kept, np.copyto, c1)

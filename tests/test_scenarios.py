@@ -35,7 +35,7 @@ from heatadapt import (
 from heatadapt import scenarios
 from heatadapt.control import _ServoSeries
 from heatadapt.domain import TRACE_COLUMNS
-from heatadapt.fdm import HeatStepper, grad_values
+from heatadapt.fdm import GradientEnergy, HeatStepper, grad_values
 from heatadapt.scenarios import _blown_up, _require_finite, _sq_norm
 
 
@@ -375,14 +375,25 @@ class TestRunnersMatchReferenceRoute:
 
     @pytest.mark.usefixtures("stencil_route")
     @pytest.mark.parametrize(
-        "kind, t_final, snap",
-        [("open", 1.0, 997), ("observer", 0.3, 700), ("stabilize", 0.3, 0),
-         ("track", 0.3, 1100), ("error", 0.3, 500)],
+        "kind, t_final, snap, stride",
+        [("open", 1.0, 997, 37), ("observer", 0.3, 700, 37), ("stabilize", 0.3, 0, 37),
+         ("track", 0.3, 1100, 37), ("error", 0.3, 500, 37),
+         # at n = 51 a chunk records 320 steps: a sample stride longer than a
+         # chunk, a run that ends one step after a flush, one shorter than a
+         # chunk, and snapshots that end blocks inside chunks
+         ("track", 0.1, 0, 700), ("error", 0.1, 0, 700),
+         ("track", 0.0321, 0, 7), ("error", 0.0321, 0, 7),
+         ("track", 0.02, 0, 7), ("error", 0.02, 0, 7),
+         ("track", 0.06, 100, 7), ("error", 0.06, 100, 7)],
+        ids=["open-1.0-997", "observer-0.3-700", "stabilize-0.3-0", "track-0.3-1100",
+             "error-0.3-500", "track-stride-700", "error-stride-700", "track-end-after-flush",
+             "error-end-after-flush", "track-short", "error-short", "track-snap-100",
+             "error-snap-100"],
     )
-    def test_trace_equals_reference(self, kind, t_final, snap, grid51, ramp51):
+    def test_trace_equals_reference(self, kind, t_final, snap, stride, grid51, ramp51):
         p = Params(q=9.0, b=-10.0, c0=5.0, c1=5.0) if kind == "open" else Params(
             q=2.0, b=-10.0, c0=5.0, c1=5.0)
-        c = cfg(grid51, t_final, stride=37, snap=snap)
+        c = cfg(grid51, t_final, stride=stride, snap=snap)
         what0 = GridFunction(grid51, 0.3 * np.sin(3.0 * grid51.nodes))
         sine = ReferenceSignal.sinusoid(1.0, 1.0)
         u0 = lambda t: math.exp(-t)
@@ -553,27 +564,40 @@ class TestSlabsMatchPerStepLoop:
     """
 
     @pytest.mark.parametrize("kind", ["stabilize", "observer", "error", "open"])
-    @pytest.mark.parametrize("stride, snap, q, scale", [
-        (1, 0, 2.0, None),
-        (7, 45, 2.0, None),
-        (64, 0, 2.0, None),
-        (65, 45, 2.0, None),
-        (100, 0, 2.0, None),
+    @pytest.mark.parametrize("steps, stride, snap, q, scale, blow_up", [
+        # 301 steps: four full 64-step blocks and a partial one
+        (301, 1, 0, 2.0, None, {}),
+        (301, 7, 45, 2.0, None, {}),
+        (301, 64, 0, 2.0, None, {}),
+        (301, 65, 45, 2.0, None, {}),
+        (301, 100, 0, 2.0, None, {}),
         # the plant blows up mid-slab: stabilize at step 10, observer and
         # open-loop from a ramp scaled to norm 0.6e12 at step 111
-        (7, 45, 9.0, 0.6e12),
+        (301, 7, 45, 9.0, 0.6e12, {"stabilize": 10, "observer": 111, "open": 111}),
+        # at n = 51 a chunk records 320 steps (128 for stabilize and observer at
+        # stride 1): a sample stride longer than a chunk, so that the chunk
+        # [320, 640) samples nothing; a run that ends one step after a flush;
+        # one shorter than a chunk; snapshots that end blocks inside chunks
+        (1000, 700, 0, 2.0, None, {}),
+        (321, 7, 0, 2.0, None, {}),
+        (200, 7, 0, 2.0, None, {}),
+        (600, 7, 100, 2.0, None, {}),
+        # blow-ups inside the second chunk: observer and open-loop from norm 1e11
+        # at step 345, the error system from there under u0 = 225 at step 509
+        (600, 7, 0, 9.0, 1e11, {"stabilize": 10, "observer": 345, "open": 345, "error": 509}),
     ], ids=["stride-1", "stride-7-snap-45", "stride-64", "stride-65-snap-45", "stride-100",
-            "blow-up"])
-    def test_trace_equals_per_step_loop(self, kind, stride, snap, q, scale, grid51, ramp51):
-        # 301 steps: four full 64-step blocks and a partial one
-        c = cfg(grid51, 0.0301, stride=stride, snap=snap)
-        assert c.n_steps == 301
+            "blow-up", "stride-700", "end-after-flush", "short", "snap-100", "blow-up-in-chunk"])
+    def test_trace_equals_per_step_loop(self, kind, steps, stride, snap, q, scale, blow_up, grid51,
+                                        ramp51):
+        c = cfg(grid51, steps * 1e-4, stride=stride, snap=snap)
+        assert c.n_steps == steps
         gain = 5.0 if q == 2.0 else 0.01
         p = Params(q=q, b=-10.0, c0=gain, c1=gain)
         w0 = ramp51 if scale is None or kind == "stabilize" else GridFunction(
             grid51, ramp51.values * (scale / l2_norm(ramp51)))
         what0 = GridFunction(grid51, 0.3 * np.sin(3.0 * grid51.nodes))
-        u0 = lambda t: math.exp(-t)
+        # the error system blows up where blow_up names it, under u0 = 225
+        u0 = (lambda t: 225.0) if kind == "error" and kind in blow_up else (lambda t: math.exp(-t))
         if kind == "stabilize":
             tr = run_stabilization(p, c, w0, what0, 0.0)
         elif kind == "observer":
@@ -587,14 +611,11 @@ class TestSlabsMatchPerStepLoop:
         else:
             expected = per_step_run(kind, p, c, w0, what0, 0.0 if kind == "stabilize" else -0.1,
                                     u0)
-        if kind == "error":
-            # the error field decays under u0 = exp(-t), even from the scaled ramp
-            assert not tr.blown_up
-        else:
-            assert tr.blown_up is (scale is not None)
+        # blow_up names the runs that blow up; the error field decays under
+        # u0 = exp(-t), even from the scaled ramp
+        assert tr.blown_up is (kind in blow_up)
         if tr.blown_up:
-            assert round(tr.blow_up_time / c.dt) == {"stabilize": 10, "observer": 111,
-                                                     "open": 111}[kind]
+            assert round(tr.blow_up_time / c.dt) == blow_up[kind]
         assert_matches_reference(tr, expected, snap)
 
     def test_error_system_blow_up_equals_per_step_loop(self, params8, grid51, ramp51):
@@ -679,6 +700,58 @@ class TestErrorSystemBlockCheck:
         tr = run_error_system(params8, c, ramp51, -0.1, u0)
         assert tr.blown_up and round(tr.blow_up_time / c.dt) == 219
         assert_matches_reference(tr, per_step_run("error", params8, c, ramp51, None, -0.1, u0), 0)
+
+
+class TestChunkRecord:
+    """Blocks step, chunks record: the record of whole chunks of blocks."""
+
+    def test_chunks_flush_at_a_fixed_row_count(self, monkeypatch, params8, grid51, ramp51,
+                                               zeros51):
+        # a chunk's buffers stay under glibc's mmap threshold: at n = 51 a
+        # stabilize chunk records 320 steps (128 at stride 1, where it samples
+        # every step), a tracking one too, and at n = 201 an error-system chunk
+        # at stride 1 is one block
+        assert scenarios._chunk_steps(51, 2 * 51 + 2, 100) == 320
+        assert scenarios._chunk_steps(51, 2 * 51 + 2, 1) == 128
+        assert scenarios._chunk_steps(51, 2 * 51 + 7, 100) == 320
+        assert scenarios._chunk_steps(201, 201, 1) == scenarios._SLAB
+        counts = []
+        of_rows = GradientEnergy.of_rows
+
+        def spy(self, d, m=None):
+            assert d.nbytes <= scenarios._CHUNK_BYTES
+            counts.append(m)
+            return of_rows(self, d, m)
+
+        monkeypatch.setattr(GradientEnergy, "of_rows", spy)
+        tr = run_stabilization(params8, cfg(grid51, 0.1), ramp51, zeros51, 0.0)
+        assert tr.final_state.route == "operator"
+        # 1000 steps: three full chunks and the rest, each one call
+        assert counts == [320, 320, 320, 40]
+
+    @pytest.mark.parametrize("kind, step", [("stabilize", 227), ("track", 226)])
+    @pytest.mark.parametrize("stride", [1, 37])
+    def test_handover_inside_a_chunk_records_as_blocks(self, monkeypatch, kind, step, stride):
+        # the run hands over from the operator to the stencil at step 200 and
+        # blows up after it, both inside the first chunk, whose blocks the
+        # snapshots cut at every 50 steps: recorded once per chunk, it equals
+        # the same run recorded after every block, bit for bit
+        grid = Grid(51)
+        c = cfg(grid, 0.5, stride=stride, snap=50)
+        p = Params(q=6.0, b=-10.0, c0=0.5, c1=0.5)
+        w0 = benchmark_initial_state(grid, p.q)
+        what0 = GridFunction(grid, 0.3 * np.sin(3.0 * grid.nodes))
+
+        def run():
+            if kind == "track":
+                return run_tracking(p, c, w0, what0, 0.0, SINE)
+            return run_stabilization(p, c, w0, what0, 0.0)
+
+        tr = run()
+        assert (tr.final_state.route, tr.final_state.handover_step) == ("operator", 200)
+        assert tr.blow_up_time == step * c.dt
+        monkeypatch.setattr(scenarios, "_chunk_steps", lambda *args: scenarios._SLAB)
+        assert_same_run(tr, run())
 
 
 @pytest.mark.parametrize("cutoff", [0, scenarios._OPERATOR_MAX_N], ids=["stencil", "operator"])

@@ -72,7 +72,10 @@ ROOT = Path(__file__).resolve().parents[1]
 #: at n=101 and n=102 and one that hands over at step 100 and blows up at 138,
 #: an open-loop run with samples and snapshots across the blocks that
 #: blows up at step 4579, inside a block and on no sample or snapshot stride,
-#: and two runs with a malformed spec for an input their scenario does not take
+#: two runs with a malformed spec for an input their scenario does not take,
+#: and five runs whose samples and snapshots straddle the flushes of the
+#: chunks that record them (320 steps at n=51, 128 for observer and stabilize
+#: at stride 1): strides longer than a chunk, and every step sampled
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -162,6 +165,18 @@ COMMANDS = (
                             "--snapshot-stride", "45"]),
     ("stabilize-unused-ref", ["simulate", "--scenario", "stabilize", "--ref", "tri:1"]),
     ("open-loop-unused-u0", ["simulate", "--scenario", "open-loop", "--u0", "bogus"]),
+    ("stabilize-chunks", ["simulate", "--scenario", "stabilize", "--sample-stride", "300",
+                          "--snapshot-stride", "700", "--t-final", "1"]),
+    ("error-system-stride-1", ["simulate", "--scenario", "error-system", "--u0", "exp-decay",
+                               "--zeta0", "-0.1", "--sample-stride", "1", "--t-final", "0.2",
+                               "--pe-tau", "0.05"]),
+    ("track-chunks", ["simulate", "--scenario", "track", "--ref", "sin:1,1",
+                      "--sample-stride", "257", "--t-final", "1"]),
+    ("observer-stride-1", ["simulate", "--scenario", "observer", "--u0", "exp-decay",
+                           "--zeta0", "-0.1", "--sample-stride", "1", "--snapshot-stride", "300",
+                           "--t-final", "0.1", "--pe-tau", "0.02"]),
+    ("open-loop-chunks", ["simulate", "--scenario", "open-loop", "--sample-stride", "700",
+                          "--snapshot-stride", "1000", "--t-final", "2"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
