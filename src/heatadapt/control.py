@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -92,15 +93,18 @@ def _exp_kernel(n: int, q: float) -> np.ndarray:
     return w
 
 
-def _boundary_functional(f: GridFunction, q: float) -> float:
-    """f(1) + q * integral exp(q(1-x)) f dx, the shared feedback kernel, in Python floats."""
-    v = f.values
-    return v.item(-1) + q * float(_exp_kernel(f.grid.n, q).dot(v))
+def _adaptive_law(n: int, p: EstimatorParams) -> Callable[[np.ndarray], float]:
+    """The law u0 = -(q + c0) K[what] on the n-node grid, as a function of what's values.
+
+    u0 is a Python float.  Built from the estimator view, so it cannot read b.
+    """
+    gain, q, dot = -(p.q + p.c0), p.q, _exp_kernel(n, p.q).dot
+    return lambda v: gain * (v.item(-1) + q * float(dot(v)))
 
 
 def backstepping_known_b(w: GridFunction, p: Params) -> float:
-    """Full-information stabilizing feedback; requires the plant view of b."""
-    return -(p.q + p.c0) / p.b * _boundary_functional(w, p.q)
+    """Full-information stabilizing feedback, the adaptive law's u0 of w over b; needs b."""
+    return _adaptive_law(w.grid.n, p.estimator_view())(w.values) / p.b
 
 
 def adaptive_u0(
@@ -115,7 +119,7 @@ def adaptive_u0(
     supplied, their boundary slope is added, which turns the stabilizer
     into the tracking law.
     """
-    u0 = -(p.q + p.c0) * _boundary_functional(what, p.q)
+    u0 = _adaptive_law(what.grid.n, p)(what.values)
     if servo is not None:
         u0 += servo.vx1
     return u0
@@ -240,7 +244,8 @@ class _ServoSeries:
         total = terms[..., :-1].sum(axis=-1)
         return float(total) if np.isscalar(x) or xa.ndim == 0 else total
 
-    def boundary(self, t: float, tail_tol: float) -> ServoTerms:
+    def at(self, t: float, tail_tol: float) -> tuple[float, float, float, float, float]:
+        """(sin wt, cos wt, v(1,t), v_x(1,t), tail) at t; a tail past tail_tol raises."""
         wt = self.omega * t
         s, c = math.sin(wt), math.cos(wt)
         (v0, vs, vc), (x0, xs, xc), (e0, es, ec) = self._boundary_weights
@@ -249,7 +254,7 @@ class _ServoSeries:
             raise TruncationInsufficient(
                 f"servo boundary tail {tail:.3e} exceeds {tail_tol:.3e} at J={self.J}"
             )
-        return ServoTerms(v1=v0 + vs * s + vc * c, vx1=x0 + xs * s + xc * c, tail_bound=tail)
+        return s, c, v0 + vs * s + vc * c, x0 + xs * s + xc * c, tail
 
 
 @lru_cache(maxsize=64)
@@ -289,4 +294,5 @@ def servo_boundary(
     tail_bound is the larger first-omitted-term magnitude of the two
     series; exceeding tail_tol raises :class:`TruncationInsufficient`.
     """
-    return _servo_series(ref, q, J).boundary(t, tail_tol)
+    _, _, v1, vx1, tail = _servo_series(ref, q, J).at(t, tail_tol)
+    return ServoTerms(v1=v1, vx1=vx1, tail_bound=tail)

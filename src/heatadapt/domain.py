@@ -445,14 +445,14 @@ def _read_only(values) -> np.ndarray:
 
 
 @contextmanager
-def _allocating(shape: tuple[int, ...], what: str, flag: str):
+def _allocating(shape: tuple[int, ...], what: str, remedy: str):
     """Turn a refused allocation of ``shape`` floats, made within, into a ConfigError."""
     try:
         yield
     except (MemoryError, OSError) as exc:
         raise ConfigError(
-            f"cannot allocate {8 * math.prod(shape) / 2**30:.3g} GiB for the run's {what}: "
-            f"raise {flag} or shorten --t-final"
+            f"cannot allocate {8 * math.prod(shape) / 2**30:.3g} GiB for the run's "
+            f"{what}: {remedy}"
         ) from exc
 
 
@@ -479,7 +479,7 @@ class _Recorder:
                  snapshot_stride: int = 0, fields: int = 0, n: int = 0):
         self.names = names
         shape = (n_steps // stride + 2, 1 + len(names))
-        with _allocating(shape, "samples", "--sample-stride"):
+        with _allocating(shape, "samples", "raise --sample-stride or shorten --t-final"):
             buf = None
             if mapped:
                 import mmap  # loaded only by the runs that map their samples
@@ -491,7 +491,7 @@ class _Recorder:
         self._snaps = None
         if snapshot_stride:
             shape = (n_steps // snapshot_stride + 2, fields, n)
-            with _allocating(shape, "snapshots", "--snapshot-stride"):
+            with _allocating(shape, "snapshots", "raise --snapshot-stride or shorten --t-final"):
                 self._snaps = np.empty(shape)
 
     def rows(self, m: int) -> np.ndarray:

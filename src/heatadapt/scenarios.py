@@ -25,8 +25,8 @@ run, it takes the chunk's gradient energies with one row-wise call,
 ``diss_cum`` with one ``np.add.accumulate``, and the values of every
 staged sample with one row-wise ``fill`` of the runner's.  Observer,
 stabilization and tracking runs share one loop, ``_run_observer_loop``,
-and differ only in their inputs: the controller value and, for
-tracking, the servo terms and the reference.  Open-loop and
+which reads their inputs itself: u0 from a given signal or the adaptive
+law, and tracking's servo terms from its series.  Open-loop and
 error-system runs keep their own loops, whose fluxes are ordered
 differently.  An error-system block skips the blow-up test and the flux
 check and tests its rows once; a block that fails is stepped again with
@@ -61,11 +61,10 @@ import numpy as np
 
 from .control import (
     DEFAULT_TAIL_TOL,
+    _adaptive_law,
     _servo_series,
     _ServoSeries,
-    adaptive_u0,
     feedback_row,
-    servo_boundary,
     zeta_step,
 )
 from .domain import (
@@ -77,13 +76,14 @@ from .domain import (
     SimConfig,
     Trace,
     TRACE_COLUMNS,
+    _allocating,
     _Recorder,
 )
 from .fdm import GradientEnergy, HeatStepper, NonFiniteState
 
 # The runners no longer call these; bench/tracer.py wraps them under these
 # names, so they stay importable from here.
-from .control import servo_eval  # noqa: F401
+from .control import adaptive_u0, servo_boundary, servo_eval  # noqa: F401
 from .fdm import grad_values, l2_norm, step_heat  # noqa: F401
 
 __all__ = [
@@ -214,12 +214,12 @@ def _run(
     chunk = _chunk_steps(n, slab.shape[1], stride)
     room = min(chunk, -(-chunk // stride)) + 1
     # the chunk's sampled rows and their items of ``kept``
-    picked = np.empty((room, slab.shape[1]))
+    picked = _buffer((room, slab.shape[1]), "sampled states")
     picked_kept = None if kept is None else np.empty((room, *np.shape(kept[0])))
     if errors is not None:
         # the error field of each step of the chunk, and diss_cum where the
         # chunk starts and after each step
-        errs, diss = np.empty((chunk, n)), np.zeros(chunk + 1)
+        errs, diss = _buffer((chunk, n), "error fields"), np.zeros(chunk + 1)
         energy, at_diss = GradientEnergy(n, config.grid.dx), 1 + names.index("diss_cum")
     # the step of each sample the chunk staged
     marks = []
@@ -346,10 +346,16 @@ def _require_finite(*fields: np.ndarray) -> None:
             raise NonFiniteState("heat step produced non-finite values")
 
 
+def _buffer(shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``np.empty(shape)`` for a buffer the grid sizes: one the system refuses is a ConfigError."""
+    with _allocating(shape, what, "raise --dx"):
+        return np.empty(shape)
+
+
 def _slab(width: int) -> np.ndarray:
     """``_SLAB + 1`` rows of ``width`` values from a 64-byte boundary, not the heap's whim."""
     size = (_SLAB + 1) * width
-    buf = np.empty(size + 7)
+    buf = _buffer((size + 7,), "state slab")
     # the address, not from .ctypes, which imports ctypes
     start = -buf.__array_interface__["data"][0] % 64 // 8
     return buf[start : start + size].reshape(_SLAB + 1, width)
@@ -493,29 +499,27 @@ def check_record_size(config: SimConfig, row: int, fields: int) -> None:
         )
 
 
-#: ``inputs(t, what)``: the feedback value u0 and the servo terms v(1,t),
-#: v_x(1,t) and r(t) at instant t, given the observer field what
-_Inputs = Callable[[float, GridFunction], tuple[float, float, float, float]]
-
-
 def _run_observer_loop(
     p: Params,
     config: SimConfig,
     w0: GridFunction,
     what0: GridFunction,
     zeta0: float,
-    inputs: _Inputs,
-    servo: _ServoSeries | None = None,
-    feedback: np.ndarray | None = None,
+    u0_signal: Callable[[float], float] | None = None,
+    ref: ReferenceSignal | None = None,
 ) -> Trace:
     """The plant + observer + update-law loop of observer, stabilize and track.
 
-    ``inputs(t, what)`` gives the controller value u0 and, for tracking,
-    the servo terms v(1,t), v_x(1,t) and r(t) of the reference's
-    ``servo`` series; the observer then estimates z = w - v.  Without a
-    reference the three are +0.0, and ``x - 0.0 == x`` for every float,
-    so the step is the stabilizing one bit for bit.  Tracking's ``inputs``
-    catch a NaN/Inf state from u0.
+    u0 is ``u0_signal(t)`` for an observer run, else the adaptive law on
+    the observer field, which reads neither b nor zeta
+    (:func:`~heatadapt.control._adaptive_law`).  With a reference ``ref``,
+    the loop tracks it: the servo terms v(1,t), v_x(1,t) and r(t) of its
+    truncated series enter the fluxes, u0 adds v_x(1,t), and the
+    observer estimates z = w - v.  Without one the three are +0.0, and
+    ``x - 0.0 == x`` for every float, so the step is the stabilizing one
+    bit for bit.  Every instant checks the series' tail against
+    ``DEFAULT_TAIL_TOL`` (:class:`~heatadapt.control.TruncationInsufficient`),
+    and a tracking u0 catches a NaN/Inf observer field.
 
     Each block writes the state of every instant it reaches into a row of
     one slab and keeps each instant's zeta; without a reference the
@@ -524,56 +528,70 @@ def _run_observer_loop(
     ``[w, what, m, 1, sin wt, cos wt, r, w(1) - v1, u0]``.  Without a
     reference :func:`_run` takes ``diss_cum`` from the rows' ``w - what``.
 
-    With ``feedback``, the row g of the stabilizing law (``inputs`` must
-    give ``g . what`` plus v_x(1,t) as u0), the run steps as one product
-    of the matrix of :func:`_operator` a step, whose readouts are u0 and,
-    for tracking, r and ``w(1) - v1``, into the same slab.  A tracking block first
-    resets its sin and cos from ``math``.  Such a block decides no run's
-    end: a block whose slab is not quiet (:func:`_quiet_states`), or whose
-    servo tail comes near ``DEFAULT_TAIL_TOL``, is stepped again from its
-    first state on the stencil, which then steps the run to its end: the
-    stencil alone finds a blow-up, a NaN/Inf state, a non-finite flux or
-    a servo series that is truncated too early.
+    The adaptive law on a grid of at most :data:`_OPERATOR_MAX_N` nodes
+    steps as one product of the matrix of :func:`_operator` a step, whose
+    readouts are u0 and, for tracking, r and ``w(1) - v1``, into the same
+    slab.  A tracking block first resets its sin and cos from ``math``.
+    Such a block decides no run's end: a block whose slab is not quiet
+    (:func:`_quiet_states`), or whose servo tail comes near
+    ``DEFAULT_TAIL_TOL``, is stepped again from its first state on the
+    stencil, which then steps the run to its end: the stencil alone finds
+    a blow-up, a NaN/Inf state, a non-finite flux or a servo series that
+    is truncated too early.
     """
     dt, dx, n = config.dt, config.grid.dx, config.grid.n
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
     half_b, inv_b = 0.5 * abs(b), 1.0 / b
-    zeta, track = zeta0, servo is not None
+    zeta, est = zeta0, p.estimator_view()
+    feedback = feedback_row(n, est) if u0_signal is None and n <= _OPERATOR_MAX_N else None
+    with _quiet():
+        servo = None if ref is None else _servo_series(ref, q, config.servo_truncation_J)
+    track = servo is not None
     # the state of each instant a block starts from or reaches, each a row of
     # ``states``, and its zeta in ``zetas``
     states = _slab(2 * n + (7 if track else 2))
     stepper = _stepper(config, states, w0, what0)
-    # each row's what, for inputs; no window leaves the runner
-    observer = tuple(GridFunction._wrap(config.grid, s[n : 2 * n]) for s in states)
     w, what = stepper.rows[0]
-    with _quiet():
-        u0, v1, vx1, r = inputs(0.0, observer[0])
     rows, first = tuple(states), states[0]
     zetas = [zeta]
     fields = tuple(s[: 2 * n] for s in rows)
     # the innovation is x1 - what(1): x1 is w(1), or for tracking w(1) - v(1,t),
     # which a tracking row holds
-    at_m, at_w1, at_what1 = 2 * n, n - 1, 2 * n - 1
-    at_x1 = at_w1
+    at_m, at_w1, at_what1, at_x1 = 2 * n, n - 1, 2 * n - 1, n - 1
+    names = _TRACKING_COLUMNS if track else _OBSERVER_COLUMNS
     if track:
-        omega, kernel = servo.omega, servo.kernel(config.grid.nodes)
+        servo_at, derivative = servo.at, ref.derivative
+        kernel = servo.kernel(config.grid.nodes)
         at_sin, at_cos, at_r, at_x1 = range(2 * n + 2, 2 * n + 6)
         v1_weights, vx1_weights = servo.weights[1:3].tolist()
-        # the entry 1 of every row: the operator's products keep it, the stencil leaves it
-        states[:, at_m + 1] = 1.0
-        first[at_m:] = (zeta * u0, 1.0, math.sin(omega * 0.0), math.cos(omega * 0.0), r,
-                        w.item(-1) - v1, u0)
-        names = _TRACKING_COLUMNS
-    else:
-        first[at_m:] = (zeta * u0, u0)
-        names = _OBSERVER_COLUMNS
+
+    def reach(t: float, s: np.ndarray) -> None:
+        """Evaluate the inputs of instant t from w and what, and write them into its row s."""
+        nonlocal u0, v1, vx1, r
+        if track:
+            sin, cos, v1, vx1, _ = servo_at(t, DEFAULT_TAIL_TOL)
+            r = derivative(0, t)
+            u0 = law(what) + vx1
+            # the law weighs every observer node, so a NaN/Inf there shows in u0
+            if not math.isfinite(u0):
+                _require_finite(what)
+            s[at_m:] = (zeta * u0, 1.0, sin, cos, r, w.item(-1) - v1, u0)
+        else:
+            u0 = u0_signal(t) if law is None else law(what)
+            # two items, not a slice, which would build an array from a tuple
+            s[at_m], s[-1] = zeta * u0, u0
+
+    u0 = v1 = vx1 = r = 0.0
+    with _quiet():
+        law = None if u0_signal is not None else _adaptive_law(n, est)
+        reach(0.0, first)
 
     def error_fields(out: np.ndarray, rows: np.ndarray) -> None:
         # w - what, whose last value is the innovation w(1) - what(1)
         np.subtract(rows[:, :n], rows[:, n : 2 * n], out)
 
     def block(k: int, stop: int) -> int | None:
-        nonlocal w, what, zeta, u0, v1, vx1, r
+        nonlocal w, what, zeta
         step, update, k0, blow = stepper.step, zeta_step, k, None
         zetas[:] = (zeta,)
         keep = zetas.append
@@ -585,19 +603,13 @@ def _run_observer_loop(
                            u0 + c1 * innov - vx1)
             zeta = zeta_new
             k += 1
-            f, s = fields[k - k0], rows[k - k0]
+            f = fields[k - k0]
             # a NaN/Inf in w or what makes the squares of their values non-finite;
-            # tracking's inputs catch one in what from u0, and _blown_up one in w
+            # tracking's u0 catches one in what, and _blown_up one in w
             if not (track or math.isfinite(f.dot(f))):
                 _require_finite(f)
             blown = _blown_up(w, dx)
-            u0, v1, vx1, r = inputs(k * dt, observer[k - k0])
-            s[at_m] = zeta * u0
-            if track:
-                wt = omega * (k * dt)
-                s[at_sin:] = (math.sin(wt), math.cos(wt), r, w.item(-1) - v1, u0)
-            else:
-                s[-1] = u0
+            reach(k * dt, rows[k - k0])
             keep(zeta)
             if blown:
                 blow = k
@@ -623,9 +635,9 @@ def _run_observer_loop(
         sin, cos = picked[:, at_sin], picked[:, at_cos]
         errors = plant_rows - servo.profiles(kernel, sin, cos) - observer_rows
         _errors(out[:, 6:9], errors, inv_b - out[:, 2], half_b, dx)
-        ref = picked[:, at_r]
-        np.subtract(out[:, 3], ref, out=out[:, 9])
-        out[:, 10] = ref
+        refs = picked[:, at_r]
+        np.subtract(out[:, 3], refs, out=out[:, 9])
+        out[:, 10] = refs
         for at, (c0, cs, cc) in ((11, v1_weights), (12, vx1_weights)):
             out[:, at] = c0 + cs * sin + cc * cos
 
@@ -648,11 +660,11 @@ def _run_observer_loop(
     handover = None
 
     def operator_block(k: int, stop: int) -> int | None:
-        nonlocal w, what, zeta, u0, v1, vx1, r, handover
+        nonlocal zeta, u0, v1, vx1, r, handover
         if handover is not None:
             return block(k, stop)
         if track:
-            wt = omega * (k * dt)
+            wt = servo.omega * (k * dt)
             first[at_sin], first[at_cos] = math.sin(wt), math.cos(wt)
         # zeta and u0 keep the block's first values until the block is quiet
         dot, update, z, u, steps = A.dot, zeta_step, zeta, u0, stop - k
@@ -675,7 +687,8 @@ def _run_observer_loop(
         # step the block again on the stencil, from the first row, which w and what view
         handover = k
         if track:
-            _, v1, vx1, r = inputs(k * dt, observer[0])
+            _, _, v1, vx1, _ = servo_at(k * dt, DEFAULT_TAIL_TOL)
+            r = derivative(0, k * dt)
         return block(k, stop)
 
     return _run(config, names, states, operator_block, fill, now, *record,
@@ -706,9 +719,7 @@ def run_observer(
     feedback design; the plant may well be diverging while the
     estimation error decays.
     """
-    return _run_observer_loop(
-        p, config, w0, what0, zeta0, lambda t, _what: (u0_signal(t), 0.0, 0.0, 0.0)
-    )
+    return _run_observer_loop(p, config, w0, what0, zeta0, u0_signal)
 
 
 def run_stabilization(
@@ -723,13 +734,7 @@ def run_stabilization(
     On a grid of at most :data:`_OPERATOR_MAX_N` nodes it steps as one
     operator product a step (:func:`_run_observer_loop`).
     """
-    est = p.estimator_view()
-    n = config.grid.n
-    feedback = feedback_row(n, est) if n <= _OPERATOR_MAX_N else None
-    return _run_observer_loop(
-        p, config, w0, what0, zeta0, lambda t, what: (adaptive_u0(what, est), 0.0, 0.0, 0.0),
-        feedback=feedback,
-    )
+    return _run_observer_loop(p, config, w0, what0, zeta0)
 
 
 def run_tracking(
@@ -751,21 +756,7 @@ def run_tracking(
     On a grid of at most :data:`_OPERATOR_MAX_N` nodes it steps as one
     operator product a step, as stabilization does.
     """
-    est = p.estimator_view()
-    q, J, n = p.q, config.servo_truncation_J, config.grid.n
-
-    def inputs(t: float, zhat: GridFunction) -> tuple[float, float, float, float]:
-        servo = servo_boundary(ref, q, t, J)
-        u0 = adaptive_u0(zhat, est, servo)
-        # the feedback weighs every observer node, so a NaN/Inf there shows in u0
-        if not math.isfinite(u0):
-            _require_finite(zhat.values)
-        return u0, servo.v1, servo.vx1, ref.derivative(0, t)
-
-    feedback = feedback_row(n, est) if n <= _OPERATOR_MAX_N else None
-    with _quiet():
-        servo = _servo_series(ref, q, J)
-    return _run_observer_loop(p, config, w0, zhat0, zeta0, inputs, servo, feedback)
+    return _run_observer_loop(p, config, w0, zhat0, zeta0, ref=ref)
 
 
 def run_error_system(

@@ -468,6 +468,30 @@ class TestExitCodes:
         assert [r["exit_code"] for r in runs] == [64, 0]
         assert Path(runs[1]["out"], "trace.csv").exists()
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    @pytest.mark.parametrize("scenario, gib", [("stabilize", "9.69"), ("error-system", "4.84")])
+    def test_a_state_slab_the_system_refuses_exits_64(self, tmp_path, scenario, gib):
+        # 10^7 + 1 nodes: the 65-row slab of the run's states is over what the cap leaves
+        out = tmp_path / "run"
+        proc = run_capped("simulate", "--scenario", scenario, "--dx", "1e-7", "--dt", "1e-15",
+                          "--t-final", "1e-15", "--out", str(out))
+        assert proc.returncode == 64
+        assert proc.stderr == (f"heatadapt: cannot allocate {gib} GiB for the run's state slab: "
+                               "raise --dx\n")
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_a_sweep_member_whose_slab_is_refused_exits_64_and_the_sweep_goes_on(self, tmp_path):
+        out = tmp_path / "sweep"
+        proc = run_capped("sweep", "--param", "dx", "--values", "1e-7,0.02", "--dt", "1e-15",
+                          "--t-final", "1e-15", "--out", str(out))
+        assert proc.returncode == 64
+        assert proc.stderr == ("heatadapt: cannot allocate 9.69 GiB for the run's state slab: "
+                               "raise --dx\n")
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        assert [r["exit_code"] for r in runs] == [64, 0]
+        assert Path(runs[1]["out"], "trace.csv").exists()
+
     def test_unsettled_run_with_gate_exits_4(self, tmp_path):
         code = run_cli(
             "simulate", "--scenario", "stabilize", "--t-final", "2",
@@ -1089,3 +1113,18 @@ class TestBatchedSweep:
         runs = json.loads((out / "sweep.json").read_text())["runs"]
         assert [r["exit_code"] for r in runs] == [3] * count
         assert not any(Path(r["out"], "trace.csv").exists() for r in runs)
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # the traced benchmark wraps each (owner, attribute) of its WRAPPED table;
+    # a name the package no longer holds would only fail that run
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("heatadapt_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.WRAPPED
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, *_ in tracer.WRAPPED
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []

@@ -375,27 +375,31 @@ class TestRunnersMatchReferenceRoute:
 
     @pytest.mark.usefixtures("stencil_route")
     @pytest.mark.parametrize(
-        "kind, t_final, snap, stride",
-        [("open", 1.0, 997, 37), ("observer", 0.3, 700, 37), ("stabilize", 0.3, 0, 37),
-         ("track", 0.3, 1100, 37), ("error", 0.3, 500, 37),
+        "kind, t_final, snap, stride, ref",
+        [("open", 1.0, 997, 37, None), ("observer", 0.3, 700, 37, None),
+         ("stabilize", 0.3, 0, 37, None), ("track", 0.3, 1100, 37, "sin"),
+         ("error", 0.3, 500, 37, None),
          # at n = 51 a chunk records 320 steps: a sample stride longer than a
          # chunk, a run that ends one step after a flush, one shorter than a
          # chunk, and snapshots that end blocks inside chunks
-         ("track", 0.1, 0, 700), ("error", 0.1, 0, 700),
-         ("track", 0.0321, 0, 7), ("error", 0.0321, 0, 7),
-         ("track", 0.02, 0, 7), ("error", 0.02, 0, 7),
-         ("track", 0.06, 100, 7), ("error", 0.06, 100, 7)],
+         ("track", 0.1, 0, 700, "sin"), ("error", 0.1, 0, 700, None),
+         ("track", 0.0321, 0, 7, "sin"), ("error", 0.0321, 0, 7, None),
+         ("track", 0.02, 0, 7, "sin"), ("error", 0.02, 0, 7, None),
+         ("track", 0.06, 100, 7, "sin"), ("error", 0.06, 100, 7, None),
+         # the servo terms of the other references: r(0) = -0.0 for a negative
+         # amplitude, and a constant and a zero series
+         ("track", 0.3, 1100, 37, "sin-neg"), ("track", 0.3, 1100, 37, "const"),
+         ("track", 0.3, 1100, 37, "zero")],
         ids=["open-1.0-997", "observer-0.3-700", "stabilize-0.3-0", "track-0.3-1100",
              "error-0.3-500", "track-stride-700", "error-stride-700", "track-end-after-flush",
              "error-end-after-flush", "track-short", "error-short", "track-snap-100",
-             "error-snap-100"],
+             "error-snap-100", "track-sin-neg", "track-const", "track-zero"],
     )
-    def test_trace_equals_reference(self, kind, t_final, snap, stride, grid51, ramp51):
+    def test_trace_equals_reference(self, kind, t_final, snap, stride, ref, grid51, ramp51):
         p = Params(q=9.0, b=-10.0, c0=5.0, c1=5.0) if kind == "open" else Params(
             q=2.0, b=-10.0, c0=5.0, c1=5.0)
         c = cfg(grid51, t_final, stride=stride, snap=snap)
         what0 = GridFunction(grid51, 0.3 * np.sin(3.0 * grid51.nodes))
-        sine = ReferenceSignal.sinusoid(1.0, 1.0)
         u0 = lambda t: math.exp(-t)
         if kind == "open":
             tr = run_open_loop(p, c, ramp51)
@@ -407,32 +411,48 @@ class TestRunnersMatchReferenceRoute:
             tr = run_stabilization(p, c, ramp51, what0, 0.0)
             expected = reference_run(kind, p, c, ramp51, what0, 0.0)
         elif kind == "track":
-            tr = run_tracking(p, c, ramp51, what0, 0.0, sine)
-            expected = reference_run(kind, p, c, ramp51, what0, 0.0, ref=sine)
+            tr = run_tracking(p, c, ramp51, what0, 0.0, REFERENCES[ref])
+            expected = reference_run(kind, p, c, ramp51, what0, 0.0, ref=REFERENCES[ref])
         else:
             tr = run_error_system(p, c, ramp51, -0.1, u0)
             expected = reference_run(kind, p, c, ramp51, None, -0.1, u0_signal=u0)
         assert tr.blown_up is (kind == "open")
+        assert tr.final_state.route == "stencil"
         assert_matches_reference(tr, expected, snap)
 
-    @pytest.mark.usefixtures("stencil_route")
-    @pytest.mark.parametrize("n, dt, t_final, stride, snap, q, gain", [
-        (51, 1e-4, 0.3, 37, 50, 2.0, 5.0),  # snapshot stride coprime to the sample stride
-        (201, 1e-5, 0.01, 37, 250, 2.0, 5.0),
-        (51, 1e-4, 0.1, 4, 6, 9.0, 0.01),  # blows up at step 9, inside the block [8, 12)
-        (51, 1e-4, 0.02, 1, 7, 2.0, 5.0),
-        (51, 1e-4, 0.01, 500, 30, 2.0, 5.0),  # one sample stride spans the whole run
-    ])
-    def test_stabilize_block_schedule(self, n, dt, t_final, stride, snap, q, gain):
+    @pytest.mark.parametrize("n, dt, t_final, stride, snap, q, gain, ref", [
+        (51, 1e-4, 0.3, 37, 50, 2.0, 5.0, None),  # snapshot stride coprime to the sample stride
+        (201, 1e-5, 0.01, 37, 250, 2.0, 5.0, None),
+        (51, 1e-4, 0.1, 4, 6, 9.0, 0.01, None),  # blows up at step 9, inside the block [8, 12)
+        (51, 1e-4, 0.02, 1, 7, 2.0, 5.0, None),
+        (51, 1e-4, 0.01, 500, 30, 2.0, 5.0, None),  # one sample stride spans the whole run
+        # tracking: above the cutoff, where no test changes the route, and at n = 51
+        (201, 1e-5, 0.01, 37, 250, 2.0, 5.0, "sin-neg"),
+        (102, 4e-5, 0.02, 7, 130, 2.0, 5.0, "const"),
+        (51, 1e-4, 0.1, 4, 6, 9.0, 0.01, "const"),
+        (51, 1e-4, 0.02, 1, 7, 2.0, 5.0, "zero"),
+    ], ids=["51-0.0001-0.3-37-50-2.0-5.0", "201-1e-05-0.01-37-250-2.0-5.0",
+            "51-0.0001-0.1-4-6-9.0-0.01", "51-0.0001-0.02-1-7-2.0-5.0",
+            "51-0.0001-0.01-500-30-2.0-5.0", "track-sin-neg-n201", "track-const-n102",
+            "track-const-blow-up", "track-zero-stride-1"])
+    def test_stabilize_block_schedule(self, request, n, dt, t_final, stride, snap, q, gain, ref):
         # the block boundaries of the samples and snapshots, and a blow-up
-        # between them, against the reference route's step-by-step loop
+        # between them, against the reference route's step-by-step loop; the
+        # stencil route is forced only where the grid would take the operator
+        if n <= scenarios._OPERATOR_MAX_N:
+            request.getfixturevalue("stencil_route")
         grid = Grid(n)
         c = cfg(grid, t_final, dt=dt, stride=stride, snap=snap)
         p = Params(q=q, b=-10.0, c0=gain, c1=gain)
         w0 = benchmark_initial_state(grid, q)
         what0 = GridFunction(grid, 0.3 * np.sin(3.0 * grid.nodes))
-        tr = run_stabilization(p, c, w0, what0, 0.0)
-        expected = reference_run("stabilize", p, c, w0, what0, 0.0)
+        if ref is None:
+            tr = run_stabilization(p, c, w0, what0, 0.0)
+            expected = reference_run("stabilize", p, c, w0, what0, 0.0)
+        else:
+            tr = run_tracking(p, c, w0, what0, 0.0, REFERENCES[ref])
+            expected = reference_run("track", p, c, w0, what0, 0.0, ref=REFERENCES[ref])
+        assert tr.final_state.route == "stencil"
         assert tr.blown_up is (q == 9.0)
         if tr.blown_up:
             k = round(tr.blow_up_time / dt)
@@ -865,8 +885,8 @@ def operator_cutoff_grid():
 
 
 SINE = ReferenceSignal.sinusoid(1.0, 1.0)
-REFERENCES = {"sin": SINE, "const": ReferenceSignal.constant(3.0),
-              "zero": ReferenceSignal.zero()}
+REFERENCES = {"sin": SINE, "sin-neg": ReferenceSignal.sinusoid(-1.0, 2.0),
+              "const": ReferenceSignal.constant(3.0), "zero": ReferenceSignal.zero()}
 
 
 class TestOperatorRoute:

@@ -75,7 +75,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: two runs with a malformed spec for an input their scenario does not take,
 #: and five runs whose samples and snapshots straddle the flushes of the
 #: chunks that record them (320 steps at n=51, 128 for observer and stabilize
-#: at stride 1): strides longer than a chunk, and every step sampled
+#: at stride 1): strides longer than a chunk, and every step sampled; and two
+#: tracking runs on the stencil (n=102): one of a negative-amplitude sinusoid,
+#: and one whose servo tail passes its tolerance after step 0
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -177,6 +179,12 @@ COMMANDS = (
                            "--t-final", "0.1", "--pe-tau", "0.02"]),
     ("open-loop-chunks", ["simulate", "--scenario", "open-loop", "--sample-stride", "700",
                           "--snapshot-stride", "1000", "--t-final", "2"]),
+    ("track-n102-neg", ["simulate", "--scenario", "track", "--ref", "sin:-1,2",
+                        "--dx", "0.009900990099009901", "--dt", "4e-5", "--t-final", "0.1",
+                        "--pe-tau", "0.02", "--sample-stride", "7", "--snapshot-stride", "700"]),
+    ("track-n102-truncated", ["simulate", "--scenario", "track", "--ref", "sin:1,0.1",
+                              "--servo-j", "1", "--dx", "0.009900990099009901", "--dt", "4e-5",
+                              "--t-final", "0.05", "--pe-tau", "0.02"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
