@@ -442,6 +442,8 @@ def _tolerance_checks(tolerances: dict, verdicts: dict, b: float) -> dict:
 def _set_up(resolved: dict) -> _Setup:
     """Build and check a run's inputs and create its output directory."""
     q, t_final, tau = resolved["q"], resolved["t-final"], resolved["pe-tau"]
+    if not math.isfinite(resolved["zeta0"]):
+        raise UsageError(f"zeta0 must be finite, got {resolved['zeta0']}")
     params = Params(q=q, b=resolved["b"], c0=resolved["c0"], c1=resolved["c1"])
     grid = Grid.from_dx(resolved["dx"])
     config = SimConfig(
@@ -525,10 +527,24 @@ def _finish(run: _Setup, trace: Trace, duration: float) -> int:
 
 
 def _simulate(resolved: dict) -> int:
+    """Run one simulation; one that fails removes the directories it made that are still empty."""
+    # the output directory and its parents that the run makes, deepest first
+    made, path = [], Path(resolved["out"])
+    while path != path.parent and not path.exists():
+        made.append(path)
+        path = path.parent
     run = _set_up(resolved)
-    start = time.perf_counter()
-    trace = run.scenario.run(run)
-    return _finish(run, trace, time.perf_counter() - start)
+    try:
+        start = time.perf_counter()
+        trace = run.scenario.run(run)
+        return _finish(run, trace, time.perf_counter() - start)
+    except BaseException:
+        for path in made:
+            try:
+                path.rmdir()
+            except OSError:
+                break
+        raise
 
 
 def _analyze(args: dict) -> int:

@@ -4,33 +4,36 @@ Each runner advances the coupled system with a fixed per-step order:
 read boundary values, evaluate the feedback and the innovation, update
 the reciprocal estimate, then step the plant with the pre-update
 estimate and step the observer.  Using the pre-update estimate keeps
-plant and observer consistent with the continuous-time simultaneity;
-the O(dt) splitting error this introduces is covered by the energy
-residual checks in the test suite.  Blocks step, chunks record.  A
-runner keeps its state in its own variables and steps it in blocks of
-at most 64 steps, which end only at snapshot instants, a blow-up and
-the horizon, through one shared blow-up test, ``_blown_up``; the
-schedule of blocks, snapshots and samples, and the record, live in one
-private function, ``_run``.  A block steps the fields (plant and
-observer, or the one field of open-loop and error-system runs) with one
-:class:`~heatadapt.fdm.HeatStepper` from one row of a slab into the
-next, the first row holding the instant it starts from, and keeps the
-scalars of each instant that the state lacks; nothing else is recorded
-per step.  After a block, ``_run`` only stages what the record needs in
-the buffers of a chunk of blocks: the error field of each step, for the
-runs that integrate the dissipation ``diss_cum`` (observer,
-stabilization and error-system), and the row, scalars and t of each
-instant on the sample stride.  Once per chunk, and at the end of the
-run, it takes the chunk's gradient energies with one row-wise call,
-``diss_cum`` with one ``np.add.accumulate``, and the values of every
-staged sample with one row-wise ``fill`` of the runner's.  Observer,
-stabilization and tracking runs share one loop, ``_run_observer_loop``,
-which reads their inputs itself: u0 from a given signal or the adaptive
-law, and tracking's servo terms from its series.  Open-loop and
-error-system runs keep their own loops, whose fluxes are ordered
-differently.  An error-system block skips the blow-up test and the flux
-check and tests its rows once; a block that fails is stepped again with
-both.
+plant and observer consistent with the continuous-time simultaneity; the
+O(dt) splitting error this introduces is covered by the energy residual
+checks in the test suite.  Blocks step, chunks record.  One row of a
+slab holds the whole state of an instant, fields first: ``[w, what, m =
+zeta u0, u0, zeta]`` for the observer loop, ``[w, what, m, 1, sin wt,
+cos wt, r, w(1) - v1, u0, zeta]`` for tracking, ``[wt, u0, zt]`` for the
+error system and ``[w]`` for open-loop.  A runner steps it in blocks of
+at most 64 steps, which end only at snapshot instants, a blow-up and the
+horizon, through one shared blow-up test, ``_blown_up``; the schedule of
+blocks, snapshots and samples, and the record, live in one private
+function, ``_run``.  Every block reads the state it starts from in the
+slab's first row and steps the fields (plant and observer, or the one
+field of open-loop and error-system runs) with one
+:class:`~heatadapt.fdm.HeatStepper` from one row into the next, writing
+the scalars of each instant it reaches into its row; nothing else is
+kept per step.  After a block, ``_run`` only stages what the record
+needs in the buffers of a chunk of blocks: the error field of each step,
+for the runs that integrate the dissipation ``diss_cum`` (observer,
+stabilization and error-system), and the row and t of each instant on
+the sample stride.  Once per chunk, and at the end of the run, it takes
+the chunk's gradient energies with one row-wise call, ``diss_cum`` with
+one ``np.add.accumulate``, and the values of every staged sample with
+one row-wise ``fill`` of the runner's; snapshots and the final state it
+reads from the first row.  Observer, stabilization and tracking runs
+share one loop, ``_run_observer_loop``, which reads their inputs itself:
+u0 from a given signal or the adaptive law, and tracking's servo terms
+from its series.  Open-loop and error-system runs keep their own loops,
+whose fluxes are ordered differently.  An error-system block skips the
+blow-up test and the flux check and tests its rows once; a block that
+fails is stepped again with both.
 
 Stabilize and tracking runs on grids of at most :data:`_OPERATOR_MAX_N`
 nodes step instead as one matrix-vector product a step, into the same
@@ -39,11 +42,12 @@ once ``m = zeta u0``, its one bilinear term, is written into the state,
 and tracking's servo terms are linear in ``(1, sin wt, cos wt)``, which
 the state carries and a rotation block steps (:func:`_operator`).  The
 product rounds differently from the stencil, within about 1e-14 of a
-column's scale on a stable run.  It decides no run's end: a block whose
-states are not quiet, or whose servo tail comes near its tolerance, is
-stepped again on the stencil, which steps the run to its end, and the
-final state records the route and that step.  A sweep runs each of its
-members through these runners, one at a time.
+column's scale on a stable run; it writes each row but its zeta, which
+the update law writes.  It decides no run's end: a block whose states
+are not quiet, or whose servo tail comes near its tolerance, is stepped
+again on the stencil from its first row, and the stencil steps the run
+to its end; the final state records the route and that step.  A sweep
+runs each of its members through these runners, one at a time.
 
 Runs are deterministic: identical inputs produce bit-identical traces
 on one platform.  A run whose state norm passes 1e12 stops early with a
@@ -145,10 +149,8 @@ _SLAB = 64
 
 #: ``block(k, stop)`` steps a run from step k to step stop, see :func:`_run`
 _Block = Callable[[int, int], "int | None"]
-#: ``fill(out, rows, kept)`` writes the values of a run's columns at staged rows into ``out``
-_Fill = Callable[[np.ndarray, np.ndarray, "np.ndarray | None"], None]
-#: ``now()``: the current plant field, observer field (or None), zeta, u0 and u
-_Now = Callable[[], tuple]
+#: ``fill(out, rows)`` writes the values of a run's columns at staged rows into ``out``
+_Fill = Callable[[np.ndarray, np.ndarray], None]
 
 #: the most bytes of one chunk buffer: glibc's default mmap threshold, above
 #: which malloc maps an array afresh and its pages add to the peak RSS
@@ -174,48 +176,49 @@ def _run(
     slab: np.ndarray,
     block: _Block,
     fill: _Fill,
-    now: _Now,
-    kept: list | None = None,
+    fields: int = 1,
+    scalars: tuple[int | None, int | None, int | None] = (None, None, None),
     errors: Callable[[np.ndarray, np.ndarray], None] | None = None,
     c1: float = 0.0,
     route: Callable[[], tuple[str, int | None]] = lambda: ("stencil", None),
 ) -> Trace:
     """The schedule and the record every runner shares: blocks step, chunks record.
 
-    A runner holds its state in its own variables, evaluates the inputs
-    of step 0 and writes that instant's state into the first row of
-    ``slab`` before this is called.  ``block(k, stop)`` then advances from
-    step k to step ``stop``, at most :data:`_SLAB` steps on: each step
-    takes the inputs at hand, steps the fields from one row of the slab
-    into the next, so that row i holds step k + i, runs :func:`_blown_up`
-    on the plant field (the error system tests its rows once instead) and
-    evaluates the inputs of the instant it reaches; the runner keeps the
-    scalars that a row lacks in the list ``kept``, an item per row.  It
-    returns None, or the step at which the plant field blew up, where the
-    run ends; a state that turns NaN/Inf raises :class:`NonFiniteState`
-    from it.  Blocks also end every ``snapshot_stride`` steps, where this
-    records the fields of ``now()``.
+    Row i of ``slab`` holds the whole state of an instant, its ``fields``
+    fields of n values first; ``scalars`` are the columns of its zeta, u0
+    and u, None for one that is 0.0.  A runner writes the state of step 0
+    into the first row before this is called.  ``block(k, stop)`` then
+    advances from step k, whose state it reads in the first row, to step
+    ``stop``, at most :data:`_SLAB` steps on: each step steps the fields
+    from one row into the next, so that row i holds step k + i, runs
+    :func:`_blown_up` on the plant field (the error system tests its rows
+    once instead) and writes the scalars of the instant it reaches into
+    its row.  It returns None, or the step at which the plant field blew
+    up, where the run ends; a state that turns NaN/Inf raises
+    :class:`NonFiniteState` from it.  Blocks also end every
+    ``snapshot_stride`` steps, where this records the first row's fields.
 
     After each block this stages what the record needs in a chunk of
     blocks (:func:`_chunk_steps`): with ``errors``, ``errors(out, rows)``
-    writes the error field of each slab row a step started from; and each
-    instant on the ``sample_stride`` leaves its t, row and item of
-    ``kept``.  Then it carries the row the block reached into the first,
-    from which the last instant is sampled.  Before a block that would
-    overflow the chunk, and at the end, it records the chunk: ``diss_cum``
-    with the boundary gain ``c1`` (:func:`_dissipation`), then ``fill(out,
-    rows, kept)`` writes the other columns ``names`` of the staged rows.
-    ``route()`` gives the final state's ``route`` and ``handover_step``.
+    writes the error field of the fields of each row a step started from;
+    and each instant on the ``sample_stride`` leaves its t and row.  Then
+    it carries the row the block reached into the first, from which the
+    last instant is sampled and the final state read.  Before a block
+    that would overflow the chunk, and at the end, it records the chunk:
+    ``diss_cum`` with the boundary gain ``c1`` (:func:`_dissipation`),
+    then ``fill(out, rows)`` writes the other columns ``names`` of the
+    staged rows.  ``route()`` gives the final state's ``route`` and
+    ``handover_step``.
     """
     dt, stride, n_steps = config.dt, config.sample_stride, config.n_steps
     snap_stride, n = config.snapshot_stride, config.grid.n
-    rec = _Recorder(names, n_steps, stride, snapshot_stride=snap_stride,
-                    fields=len(_fields(*now()[:2])), n=n)
+    rec = _Recorder(names, n_steps, stride, snapshot_stride=snap_stride, fields=fields, n=n)
     chunk = _chunk_steps(n, slab.shape[1], stride)
     room = min(chunk, -(-chunk // stride)) + 1
-    # the chunk's sampled rows and their items of ``kept``
+    # the chunk's sampled rows
     picked = _buffer((room, slab.shape[1]), "sampled states")
-    picked_kept = None if kept is None else np.empty((room, *np.shape(kept[0])))
+    # the fields of the first row, as (fields, n)
+    first = slab[0, : fields * n].reshape(fields, n)
     if errors is not None:
         # the error field of each step of the chunk, and diss_cum where the
         # chunk starts and after each step
@@ -228,10 +231,8 @@ def _run(
         # the rows ``at`` of the block that started from step k0
         ks = range(k0 + at.start, k0 + at.stop, at.step)
         if ks:
-            j, c = len(marks), len(ks)
-            picked[j : j + c] = slab[at]
-            if kept is not None:
-                picked_kept[j : j + c] = kept[at]
+            j = len(marks)
+            picked[j : j + len(ks)] = slab[at]
             marks.extend(ks)
 
     def record(k0: int, m: int) -> None:
@@ -240,7 +241,7 @@ def _run(
         out = rec.rows(c)
         out[:, 0] = ks * dt
         if c:
-            fill(out[:, 1:], picked[:c], None if kept is None else picked_kept[:c])
+            fill(out[:, 1:], picked[:c])
         if errors is not None:
             # each step's boundary value x is the last value of its error field
             _dissipation(diss[: m + 1], energy.of_rows(errs, m), errs[:m, -1], dt, c1)
@@ -253,7 +254,7 @@ def _run(
             stop = min(n_steps, k + _SLAB)
             if snap_stride:
                 if k % snap_stride == 0:
-                    rec.snap(k * dt, _fields(*now()[:2]))
+                    rec.snap(k * dt, dict(zip(("w", "what"), first)))
                 stop = min(stop, k - k % snap_stride + snap_stride)
             if m + stop - k > chunk:
                 record(k - m, m)
@@ -261,18 +262,17 @@ def _run(
             blow = block(k, stop)
             steps = (stop if blow is None else blow) - k
             if errors is not None:
-                errors(errs[m : m + steps], slab[:steps])
+                errors(errs[m : m + steps], slab[:steps, : fields * n])
             sample(k, slice(-k % stride, steps, stride))
             slab[0] = slab[steps]
             k, m = k + steps, m + steps
         sample(k - steps, slice(steps, steps + 1, 1))
         record(k - m, m)
-    w, what, zeta, u0, u = now()
     if snap_stride:
-        rec.snap(k * dt, _fields(w, what))
-    final = ScenarioState(k * dt, GridFunction(config.grid, w),
-                          None if what is None else GridFunction(config.grid, what), zeta, u0, u,
-                          *route())
+        rec.snap(k * dt, dict(zip(("w", "what"), first)))
+    w, *what = (GridFunction(config.grid, f) for f in first)
+    zeta, u0, u = (0.0 if at is None else slab[0, at].item() for at in scalars)
+    final = ScenarioState(k * dt, w, what[0] if what else None, zeta, u0, u, *route())
     return rec.build(final, blow_up_time=None if blow is None else k * dt)
 
 
@@ -302,10 +302,6 @@ def _errors(out: np.ndarray, fields: np.ndarray, zt, half_b: float, dx: float) -
     np.sqrt(2.0 * e, out=out[:, 0])
     out[:, 1] = e
     out[:, 2] = e + half_b * zt * zt
-
-
-def _fields(w: np.ndarray, what: np.ndarray | None) -> dict[str, np.ndarray]:
-    return {"w": w} if what is None else {"w": w, "what": what}
 
 
 def _blown_up(w: np.ndarray, dx: float) -> bool:
@@ -380,22 +376,21 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
     # the field of each instant a block starts from or reaches, each a row of ``slab``
     slab = _slab(config.grid.n)
     stepper = _stepper(config, slab, w0)
-    (w,) = stepper.rows[0]
 
     def block(k: int, stop: int) -> int | None:
-        nonlocal w
         step = stepper.step
+        (w,) = stepper.rows[0]
         for i in range(stop - k):
             (w,) = step(i, -q * w.item(0), 0.0)
             if _blown_up(w, dx):
                 return k + i + 1
         return None
 
-    def fill(out: np.ndarray, picked: np.ndarray, _kept: None) -> None:
+    def fill(out: np.ndarray, picked: np.ndarray) -> None:
         out[:, 0], out[:, 1] = picked[:, 0], picked[:, -1]
         np.sqrt(_sq_norms(picked, dx), out=out[:, 2])
 
-    return _run(config, _OPEN_LOOP_COLUMNS, slab, block, fill, lambda: (w, None, 0.0, 0.0, 0.0))
+    return _run(config, _OPEN_LOOP_COLUMNS, slab, block, fill)
 
 
 #: the largest grid on which stabilize runs step as one product of
@@ -464,12 +459,13 @@ def _quiet_states(states: np.ndarray, gain: float) -> bool:
 
     Their squares summing to less than :data:`_QUIET_SQ`, which a NaN/Inf
     fails, keeps every value under BLOWUP_NORM / 2: no plant norm passes
-    BLOWUP_NORM and no error field's squares overflow.  ``gain`` is twice
-    the largest weight of a value in a flux: ``|b|``, q and ``1 + 2 c1``,
-    with tracking's servo weights added, so a finite ``gain`` times the
-    largest value bounds every flux, ``-q w(0)``, ``b m`` and
-    ``u0 + c1 (w(1) - what(1))`` or their tracking forms, with room for
-    rounding.
+    BLOWUP_NORM and no error field's squares overflow.  The sum takes in
+    each row's zeta too, so a block whose |zeta| passes about 6e10 is not
+    quiet either.  ``gain`` is twice the largest weight of a value in a
+    flux: ``|b|``, q and ``1 + 2 c1``, with tracking's servo weights
+    added, so a finite ``gain`` times the largest value bounds every flux,
+    ``-q w(0)``, ``b m`` and ``u0 + c1 (w(1) - what(1))`` or their
+    tracking forms, with room for rounding.
     """
     flat = states.reshape(-1)
     sq = flat.dot(flat)
@@ -521,20 +517,22 @@ def _run_observer_loop(
     ``DEFAULT_TAIL_TOL`` (:class:`~heatadapt.control.TruncationInsufficient`),
     and a tracking u0 catches a NaN/Inf observer field.
 
-    Each block writes the state of every instant it reaches into a row of
-    one slab and keeps each instant's zeta; without a reference the
-    squares of a row's fields catch a NaN/Inf state.  A row is
-    ``[w, what, m = zeta u0, u0]``, or for tracking
-    ``[w, what, m, 1, sin wt, cos wt, r, w(1) - v1, u0]``.  Without a
-    reference :func:`_run` takes ``diss_cum`` from the rows' ``w - what``.
+    Each block writes the whole state of every instant it reaches into a
+    row of one slab, and reads the state it starts from in the first row,
+    taking tracking's servo terms from the series at that instant; without
+    a reference the squares of a row's fields catch a NaN/Inf state.  A
+    row is ``[w, what, m = zeta u0, u0, zeta]``, or for tracking
+    ``[w, what, m, 1, sin wt, cos wt, r, w(1) - v1, u0, zeta]``.  Without
+    a reference :func:`_run` takes ``diss_cum`` from the rows' ``w - what``.
 
     The adaptive law on a grid of at most :data:`_OPERATOR_MAX_N` nodes
     steps as one product of the matrix of :func:`_operator` a step, whose
     readouts are u0 and, for tracking, r and ``w(1) - v1``, into the same
-    slab.  A tracking block first resets its sin and cos from ``math``.
+    slab: the product writes each row but its zeta, which the update law
+    writes.  A tracking block first resets its sin and cos from ``math``.
     Such a block decides no run's end: a block whose slab is not quiet
     (:func:`_quiet_states`), or whose servo tail comes near
-    ``DEFAULT_TAIL_TOL``, is stepped again from its first state on the
+    ``DEFAULT_TAIL_TOL``, is stepped again from its first row on the
     stencil, which then steps the run to its end: the stencil alone finds
     a blow-up, a NaN/Inf state, a non-finite flux or a servo series that
     is truncated too early.
@@ -542,22 +540,21 @@ def _run_observer_loop(
     dt, dx, n = config.dt, config.grid.dx, config.grid.n
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
     half_b, inv_b = 0.5 * abs(b), 1.0 / b
-    zeta, est = zeta0, p.estimator_view()
+    est = p.estimator_view()
     feedback = feedback_row(n, est) if u0_signal is None and n <= _OPERATOR_MAX_N else None
     with _quiet():
         servo = None if ref is None else _servo_series(ref, q, config.servo_truncation_J)
     track = servo is not None
-    # the state of each instant a block starts from or reaches, each a row of
-    # ``states``, and its zeta in ``zetas``
-    states = _slab(2 * n + (7 if track else 2))
+    # the state of each instant a block starts from or reaches, each a row of ``states``
+    states = _slab(2 * n + (8 if track else 3))
     stepper = _stepper(config, states, w0, what0)
-    w, what = stepper.rows[0]
-    rows, first = tuple(states), states[0]
-    zetas = [zeta]
+    rows = tuple(states)
+    # the same rows as memoryviews, which read and write single values faster
+    views = tuple(map(memoryview, rows))
     fields = tuple(s[: 2 * n] for s in rows)
     # the innovation is x1 - what(1): x1 is w(1), or for tracking w(1) - v(1,t),
-    # which a tracking row holds
-    at_m, at_w1, at_what1, at_x1 = 2 * n, n - 1, 2 * n - 1, n - 1
+    # which a tracking row holds; u0 and zeta end every row
+    at_m, at_what1, at_x1, at_u0, at_zeta = 2 * n, 2 * n - 1, n - 1, -2, -1
     names = _TRACKING_COLUMNS if track else _OBSERVER_COLUMNS
     if track:
         servo_at, derivative = servo.at, ref.derivative
@@ -565,9 +562,8 @@ def _run_observer_loop(
         at_sin, at_cos, at_r, at_x1 = range(2 * n + 2, 2 * n + 6)
         v1_weights, vx1_weights = servo.weights[1:3].tolist()
 
-    def reach(t: float, s: np.ndarray) -> None:
-        """Evaluate the inputs of instant t from w and what, and write them into its row s."""
-        nonlocal u0, v1, vx1, r
+    def reach(t: float, i: int, w: np.ndarray, what: np.ndarray, zeta: float) -> tuple:
+        """Write the inputs of t, from w and what, and zeta into row i; return u0, v1, vx1, r."""
         if track:
             sin, cos, v1, vx1, _ = servo_at(t, DEFAULT_TAIL_TOL)
             r = derivative(0, t)
@@ -575,26 +571,30 @@ def _run_observer_loop(
             # the law weighs every observer node, so a NaN/Inf there shows in u0
             if not math.isfinite(u0):
                 _require_finite(what)
-            s[at_m:] = (zeta * u0, 1.0, sin, cos, r, w.item(-1) - v1, u0)
-        else:
-            u0 = u0_signal(t) if law is None else law(what)
-            # two items, not a slice, which would build an array from a tuple
-            s[at_m], s[-1] = zeta * u0, u0
+            rows[i][at_m:] = (zeta * u0, 1.0, sin, cos, r, w.item(-1) - v1, u0, zeta)
+            return u0, v1, vx1, r
+        u0 = u0_signal(t) if law is None else law(what)
+        s = views[i]
+        s[at_m], s[at_u0], s[at_zeta] = zeta * u0, u0, zeta
+        return u0, 0.0, 0.0, 0.0
 
-    u0 = v1 = vx1 = r = 0.0
     with _quiet():
         law = None if u0_signal is not None else _adaptive_law(n, est)
-        reach(0.0, first)
+        reach(0.0, 0, *stepper.rows[0], zeta0)
 
     def error_fields(out: np.ndarray, rows: np.ndarray) -> None:
         # w - what, whose last value is the innovation w(1) - what(1)
-        np.subtract(rows[:, :n], rows[:, n : 2 * n], out)
+        np.subtract(rows[:, :n], rows[:, n:], out)
 
     def block(k: int, stop: int) -> int | None:
-        nonlocal w, what, zeta
         step, update, k0, blow = stepper.step, zeta_step, k, None
-        zetas[:] = (zeta,)
-        keep = zetas.append
+        w, what = stepper.rows[0]
+        zeta, u0 = views[0][at_zeta], views[0][at_u0]
+        # the first row's servo terms from the series, not an operator block's readouts
+        v1 = vx1 = r = 0.0
+        if track:
+            _, _, v1, vx1, _ = servo_at(k * dt, DEFAULT_TAIL_TOL)
+            r = derivative(0, k * dt)
         while k < stop:
             innov = w.item(-1) - v1 - what.item(-1)
             zeta_new = update(zeta, sgn, innov, u0, dt)
@@ -609,24 +609,20 @@ def _run_observer_loop(
             if not (track or math.isfinite(f.dot(f))):
                 _require_finite(f)
             blown = _blown_up(w, dx)
-            reach(k * dt, rows[k - k0])
-            keep(zeta)
+            u0, v1, vx1, r = reach(k * dt, k - k0, w, what, zeta)
             if blown:
                 blow = k
                 break
         return blow
 
-    def now() -> tuple:
-        return w, what, zeta, u0, zeta * u0
-
-    def fill(out: np.ndarray, picked: np.ndarray, zts: np.ndarray) -> None:
-        """The columns ``names`` but diss_cum of the staged states ``picked`` and zetas ``zts``.
+    def fill(out: np.ndarray, picked: np.ndarray) -> None:
+        """The columns ``names`` but diss_cum of the staged states ``picked``.
 
         Every value equals the one a per-sample row computes from the same
         state, bit for bit.
         """
-        out[:, 0], out[:, 1], out[:, 2] = picked[:, -1], picked[:, at_m], zts
-        out[:, 3], out[:, 4] = picked[:, 0], picked[:, at_w1]
+        out[:, 0], out[:, 1], out[:, 2] = picked[:, at_u0], picked[:, at_m], picked[:, at_zeta]
+        out[:, 3], out[:, 4] = picked[:, 0], picked[:, n - 1]
         plant_rows, observer_rows = picked[:, :n], picked[:, n : 2 * n]
         np.sqrt(_sq_norms(plant_rows, dx), out=out[:, 5])
         if not track:
@@ -641,14 +637,15 @@ def _run_observer_loop(
         for at, (c0, cs, cc) in ((11, v1_weights), (12, vx1_weights)):
             out[:, at] = c0 + cs * sin + cc * cos
 
-    record = (zetas, None if track else error_fields, c1)
+    record = (2, (at_zeta, at_u0, at_m), None if track else error_fields, c1)
     if feedback is None:
-        return _run(config, names, states, block, fill, now, *record)
+        return _run(config, names, states, block, fill, *record)
 
-    # the operator route: w and what view the first state of the block
+    # the operator route: the product reads the row up to m, or for tracking
+    # up to cos wt, and writes it up to u0
     with _quiet():
         A = _operator(p, config, feedback, servo)
-    ins = tuple(s[: A.shape[1]] for s in rows)
+    ins, outs = (tuple(s[:size] for s in rows) for size in A.shape[::-1])
     # every flux is at most gain / 2 times the largest value of a quiet slab,
     # whose rows hold 1: the servo terms through their weights on (1, sin, cos)
     sums = np.abs(servo.weights[:3]).sum(axis=1).tolist() if track else (0.0, 0.0, 0.0)
@@ -660,38 +657,32 @@ def _run_observer_loop(
     handover = None
 
     def operator_block(k: int, stop: int) -> int | None:
-        nonlocal zeta, u0, v1, vx1, r, handover
+        nonlocal handover
         if handover is not None:
             return block(k, stop)
+        dot, update, steps, s = A.dot, zeta_step, stop - k, views[0]
         if track:
             wt = servo.omega * (k * dt)
-            first[at_sin], first[at_cos] = math.sin(wt), math.cos(wt)
-        # zeta and u0 keep the block's first values until the block is quiet
-        dot, update, z, u, steps = A.dot, zeta_step, zeta, u0, stop - k
-        zetas[:] = (z,)
-        keep = zetas.append
+            s[at_sin], s[at_cos] = math.sin(wt), math.cos(wt)
+        z, u = s[at_zeta], s[at_u0]
         for i in range(steps):
-            s, y = rows[i], rows[i + 1]
-            z = update(z, sgn, s.item(at_x1) - s.item(at_what1), u, dt)
-            dot(ins[i], y)
-            u = y.item(-1)
-            y[at_m] = z * u
-            keep(z)
+            y = views[i + 1]
+            z = update(z, sgn, s[at_x1] - s[at_what1], u, dt)
+            dot(ins[i], outs[i + 1])
+            u = y[at_u0]
+            y[at_m], y[at_zeta] = z * u, z
+            s = y
         quiet = _quiet_states(states[: steps + 1], gain)
         if quiet and tail:
             reached = states[1 : steps + 1]
             quiet = servo.tails_below(reached[:, at_sin], reached[:, at_cos], DEFAULT_TAIL_TOL)
         if quiet:
-            zeta, u0 = z, u
             return None
-        # step the block again on the stencil, from the first row, which w and what view
+        # step the block again on the stencil, from the first row
         handover = k
-        if track:
-            _, _, v1, vx1, _ = servo_at(k * dt, DEFAULT_TAIL_TOL)
-            r = derivative(0, k * dt)
         return block(k, stop)
 
-    return _run(config, names, states, operator_block, fill, now, *record,
+    return _run(config, names, states, operator_block, fill, *record,
                 lambda: ("operator", handover))
 
 
@@ -777,32 +768,28 @@ def run_error_system(
     ``obs_err_norm``; ``diss_cum`` accumulates
     dt * (||werr_x||^2 + c1 werr(1)^2) for energy-identity tests.
 
-    A block steps unchecked and tests its rows once; one that fails is
-    stepped again with the checks, so ``u0_signal`` may see instants past
-    the end of the run.
+    A row of the slab holds an instant's state ``[wt, u0, zt]``, and each
+    block starts from the first.  It steps unchecked and tests the fields
+    of its rows once; one that fails is stepped again with the checks, so
+    ``u0_signal`` may see instants past the end of the run.
     """
     dt, dx, n = config.dt, config.grid.dx, config.grid.n
     b, c1, sgn = p.b, p.c1, p.sign_b
     half_b = 0.5 * abs(b)
-    # the field of each instant a block starts from or reaches, each a row of
-    # ``slab``, and its u0 and zt in ``kept``
-    slab = _slab(n)
+    # the state of each instant a block starts from or reaches, each a row
+    # ``[wt, u0, zt]`` of ``slab``, and the rows as memoryviews
+    slab = _slab(n + 2)
     stepper = _stepper(config, slab, wtilde0)
-    (wt,) = stepper.rows[0]
-    zt = zetatilde0
+    views = tuple(map(memoryview, slab))
     with _quiet():
-        u0 = u0_signal(0.0)
-    kept = [(u0, zt)]
+        slab[0, n:] = u0_signal(0.0), zetatilde0
 
     def block(k: int, stop: int) -> int | None:
-        nonlocal wt, zt, u0
-        step, first = stepper.step, (u0, zt)
+        step, first = stepper.step, views[0]
         # unchecked, every flux and zt reaches a row, which one test then sees
         for checked in (False, True):
             (wt,) = stepper.rows[0]
-            (u0, zt), blow = first, None
-            kept[:] = (first,)
-            keep = kept.append
+            u0, zt, blow = first[n], first[n + 1], None
             for i in range(stop - k):
                 wt1 = wt.item(-1)
                 zt_new = zt + dt * sgn * u0 * wt1
@@ -810,25 +797,25 @@ def run_error_system(
                 zt = zt_new
                 blown = checked and _blown_up(wt, dx)
                 u0 = u0_signal((k + i + 1) * dt)
-                keep((u0, zt))
+                s = views[i + 1]
+                s[n], s[n + 1] = u0, zt
                 if blown:
                     blow = k + i + 1
                     break
-            steps = len(kept) - 1
-            # _blown_up's first test of each row, which NaN/Inf fails; not as one BLAS
-            # dot over the slab, which may start threads
-            reached = slab[1 : steps + 1]
+            # _blown_up's first test of each row's field, which NaN/Inf fails; not as
+            # one BLAS dot over the slab, which may start threads
+            reached = slab[1 : (blow or stop) - k + 1, :n]
             if checked or np.add.reduce(reached * reached, axis=1).max() < _QUIET_SQ:
                 break
         return blow
 
-    def fill(out: np.ndarray, picked: np.ndarray, inputs: np.ndarray) -> None:
+    def fill(out: np.ndarray, picked: np.ndarray) -> None:
         # u0, zeta, w0, w1, then wnorm, which equals obs_err_norm, and the rest
-        out[:, 0:2] = inputs
-        out[:, 2], out[:, 3] = picked[:, 0], picked[:, -1]
-        _errors(out[:, 5:8], picked, out[:, 1], half_b, dx)
+        out[:, 0:2] = picked[:, n:]
+        out[:, 2], out[:, 3] = picked[:, 0], picked[:, n - 1]
+        _errors(out[:, 5:8], picked[:, :n], out[:, 1], half_b, dx)
         out[:, 4] = out[:, 5]
 
     # the field is the error, and each step's wt(1) the last value of its row
-    return _run(config, _ERROR_SYSTEM_COLUMNS, slab, block, fill, lambda: (wt, None, zt, u0, 0.0),
-                kept, np.copyto, c1)
+    return _run(config, _ERROR_SYSTEM_COLUMNS, slab, block, fill, 1, (n + 1, n, None), np.copyto,
+                c1)

@@ -180,8 +180,11 @@ class TestExitCodes:
          ("dx", "0", "dx must be > 0, got 0.0"),
          ("dx", "nan", "dx must be > 0, got nan"),
          ("pe-threshold", "inf", "pe_threshold must be finite, got inf"),
-         ("q", "inf", "q must be finite, got inf")],
-        ids=["nan", "inf", "dx-0", "dx-nan", "pe-threshold-inf", "q-inf"],
+         ("q", "inf", "q must be finite, got inf"),
+         ("zeta0", "nan", "zeta0 must be finite, got nan"),
+         ("zeta0", "inf", "zeta0 must be finite, got inf")],
+        ids=["nan", "inf", "dx-0", "dx-nan", "pe-threshold-inf", "q-inf", "zeta0-nan",
+             "zeta0-inf"],
     )
     def test_bad_horizon_or_grid_exits_64(self, tmp_path, capsys, flag, value, reason):
         out = tmp_path / "run"
@@ -371,6 +374,20 @@ class TestExitCodes:
         assert proc.stderr == "heatadapt: heat step produced non-finite values\n"
         assert not (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
+    def test_a_failed_run_removes_only_the_empty_directories_it_made(self, tmp_path, existing):
+        # the run makes a/b/run, or runs into an empty a that was there before
+        base = tmp_path / "a"
+        out = base if existing else base / "b" / "run"
+        if existing:
+            base.mkdir()
+        assert run_cli("simulate", "--scenario", "open-loop",
+                       "--init", spike_profile(tmp_path / "f.txt"), "--t-final", "0.01",
+                       "--pe-tau", "0.01", "--out", str(out)) == 3
+        assert base.exists() is existing
+        if existing:
+            assert not any(base.iterdir())
+
     def test_blow_up_exits_3(self, tmp_path):
         code = run_cli(
             "simulate", "--scenario", "open-loop", "--q", "9",
@@ -479,6 +496,7 @@ class TestExitCodes:
         assert proc.stderr == (f"heatadapt: cannot allocate {gib} GiB for the run's state slab: "
                                "raise --dx\n")
         assert not (out / "trace.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
     def test_a_sweep_member_whose_slab_is_refused_exits_64_and_the_sweep_goes_on(self, tmp_path):
@@ -490,6 +508,7 @@ class TestExitCodes:
                                "raise --dx\n")
         runs = json.loads((out / "sweep.json").read_text())["runs"]
         assert [r["exit_code"] for r in runs] == [64, 0]
+        assert not Path(runs[0]["out"]).exists()
         assert Path(runs[1]["out"], "trace.csv").exists()
 
     def test_unsettled_run_with_gate_exits_4(self, tmp_path):

@@ -15,7 +15,7 @@ from heatadapt import (
     servo_eval,
     zeta_step,
 )
-from heatadapt.control import DEFAULT_TAIL_TOL, ServoTerms, _exp_kernel
+from heatadapt.control import DEFAULT_TAIL_TOL, ServoTerms, _exp_kernel, _ServoSeries
 
 
 @pytest.fixture()
@@ -340,3 +340,17 @@ class TestServoClosedForm:
         raised = [_raises(servo_eval, ref, q, x, t, J, tail_tol) for t in times]
         assert raised == [_raises(series.profile, x, t, tail_tol) for t in times]
         assert 0 < sum(raised) < len(times)
+
+    def test_tails_below_keeps_a_rounding_margin(self):
+        # the operator route's sin and cos may stray from math's by a few dozen
+        # ulps: a tail within 1e-12 of its weights' scale S below the
+        # tolerance must not count as below it, so that such a block goes to
+        # the stencil, which decides with math's sin and cos
+        series = _ServoSeries(ReferenceSignal.sinusoid(1.0, 1.0), 2.0, 3)
+        s, c, _, _, tail = series.at(0.7, math.inf)
+        scale = np.abs(series._boundary_weights[2]).sum()
+        assert tail == pytest.approx(9.5866e-5, rel=1e-4)
+        assert scale == pytest.approx(1.488e-4, rel=1e-3)
+        s, c = np.array([s]), np.array([c])
+        assert not series.tails_below(s, c, tail + 0.5e-12 * scale)
+        assert series.tails_below(s, c, tail + 2e-12 * scale)

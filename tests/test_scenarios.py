@@ -1096,3 +1096,63 @@ class TestOperatorRoute:
             assert proc.returncode == 0, proc.stderr
             outputs.append([(out / f).read_bytes() for f in ("trace.csv", "snapshots.csv")])
         assert outputs[0] == outputs[1]
+
+
+class TestSignMirror:
+    """(b, zeta0) -> (-b, -zeta0) is an exact symmetry of the scheme.
+
+    Negation is exact in IEEE arithmetic, the update law's increment flips
+    with sign(b), b zeta u0 keeps its value and E and F weigh zeta by |b|:
+    every column and snapshot keeps its bits but zeta and u, which are
+    negated bit for bit.  The error system records u as +0.0, which stays
+    +0.0.  Stabilize and tracking runs step as operator products at n = 51
+    and on the stencil at n = 102.
+    """
+
+    @pytest.mark.parametrize("n", [51, 102], ids=["n51", "n102"])
+    @pytest.mark.parametrize("kind", ["observer", "stabilize", "track", "error"])
+    def test_negating_b_and_zeta0_negates_zeta_and_u(self, kind, n):
+        grid = Grid(n)
+        c = cfg(grid, 1.0, dt=1e-4 if n == 51 else 4e-5, stride=7, snap=4500)
+        w0 = benchmark_initial_state(grid, 2.0)
+        what0 = GridFunction(grid, 0.3 * np.sin(3.0 * grid.nodes))
+        u0 = lambda t: math.exp(-t)
+
+        def run(b, zeta0):
+            p = Params(q=2.0, b=b, c0=5.0, c1=5.0)
+            if kind == "observer":
+                return run_observer(p, c, w0, what0, zeta0, u0)
+            if kind == "stabilize":
+                return run_stabilization(p, c, w0, what0, zeta0)
+            if kind == "track":
+                return run_tracking(p, c, w0, what0, zeta0, ReferenceSignal.sinusoid(1.0, 2.0))
+            return run_error_system(p, c, w0, zeta0, u0)
+
+        tr, mirror = run(-10.0, 0.03), run(10.0, -0.03)
+        operator = kind in ("stabilize", "track") and n <= scenarios._OPERATOR_MAX_N
+        assert tr.final_state.route == mirror.final_state.route
+        assert tr.final_state.route == ("operator" if operator else "stencil")
+        assert not tr.blown_up and tr.final_state.t == 1.0
+        negated = {"zeta"} if kind == "error" else {"zeta", "u"}
+        assert bits(mirror.times) == bits(tr.times)
+        assert mirror.scalars.keys() == tr.scalars.keys()
+        for name, values in tr.scalars.items():
+            assert bits(mirror[name]) == bits(-values if name in negated else values), name
+        # zeta moved, so its negation is no copy of the other run's
+        assert np.ptp(tr["zeta"]) > 1e-3
+        if kind == "error":
+            assert bits(mirror["u"]) == bits(np.zeros(len(tr.times)))
+        assert mirror.extras.keys() == tr.extras.keys()
+        for name, values in tr.extras.items():
+            assert bits(mirror.extras[name]) == bits(values), name
+        assert len(mirror.snapshots) == len(tr.snapshots) > 2
+        for (t1, f1), (t2, f2) in zip(mirror.snapshots, tr.snapshots):
+            assert t1 == t2 and f1.keys() == f2.keys()
+            assert all(bits(f1[k]) == bits(f2[k]) for k in f1)
+        a, b = mirror.final_state, tr.final_state
+        assert bits(a.w.values) == bits(b.w.values)
+        assert (a.what is None) is (b.what is None) is (kind == "error")
+        if b.what is not None:
+            assert bits(a.what.values) == bits(b.what.values)
+        last_u = b.last_u if kind == "error" else -b.last_u
+        assert bits([a.zeta, a.last_u0, a.last_u]) == bits([-b.zeta, b.last_u0, last_u])

@@ -40,6 +40,10 @@ Sweeps run each member through ``simulate``'s own path.  Before that,
 them as one stack, which ``sweep-c0-n126`` and ``sweep-q-blow-up-n126``
 (a stack that gives up for a member that blows up) pin: against such a
 revision they must be identical too.
+
+``stabilize-b-pos`` and ``track-b-pos`` run with ``--b 10``, the other
+sign of b: stabilize ends at zeta(5) = +0.102150, the mirror of the
+default run's -0.102150.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ ROOT = Path(__file__).resolve().parents[1]
 #: chunks that record them (320 steps at n=51, 128 for observer and stabilize
 #: at stride 1): strides longer than a chunk, and every step sampled; and two
 #: tracking runs on the stencil (n=102): one of a negative-amplitude sinusoid,
-#: and one whose servo tail passes its tolerance after step 0
+#: and one whose servo tail passes its tolerance after step 0; and a stabilize
+#: and a tracking run with a positive b
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -185,6 +190,8 @@ COMMANDS = (
     ("track-n102-truncated", ["simulate", "--scenario", "track", "--ref", "sin:1,0.1",
                               "--servo-j", "1", "--dx", "0.009900990099009901", "--dt", "4e-5",
                               "--t-final", "0.05", "--pe-tau", "0.02"]),
+    ("stabilize-b-pos", ["simulate", "--scenario", "stabilize", "--b", "10"]),
+    ("track-b-pos", ["simulate", "--scenario", "track", "--b", "10", "--ref", "sin:1,1"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
