@@ -17,7 +17,7 @@ import numpy as np
 
 from .domain import ConfigError, GridFunction, Params, Trace, _Recorder, _step_count
 from .fdm import NonFiniteState, quad
-from .scenarios import _quiet
+from .scenarios import _errors, _quiet
 
 __all__ = [
     "PEVerdict", "Energies", "InsufficientDuration", "UnresolvableMode", "energies",
@@ -251,9 +251,8 @@ def galerkin_error_system(
         chunk = np.array(kept)
         out = rec.rows(len(kept))
         out[:, :5] = chunk[:, :5]
-        e, zs = 0.5 * chunk[:, 5], chunk[:, 2]
-        np.sqrt(2.0 * e, out=out[:, 5])
-        out[:, 6], out[:, 7], out[:, 8] = out[:, 5], e, e + half_b * zs * zs
+        _errors(out[:, 6:9], chunk[:, 5], chunk[:, 2], half_b)
+        out[:, 5] = out[:, 6]
         kept.clear()
 
     with _quiet():

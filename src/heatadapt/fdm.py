@@ -92,13 +92,14 @@ class HeatStepper:
     nothing.  Each field after a step equals :func:`step_heat` of it with
     the same fluxes, bit for bit: the interior is the same ufunc sequence,
     run once over a row's k n values, and the boundary nodes, which that
-    run also writes where two fields meet, the same expressions.
+    run also writes where two fields meet, the same Python float expressions
+    through the row's memoryview, at offset f n for field f.
 
     A step does not scan for NaN/Inf; callers detect a non-finite state
     from a scalar they compute anyway.
     """
 
-    __slots__ = ("rows", "_plans")
+    __slots__ = ("rows", "views", "_plans")
 
     def __init__(self, slab: np.ndarray, fields, dx: float, dt: float):
         shape = np.shape(fields)
@@ -108,20 +109,24 @@ class HeatStepper:
             raise ConfigError(f"fields must be a (k, n >= 3) array that fits the rows of a "
                               f"C-contiguous slab, got {shape} and {slab.shape}")
         slab[0, :size] = np.ravel(fields)
+        k, n = shape
         r = dt / (dx * dx)
+        # per field, the offsets of its end nodes and their neighbours, and its left flux
+        ends = tuple((f * n, f * n + 1, f * n + n - 1, f * n + n - 2, 2 * f) for f in range(k))
         # a buffer, the ufunc operands as 0-d arrays, which numpy takes faster
-        # than Python floats, and the boundary expressions' constants
-        shared = ((np.empty(size - 2), np.array(2.0), np.array(r), 2.0 * r, dx),) * len(slab)
+        # than Python floats, the boundary expressions' constants and the ends
+        shared = ((np.empty(size - 2), np.array(2.0), np.array(r), 2.0 * r, dx, ends),) * len(slab)
         # the fields of every row, their interiors and neighbours, as views
         cols = slab[:, :size]
         inner, right, left = list(cols[:, 1:-1]), list(cols[:, 2:]), list(cols[:, :-2])
         #: per slab row, views of the fields it holds
         self.rows = rows = tuple(map(tuple, cols.reshape(-1, *shape)))
+        #: per slab row, a memoryview of it, which reads and writes single values faster
+        self.views = views = tuple(map(memoryview, slab))
         #: per row, the plan of a step from it: its interior and neighbours, the
-        #: next row's interior, each (field, next field) pair, the next fields
-        #: and what every step shares
-        self._plans = tuple(zip(inner, right, left, inner[1:],
-                                map(tuple, map(zip, rows, rows[1:])), rows[1:], shared))
+        #: next row's interior, the row and the next as memoryviews, the next
+        #: row's fields and what every step shares
+        self._plans = tuple(zip(inner, right, left, inner[1:], views, views[1:], rows[1:], shared))
 
     def step(self, i: int, *fluxes: float, check: bool = True) -> tuple[np.ndarray, ...]:
         """Advance every field from slab row i into row i + 1; return that row's fields.
@@ -135,19 +140,18 @@ class HeatStepper:
             for f in fluxes:
                 if not math.isfinite(f):
                     raise ConfigError("boundary fluxes must be finite")
-        ui, up, um, oi, pairs, out_rows, (tmp, two, r, two_r, dx) = self._plans[i]
+        ui, up, um, oi, u, out, out_row, (tmp, two, r, two_r, dx, ends) = self._plans[i]
         # u[1:-1] + r * (u[2:] - 2.0 * u[1:-1] + u[:-2]), as in step_heat
         np.multiply(two, ui, tmp)
         np.subtract(up, tmp, tmp)
         np.add(tmp, um, tmp)
         np.multiply(r, tmp, tmp)
         np.add(ui, tmp, oi)
-        each = iter(fluxes)
-        for (u, out), left, right in zip(pairs, each, each):
-            u0, u_1 = u.item(0), u.item(-1)
-            out[0] = u0 + two_r * (u.item(1) - u0 - dx * left)
-            out[-1] = u_1 + two_r * (u.item(-2) - u_1 + dx * right)
-        return out_rows
+        for a, a1, z, z1, j in ends:
+            u0, u_1 = u[a], u[z]
+            out[a] = u0 + two_r * (u[a1] - u0 - dx * fluxes[j])
+            out[z] = u_1 + two_r * (u[z1] - u_1 + dx * fluxes[j + 1])
+        return out_row
 
 
 def _trapz(values: np.ndarray, dx: float) -> float:

@@ -178,7 +178,6 @@ def _run(
     fill: _Fill,
     fields: int = 1,
     scalars: tuple[int | None, int | None, int | None] = (None, None, None),
-    errors: Callable[[np.ndarray, np.ndarray], None] | None = None,
     c1: float = 0.0,
     route: Callable[[], tuple[str, int | None]] = lambda: ("stencil", None),
 ) -> Trace:
@@ -199,9 +198,10 @@ def _run(
     ``snapshot_stride`` steps, where this records the first row's fields.
 
     After each block this stages what the record needs in a chunk of
-    blocks (:func:`_chunk_steps`): with ``errors``, ``errors(out, rows)``
-    writes the error field of the fields of each row a step started from;
-    and each instant on the ``sample_stride`` leaves its t and row.  Then
+    blocks (:func:`_chunk_steps`): when ``diss_cum`` is one of ``names``,
+    the error field of each row a step started from, ``w - what`` of two
+    fields or the one field itself; and each instant on the
+    ``sample_stride`` leaves its t and row.  Then
     it carries the row the block reached into the first, from which the
     last instant is sampled and the final state read.  Before a block
     that would overflow the chunk, and at the end, it records the chunk:
@@ -219,7 +219,8 @@ def _run(
     picked = _buffer((room, slab.shape[1]), "sampled states")
     # the fields of the first row, as (fields, n)
     first = slab[0, : fields * n].reshape(fields, n)
-    if errors is not None:
+    errors = "diss_cum" in names
+    if errors:
         # the error field of each step of the chunk, and diss_cum where the
         # chunk starts and after each step
         errs, diss = _buffer((chunk, n), "error fields"), np.zeros(chunk + 1)
@@ -242,7 +243,7 @@ def _run(
         out[:, 0] = ks * dt
         if c:
             fill(out[:, 1:], picked[:c])
-        if errors is not None:
+        if errors:
             # each step's boundary value x is the last value of its error field
             _dissipation(diss[: m + 1], energy.of_rows(errs, m), errs[:m, -1], dt, c1)
             out[:, at_diss], diss[0] = diss[ks - k0], diss[m]
@@ -261,8 +262,10 @@ def _run(
                 m = 0
             blow = block(k, stop)
             steps = (stop if blow is None else blow) - k
-            if errors is not None:
-                errors(errs[m : m + steps], slab[:steps, : fields * n])
+            if errors:
+                # w - what, or the one field less 0.0, which is the field bit for bit
+                less = slab[:steps, n : 2 * n] if fields == 2 else 0.0
+                np.subtract(slab[:steps, :n], less, errs[m : m + steps])
             sample(k, slice(-k % stride, steps, stride))
             slab[0] = slab[steps]
             k, m = k + steps, m + steps
@@ -291,14 +294,14 @@ def _dissipation(diss: np.ndarray, energies: np.ndarray, xs: np.ndarray, dt: flo
     np.add.accumulate(diss, out=diss)
 
 
-def _errors(out: np.ndarray, fields: np.ndarray, zt, half_b: float, dx: float) -> None:
+def _errors(out: np.ndarray, sq: np.ndarray, zt, half_b: float) -> None:
     """Fill in obs_err_norm, E and F, the columns of ``out``, for samples.
 
-    ``fields`` are the samples' error fields as rows and ``zt`` their
-    parameter errors; every value equals the one a per-sample row
+    ``sq`` are the squared norms of the samples' error fields and ``zt``
+    their parameter errors; every value equals the one a per-sample row
     computes from the same inputs, bit for bit.
     """
-    e = 0.5 * _sq_norms(fields, dx)
+    e = 0.5 * sq
     np.sqrt(2.0 * e, out=out[:, 0])
     out[:, 1] = e
     out[:, 2] = e + half_b * zt * zt
@@ -514,16 +517,17 @@ def _run_observer_loop(
     observer estimates z = w - v.  Without one the three are +0.0, and
     ``x - 0.0 == x`` for every float, so the step is the stabilizing one
     bit for bit.  Every instant checks the series' tail against
-    ``DEFAULT_TAIL_TOL`` (:class:`~heatadapt.control.TruncationInsufficient`),
-    and a tracking u0 catches a NaN/Inf observer field.
+    ``DEFAULT_TAIL_TOL`` (:class:`~heatadapt.control.TruncationInsufficient`).
 
     Each block writes the whole state of every instant it reaches into a
     row of one slab, and reads the state it starts from in the first row,
-    taking tracking's servo terms from the series at that instant; without
-    a reference the squares of a row's fields catch a NaN/Inf state.  A
-    row is ``[w, what, m = zeta u0, u0, zeta]``, or for tracking
-    ``[w, what, m, 1, sin wt, cos wt, r, w(1) - v1, u0, zeta]``.  Without
-    a reference :func:`_run` takes ``diss_cum`` from the rows' ``w - what``.
+    taking tracking's servo terms from the series at that instant.  Each
+    step sums the squares of the row's fields once: only a sum that is
+    not under :data:`_QUIET_SQ` (a NaN/Inf state fails it too) is followed
+    by the scan for NaN/Inf and the blow-up test.  A row is ``[w, what, m
+    = zeta u0, u0, zeta]``, or for tracking ``[w, what, m, 1, sin wt, cos
+    wt, r, w(1) - v1, u0, zeta]``.  Without a reference :func:`_run` takes
+    ``diss_cum`` from the rows' ``w - what``.
 
     The adaptive law on a grid of at most :data:`_OPERATOR_MAX_N` nodes
     steps as one product of the matrix of :func:`_operator` a step, whose
@@ -548,9 +552,7 @@ def _run_observer_loop(
     # the state of each instant a block starts from or reaches, each a row of ``states``
     states = _slab(2 * n + (8 if track else 3))
     stepper = _stepper(config, states, w0, what0)
-    rows = tuple(states)
-    # the same rows as memoryviews, which read and write single values faster
-    views = tuple(map(memoryview, rows))
+    rows, views = tuple(states), stepper.views
     fields = tuple(s[: 2 * n] for s in rows)
     # the innovation is x1 - what(1): x1 is w(1), or for tracking w(1) - v(1,t),
     # which a tracking row holds; u0 and zeta end every row
@@ -568,9 +570,6 @@ def _run_observer_loop(
             sin, cos, v1, vx1, _ = servo_at(t, DEFAULT_TAIL_TOL)
             r = derivative(0, t)
             u0 = law(what) + vx1
-            # the law weighs every observer node, so a NaN/Inf there shows in u0
-            if not math.isfinite(u0):
-                _require_finite(what)
             rows[i][at_m:] = (zeta * u0, 1.0, sin, cos, r, w.item(-1) - v1, u0, zeta)
             return u0, v1, vx1, r
         u0 = u0_signal(t) if law is None else law(what)
@@ -581,10 +580,6 @@ def _run_observer_loop(
     with _quiet():
         law = None if u0_signal is not None else _adaptive_law(n, est)
         reach(0.0, 0, *stepper.rows[0], zeta0)
-
-    def error_fields(out: np.ndarray, rows: np.ndarray) -> None:
-        # w - what, whose last value is the innovation w(1) - what(1)
-        np.subtract(rows[:, :n], rows[:, n:], out)
 
     def block(k: int, stop: int) -> int | None:
         step, update, k0, blow = stepper.step, zeta_step, k, None
@@ -604,11 +599,12 @@ def _run_observer_loop(
             zeta = zeta_new
             k += 1
             f = fields[k - k0]
-            # a NaN/Inf in w or what makes the squares of their values non-finite;
-            # tracking's u0 catches one in what, and _blown_up one in w
-            if not (track or math.isfinite(f.dot(f))):
+            # squares of w and what under _QUIET_SQ, which a NaN/Inf fails, keep
+            # the plant's norm under BLOWUP_NORM
+            blown = False
+            if not f.dot(f) < _QUIET_SQ:
                 _require_finite(f)
-            blown = _blown_up(w, dx)
+                blown = _blown_up(w, dx)
             u0, v1, vx1, r = reach(k * dt, k - k0, w, what, zeta)
             if blown:
                 blow = k
@@ -625,19 +621,21 @@ def _run_observer_loop(
         out[:, 3], out[:, 4] = picked[:, 0], picked[:, n - 1]
         plant_rows, observer_rows = picked[:, :n], picked[:, n : 2 * n]
         np.sqrt(_sq_norms(plant_rows, dx), out=out[:, 5])
+        if track:
+            # the shifted state z = w - v, which the observer estimates
+            sin, cos = picked[:, at_sin], picked[:, at_cos]
+            plant_rows = plant_rows - servo.profiles(kernel, sin, cos)
+        errors = _sq_norms(plant_rows - observer_rows, dx)
+        _errors(out[:, 6:9], errors, inv_b - out[:, 2], half_b)
         if not track:
-            _errors(out[:, 6:9], plant_rows - observer_rows, inv_b - out[:, 2], half_b, dx)
             return
-        sin, cos = picked[:, at_sin], picked[:, at_cos]
-        errors = plant_rows - servo.profiles(kernel, sin, cos) - observer_rows
-        _errors(out[:, 6:9], errors, inv_b - out[:, 2], half_b, dx)
         refs = picked[:, at_r]
         np.subtract(out[:, 3], refs, out=out[:, 9])
         out[:, 10] = refs
         for at, (c0, cs, cc) in ((11, v1_weights), (12, vx1_weights)):
             out[:, at] = c0 + cs * sin + cc * cos
 
-    record = (2, (at_zeta, at_u0, at_m), None if track else error_fields, c1)
+    record = (2, (at_zeta, at_u0, at_m), c1)
     if feedback is None:
         return _run(config, names, states, block, fill, *record)
 
@@ -777,10 +775,10 @@ def run_error_system(
     b, c1, sgn = p.b, p.c1, p.sign_b
     half_b = 0.5 * abs(b)
     # the state of each instant a block starts from or reaches, each a row
-    # ``[wt, u0, zt]`` of ``slab``, and the rows as memoryviews
+    # ``[wt, u0, zt]`` of ``slab``
     slab = _slab(n + 2)
     stepper = _stepper(config, slab, wtilde0)
-    views = tuple(map(memoryview, slab))
+    views = stepper.views
     with _quiet():
         slab[0, n:] = u0_signal(0.0), zetatilde0
 
@@ -813,9 +811,8 @@ def run_error_system(
         # u0, zeta, w0, w1, then wnorm, which equals obs_err_norm, and the rest
         out[:, 0:2] = picked[:, n:]
         out[:, 2], out[:, 3] = picked[:, 0], picked[:, n - 1]
-        _errors(out[:, 5:8], picked[:, :n], out[:, 1], half_b, dx)
+        _errors(out[:, 5:8], _sq_norms(picked[:, :n], dx), out[:, 1], half_b)
         out[:, 4] = out[:, 5]
 
     # the field is the error, and each step's wt(1) the last value of its row
-    return _run(config, _ERROR_SYSTEM_COLUMNS, slab, block, fill, 1, (n + 1, n, None), np.copyto,
-                c1)
+    return _run(config, _ERROR_SYSTEM_COLUMNS, slab, block, fill, 1, (n + 1, n, None), c1)

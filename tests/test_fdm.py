@@ -147,28 +147,43 @@ class TestHeatStepper:
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n", [3, 51, 201])
     def test_each_step_equals_step_heat(self, n, k):
-        # 20 steps down a slab of 21 rows, whose rows hold 3 more values than the fields
+        # 20 steps down a slab of 21 rows, whose rows hold 3 more values than the
+        # fields, checked and unchecked, at r = 0.4 and r = 0.2.  Every third step
+        # starts from boundary values of +-0.0 beside +-0.0 or the smallest
+        # subnormals, with +-0.0 fluxes: at r = 0.2, 2 r times such a subnormal
+        # rounds to a zero of its sign, so some boundary nodes become -0.0
         rng = np.random.default_rng(1000 * n + k)
         g = Grid(n)
-        dt = 0.4 * g.dx**2
-        fields = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
-        slab = np.full((21, k * n + 3), 7.0)
-        stepper = HeatStepper(slab, fields, g.dx, dt)
-        assert slab[0, : k * n].tobytes() == fields.tobytes()
-        ref = [GridFunction(g, row) for row in fields]
-        for i in range(20):
-            fluxes = rng.standard_normal(2 * k) * 10.0 ** rng.uniform(-3, 3, 2 * k)
-            rows = stepper.step(i, *fluxes.tolist())
-            ref = [
-                step_heat(f, FluxBC(fluxes[2 * j], fluxes[2 * j + 1]), dt)
-                for j, f in enumerate(ref)
-            ]
-            assert rows is stepper.rows[i + 1]
-            assert all(np.shares_memory(row, slab[i + 1]) for row in rows)
-            for row, f in zip(rows, ref):
-                assert row.tobytes() == f.values.tobytes()
-        # the values past the fields are neither read nor written
-        assert (slab[:, k * n :] == 7.0).all()
+        negative_zeros = 0
+        for check, ratio in [(True, 0.4), (False, 0.4), (True, 0.2), (False, 0.2)]:
+            dt = ratio * g.dx**2
+            fields = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+            slab = np.full((21, k * n + 3), 7.0)
+            stepper = HeatStepper(slab, fields, g.dx, dt)
+            assert slab[0, : k * n].tobytes() == fields.tobytes()
+            ref = [GridFunction(g, row) for row in fields]
+            for i in range(20):
+                fluxes = rng.standard_normal(2 * k) * 10.0 ** rng.uniform(-3, 3, 2 * k)
+                if i % 3 == 2:
+                    fluxes = rng.choice([0.0, -0.0], 2 * k)
+                    for row in stepper.rows[i]:
+                        row[[1, -2]] = rng.choice([0.0, -0.0, 5e-324, -5e-324], 2)
+                        row[[0, -1]] = rng.choice([0.0, -0.0], 2)
+                    ref = [GridFunction(g, row) for row in stepper.rows[i]]
+                rows = stepper.step(i, *fluxes.tolist(), check=check)
+                ref = [
+                    step_heat(f, FluxBC(fluxes[2 * j], fluxes[2 * j + 1]), dt)
+                    for j, f in enumerate(ref)
+                ]
+                assert rows is stepper.rows[i + 1]
+                assert all(np.shares_memory(row, slab[i + 1]) for row in rows)
+                for row, f in zip(rows, ref):
+                    assert row.tobytes() == f.values.tobytes()
+                    ends = row[[0, -1]]
+                    negative_zeros += int((np.signbit(ends) & (ends == 0.0)).sum())
+            # the values past the fields are neither read nor written
+            assert (slab[:, k * n :] == 7.0).all()
+        assert negative_zeros
 
     def test_fields_in_any_memory_order(self, grid51):
         # the first row holds the fields in C order, whatever the order of

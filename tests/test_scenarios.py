@@ -954,6 +954,9 @@ class TestOperatorRoute:
         # b m = 2.8e308 overflows, but its weight in the step, 2 r dx = 1e-300,
         # keeps the state quiet: only the flux bound catches it
         (-2e306, 1e-302, 10, 20.0),
+        # the slab's root sum of squares is 150.8: the bound's factor of 2 takes
+        # gain times it past the largest float, a factor of 0.5 would not
+        (-2e306, 1e-311, 1, 15.0),
     ])
     def test_flux_overflow_raises_as_the_stencil(self, monkeypatch, grid51, ramp51, zeros51,
                                                  b, dt, steps, zeta0):

@@ -44,6 +44,11 @@ revision they must be identical too.
 ``stabilize-b-pos`` and ``track-b-pos`` run with ``--b 10``, the other
 sign of b: stabilize ends at zeta(5) = +0.102150, the mirror of the
 default run's -0.102150.
+
+``observer-n3`` and ``error-system-n3`` run on the smallest grid, n=3
+(``--dx 0.5``), where the boundary nodes of a field share their one
+neighbour: the stencil reads the same node as the second and the
+second-to-last.
 """
 
 from __future__ import annotations
@@ -81,8 +86,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: chunks that record them (320 steps at n=51, 128 for observer and stabilize
 #: at stride 1): strides longer than a chunk, and every step sampled; and two
 #: tracking runs on the stencil (n=102): one of a negative-amplitude sinusoid,
-#: and one whose servo tail passes its tolerance after step 0; and a stabilize
-#: and a tracking run with a positive b
+#: and one whose servo tail passes its tolerance after step 0; a stabilize
+#: and a tracking run with a positive b; and an observer and an error-system
+#: run on three nodes, where a field's second node is its second-to-last
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -192,6 +198,12 @@ COMMANDS = (
                               "--t-final", "0.05", "--pe-tau", "0.02"]),
     ("stabilize-b-pos", ["simulate", "--scenario", "stabilize", "--b", "10"]),
     ("track-b-pos", ["simulate", "--scenario", "track", "--b", "10", "--ref", "sin:1,1"]),
+    ("observer-n3", ["simulate", "--scenario", "observer", "--dx", "0.5", "--dt", "0.01",
+                     "--t-final", "1", "--u0", "exp-decay", "--sample-stride", "3",
+                     "--snapshot-stride", "7"]),
+    ("error-system-n3", ["simulate", "--scenario", "error-system", "--dx", "0.5", "--dt", "0.01",
+                         "--t-final", "1", "--u0", "exp-decay", "--sample-stride", "3",
+                         "--snapshot-stride", "7"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
