@@ -9,8 +9,9 @@ O(dt) splitting error this introduces is covered by the energy residual
 checks in the test suite.  Blocks step, chunks record.  One row of a
 slab holds the whole state of an instant, fields first: ``[w, what, m =
 zeta u0, u0, zeta]`` for the observer loop, ``[w, what, m, 1, sin wt,
-cos wt, r, w(1) - v1, u0, zeta]`` for tracking, ``[wt, u0, zt]`` for the
-error system and ``[w]`` for open-loop.  A runner steps it in blocks of
+cos wt, r, w(1) - v1, u0, zeta]`` for tracking, both padded with zeros
+to a multiple of 8 values, ``[wt, u0, zt]`` for the error system and
+``[w]`` for open-loop.  A runner steps it in blocks of
 at most 64 steps, which end only at snapshot instants, a blow-up and the
 horizon, through one shared blow-up test, ``_blown_up``; the schedule of
 blocks, snapshots and samples, and the record, live in one private
@@ -36,14 +37,15 @@ blow-up test and the flux check and tests its rows once; a block that
 fails is stepped again with both.
 
 Stabilize and tracking runs on grids of at most :data:`_OPERATOR_MAX_N`
-nodes step instead as one matrix-vector product a step, into the same
-slab, which the same record reads: the loop is linear in ``[w, what, m]``
-once ``m = zeta u0``, its one bilinear term, is written into the state,
-and tracking's servo terms are linear in ``(1, sin wt, cos wt)``, which
-the state carries and a rotation block steps (:func:`_operator`).  The
-product rounds differently from the stencil, within about 1e-14 of a
-column's scale on a stable run; it writes each row but its zeta, which
-the update law writes.  It decides no run's end: a block whose states
+nodes step instead as one product a step of a column-major matrix and
+a row, into the whole next row of the same slab, which the same record
+reads: the loop is linear in ``[w, what, m]`` once ``m = zeta u0``, its
+one bilinear term, is written into the state, and tracking's servo
+terms are linear in ``(1, sin wt, cos wt)``, which the state carries and
+a rotation block steps (:func:`_operator`).  The product rounds
+differently from the stencil, within about 1e-14 of a column's scale on
+a stable run; it writes a row's zeta and padding as 0, and the update
+law then writes zeta.  It decides no run's end: a block whose states
 are not quiet, or whose servo tail comes near its tolerance, is stepped
 again on the stencil from its first row, and the stencil steps the run
 to its end; the final state records the route and that step.  A sweep
@@ -351,13 +353,22 @@ def _buffer(shape: tuple[int, ...], what: str) -> np.ndarray:
         return np.empty(shape)
 
 
-def _slab(width: int) -> np.ndarray:
-    """``_SLAB + 1`` rows of ``width`` values from a 64-byte boundary, not the heap's whim."""
-    size = (_SLAB + 1) * width
-    buf = _buffer((size + 7,), "state slab")
+def _aligned(shape: tuple[int, int], what: str) -> np.ndarray:
+    """Zeros of ``shape``, C-contiguous from a 64-byte boundary, not the heap's whim.
+
+    A buffer the system refuses is a ConfigError, as in :func:`_buffer`.
+    """
+    size = shape[0] * shape[1]
+    with _allocating(shape, what, "raise --dx"):
+        buf = np.zeros(size + 7)
     # the address, not from .ctypes, which imports ctypes
     start = -buf.__array_interface__["data"][0] % 64 // 8
-    return buf[start : start + size].reshape(_SLAB + 1, width)
+    return buf[start : start + size].reshape(shape)
+
+
+def _slab(width: int) -> np.ndarray:
+    """``_SLAB + 1`` rows of ``width`` zeros from a 64-byte boundary (:func:`_aligned`)."""
+    return _aligned((_SLAB + 1, width), "state slab")
 
 
 def _stepper(config: SimConfig, slab: np.ndarray, *fields: GridFunction) -> HeatStepper:
@@ -396,13 +407,15 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
     return _run(config, _OPEN_LOOP_COLUMNS, slab, block, fill)
 
 
-#: the largest grid on which stabilize runs step as one product of
-#: :func:`_operator`'s matrix a step: above it the stencil is faster end to
-#: end (README, Performance, which measures the crossover)
+#: the largest grid on which stabilize and tracking runs step as one product
+#: of :func:`_operator`'s matrix a step.  Since the matrix went column-major
+#: the operator is about as fast as the stencil at 126 nodes and slower at
+#: 151 (README, Performance, which measures the crossover); the cutoff stays
+#: here until a benchmark workload runs above it
 _OPERATOR_MAX_N = 101
 
 
-def _operator(p: Params, config: SimConfig, feedback: np.ndarray,
+def _operator(p: Params, config: SimConfig, feedback: np.ndarray, height: int,
               servo: _ServoSeries | None = None) -> np.ndarray:
     """One step of the stabilizing or tracking loop as a matrix A: the next state is ``A @ s``.
 
@@ -423,13 +436,22 @@ def _operator(p: Params, config: SimConfig, feedback: np.ndarray,
     ``u0 + c1 (w(1) - v1 - what(1)) - v_x1``, with u0 now ``g . what +
     v_x1``, add the columns ``-2 r dx q r(t)`` and ``-2 r dx c1 v1(t)``,
     and the readouts are the next r, ``w(1) - v1`` and u0.
+
+    A has ``height`` rows, one per value of the loop's slab row, and is
+    stored column-major from a 64-byte boundary (:func:`_aligned`), so a
+    product writes whole slab rows; with ``height`` a multiple of 8 every
+    column starts on a 64-byte boundary too, where OpenBLAS's column
+    kernel runs fastest.  The rows past u0, the slab's zeta and padding,
+    are 0.
     """
     n, dx = config.grid.n, config.grid.dx
     r = config.dt / (dx * dx)
     # the weight of a boundary flux in its node's step
     flux = 2.0 * r * dx
     width = 2 * n + (1 if servo is None else 4)
-    A = np.zeros((width + (1 if servo is None else 3), width))
+    # the row of the next u0, after tracking's r and w(1) - v1
+    at_u0 = width + (0 if servo is None else 2)
+    A = _aligned((width, height), "operator").T
     for f in (0, n):
         inner = np.arange(f + 1, f + n - 1)
         A[inner, inner - 1] = A[inner, inner + 1] = r
@@ -451,9 +473,9 @@ def _operator(p: Params, config: SimConfig, feedback: np.ndarray,
         A[width, basis] = ref
         A[width + 1] = A[n - 1]
         A[width + 1, basis] -= v1
-    A[-1] = feedback @ A[n : 2 * n]
+    A[at_u0] = feedback @ A[n : 2 * n]
     if servo is not None:
-        A[-1, basis] += vx1
+        A[at_u0, basis] += vx1
     return A
 
 
@@ -464,11 +486,11 @@ def _quiet_states(states: np.ndarray, gain: float) -> bool:
     fails, keeps every value under BLOWUP_NORM / 2: no plant norm passes
     BLOWUP_NORM and no error field's squares overflow.  The sum takes in
     each row's zeta too, so a block whose |zeta| passes about 6e10 is not
-    quiet either.  ``gain`` is twice the largest weight of a value in a
-    flux: ``|b|``, q and ``1 + 2 c1``, with tracking's servo weights
-    added, so a finite ``gain`` times the largest value bounds every flux,
-    ``-q w(0)``, ``b m`` and ``u0 + c1 (w(1) - what(1))`` or their
-    tracking forms, with room for rounding.
+    quiet either, and its padding, which is 0.  ``gain`` is twice the
+    largest weight of a value in a flux: ``|b|``, q and ``1 + 2 c1``, with
+    tracking's servo weights added, so a finite ``gain`` times the largest
+    value bounds every flux, ``-q w(0)``, ``b m`` and ``u0 + c1 (w(1) -
+    what(1))`` or their tracking forms, with room for rounding.
     """
     flat = states.reshape(-1)
     sq = flat.dot(flat)
@@ -526,14 +548,16 @@ def _run_observer_loop(
     not under :data:`_QUIET_SQ` (a NaN/Inf state fails it too) is followed
     by the scan for NaN/Inf and the blow-up test.  A row is ``[w, what, m
     = zeta u0, u0, zeta]``, or for tracking ``[w, what, m, 1, sin wt, cos
-    wt, r, w(1) - v1, u0, zeta]``.  Without a reference :func:`_run` takes
-    ``diss_cum`` from the rows' ``w - what``.
+    wt, r, w(1) - v1, u0, zeta]``, then zeros up to a multiple of 8
+    values, so that every row starts on a 64-byte boundary.  Without a
+    reference :func:`_run` takes ``diss_cum`` from the rows' ``w - what``.
 
     The adaptive law on a grid of at most :data:`_OPERATOR_MAX_N` nodes
     steps as one product of the matrix of :func:`_operator` a step, whose
     readouts are u0 and, for tracking, r and ``w(1) - v1``, into the same
-    slab: the product writes each row but its zeta, which the update law
-    writes.  A tracking block first resets its sin and cos from ``math``.
+    slab: the product writes whole rows, zeta and the padding as 0, and
+    the update law then writes zeta.  A tracking block first resets its
+    sin and cos from ``math``.
     Such a block decides no run's end: a block whose slab is not quiet
     (:func:`_quiet_states`), or whose servo tail comes near
     ``DEFAULT_TAIL_TOL``, is stepped again from its first row on the
@@ -549,14 +573,16 @@ def _run_observer_loop(
     with _quiet():
         servo = None if ref is None else _servo_series(ref, q, config.servo_truncation_J)
     track = servo is not None
-    # the state of each instant a block starts from or reaches, each a row of ``states``
-    states = _slab(2 * n + (8 if track else 3))
+    # the state of each instant a block starts from or reaches, each a row of
+    # ``states``: its ``used`` values, then zeros up to a multiple of 8
+    used = 2 * n + (8 if track else 3)
+    states = _slab(-(-used // 8) * 8)
     stepper = _stepper(config, states, w0, what0)
     rows, views = tuple(states), stepper.views
     fields = tuple(s[: 2 * n] for s in rows)
     # the innovation is x1 - what(1): x1 is w(1), or for tracking w(1) - v(1,t),
-    # which a tracking row holds; u0 and zeta end every row
-    at_m, at_what1, at_x1, at_u0, at_zeta = 2 * n, 2 * n - 1, n - 1, -2, -1
+    # which a tracking row holds; u0 and zeta end every row's used values
+    at_m, at_what1, at_x1, at_u0, at_zeta = 2 * n, 2 * n - 1, n - 1, used - 2, used - 1
     names = _TRACKING_COLUMNS if track else _OBSERVER_COLUMNS
     if track:
         servo_at, derivative = servo.at, ref.derivative
@@ -570,7 +596,7 @@ def _run_observer_loop(
             sin, cos, v1, vx1, _ = servo_at(t, DEFAULT_TAIL_TOL)
             r = derivative(0, t)
             u0 = law(what) + vx1
-            rows[i][at_m:] = (zeta * u0, 1.0, sin, cos, r, w.item(-1) - v1, u0, zeta)
+            rows[i][at_m:used] = (zeta * u0, 1.0, sin, cos, r, w.item(-1) - v1, u0, zeta)
             return u0, v1, vx1, r
         u0 = u0_signal(t) if law is None else law(what)
         s = views[i]
@@ -640,10 +666,10 @@ def _run_observer_loop(
         return _run(config, names, states, block, fill, *record)
 
     # the operator route: the product reads the row up to m, or for tracking
-    # up to cos wt, and writes it up to u0
+    # up to cos wt, and writes the whole row, its zeta and padding as 0
     with _quiet():
-        A = _operator(p, config, feedback, servo)
-    ins, outs = (tuple(s[:size] for s in rows) for size in A.shape[::-1])
+        A = _operator(p, config, feedback, states.shape[1], servo)
+    ins = tuple(s[: A.shape[1]] for s in rows)
     # every flux is at most gain / 2 times the largest value of a quiet slab,
     # whose rows hold 1: the servo terms through their weights on (1, sin, cos)
     sums = np.abs(servo.weights[:3]).sum(axis=1).tolist() if track else (0.0, 0.0, 0.0)
@@ -666,7 +692,7 @@ def _run_observer_loop(
         for i in range(steps):
             y = views[i + 1]
             z = update(z, sgn, s[at_x1] - s[at_what1], u, dt)
-            dot(ins[i], outs[i + 1])
+            dot(ins[i], rows[i + 1])
             u = y[at_u0]
             y[at_m], y[at_zeta] = z * u, z
             s = y

@@ -1083,6 +1083,64 @@ class TestOperatorRoute:
         exact = np.array([[math.sin(a), math.cos(a)] for a in wt])
         assert np.abs(got - exact).max() <= 64 * np.spacing(1.0)
 
+    @pytest.mark.parametrize("kind", ["stabilize", "track"])
+    def test_slab_padding_is_zero_on_a_heap_of_nans(self, params8, grid51, ramp51, zeros51,
+                                                    kind):
+        # freed NaN-filled arrays of the slab's size leave NaN where the heap
+        # hands out the next slab: padding taken from them as it lies would fail
+        # the first block's quiet test and hand the run over at step 0
+        junk = [np.full((scenarios._SLAB + 1) * 112 + 7, np.nan) for _ in range(8)]
+        del junk
+        c = cfg(grid51, 0.05)
+        if kind == "track":
+            tr = run_tracking(params8, c, ramp51, zeros51, 0.0, SINE)
+        else:
+            tr = run_stabilization(params8, c, ramp51, zeros51, 0.0)
+        assert (tr.final_state.route, tr.final_state.handover_step) == ("operator", None)
+
+    @pytest.mark.parametrize("n", [3, 26, 51, 101])
+    @pytest.mark.parametrize("kind", ["stabilize", "track"])
+    def test_product_matches_the_dense_one(self, monkeypatch, params8, rng, kind, n):
+        # the column-major matrix, one row per value of a slab row, against the
+        # row-major product of the same entries, on random states
+        made = {}
+
+        def spy(name):
+            real = getattr(scenarios, name)
+
+            def wrapper(*args):
+                made[name] = real(*args)
+                return made[name]
+            monkeypatch.setattr(scenarios, name, wrapper)
+
+        spy("_operator")
+        spy("_slab")
+        grid = Grid(n)
+        dt = min(1e-4, 0.4 * grid.dx * grid.dx)
+        c = cfg(grid, 64 * dt, dt=dt)
+        w0 = benchmark_initial_state(grid, params8.q)
+        if kind == "track":
+            tr = run_tracking(params8, c, w0, GridFunction.zeros(grid), 0.0, SINE)
+        else:
+            tr = run_stabilization(params8, c, w0, GridFunction.zeros(grid), 0.0)
+        assert (tr.final_state.route, tr.final_state.handover_step) == ("operator", None)
+        A, states = made["_operator"], made["_slab"]
+        height, cols = A.shape
+        assert A.flags.f_contiguous and A.ctypes.data % 64 == 0
+        assert height == states.shape[1] and height % 8 == 0
+        # a row's values: [w, what, m, u0, zeta], or tracking's ten; zeta and
+        # the padding are 0, the u0 readout before them is not
+        used = 2 * n + (8 if kind == "track" else 3)
+        assert used <= height < used + 8
+        assert A[used - 2].any() and not A[used - 1 :].any()
+        dense = np.ascontiguousarray(A)
+        for s in rng.standard_normal((16, cols)):
+            # as the loop calls it: from a row's first values into the next row
+            states[0, :cols] = s
+            A.dot(states[0, :cols], states[1])
+            bound = 4 * np.spacing(np.abs(dense) @ np.abs(s))
+            assert (np.abs(states[1] - dense.dot(s)) <= bound).all()
+
     def test_trace_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # the product runs in BLAS, which may split it over threads
         src = str(Path(__file__).resolve().parents[1] / "src")

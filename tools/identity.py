@@ -49,6 +49,18 @@ default run's -0.102150.
 (``--dx 0.5``), where the boundary nodes of a field share their one
 neighbour: the stencil reads the same node as the second and the
 second-to-last.
+
+Since the operator went column-major, with one row per value of a slab
+row and those rows padded with zeros to a multiple of 8, the product
+sums each row in another order.  Against a revision before it, the
+operator-route outputs of stabilize and tracking runs and their sweeps
+moved, and their manifests differ only in ``verdicts``: stable runs by
+at most 1.2e-14 of a column's scale, the two handover runs that blow up
+by 1.4e-12 (``stabilize-handover``) and 2.8e-11 (``track-handover``), and
+``sweep-q-blow-up/001-q=5.0`` by 1.1e-3 before its blow-up.  Exit codes,
+stderr, routes, handover steps and blow-up steps stayed the same.
+``stabilize-n26`` and ``track-n41`` pin padded rows: 54 rows padded to 56,
+and 89 to 96.
 """
 
 from __future__ import annotations
@@ -88,7 +100,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: tracking runs on the stencil (n=102): one of a negative-amplitude sinusoid,
 #: and one whose servo tail passes its tolerance after step 0; a stabilize
 #: and a tracking run with a positive b; and an observer and an error-system
-#: run on three nodes, where a field's second node is its second-to-last
+#: run on three nodes, where a field's second node is its second-to-last; and
+#: a stabilize and a tracking run whose operators' rows are padded with zeros
+#: to a multiple of 8 (54 to 56 at n=26, 89 to 96 at n=41)
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -204,6 +218,8 @@ COMMANDS = (
     ("error-system-n3", ["simulate", "--scenario", "error-system", "--dx", "0.5", "--dt", "0.01",
                          "--t-final", "1", "--u0", "exp-decay", "--sample-stride", "3",
                          "--snapshot-stride", "7"]),
+    ("stabilize-n26", ["simulate", "--scenario", "stabilize", "--dx", "0.04"]),
+    ("track-n41", ["simulate", "--scenario", "track", "--dx", "0.025", "--ref", "sin:1,1"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
