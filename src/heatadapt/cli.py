@@ -83,6 +83,8 @@ class _Setup(NamedTuple):
     w0: GridFunction
     #: the observer's initial field, zero
     what0: GridFunction
+    #: the output directory and its parents that the set-up made, deepest first
+    made: list[Path]
 
 
 class _Scenario(NamedTuple):
@@ -174,8 +176,9 @@ class RunManifest:
     duration_s: float
     #: rows written to trace.csv; None in manifests written before the field
     samples: int | None = None
-    #: "operator" or "stencil", what stepped the run (None for galerkin), and
-    #: the step from which an operator run went on on the stencil, if it did
+    #: "operator", "operator-batch" or "stencil", what stepped the run (None
+    #: for galerkin), and the step from which an operator run went on on the
+    #: stencil, if it did
     route: str | None = None
     handover_step: int | None = None
     outputs: dict = field(default_factory=dict)
@@ -459,18 +462,15 @@ def _set_up(resolved: dict) -> _Setup:
     validate_config(params, config)
     scenario = _SCENARIOS[resolved["scenario"]]
     check_record_size(config, 1 + len(scenario.columns), scenario.snapshot_fields)
-    run = _Setup(
-        resolved=resolved,
-        scenario=scenario,
-        params=params,
-        config=config,
-        ref=_parse_ref(resolved["ref"]),
-        u0_signal=_parse_u0(resolved["u0"]),
-        w0=_parse_init(resolved["init"], grid, q),
-        what0=GridFunction.zeros(grid),
-    )
+    ref, u0_signal = _parse_ref(resolved["ref"]), _parse_u0(resolved["u0"])
+    w0 = _parse_init(resolved["init"], grid, q)
+    made, path = [], Path(resolved["out"])
+    while path != path.parent and not path.exists():
+        made.append(path)
+        path = path.parent
     _make_out_dir(resolved["out"])
-    return run
+    return _Setup(resolved, scenario, params, config, ref, u0_signal, w0,
+                  GridFunction.zeros(grid), made)
 
 
 def _finish(run: _Setup, trace: Trace, duration: float) -> int:
@@ -526,20 +526,19 @@ def _finish(run: _Setup, trace: Trace, duration: float) -> int:
     return 0
 
 
-def _simulate(resolved: dict) -> int:
-    """Run one simulation; one that fails removes the directories it made that are still empty."""
-    # the output directory and its parents that the run makes, deepest first
-    made, path = [], Path(resolved["out"])
-    while path != path.parent and not path.exists():
-        made.append(path)
-        path = path.parent
-    run = _set_up(resolved)
+def _complete(run: _Setup, trace: Trace | None = None, duration: float = 0.0) -> int:
+    """Run a set-up, unless its ``trace`` and ``duration`` are given, and finish it.
+
+    A run that fails removes the directories its set-up made that are still empty.
+    """
     try:
-        start = time.perf_counter()
-        trace = run.scenario.run(run)
-        return _finish(run, trace, time.perf_counter() - start)
+        if trace is None:
+            start = time.perf_counter()
+            trace = run.scenario.run(run)
+            duration = time.perf_counter() - start
+        return _finish(run, trace, duration)
     except BaseException:
-        for path in made:
+        for path in run.made:
             try:
                 path.rmdir()
             except OSError:
@@ -600,24 +599,52 @@ def _report(exc: Exception) -> int:
     return 3 if isinstance(exc, NonFiniteState) else 64
 
 
+#: the flags in which the members of a batch may differ: none of them enters
+#: the operator that they share (batch.run_batches)
+_BATCH_FLAGS = ("c0", "zeta0", "pe-tau", "pe-threshold")
+
+
 def _sweep(resolved: dict) -> int:
     """Run simulate once per value, each into ``NNN-param=repr(value)``.
 
-    Members run one at a time, in input order, so ``sweep.json`` and the
-    ``heatadapt:`` lines on stderr keep the order of the values.
+    Every member is set up first, in input order.  When the sweep is over
+    one of :data:`_BATCH_FLAGS` and of ``stabilize`` runs on a grid of at
+    most ``scenarios._OPERATOR_MAX_N`` nodes, the members whose set-up
+    held then step in batches (:func:`~heatadapt.batch.run_batches`).
+    Then each member is finished in input order: a set-up that failed
+    reports its error, a batched member writes its outputs and any other
+    member runs alone through ``simulate``'s own path, so ``sweep.json``
+    and the ``heatadapt:`` lines on stderr keep the order of the values.
     """
     param, values = resolved["param"], resolved["values"]
     base_out = _make_out_dir(resolved["out"])
-    runs = []
-    for i, v in enumerate(values):
-        sub = dict(resolved)
-        sub[param] = v
-        sub["out"] = str(base_out / f"{i:03d}-{param}={v!r}")
+    outs = [str(base_out / f"{i:03d}-{param}={v!r}") for i, v in enumerate(values)]
+    setups = []
+    for v, out in zip(values, outs):
         try:
-            code = _simulate(sub)
+            setups.append(_set_up({**resolved, param: v, "out": out}))
         except _EXPECTED_ERRORS as exc:
-            code = _report(exc)
-        runs.append({"out": sub["out"], "value": v, "exit_code": code})
+            setups.append(exc)
+    ready = [run for run in setups if isinstance(run, _Setup)]
+    batched = {}
+    if (ready and param in _BATCH_FLAGS and resolved["scenario"] == "stabilize"
+            and ready[0].config.grid.n <= scenarios._OPERATOR_MAX_N):
+        # loaded only by the sweeps that may batch: its code would weigh on every run's memory
+        from .batch import run_batches
+
+        first = ready[0]
+        done = run_batches([run.params for run in ready], first.config, first.w0, first.what0,
+                           [run.resolved["zeta0"] for run in ready])
+        batched = {id(run): d for run, d in zip(ready, done) if d}
+    codes = []
+    for run in setups:
+        try:
+            codes.append(_complete(run, *batched.get(id(run), ())) if isinstance(run, _Setup)
+                         else _report(run))
+        except _EXPECTED_ERRORS as exc:
+            codes.append(_report(exc))
+    runs = [{"out": out, "value": v, "exit_code": code}
+            for v, out, code in zip(values, outs, codes)]
     index = {"param": param, "runs": runs}
     (base_out / "sweep.json").write_text(json.dumps(index, indent=2) + "\n")
     return max(r["exit_code"] for r in runs)
@@ -627,7 +654,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         command, resolved = parse_args(argv if argv is not None else sys.argv[1:])
         if command == "simulate":
-            return _simulate(resolved)
+            return _complete(_set_up(resolved))
         if command == "sweep":
             return _sweep(resolved)
         return _analyze(resolved)

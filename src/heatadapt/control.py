@@ -139,6 +139,17 @@ def feedback_row(n: int, p: EstimatorParams) -> np.ndarray:
     return g
 
 
+def _feedback_kernel(n: int, q: float) -> np.ndarray:
+    """The row ``h = e_n + q K`` on the n-node grid, which no c0 enters.
+
+    ``-(q + c0) (h . what)`` is the law's u0 for every c0, up to the order
+    of its roundings, so one row serves runs that differ only in c0.
+    """
+    h = q * _exp_kernel(n, q)
+    h[-1] += 1.0
+    return h
+
+
 def zeta_step(zeta: float, sign_b: int, innovation: float, u0: float, dt: float) -> float:
     """One explicit Euler step of the reciprocal-coefficient update law.
 
@@ -147,6 +158,20 @@ def zeta_step(zeta: float, sign_b: int, innovation: float, u0: float, dt: float)
     unchanged whenever innovation or u0 vanishes.
     """
     return zeta - sign_b * innovation * u0 * dt
+
+
+def _zeta_steps(zeta: np.ndarray, sign_b: np.ndarray, innovation: np.ndarray, u0: np.ndarray,
+                dt: np.ndarray, out: np.ndarray) -> None:
+    """:func:`zeta_step` of arrays of runs, into ``out``; ``innovation`` is overwritten.
+
+    The same operations in the same order, elementwise, so every value
+    equals that of :func:`zeta_step` bit for bit.  ``sign_b`` (as a float)
+    and ``dt`` are 0-d arrays, which numpy takes faster than Python scalars.
+    """
+    np.multiply(sign_b, innovation, innovation)
+    np.multiply(innovation, u0, innovation)
+    np.multiply(innovation, dt, innovation)
+    np.subtract(zeta, innovation, out)
 
 
 class _ServoSeries:

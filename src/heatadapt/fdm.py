@@ -177,7 +177,7 @@ def grad_values(values: np.ndarray, dx: float) -> np.ndarray:
 class GradientEnergy:
     """Trapezoid values of the integral of f_x^2, one per row, in planned buffers.
 
-    The rows are the error fields of a runner's block, one per step: the
+    The rows are the error fields of a runner's steps, one per step: the
     error system's field, or ``w - what`` of the observer loop's states.
     ``f_x`` is :func:`grad_values` of ``f``, written with the formulas of
     ``np.gradient(f, dx, edge_order=2)``: central differences inside and
@@ -186,11 +186,18 @@ class GradientEnergy:
     trapezoid rule, bit for bit: the same operations run elementwise over
     the rows, and ``np.add.reduce`` along the contiguous rows sums each
     one as it sums a single profile.
+
+    With a ``buffer`` of k n + 1 values, :attr:`rows` are its last k n
+    values as k rows of n, for the caller to fill.  :meth:`of_rows` of
+    them writes their gradients one value back in the same buffer, over
+    the rows themselves, so it needs no buffer of their size: the central
+    differences then read each value ahead of the one they write, which
+    numpy runs in place.  Other arrays get a gradient buffer of their own.
     """
 
-    __slots__ = ("_k", "_weights", "_rows")
+    __slots__ = ("_k", "_weights", "_rows", "rows", "_buffer")
 
-    def __init__(self, n: int, dx: float):
+    def __init__(self, n: int, dx: float, buffer: np.ndarray | None = None):
         if n < 3:
             raise ConfigError(f"the gradient needs at least 3 nodes, got {n}")
         # 2 dx, 0.5 and dx as 0-d ufunc operands
@@ -200,36 +207,44 @@ class GradientEnergy:
         self._weights = tuple(np.array(pair) for pair in zip(left, right))
         #: the array last passed, the buffers of its rows and a plan per row count
         self._rows = None
+        #: the rows of ``buffer`` for the caller to fill
+        self._buffer, self.rows = buffer, None if buffer is None else buffer[1:].reshape(-1, n)
 
     def of_rows(self, d: np.ndarray, m: int | None = None) -> np.ndarray:
         """The gradient energy of each of the first m rows of ``d``.
 
-        ``d`` is a C-contiguous ``(rows, n)`` array; m defaults to every row.  The buffers are allocated for ``d`` itself
-        and the views planned once per m, so a caller that passes the same
-        array every time pays for the m rows it asks for and plans once per
-        row count; a new array is planned anew.
+        ``d`` is a C-contiguous ``(rows, n)`` array; m defaults to every
+        row.  For :attr:`rows` the gradients overwrite those m rows; any
+        other array keeps its values, and its buffers are allocated for it
+        the first time it is passed.  The views are planned once per m, so
+        a caller that passes the same array every time pays for the m rows
+        it asks for and plans once per row count; a new array is planned
+        anew.
         """
         if self._rows is None or self._rows[0] is not d:
             if d.ndim != 2 or d.shape[1] < 3 or not d.flags.c_contiguous:
                 raise ConfigError(f"rows must be a C-contiguous (m, n >= 3) array, got {d.shape}")
-            self._rows = (d, np.empty(d.shape), np.empty((len(d), 2)), {})
-        _, grads, tmps, plans = self._rows
+            grads = self._buffer[:-1].reshape(d.shape) if d is self.rows else np.empty(d.shape)
+            self._rows = (d, grads, np.empty((len(d), 2)), np.empty((len(d), 2)), {})
+        _, grads, tmps, edges, plans = self._rows
         m = len(d) if m is None else m
         plan = plans.get(m)
         if plan is None:
-            plan = plans[m] = self._row_plan(d[:m], grads[:m], tmps[:m])
-        grad, flat_diff, inner, ends, (f0, f1, f2), (a, b, c), tmp, first, last = plan
+            plan = plans[m] = self._row_plan(d[:m], grads[:m], tmps[:m], edges[:m])
+        grad, flat_diff, inner, ends, (f0, f1, f2), (a, b, c), tmp, edge, first, last = plan
         two_dx, one_half, dx = self._k
+        # both one-sided edge formulas at once, as (a * f0 + b * f1) + c * f2,
+        # before any gradient overwrites the values they read
+        np.multiply(a, f0, tmp)
+        np.multiply(b, f1, edge)
+        np.add(tmp, edge, tmp)
+        np.multiply(c, f2, edge)
+        np.add(tmp, edge, edge)
         # central differences over the flattened rows; the ones that straddle
-        # two rows land on edge nodes, which the edge formulas overwrite
+        # two rows land on edge nodes, which the edge values then overwrite
         np.subtract(flat_diff[2:], flat_diff[:-2], inner)
         np.divide(inner, two_dx, inner)
-        # both one-sided edge formulas at once, as (a * f0 + b * f1) + c * f2
-        np.multiply(a, f0, tmp)
-        np.multiply(b, f1, ends)
-        np.add(tmp, ends, tmp)
-        np.multiply(c, f2, ends)
-        np.add(tmp, ends, ends)
+        np.copyto(ends, edge)
         np.multiply(grad, grad, grad)
         total = np.add.reduce(grad, axis=1)
         half = tmp[:, 0]
@@ -239,7 +254,8 @@ class GradientEnergy:
         np.multiply(dx, total, total)
         return total
 
-    def _row_plan(self, diff: np.ndarray, grad: np.ndarray, tmp: np.ndarray) -> tuple:
+    def _row_plan(self, diff: np.ndarray, grad: np.ndarray, tmp: np.ndarray,
+                  edge: np.ndarray) -> tuple:
         (rows, n), step = diff.shape, diff.strides
         # (f[0], f[-3]), (f[1], f[-2]) and (f[2], f[-1]) of every row
         edges = tuple(
@@ -252,4 +268,4 @@ class GradientEnergy:
         # the first and last node of every row
         ends = grad[:, :: n - 1]
         return (grad, diff.reshape(-1), grad.reshape(-1)[1:-1], ends, edges, self._weights, tmp,
-                ends[:, 0], ends[:, 1])
+                edge, ends[:, 0], ends[:, 1])

@@ -25,11 +25,14 @@ needs in the buffers of a chunk of blocks: the error field of each step,
 for the runs that integrate the dissipation ``diss_cum`` (observer,
 stabilization and error-system), and the row and t of each instant on
 the sample stride.  Once per chunk, and at the end of the run, it takes
-the chunk's gradient energies with one row-wise call, ``diss_cum`` with
-one ``np.add.accumulate``, and the values of every staged sample with
-one row-wise ``fill`` of the runner's; snapshots and the final state it
-reads from the first row.  Observer, stabilization and tracking runs
-share one loop, ``_run_observer_loop``, which reads their inputs itself:
+the chunk's gradient energies with one row-wise call and ``diss_cum``
+with one ``np.add.accumulate``; once the staged rows are full, and at
+the end, it takes the values of every staged sample with one row-wise
+``fill`` of the runner's; snapshots and the final state it reads from
+the first row.  A slab row may hold the states of a batch of members
+(:mod:`heatadapt.batch`), which one schedule and one record serve.
+Observer, stabilization and tracking runs share one loop,
+``_run_observer_loop``, which reads their inputs itself:
 u0 from a given signal or the adaptive law, and tracking's servo terms
 from its series.  Open-loop and error-system runs keep their own loops,
 whose fluxes are ordered differently.  An error-system block skips the
@@ -42,14 +45,17 @@ a row, into the whole next row of the same slab, which the same record
 reads: the loop is linear in ``[w, what, m]`` once ``m = zeta u0``, its
 one bilinear term, is written into the state, and tracking's servo
 terms are linear in ``(1, sin wt, cos wt)``, which the state carries and
-a rotation block steps (:func:`_operator`).  The product rounds
-differently from the stencil, within about 1e-14 of a column's scale on
-a stable run; it writes a row's zeta and padding as 0, and the update
-law then writes zeta.  It decides no run's end: a block whose states
-are not quiet, or whose servo tail comes near its tolerance, is stepped
-again on the stencil from its first row, and the stencil steps the run
-to its end; the final state records the route and that step.  A sweep
-runs each of its members through these runners, one at a time.
+a rotation block steps (:func:`_operator`); the product reads the row's
+u0 for the observer's flux.  The product rounds differently from the
+stencil, within about 1e-14 of a column's scale on a stable run; it
+writes a row's zeta and padding as 0, and the update law then writes
+zeta.  It decides no run's end: a block whose states are not quiet, or
+whose servo tail comes near its tolerance, is stepped again on the
+stencil from its first row, and the stencil steps the run to its end;
+the final state records the route and that step.  A sweep steps the
+stabilize members that share an operator as batches
+(:mod:`heatadapt.batch`) and runs every other member through these
+runners, one at a time.
 
 Runs are deterministic: identical inputs produce bit-identical traces
 on one platform.  A run whose state norm passes 1e12 stops early with a
@@ -134,8 +140,9 @@ class ScenarioState:
     zeta: float
     last_u0: float
     last_u: float
-    #: what stepped the run: "operator", one matrix product a step, or
-    #: "stencil", :class:`~heatadapt.fdm.HeatStepper`
+    #: what stepped the run: "operator", one matrix product a step,
+    #: "operator-batch", one product a step for a batch of runs
+    #: (:mod:`heatadapt.batch`), or "stencil", :class:`~heatadapt.fdm.HeatStepper`
     route: str = "stencil"
     #: the step from which an operator run went on on the stencil, if it did
     handover_step: int | None = None
@@ -158,18 +165,25 @@ _Fill = Callable[[np.ndarray, np.ndarray], None]
 #: which malloc maps an array afresh and its pages add to the peak RSS
 _CHUNK_BYTES = 128 << 10
 
+#: the fewest samples that one ``fill`` takes at once, where a chunk samples
+#: fewer: a run at stride 100 fills 32 times in 50k steps, not once a chunk,
+#: and the servo profiles of a tracking fill, n (J + 2) values a sample, stay
+#: under :data:`_CHUNK_BYTES` at n=51 and J=12
+_FILL_SAMPLES = 16
 
-def _chunk_steps(n: int, width: int, stride: int) -> int:
-    """The most steps one chunk records: a multiple of :data:`_SLAB`, at least one block.
+
+def _chunk_steps(n: int, width: int, stride: int, block: int = _SLAB) -> int:
+    """The most steps one chunk records: a multiple of ``block`` steps, at least one block.
 
     A chunk keeps a row of n values for each step, the error field it
     starts from, and a row of ``width`` values for each instant it samples
     on ``stride`` and for the last; both stay within :data:`_CHUNK_BYTES`
-    unless one block does not fit.
+    unless one block does not fit.  A batch of B members counts B n and
+    B ``width`` values.
     """
     rows = _CHUNK_BYTES // 8
     steps = min(rows // n, (rows // width - 1) * stride)
-    return max(_SLAB, steps - steps % _SLAB)
+    return max(block, steps - steps % block)
 
 
 def _run(
@@ -182,53 +196,66 @@ def _run(
     scalars: tuple[int | None, int | None, int | None] = (None, None, None),
     c1: float = 0.0,
     route: Callable[[], tuple[str, int | None]] = lambda: ("stencil", None),
-) -> Trace:
+) -> list[Trace]:
     """The schedule and the record every runner shares: blocks step, chunks record.
 
-    Row i of ``slab`` holds the whole state of an instant, its ``fields``
-    fields of n values first; ``scalars`` are the columns of its zeta, u0
-    and u, None for one that is 0.0.  A runner writes the state of step 0
-    into the first row before this is called.  ``block(k, stop)`` then
-    advances from step k, whose state it reads in the first row, to step
-    ``stop``, at most :data:`_SLAB` steps on: each step steps the fields
-    from one row into the next, so that row i holds step k + i, runs
-    :func:`_blown_up` on the plant field (the error system tests its rows
-    once instead) and writes the scalars of the instant it reaches into
-    its row.  It returns None, or the step at which the plant field blew
-    up, where the run ends; a state that turns NaN/Inf raises
-    :class:`NonFiniteState` from it.  Blocks also end every
-    ``snapshot_stride`` steps, where this records the first row's fields.
+    ``slab`` is ``(L + 1, B, W)``: row i holds the states of B members at
+    one instant, a single run's B being 1, and each state is W values,
+    its ``fields`` fields of n values first; ``scalars`` are the columns
+    of its zeta, u0 and u, None for one that is 0.0.  A runner writes the
+    states of step 0 into the first row before this is called.
+    ``block(k, stop)`` then advances from step k, whose states it reads in
+    the first row, to step ``stop``, at most L steps on: each step steps
+    the fields from one row into the next, so that row i holds step
+    k + i, runs :func:`_blown_up` on the plant field (the error system
+    tests its rows once instead, and a batch tests them for quiet) and
+    writes the scalars of the instant it reaches into its row.  It returns
+    None, or the step at which the plant field blew up, where the run
+    ends; a state that turns NaN/Inf raises :class:`NonFiniteState` from
+    it.  Blocks also end every ``snapshot_stride`` steps, where this
+    records the first row's fields.
 
-    After each block this stages what the record needs in a chunk of
-    blocks (:func:`_chunk_steps`): when ``diss_cum`` is one of ``names``,
+    After each block this stages what the record needs: in a chunk of
+    blocks (:func:`_chunk_steps`), when ``diss_cum`` is one of ``names``,
     the error field of each row a step started from, ``w - what`` of two
-    fields or the one field itself; and each instant on the
-    ``sample_stride`` leaves its t and row.  Then
-    it carries the row the block reached into the first, from which the
-    last instant is sampled and the final state read.  Before a block
-    that would overflow the chunk, and at the end, it records the chunk:
-    ``diss_cum`` with the boundary gain ``c1`` (:func:`_dissipation`),
-    then ``fill(out, rows)`` writes the other columns ``names`` of the
-    staged rows.  ``route()`` gives the final state's ``route`` and
-    ``handover_step``.
+    fields or the one field itself, for every member; and each instant on
+    the ``sample_stride`` leaves its t and row.  Then it carries the row
+    the block reached into the first, from which the last instant is
+    sampled and the final states read.  Before a block that would
+    overflow the chunk, it records the chunk's ``diss_cum`` with the
+    boundary gain ``c1``, with one ``GradientEnergy.of_rows`` and one
+    ``np.add.accumulate`` over every member's steps, and the chunk's
+    samples keep theirs.  Before a block whose samples would overflow the
+    staged rows (:data:`_FILL_SAMPLES`), it also records every staged
+    sample, with one ``fill(out, rows)`` of the other columns ``names`` of
+    all their rows, every member's; and it records both at the end.
+    ``route()`` gives the final states' ``route`` and ``handover_step``.
+    Returns one Trace per member.
     """
     dt, stride, n_steps = config.dt, config.sample_stride, config.n_steps
     snap_stride, n = config.snapshot_stride, config.grid.n
-    rec = _Recorder(names, n_steps, stride, snapshot_stride=snap_stride, fields=fields, n=n)
-    chunk = _chunk_steps(n, slab.shape[1], stride)
-    room = min(chunk, -(-chunk // stride)) + 1
-    # the chunk's sampled rows
-    picked = _buffer((room, slab.shape[1]), "sampled states")
-    # the fields of the first row, as (fields, n)
-    first = slab[0, : fields * n].reshape(fields, n)
+    length, members, width = slab.shape
+    length -= 1
+    recs = [_Recorder(names, n_steps, stride, snapshot_stride=snap_stride, fields=fields, n=n)
+            for _ in range(members)]
+    chunk = _chunk_steps(members * n, members * width, stride, length)
+    # the staged samples: their rows, and then t and the values of ``names``
+    room = max(min(chunk, -(-chunk // stride)) + 1, _FILL_SAMPLES)
+    picked = _buffer((room, members, width), "sampled states")
+    values = _buffer((room, members, 1 + len(names)), "sampled values")
+    # the fields of each member's state in the first row, as (fields, n)
+    firsts = [s[: fields * n].reshape(fields, n) for s in slab[0]]
     errors = "diss_cum" in names
     if errors:
-        # the error field of each step of the chunk, and diss_cum where the
-        # chunk starts and after each step
-        errs, diss = _buffer((chunk, n), "error fields"), np.zeros(chunk + 1)
-        energy, at_diss = GradientEnergy(n, config.grid.dx), 1 + names.index("diss_cum")
-    # the step of each sample the chunk staged
-    marks = []
+        # the error fields of each step of the chunk, in rows whose gradients
+        # of_rows writes over them, and diss_cum where the chunk starts and
+        # after each step, one column per member
+        energy = GradientEnergy(n, config.grid.dx, _buffer((chunk * members * n + 1,),
+                                                            "error fields"))
+        errs, diss = energy.rows.reshape(chunk, members, n), np.zeros((chunk + 1, members))
+        at_diss = 1 + names.index("diss_cum")
+    # the step of each staged sample, and how many of them have their diss_cum
+    marks, settled = [], 0
 
     def sample(k0: int, at: slice) -> None:
         # the rows ``at`` of the block that started from step k0
@@ -238,62 +265,69 @@ def _run(
             picked[j : j + len(ks)] = slab[at]
             marks.extend(ks)
 
-    def record(k0: int, m: int) -> None:
-        # the chunk of m steps from step k0
-        c, ks = len(marks), np.array(marks, dtype=int)
-        out = rec.rows(c)
-        out[:, 0] = ks * dt
-        if c:
-            fill(out[:, 1:], picked[:c])
-        if errors:
-            # each step's boundary value x is the last value of its error field
-            _dissipation(diss[: m + 1], energy.of_rows(errs, m), errs[:m, -1], dt, c1)
-            out[:, at_diss], diss[0] = diss[ks - k0], diss[m]
-        marks.clear()
+    def record(k0: int, m: int, full: bool) -> None:
+        # diss_cum of the chunk of m steps from step k0 and of the samples it
+        # staged; with ``full``, every staged sample into each member's record
+        nonlocal settled
+        c = len(marks)
+        if errors and m:
+            # each step adds dt * (||f_x||^2 + c1 x^2), x the last value of its
+            # error field, read before of_rows overwrites the fields; the terms,
+            # evaluated elementwise in that order, are summed in step order down
+            # each member's column, so each value is that of a loop, bit for bit
+            xs = errs[:m, :, -1]
+            edge = c1 * xs * xs
+            energies = energy.of_rows(energy.rows, m * members).reshape(m, members)
+            np.multiply(dt, energies + edge, out=diss[1 : m + 1])
+            np.add.accumulate(diss[: m + 1], out=diss[: m + 1])
+            values[settled:c, :, at_diss] = diss[np.array(marks[settled:], dtype=int) - k0]
+            diss[0] = diss[m]
+        settled = c
+        if full and c:
+            values[:c, :, 0] = (np.array(marks, dtype=int) * dt)[:, None]
+            fill(values[:c].reshape(c * members, -1)[:, 1:], picked[:c].reshape(c * members, -1))
+            for j, rec in enumerate(recs):
+                rec.rows(c)[:] = values[:c, j]
+            marks.clear()
+            settled = 0
+
+    def snap(k: int) -> None:
+        for rec, first in zip(recs, firsts):
+            rec.snap(k * dt, dict(zip(("w", "what"), first)))
 
     k, m, blow = 0, 0, None
     with _quiet():
         while blow is None and k < n_steps:
-            stop = min(n_steps, k + _SLAB)
+            stop = min(n_steps, k + length)
             if snap_stride:
                 if k % snap_stride == 0:
-                    rec.snap(k * dt, dict(zip(("w", "what"), first)))
+                    snap(k)
                 stop = min(stop, k - k % snap_stride + snap_stride)
-            if m + stop - k > chunk:
-                record(k - m, m)
+            # the block's samples, and the last instant's, must fit the staged rows
+            full = len(marks) + len(range(-k % stride, stop - k, stride)) >= room
+            if full or m + stop - k > chunk:
+                record(k - m, m, full)
                 m = 0
             blow = block(k, stop)
             steps = (stop if blow is None else blow) - k
             if errors:
                 # w - what, or the one field less 0.0, which is the field bit for bit
-                less = slab[:steps, n : 2 * n] if fields == 2 else 0.0
-                np.subtract(slab[:steps, :n], less, errs[m : m + steps])
+                less = slab[:steps, :, n : 2 * n] if fields == 2 else 0.0
+                np.subtract(slab[:steps, :, :n], less, errs[m : m + steps])
             sample(k, slice(-k % stride, steps, stride))
             slab[0] = slab[steps]
             k, m = k + steps, m + steps
         sample(k - steps, slice(steps, steps + 1, 1))
-        record(k - m, m)
+        record(k - m, m, True)
     if snap_stride:
-        rec.snap(k * dt, dict(zip(("w", "what"), first)))
-    w, *what = (GridFunction(config.grid, f) for f in first)
-    zeta, u0, u = (0.0 if at is None else slab[0, at].item() for at in scalars)
-    final = ScenarioState(k * dt, w, what[0] if what else None, zeta, u0, u, *route())
-    return rec.build(final, blow_up_time=None if blow is None else k * dt)
-
-
-def _dissipation(diss: np.ndarray, energies: np.ndarray, xs: np.ndarray, dt: float,
-                 c1: float) -> None:
-    """``diss_cum`` after each step of a chunk, into ``diss[1:]``.
-
-    ``diss[0]`` is ``diss_cum`` where the chunk starts, ``energies`` are
-    the gradient energies of the fields the steps start from and ``xs``
-    their boundary values x, one per step.  Each step adds
-    ``dt * (||f_x||^2 + c1 x^2)``, evaluated elementwise in that order,
-    and ``np.add.accumulate`` sums the terms in step order, so every value
-    equals that of a loop that adds them one at a time, bit for bit.
-    """
-    np.multiply(dt, energies + c1 * xs * xs, out=diss[1:])
-    np.add.accumulate(diss, out=diss)
+        snap(k)
+    traces = []
+    for s, first, rec in zip(slab[0], firsts, recs):
+        w, *what = (GridFunction(config.grid, f) for f in first)
+        zeta, u0, u = (0.0 if at is None else s[at].item() for at in scalars)
+        final = ScenarioState(k * dt, w, what[0] if what else None, zeta, u0, u, *route())
+        traces.append(rec.build(final, blow_up_time=None if blow is None else k * dt))
+    return traces
 
 
 def _errors(out: np.ndarray, sq: np.ndarray, zt, half_b: float) -> None:
@@ -404,7 +438,7 @@ def run_open_loop(p: Params, config: SimConfig, w0: GridFunction) -> Trace:
         out[:, 0], out[:, 1] = picked[:, 0], picked[:, -1]
         np.sqrt(_sq_norms(picked, dx), out=out[:, 2])
 
-    return _run(config, _OPEN_LOOP_COLUMNS, slab, block, fill)
+    return _run(config, _OPEN_LOOP_COLUMNS, slab[:, None], block, fill)[0]
 
 
 #: the largest grid on which stabilize and tracking runs step as one product
@@ -419,23 +453,28 @@ def _operator(p: Params, config: SimConfig, feedback: np.ndarray, height: int,
               servo: _ServoSeries | None = None) -> np.ndarray:
     """One step of the stabilizing or tracking loop as a matrix A: the next state is ``A @ s``.
 
-    The state is ``s = [w, what, m]`` with ``m = zeta u0``, and ``A @ s``
-    also gives the next u0.  The rows of w and what are one explicit step
-    of :func:`~heatadapt.fdm.step_heat` with the ghost-node fluxes
-    expanded: ``-q w(0)`` at the left end of both fields, ``b m`` at the
-    plant's right end and ``u0 + c1 (w(1) - what(1))`` at the observer's,
-    where u0 is ``feedback . what``, ``feedback`` being the row g of
-    :func:`~heatadapt.control.feedback_row`.  The last row, g times the
-    observer rows, gives the next state's u0.  The m row is 0: the caller
-    writes ``zeta u0`` there, the one bilinear term of the loop.
+    The state is ``s = [w, what, m, u0]`` with ``m = zeta u0``, and
+    ``A @ s`` also gives the next u0.  The rows of w and what are one
+    explicit step of :func:`~heatadapt.fdm.step_heat` with the ghost-node
+    fluxes expanded: ``-q w(0)`` at the left end of both fields, ``b m``
+    at the plant's right end and ``u0 + c1 (w(1) - what(1))`` at the
+    observer's, which reads u0 in the state.  The last row, ``feedback``
+    times the observer rows, gives the next u0 when ``feedback`` is the
+    row g of :func:`~heatadapt.control.feedback_row`; with the row h of
+    :func:`~heatadapt.control._feedback_kernel`, which no c0 enters, it
+    gives the next ``u0 / -(q + c0)`` of every c0, which a batch scales
+    (:func:`~heatadapt.batch.run_stabilization_batch`).  The m row is 0:
+    the caller writes ``zeta u0`` there, the one bilinear term of the loop.
 
     With the ``servo`` series of a reference, whose terms r(t), v(1,t) and
-    v_x(1,t) are weights on ``(1, sin wt, cos wt)``, the state goes on
-    with those three entries, which a rotation block steps, and
-    what is the shifted estimate z.  Its fluxes ``-q (w(0) - r)`` and
+    v_x(1,t) are weights on ``(1, sin wt, cos wt)``, the state is ``[w,
+    what, m, 1, sin wt, cos wt, r, w(1) - v1, u0]``, whose r and ``w(1) -
+    v1`` A reads with weight 0, a rotation block steps the three entries,
+    and what is the shifted estimate z.  Its fluxes ``-q (w(0) - r)`` and
     ``u0 + c1 (w(1) - v1 - what(1)) - v_x1``, with u0 now ``g . what +
-    v_x1``, add the columns ``-2 r dx q r(t)`` and ``-2 r dx c1 v1(t)``,
-    and the readouts are the next r, ``w(1) - v1`` and u0.
+    v_x1``, add the columns ``-2 r dx q r(t)``, ``-2 r dx c1 v1(t)`` and
+    ``-2 r dx v_x1(t)``, and the readouts are the next r, ``w(1) - v1``
+    and u0.
 
     A has ``height`` rows, one per value of the loop's slab row, and is
     stored column-major from a 64-byte boundary (:func:`_aligned`), so a
@@ -448,10 +487,9 @@ def _operator(p: Params, config: SimConfig, feedback: np.ndarray, height: int,
     r = config.dt / (dx * dx)
     # the weight of a boundary flux in its node's step
     flux = 2.0 * r * dx
-    width = 2 * n + (1 if servo is None else 4)
-    # the row of the next u0, after tracking's r and w(1) - v1
-    at_u0 = width + (0 if servo is None else 2)
-    A = _aligned((width, height), "operator").T
+    # the state's u0, after tracking's 1, sin wt, cos wt, r and w(1) - v1
+    at_u0 = 2 * n + (1 if servo is None else 6)
+    A = _aligned((at_u0 + 1, height), "operator").T
     for f in (0, n):
         inner = np.arange(f + 1, f + n - 1)
         A[inner, inner - 1] = A[inner, inner + 1] = r
@@ -463,16 +501,17 @@ def _operator(p: Params, config: SimConfig, feedback: np.ndarray, height: int,
     A[n - 1, 2 * n] = flux * p.b
     A[2 * n - 1, n - 1] += flux * p.c1
     A[2 * n - 1, 2 * n - 1] -= flux * p.c1
-    A[2 * n - 1, n : 2 * n] += flux * feedback
+    A[2 * n - 1, at_u0] = flux
     if servo is not None:
         basis = slice(2 * n + 1, 2 * n + 4)
         A[n, basis] -= flux * p.q * servo.weights[0]
         A[2 * n - 1, basis] -= flux * p.c1 * servo.weights[1]
+        A[2 * n - 1, basis] -= flux * servo.weights[2]
         rotation, (ref, v1, vx1, _) = servo.ahead(config.dt)
         A[basis, basis] = rotation
-        A[width, basis] = ref
-        A[width + 1] = A[n - 1]
-        A[width + 1, basis] -= v1
+        A[at_u0 - 2, basis] = ref
+        A[at_u0 - 1] = A[n - 1]
+        A[at_u0 - 1, basis] -= v1
     A[at_u0] = feedback @ A[n : 2 * n]
     if servo is not None:
         A[at_u0, basis] += vx1
@@ -487,10 +526,10 @@ def _quiet_states(states: np.ndarray, gain: float) -> bool:
     BLOWUP_NORM and no error field's squares overflow.  The sum takes in
     each row's zeta too, so a block whose |zeta| passes about 6e10 is not
     quiet either, and its padding, which is 0.  ``gain`` is twice the
-    largest weight of a value in a flux: ``|b|``, q and ``1 + 2 c1``, with
-    tracking's servo weights added, so a finite ``gain`` times the largest
-    value bounds every flux, ``-q w(0)``, ``b m`` and ``u0 + c1 (w(1) -
-    what(1))`` or their tracking forms, with room for rounding.
+    largest weight of a value in a flux (:func:`_observer_rows`), so a finite
+    ``gain`` times the largest value bounds every flux, ``-q w(0)``, ``b
+    m`` and ``u0 + c1 (w(1) - what(1))`` or their tracking forms, with
+    room for rounding.
     """
     flat = states.reshape(-1)
     sq = flat.dot(flat)
@@ -501,23 +540,74 @@ def _quiet_states(states: np.ndarray, gain: float) -> bool:
 MAX_RECORD_BYTES = 2 << 30
 
 
-def check_record_size(config: SimConfig, row: int, fields: int) -> None:
+def check_record_size(config: SimConfig, row: int, fields: int, members: int = 1) -> None:
     """Raise :class:`ConfigError` if a run would record more than :data:`MAX_RECORD_BYTES`.
 
     The run keeps ``n_steps // sample_stride + 2`` sample rows of ``row``
     floats, t included, and, with snapshots, ``n_steps // snapshot_stride
-    + 2`` snapshots of ``fields`` fields, before it starts.
+    + 2`` snapshots of ``fields`` fields, before it starts; a batch of
+    ``members`` runs keeps that many times as much.
     """
     n_steps, snap_stride = config.n_steps, config.snapshot_stride
     size = 8 * (n_steps // config.sample_stride + 2) * row
     if snap_stride:
         size += 8 * (n_steps // snap_stride + 2) * fields * config.grid.n
+    size *= members
     if size > MAX_RECORD_BYTES:
         raise ConfigError(
             f"the run would record {size / 2**30:.3g} GiB of samples and snapshots, over the "
             f"{MAX_RECORD_BYTES / 2**30:g} GiB limit: raise --sample-stride or "
             "--snapshot-stride, or shorten --t-final"
         )
+
+
+def _observer_rows(p: Params, config: SimConfig,
+                   servo: _ServoSeries | None) -> tuple[int, int, float, _Fill]:
+    """The rows of the observer loop: the values of a state, the row, the flux gain and ``fill``.
+
+    A state is ``[w, what, m = zeta u0, u0, zeta]``, or with a servo
+    series ``[w, what, m, 1, sin wt, cos wt, r, w(1) - v1, u0, zeta]``, and
+    a row pads it with zeros to a multiple of 8 values.  The gain is twice
+    the largest weight of a state's value in a flux: ``|b|``, q and ``1 +
+    2 c1``, and with a servo series, whose state holds 1, ``q (1 + sum|r|)``
+    and ``1 + c1 (2 + sum|v1|) + sum|vx1|`` (:func:`_quiet_states`).
+    ``fill`` writes the columns of :data:`_OBSERVER_COLUMNS`, or of
+    :data:`_TRACKING_COLUMNS`, but diss_cum, of staged states: every value
+    equals the one a per-sample row computes from the same state, bit for
+    bit.
+    """
+    n, dx, b = config.grid.n, config.grid.dx, p.b
+    used = 2 * n + (3 if servo is None else 8)
+    half_b, inv_b = 0.5 * abs(b), 1.0 / b
+    at_m, at_u0, at_zeta = 2 * n, used - 2, used - 1
+    r_sum = v1_sum = vx1_sum = 0.0
+    if servo is not None:
+        kernel = servo.kernel(config.grid.nodes)
+        at_sin, at_cos, at_r = 2 * n + 2, 2 * n + 3, 2 * n + 4
+        v1_weights, vx1_weights = servo.weights[1:3].tolist()
+        r_sum, v1_sum, vx1_sum = np.abs(servo.weights[:3]).sum(axis=1).tolist()
+    gain = 2.0 * max(abs(b), p.q * (1.0 + r_sum), 1.0 + p.c1 * (2.0 + v1_sum) + vx1_sum)
+
+    def fill(out: np.ndarray, picked: np.ndarray) -> None:
+        out[:, 0], out[:, 1], out[:, 2] = picked[:, at_u0], picked[:, at_m], picked[:, at_zeta]
+        out[:, 3], out[:, 4] = picked[:, 0], picked[:, n - 1]
+        plant_rows, observer_rows = picked[:, :n], picked[:, n : 2 * n]
+        np.sqrt(_sq_norms(plant_rows, dx), out=out[:, 5])
+        if servo is not None:
+            # the shifted state z = w - v, which the observer estimates
+            sin, cos = picked[:, at_sin], picked[:, at_cos]
+            plant_rows = plant_rows - servo.profiles(kernel, sin, cos)
+        errors = _sq_norms(plant_rows - observer_rows, dx)
+        _errors(out[:, 6:9], errors, inv_b - out[:, 2], half_b)
+        if servo is None:
+            return
+        refs = picked[:, at_r]
+        np.subtract(out[:, 3], refs, out=out[:, 9])
+        out[:, 10] = refs
+        for at, (c0, cs, cc) in ((11, v1_weights), (12, vx1_weights)):
+            out[:, at] = c0 + cs * sin + cc * cos
+
+    return used, -(-used // 8) * 8, gain, fill
 
 
 def _run_observer_loop(
@@ -546,18 +636,17 @@ def _run_observer_loop(
     taking tracking's servo terms from the series at that instant.  Each
     step sums the squares of the row's fields once: only a sum that is
     not under :data:`_QUIET_SQ` (a NaN/Inf state fails it too) is followed
-    by the scan for NaN/Inf and the blow-up test.  A row is ``[w, what, m
-    = zeta u0, u0, zeta]``, or for tracking ``[w, what, m, 1, sin wt, cos
-    wt, r, w(1) - v1, u0, zeta]``, then zeros up to a multiple of 8
-    values, so that every row starts on a 64-byte boundary.  Without a
-    reference :func:`_run` takes ``diss_cum`` from the rows' ``w - what``.
+    by the scan for NaN/Inf and the blow-up test.  A row is the state of
+    :func:`_observer_rows`, then zeros up to a multiple of 8 values, so
+    that every row starts on a 64-byte boundary.  Without a reference
+    :func:`_run` takes ``diss_cum`` from the rows' ``w - what``.
 
     The adaptive law on a grid of at most :data:`_OPERATOR_MAX_N` nodes
     steps as one product of the matrix of :func:`_operator` a step, whose
     readouts are u0 and, for tracking, r and ``w(1) - v1``, into the same
-    slab: the product writes whole rows, zeta and the padding as 0, and
-    the update law then writes zeta.  A tracking block first resets its
-    sin and cos from ``math``.
+    slab: the product reads the row's u0 and writes whole rows, zeta and
+    the padding as 0, and the update law then writes zeta.  A tracking
+    block first resets its sin and cos from ``math``.
     Such a block decides no run's end: a block whose slab is not quiet
     (:func:`_quiet_states`), or whose servo tail comes near
     ``DEFAULT_TAIL_TOL``, is stepped again from its first row on the
@@ -567,7 +656,6 @@ def _run_observer_loop(
     """
     dt, dx, n = config.dt, config.grid.dx, config.grid.n
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
-    half_b, inv_b = 0.5 * abs(b), 1.0 / b
     est = p.estimator_view()
     feedback = feedback_row(n, est) if u0_signal is None and n <= _OPERATOR_MAX_N else None
     with _quiet():
@@ -575,8 +663,8 @@ def _run_observer_loop(
     track = servo is not None
     # the state of each instant a block starts from or reaches, each a row of
     # ``states``: its ``used`` values, then zeros up to a multiple of 8
-    used = 2 * n + (8 if track else 3)
-    states = _slab(-(-used // 8) * 8)
+    used, width, gain, fill = _observer_rows(p, config, servo)
+    states = _slab(width)
     stepper = _stepper(config, states, w0, what0)
     rows, views = tuple(states), stepper.views
     fields = tuple(s[: 2 * n] for s in rows)
@@ -586,9 +674,7 @@ def _run_observer_loop(
     names = _TRACKING_COLUMNS if track else _OBSERVER_COLUMNS
     if track:
         servo_at, derivative = servo.at, ref.derivative
-        kernel = servo.kernel(config.grid.nodes)
-        at_sin, at_cos, at_r, at_x1 = range(2 * n + 2, 2 * n + 6)
-        v1_weights, vx1_weights = servo.weights[1:3].tolist()
+        at_sin, at_cos, _, at_x1 = range(2 * n + 2, 2 * n + 6)
 
     def reach(t: float, i: int, w: np.ndarray, what: np.ndarray, zeta: float) -> tuple:
         """Write the inputs of t, from w and what, and zeta into row i; return u0, v1, vx1, r."""
@@ -637,44 +723,15 @@ def _run_observer_loop(
                 break
         return blow
 
-    def fill(out: np.ndarray, picked: np.ndarray) -> None:
-        """The columns ``names`` but diss_cum of the staged states ``picked``.
-
-        Every value equals the one a per-sample row computes from the same
-        state, bit for bit.
-        """
-        out[:, 0], out[:, 1], out[:, 2] = picked[:, at_u0], picked[:, at_m], picked[:, at_zeta]
-        out[:, 3], out[:, 4] = picked[:, 0], picked[:, n - 1]
-        plant_rows, observer_rows = picked[:, :n], picked[:, n : 2 * n]
-        np.sqrt(_sq_norms(plant_rows, dx), out=out[:, 5])
-        if track:
-            # the shifted state z = w - v, which the observer estimates
-            sin, cos = picked[:, at_sin], picked[:, at_cos]
-            plant_rows = plant_rows - servo.profiles(kernel, sin, cos)
-        errors = _sq_norms(plant_rows - observer_rows, dx)
-        _errors(out[:, 6:9], errors, inv_b - out[:, 2], half_b)
-        if not track:
-            return
-        refs = picked[:, at_r]
-        np.subtract(out[:, 3], refs, out=out[:, 9])
-        out[:, 10] = refs
-        for at, (c0, cs, cc) in ((11, v1_weights), (12, vx1_weights)):
-            out[:, at] = c0 + cs * sin + cc * cos
-
     record = (2, (at_zeta, at_u0, at_m), c1)
     if feedback is None:
-        return _run(config, names, states, block, fill, *record)
+        return _run(config, names, states[:, None], block, fill, *record)[0]
 
-    # the operator route: the product reads the row up to m, or for tracking
-    # up to cos wt, and writes the whole row, its zeta and padding as 0
+    # the operator route: the product reads the row up to u0 and writes the
+    # whole row, its zeta and padding as 0
     with _quiet():
         A = _operator(p, config, feedback, states.shape[1], servo)
     ins = tuple(s[: A.shape[1]] for s in rows)
-    # every flux is at most gain / 2 times the largest value of a quiet slab,
-    # whose rows hold 1: the servo terms through their weights on (1, sin, cos)
-    sums = np.abs(servo.weights[:3]).sum(axis=1).tolist() if track else (0.0, 0.0, 0.0)
-    r_sum, v1_sum, vx1_sum = sums
-    gain = 2.0 * max(abs(b), q * (1.0 + r_sum), 1.0 + c1 * (2.0 + v1_sum) + vx1_sum)
     # a block whose tail comes near the tolerance leaves every instant there to
     # the stencil, which takes sin and cos from math
     tail = track and bool(servo.weights[3].any())
@@ -706,8 +763,8 @@ def _run_observer_loop(
         handover = k
         return block(k, stop)
 
-    return _run(config, names, states, operator_block, fill, *record,
-                lambda: ("operator", handover))
+    return _run(config, names, states[:, None], operator_block, fill, *record,
+                lambda: ("operator", handover))[0]
 
 
 #: the columns of a plant + observer + update-law run's rows without a reference
@@ -841,4 +898,5 @@ def run_error_system(
         out[:, 4] = out[:, 5]
 
     # the field is the error, and each step's wt(1) the last value of its row
-    return _run(config, _ERROR_SYSTEM_COLUMNS, slab, block, fill, 1, (n + 1, n, None), c1)
+    return _run(config, _ERROR_SYSTEM_COLUMNS, slab[:, None], block, fill, 1, (n + 1, n, None),
+                c1)[0]

@@ -1108,6 +1108,136 @@ class TestBatchedSweep:
                 del m["duration_s"], m["outputs"]
             assert got == expected and got["route"] == "operator"
 
+    @staticmethod
+    def columns(path):
+        """The columns of a CSV file by header name; the empty what cells of open-loop read NaN."""
+        with open(path) as f:
+            header = f.readline().strip().split(",")
+        values = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+        return dict(zip(header, values.T))
+
+    def test_batched_members_stay_near_simulate(self, tmp_path):
+        # six members of a c0 sweep step as one batch; each stays within 1e-12 of
+        # a column's scale of its own simulate run, in every column of both files
+        out = tmp_path / "sweep"
+        flags = ["--t-final", "0.5", "--pe-tau", "0.1", "--zeta0", "-0.05",
+                 "--sample-stride", "37", "--snapshot-stride", "700"]
+        assert run_cli("sweep", "--scenario", "stabilize", "--param", "c0",
+                       "--values", "3,4,5,6,7,8", *flags, "--out", str(out)) == 0
+        for i, r in enumerate(json.loads((out / "sweep.json").read_text())["runs"]):
+            alone = tmp_path / f"alone-{i}"
+            assert run_cli("simulate", "--scenario", "stabilize", f"--c0={r['value']!r}", *flags,
+                           "--out", str(alone)) == 0
+            member = Path(r["out"])
+            for name in ("trace.csv", "snapshots.csv"):
+                got, want = self.columns(member / name), self.columns(alone / name)
+                assert got.keys() == want.keys()
+                for col, values in want.items():
+                    assert got[col].shape == values.shape, (name, col)
+                    scale = float(np.abs(values).max())
+                    assert float(np.abs(got[col] - values).max()) <= 1e-12 * scale, (name, col)
+                assert np.array_equal(got["t"], want["t"]), name
+            got, expected = (json.loads((d / "manifest.json").read_text()) for d in (member, alone))
+            assert (got["route"], expected["route"]) == ("operator-batch", "operator")
+            assert got["duration_s"] > 0
+            for m in (got, expected):
+                del m["duration_s"], m["outputs"], m["route"], m["verdicts"]
+            assert got == expected
+
+    def test_a_batched_sweep_repeats_its_bytes(self, tmp_path):
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert run_cli("sweep", "--scenario", "stabilize", "--param", "c0",
+                           "--values", "3,4,5,6", "--t-final", "0.2", "--pe-tau", "0.05",
+                           "--snapshot-stride", "700", "--out", str(out)) == 0
+            files = sorted(p for p in out.rglob("*") if p.suffix == ".csv")
+            assert len(files) == 8
+            outputs.append([(p.relative_to(out), p.read_bytes()) for p in files])
+            route = json.loads((out / "000-c0=3.0" / "manifest.json").read_text())["route"]
+            assert route == "operator-batch"
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("param, values, codes", [
+        # zeta = 1e11 is not quiet in the first block: the batch gives every member back
+        ("zeta0", "0,0.05,1e11,-0.05", [0, 0, 3, 0]),
+        # u0 of c0 = 1e308 overflows the flux: the run alone exits 64
+        ("c0", "3,-1,4,1e308,5,6", [0, 64, 0, 64, 0, 0]),
+    ], ids=["blow-up", "setup-and-flux"])
+    def test_a_member_that_is_not_quiet_runs_every_member_alone(self, tmp_path, capsys, param,
+                                                                values, codes):
+        # each member then writes what its own simulate run writes, bit for bit,
+        # and the stderr lines keep the order of the values
+        out = tmp_path / "sweep"
+        flags = ["--t-final", "0.3", "--pe-tau", "0.1", "--sample-stride", "37",
+                 "--snapshot-stride", "700"]
+        code = run_cli("sweep", "--scenario", "stabilize", "--param", param,
+                       f"--values={values}", *flags, "--out", str(out))
+        sweep_err = capsys.readouterr().err
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        assert [r["exit_code"] for r in runs] == codes and code == max(codes)
+        single_err = ""
+        for i, r in enumerate(runs):
+            alone = tmp_path / f"alone-{i}"
+            assert run_cli("simulate", "--scenario", "stabilize", f"--{param}={r['value']!r}",
+                           *flags, "--out", str(alone)) == r["exit_code"]
+            single_err += capsys.readouterr().err
+            member = Path(r["out"])
+            assert member.exists() == alone.exists()
+            for name in ("trace.csv", "snapshots.csv"):
+                assert (member / name).exists() == (alone / name).exists()
+                if (alone / name).exists():
+                    assert (member / name).read_bytes() == (alone / name).read_bytes(), name
+            if (alone / "manifest.json").exists():
+                got, expected = (json.loads((d / "manifest.json").read_text())
+                                 for d in (member, alone))
+                assert got["route"] == "operator"
+                for m in (got, expected):
+                    del m["duration_s"], m["outputs"]
+                assert got == expected
+        # a blow-up prints nothing; a failed set-up or run prints its line
+        assert sweep_err == single_err and sweep_err.count("\n") == codes.count(64)
+
+    def test_a_failed_set_up_inside_a_batch_keeps_the_sweep_as_it_was(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # the member whose set-up fails sits between batched ones: sweep.json,
+        # exit codes and stderr are those of the sweep with every member alone
+        flags = ["--param", "c0", "--values", "3,4,-1,5,6", "--t-final", "0.3", "--pe-tau", "0.1"]
+        results = []
+        for batch_flags in (cli._BATCH_FLAGS, ()):
+            monkeypatch.setattr(cli, "_BATCH_FLAGS", batch_flags)
+            out = tmp_path / f"sweep-{len(batch_flags)}"
+            code = run_cli("sweep", "--scenario", "stabilize", *flags, "--out", str(out))
+            runs = json.loads((out / "sweep.json").read_text())["runs"]
+            routes = [json.loads((Path(r["out"]) / "manifest.json").read_text())["route"]
+                      for r in runs if r["exit_code"] == 0]
+            for r in runs:
+                r["out"] = Path(r["out"]).name
+            results.append((code, runs, capsys.readouterr().err, routes))
+        (code, runs, err, routes), alone = results
+        assert (code, runs, err) == alone[:3]
+        assert [r["exit_code"] for r in runs] == [0, 0, 64, 0, 0]
+        assert err == "heatadapt: c0 must be > 0, got -1.0\n"
+        assert routes == ["operator-batch"] * 4 and alone[3] == ["operator"] * 4
+        assert not (tmp_path / "sweep-4" / "002-c0=-1.0").exists()
+
+    def test_members_past_the_record_limit_together_run_alone(self, tmp_path, monkeypatch):
+        # one member records 8 (5000 // 100 + 2) 11 bytes: three fit, four do not
+        monkeypatch.setattr(scenarios, "MAX_RECORD_BYTES", 3 * 8 * 52 * 11)
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--scenario", "stabilize", "--param", "c0", "--values", "3,4,5,6",
+                       "--t-final", "0.5", "--pe-tau", "0.1", "--out", str(out)) == 0
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        routes = {json.loads((Path(r["out"]) / "manifest.json").read_text())["route"]
+                  for r in runs}
+        assert routes == {"operator"}
+        monkeypatch.setattr(scenarios, "MAX_RECORD_BYTES", 4 * 8 * 52 * 11)
+        assert run_cli("sweep", "--scenario", "stabilize", "--param", "c0", "--values", "3,4,5,6",
+                       "--t-final", "0.5", "--pe-tau", "0.1", "--out", str(out)) == 0
+        routes = {json.loads((Path(r["out"]) / "manifest.json").read_text())["route"]
+                  for r in runs}
+        assert routes == {"operator-batch"}
+
     def test_overflowing_members_print_only_their_lines(self, tmp_path):
         out = tmp_path / "sweep"
         proc = run_subprocess("sweep", "--scenario", "stabilize", "--param", "b",

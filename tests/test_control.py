@@ -15,7 +15,15 @@ from heatadapt import (
     servo_eval,
     zeta_step,
 )
-from heatadapt.control import DEFAULT_TAIL_TOL, ServoTerms, _exp_kernel, _ServoSeries
+from heatadapt.control import (
+    DEFAULT_TAIL_TOL,
+    ServoTerms,
+    _exp_kernel,
+    _feedback_kernel,
+    _ServoSeries,
+    _zeta_steps,
+    feedback_row,
+)
 
 
 @pytest.fixture()
@@ -116,6 +124,30 @@ class TestZetaStep:
             inc_minus = zeta_step(z, -1, innov, u0, dt) - z
             tol = 4.0 * np.spacing(abs(z) + abs(innov * u0 * dt))
             assert abs(inc_plus + inc_minus) <= tol
+
+    @pytest.mark.parametrize("sign_b", [1, -1])
+    def test_array_steps_equal_the_scalar_step(self, rng, sign_b):
+        # a batch of runs takes the law on arrays: every value is zeta_step's, bit
+        # for bit, over magnitudes from 1e-12 to 1e6 and zeros among them
+        scale = 10.0 ** rng.uniform(-12, 6, (4, 64))
+        zeta, innov, u0 = rng.standard_normal((3, 64)) * scale[:3]
+        innov[::9], u0[::7] = 0.0, 0.0
+        dt = float(rng.uniform(1e-6, 1e-3))
+        out = np.empty(64)
+        _zeta_steps(zeta, np.array(float(sign_b)), innov.copy(), u0, np.array(dt), out)
+        expected = [zeta_step(z, sign_b, i, u, dt) for z, i, u in zip(zeta, innov, u0)]
+        assert out.tobytes() == np.array(expected).tobytes()
+
+
+class TestFeedbackKernel:
+    @pytest.mark.parametrize("n", [3, 51, 101])
+    def test_scaled_kernel_is_the_feedback_row(self, params8, n):
+        # -(q + c0) h is g up to the order of its roundings
+        g = feedback_row(n, params8.estimator_view())
+        h = _feedback_kernel(n, params8.q)
+        gain = -(params8.q + params8.c0)
+        assert np.allclose(gain * h, g, rtol=4e-16 * n, atol=0)
+        assert h[-1] == 1.0 + params8.q * _exp_kernel(n, params8.q)[-1]
 
 
 class TestServoEval:

@@ -280,6 +280,32 @@ class TestGradientEnergy:
             assert all(same_bits(g, e) for g, e in zip(got, expected))
 
 
+    @pytest.mark.parametrize("n", [3, 51, 201])
+    def test_rows_of_its_buffer_take_their_gradients_in_place(self, n):
+        # the rows the caller fills in a buffer of k n + 1 values: each energy is
+        # that of the same row on its own, and no buffer of their size is made
+        import tracemalloc
+
+        rng = np.random.default_rng(n)
+        g = Grid(n)
+        values = rng.standard_normal((64, n)) * 10.0 ** rng.uniform(-3, 3, (64, 1))
+        alone = GradientEnergy(n, g.dx)
+        expected = [alone.of_rows(f[None].copy())[0] for f in values]
+        energy = GradientEnergy(n, g.dx, np.empty(64 * n + 1))
+        assert energy.rows.shape == (64, n) and energy.rows.flags.c_contiguous
+        for m in (64, 1, 37, 64):
+            energy.of_rows(energy.rows, m)  # plans the views of m rows
+            energy.rows[:] = values
+            tracemalloc.start()
+            got = energy.of_rows(energy.rows, m)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert all(same_bits(a, b) for a, b in zip(got, expected[:m]))
+            # the rows are overwritten, and the gradients took no rows-sized buffer
+            assert not np.array_equal(energy.rows[:m], values[:m])
+            assert peak < 8 * m * (n // 2 + 8) + 4096
+
+
 class TestQuad:
     def test_zero(self, zeros51):
         assert quad(zeros51) == 0.0

@@ -774,6 +774,51 @@ class TestChunkRecord:
         assert_same_run(tr, run())
 
 
+    @pytest.mark.parametrize("kind", ["open-loop", "observer", "stabilize", "track", "error"])
+    @pytest.mark.parametrize("stride, snap", [(1, 0), (7, 45), (100, 700)])
+    def test_fills_take_every_staged_sample_alike(self, monkeypatch, params8, grid51, ramp51,
+                                                  kind, stride, snap):
+        # a fill of each sample alone, of one chunk's samples or of many chunks'
+        # writes the same record, bit for bit
+        c = cfg(grid51, 0.3, stride=stride, snap=snap)
+        what0 = GridFunction(grid51, 0.3 * np.sin(3.0 * grid51.nodes))
+        u0 = lambda t: math.exp(-t)
+        run = {"open-loop": lambda: run_open_loop(params8, c, ramp51),
+               "observer": lambda: run_observer(params8, c, ramp51, what0, 0.05, u0),
+               "stabilize": lambda: run_stabilization(params8, c, ramp51, what0, 0.0),
+               "track": lambda: run_tracking(params8, c, ramp51, what0, 0.0, SINE),
+               "error": lambda: run_error_system(params8, c, ramp51, -0.1, u0)}[kind]
+        fills = []
+        fill_rows = scenarios._observer_rows
+
+        def spy(*args):
+            used, width, gain, fill = fill_rows(*args)
+
+            def counted(out, picked):
+                fills.append(len(out))
+                fill(out, picked)
+            return used, width, gain, counted
+
+        monkeypatch.setattr(scenarios, "_observer_rows", spy)
+        tr = run()
+        assert tr.times.size == 3000 // stride + 1 + (3000 % stride > 0)
+        if kind in ("observer", "stabilize", "track"):
+            # every sample is filled once: one fill a chunk where a chunk's samples
+            # fill the staged rows (128 steps at stride 1, 320 at 7), and at
+            # stride 100 two fills of the run's 31, where one a chunk took ten
+            assert sum(fills) == tr.times.size
+            assert len(fills) == {1: 24, 7: 10, 100: 2}[stride]
+        for size in (1, 10_000):
+            monkeypatch.setattr(scenarios, "_FILL_SAMPLES", size)
+            again = run()
+            assert bits(again.times) == bits(tr.times)
+            for name in (*tr.scalars, *tr.extras):
+                assert bits(again[name]) == bits(tr[name]), name
+            assert [(t, bits(list(f.values()))) for t, f in again.snapshots] == [
+                (t, bits(list(f.values()))) for t, f in tr.snapshots]
+            assert bits(again.final_state.w.values) == bits(tr.final_state.w.values)
+
+
 @pytest.mark.parametrize("cutoff", [0, scenarios._OPERATOR_MAX_N], ids=["stencil", "operator"])
 def test_every_slab_starts_on_a_64_byte_boundary(monkeypatch, cutoff, params8, grid51, ramp51,
                                                  zeros51):
@@ -1217,3 +1262,89 @@ class TestSignMirror:
             assert bits(a.what.values) == bits(b.what.values)
         last_u = b.last_u if kind == "error" else -b.last_u
         assert bits([a.zeta, a.last_u0, a.last_u]) == bits([-b.zeta, b.last_u0, last_u])
+
+
+class TestBatch:
+    """Stabilize runs that differ in c0 and zeta0 step as one batch (heatadapt.batch)."""
+
+    @pytest.mark.parametrize("at_cutoff", [False, True], ids=["n51", "cutoff"])
+    @pytest.mark.parametrize("members", [4, 6, 16])
+    def test_members_stay_near_their_runs(self, at_cutoff, members):
+        from heatadapt.batch import run_stabilization_batch
+
+        grid, dt = operator_cutoff_grid() if at_cutoff else (Grid(51), 1e-4)
+        c = cfg(grid, 640 * dt, dt=dt, stride=7, snap=45)
+        w0 = benchmark_initial_state(grid, 2.0)
+        what0 = GridFunction(grid, 0.3 * np.sin(3.0 * grid.nodes))
+        ps = [Params(q=2.0, b=-10.0, c0=c0, c1=5.0) for c0 in np.linspace(3.0, 8.0, members)]
+        zeta0s = np.linspace(-0.05, 0.05, members).tolist()
+        traces = run_stabilization_batch(ps, c, w0, what0, zeta0s)
+        assert len(traces) == members
+        for p, zeta0, tr in zip(ps, zeta0s, traces):
+            alone = run_stabilization(p, c, w0, what0, zeta0)
+            assert (tr.final_state.route, tr.final_state.handover_step) == ("operator-batch", None)
+            assert alone.final_state.route == "operator"
+            assert bits(tr.times) == bits(alone.times) and tr.blow_up_time is None
+
+            def near(got, want, name):
+                scale = float(np.abs(want).max())
+                assert float(np.abs(np.asarray(got) - want).max()) <= 1e-12 * scale, name
+
+            for name in (*alone.scalars, *alone.extras):
+                near(tr[name], alone[name], name)
+            assert len(tr.snapshots) == len(alone.snapshots) == 16
+            for (t1, f1), (t2, f2) in zip(tr.snapshots, alone.snapshots):
+                assert t1 == t2
+                near(np.stack([f1["w"], f1["what"]]), np.stack([f2["w"], f2["what"]]), t1)
+            a, b = tr.final_state, alone.final_state
+            near([a.zeta, a.last_u0, a.last_u], [b.zeta, b.last_u0, b.last_u], "zeta, u0, u")
+
+    def test_a_member_that_is_not_quiet_ends_the_batch(self, params8, grid51, ramp51, zeros51):
+        # |zeta| past about 6e10 is not quiet (scenarios._quiet_states)
+        from heatadapt.batch import run_batches, run_stabilization_batch
+
+        c = cfg(grid51, 0.05)
+        zeta0s = [0.0, 0.1, 1e11, -0.1]
+        assert run_stabilization_batch([params8] * 4, c, ramp51, zeros51, zeta0s) is None
+        assert run_batches([params8] * 4, c, ramp51, zeros51, zeta0s) == [None] * 4
+
+    @pytest.mark.parametrize("count, sizes", [(3, []), (4, [4]), (16, [16]), (17, [8, 9]),
+                                              (33, [11, 11, 11])])
+    def test_batches_are_as_even_as_their_count_allows(self, monkeypatch, params8, grid51,
+                                                       ramp51, zeros51, count, sizes):
+        from heatadapt import batch
+
+        seen = []
+
+        def spy(ps, *args):
+            seen.append(len(ps))
+            return [None] * len(ps)
+
+        monkeypatch.setattr(batch, "run_stabilization_batch", spy)
+        done = batch.run_batches([params8] * count, cfg(grid51, 0.01), ramp51, zeros51,
+                                 [0.0] * count)
+        assert seen == sizes and len(done) == count
+
+    @pytest.mark.parametrize("n", [51, 101])
+    @pytest.mark.parametrize("members", [4, 16])
+    def test_the_slab_stays_within_a_chunk_buffer(self, monkeypatch, params8, n, members):
+        from heatadapt import batch
+
+        slabs = []
+        aligned = batch._aligned
+
+        def spy(shape, what):
+            buf = aligned(shape, what)
+            if what == "state slab":
+                slabs.append(buf)
+            return buf
+
+        monkeypatch.setattr(batch, "_aligned", spy)
+        grid = Grid(n)
+        dt = 0.4 * grid.dx * grid.dx
+        c = cfg(grid, 10 * dt, dt=dt)
+        w0 = benchmark_initial_state(grid, 2.0)
+        assert batch.run_stabilization_batch([params8] * members, c, w0, GridFunction.zeros(grid),
+                                             [0.0] * members)
+        (slab,) = slabs
+        assert slab.nbytes <= scenarios._CHUNK_BYTES and len(slab) >= 2 * members

@@ -61,6 +61,24 @@ by 1.4e-12 (``stabilize-handover``) and 2.8e-11 (``track-handover``), and
 stderr, routes, handover steps and blow-up steps stayed the same.
 ``stabilize-n26`` and ``track-n41`` pin padded rows: 54 rows padded to 56,
 and 89 to 96.
+
+Since the operator's observer flux reads u0 from the state's u0 column,
+where it held the dense feedback row, every operator-route output moved
+against a revision before it, and its manifest only in ``verdicts``:
+stable stabilize and tracking runs and their sweeps by at most 7.6e-15
+of a column's scale, the two handover runs that blow up by 2.7e-12
+(``stabilize-handover``) and 4.2e-11 (``track-handover``), and
+``sweep-q-blow-up/001-q=5.0`` by 5.7e-3 before its blow-up.  Since then,
+too, ``stabilize`` sweeps of 4 to 16 members over ``c0``, ``zeta0``,
+``pe-tau`` or ``pe-threshold`` at n <= 101 step as one batch
+(``heatadapt.batch``), whose product rounds otherwise than a run's
+alone: the members of ``sweep-c0-six`` and ``sweep-c0-batch-snap`` (a
+batch with snapshots) moved by at most 9.7e-15 of a column's scale, and
+their manifests' ``route`` reads ``operator-batch``.  ``sweep-c0`` has
+two members, which run alone.  ``sweep-zeta0-runaway`` is a batchable
+sweep whose member with zeta0 = 1e11 is not quiet, so that every member
+runs alone, each as its own ``simulate`` does.  Exit codes, stderr,
+handover steps and blow-up steps stayed the same.
 """
 
 from __future__ import annotations
@@ -102,7 +120,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: and a tracking run with a positive b; and an observer and an error-system
 #: run on three nodes, where a field's second node is its second-to-last; and
 #: a stabilize and a tracking run whose operators' rows are padded with zeros
-#: to a multiple of 8 (54 to 56 at n=26, 89 to 96 at n=41)
+#: to a multiple of 8 (54 to 56 at n=26, 89 to 96 at n=41); and a sweep of
+#: four c0 members that step as one batch, with snapshots, and a batchable
+#: zeta0 sweep whose runaway member sends every member back to run alone
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -220,6 +240,13 @@ COMMANDS = (
                          "--snapshot-stride", "7"]),
     ("stabilize-n26", ["simulate", "--scenario", "stabilize", "--dx", "0.04"]),
     ("track-n41", ["simulate", "--scenario", "track", "--dx", "0.025", "--ref", "sin:1,1"]),
+    ("sweep-c0-batch-snap", ["sweep", "--scenario", "stabilize", "--param", "c0",
+                             "--values", "3,4,5,6", "--t-final", "0.3", "--pe-tau", "0.1",
+                             "--sample-stride", "37", "--snapshot-stride", "700"]),
+    ("sweep-zeta0-runaway", ["sweep", "--scenario", "stabilize", "--param", "zeta0",
+                             "--values", "0,0.05,1e11,-0.05", "--t-final", "0.3",
+                             "--pe-tau", "0.1", "--sample-stride", "37",
+                             "--snapshot-stride", "700"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
