@@ -2,32 +2,27 @@
 
 Simulation of the plant, its boundary-trace observer and the
 reciprocal-coefficient update law, plus the stabilizing and tracking
-feedback loops built on them, with energy/Lyapunov, persistent
-excitation and spectral cross-validation tooling and a CSV-emitting
-command line front end.
+feedback loops built on them, with persistent excitation and spectral
+cross-validation tooling and a CSV-emitting command line front end.
 """
 
 __version__ = "0.1.0"
 
 from .analysis import (
-    Energies,
     InsufficientDuration,
     LimitSummary,
     PEVerdict,
     UnresolvableMode,
-    energies,
     galerkin_error_system,
     limit_diagnostics,
     pe_check,
     pi_inverse,
     pi_transform,
-    upsilon_b,
 )
 from .control import (
     ServoTerms,
     TruncationInsufficient,
     adaptive_u0,
-    backstepping_known_b,
     servo_boundary,
     servo_eval,
     zeta_step,
@@ -44,7 +39,7 @@ from .domain import (
     Trace,
     validate_config,
 )
-from .fdm import FluxBC, NonFiniteState, l2_norm, quad, step_heat
+from .fdm import FluxBC, NonFiniteState, l2_norm, step_heat
 from .scenarios import (
     BLOWUP_NORM,
     ScenarioState,
@@ -61,7 +56,6 @@ __all__ = [
     "BLOWUP_NORM",
     "CflViolation",
     "ConfigError",
-    "Energies",
     "EstimatorParams",
     "FluxBC",
     "Grid",
@@ -79,16 +73,13 @@ __all__ = [
     "TruncationInsufficient",
     "UnresolvableMode",
     "adaptive_u0",
-    "backstepping_known_b",
     "benchmark_initial_state",
-    "energies",
     "galerkin_error_system",
     "l2_norm",
     "limit_diagnostics",
     "pe_check",
     "pi_inverse",
     "pi_transform",
-    "quad",
     "run_error_system",
     "run_observer",
     "run_open_loop",
@@ -97,7 +88,6 @@ __all__ = [
     "servo_boundary",
     "servo_eval",
     "step_heat",
-    "upsilon_b",
     "validate_config",
     "zeta_step",
 ]

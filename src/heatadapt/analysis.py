@@ -1,28 +1,26 @@
 """Verification instruments for the adaptive loop.
 
-Energy/Lyapunov functionals of the estimation error, a finite-horizon
-persistent-excitation detector, the Volterra kernel transform pair and
-the reciprocal-offset involution, a spectral Galerkin solver for the
-error dynamics (used as an independent cross-check of the finite
-difference route), and convergence diagnostics for trace records.
+A finite-horizon persistent-excitation detector, the Volterra kernel
+transform pair, a spectral Galerkin solver for the error dynamics (used
+as an independent cross-check of the finite difference route), and
+convergence diagnostics for trace records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .domain import ConfigError, GridFunction, Params, Trace, _Recorder, _step_count
-from .fdm import NonFiniteState, quad
+from .fdm import NonFiniteState
 from .scenarios import _errors, _quiet
 
 __all__ = [
-    "PEVerdict", "Energies", "InsufficientDuration", "UnresolvableMode", "energies",
-    "pe_check", "pi_transform", "pi_inverse", "upsilon_b", "galerkin_error_system",
-    "limit_diagnostics", "LimitSummary", "QuantityDiag",
+    "PEVerdict", "InsufficientDuration", "UnresolvableMode", "pe_check", "pi_transform",
+    "pi_inverse", "galerkin_error_system", "limit_diagnostics", "LimitSummary", "QuantityDiag",
 ]
 
 
@@ -32,22 +30,6 @@ class InsufficientDuration(ValueError):
 
 class UnresolvableMode(ValueError):
     """The requested mode count cannot be represented on the given grid."""
-
-
-class Energies(NamedTuple):
-    E: float
-    F: float
-
-
-def energies(wtilde: GridFunction, zetatilde: float, b: float) -> Energies:
-    """Error energy E and total functional F, also the Lyapunov functional.
-
-    E = (1/2) ||wtilde||^2,  F = E + (|b|/2) zetatilde^2.
-    """
-    v = wtilde.values
-    e = 0.5 * quad(GridFunction._wrap(wtilde.grid, v * v))
-    f = e + 0.5 * abs(b) * zetatilde * zetatilde
-    return Energies(E=e, F=f)
 
 
 @dataclass(frozen=True)
@@ -146,13 +128,6 @@ def pi_inverse(g: GridFunction, q: float) -> GridFunction:
     """Inverse kernel transform (Pi^-1 g)(x) = g(x) - q int_0^x g(s) ds."""
     inner = _cumtrapz(g.values, g.grid.dx)
     return GridFunction._wrap(g.grid, g.values - q * inner)
-
-
-def upsilon_b(s: float, b: float) -> float:
-    """Reciprocal-offset involution s -> 1/b - s (its own inverse)."""
-    if b == 0:
-        raise ConfigError("b must be nonzero")
-    return 1.0 / b - s
 
 
 #: real-axis absolute-stability bound of the classical 4th-order scheme

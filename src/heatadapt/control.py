@@ -1,12 +1,11 @@
 """Control laws and servo reference machinery.
 
-Three boundary feedback laws share one spatial functional of a profile f,
+The adaptive law reads one spatial functional of a profile f,
 
     K[f] = f(1) + q * integral_0^1 exp(q (1 - x)) f(x) dx,
 
 evaluated by trapezoid quadrature on the profile's own grid:
 
-  * the full-information law  u = -((q + c0)/b) K[w]  (needs b),
   * the adaptive law          u0 = -(q + c0) K[what] (+ servo slope),
   * the reciprocal-estimate update  zeta <- zeta - sign_b * innovation * u0 * dt.
 
@@ -42,12 +41,11 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import MAX_SERVO_J, EstimatorParams, Grid, GridFunction, Params, ReferenceSignal
+from .domain import MAX_SERVO_J, EstimatorParams, Grid, GridFunction, ReferenceSignal
 
 __all__ = [
     "ServoTerms",
     "TruncationInsufficient",
-    "backstepping_known_b",
     "adaptive_u0",
     "feedback_row",
     "zeta_step",
@@ -100,11 +98,6 @@ def _adaptive_law(n: int, p: EstimatorParams) -> Callable[[np.ndarray], float]:
     """
     gain, q, dot = -(p.q + p.c0), p.q, _exp_kernel(n, p.q).dot
     return lambda v: gain * (v.item(-1) + q * float(dot(v)))
-
-
-def backstepping_known_b(w: GridFunction, p: Params) -> float:
-    """Full-information stabilizing feedback, the adaptive law's u0 of w over b; needs b."""
-    return _adaptive_law(w.grid.n, p.estimator_view())(w.values) / p.b
 
 
 def adaptive_u0(

@@ -196,16 +196,6 @@ class GridFunction:
     def zeros(cls, grid: Grid) -> "GridFunction":
         return cls._wrap(grid, np.zeros(grid.n))
 
-    @property
-    def left(self) -> float:
-        """Value at x = 0."""
-        return float(self.values[0])
-
-    @property
-    def right(self) -> float:
-        """Value at x = 1."""
-        return float(self.values[-1])
-
     def __repr__(self) -> str:
         return f"GridFunction(n={self.grid.n}, range=[{self.values.min():.3g}, {self.values.max():.3g}])"
 

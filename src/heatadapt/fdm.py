@@ -1,6 +1,6 @@
 """Explicit finite differences for 1-D heat equations with flux boundary data.
 
-The stepper advances u_t = u_xx + source one forward-Euler step with
+The stepper advances u_t = u_xx one forward-Euler step with
 second-order central differences.  Boundary nodes use ghost values
 
     u_{-1} = u_1 - 2 dx left_flux,      u_n = u_{n-2} + 2 dx right_flux,
@@ -31,7 +31,6 @@ __all__ = [
     "NonFiniteState",
     "step_heat",
     "HeatStepper",
-    "quad",
     "l2_norm",
     "grad_values",
     "GradientEnergy",
@@ -54,13 +53,8 @@ class FluxBC:
             raise ConfigError("boundary fluxes must be finite")
 
 
-def step_heat(
-    state: GridFunction,
-    bc: FluxBC,
-    dt: float,
-    source: GridFunction | None = None,
-) -> GridFunction:
-    """Advance the state by one explicit step of u_t = u_xx + source.
+def step_heat(state: GridFunction, bc: FluxBC, dt: float) -> GridFunction:
+    """Advance the state by one explicit step of u_t = u_xx.
 
     The input is never modified.  Raises :class:`NonFiniteState` when the
     output contains NaN/Inf, which is the expected end of an open-loop
@@ -73,10 +67,6 @@ def step_heat(
     out[1:-1] = u[1:-1] + r * (u[2:] - 2.0 * u[1:-1] + u[:-2])
     out[0] = u[0] + 2.0 * r * (u[1] - u[0] - dx * bc.left_flux)
     out[-1] = u[-1] + 2.0 * r * (u[-2] - u[-1] + dx * bc.right_flux)
-    if source is not None:
-        if source.grid != state.grid:
-            raise ConfigError("source must live on the same grid as the state")
-        out += dt * source.values
     if not np.isfinite(out).all():
         raise NonFiniteState("heat step produced non-finite values")
     return GridFunction._wrap(state.grid, out)
@@ -158,11 +148,6 @@ def _trapz(values: np.ndarray, dx: float) -> float:
     return dx * (values.sum() - 0.5 * (values[0] + values[-1]))
 
 
-def quad(f: GridFunction) -> float:
-    """Composite trapezoid value of the integral of f over [0, 1]."""
-    return _trapz(f.values, f.grid.dx)
-
-
 def l2_norm(f: GridFunction) -> float:
     """L2(0,1) norm of f under trapezoid quadrature."""
     v = f.values
@@ -175,7 +160,7 @@ def grad_values(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 class GradientEnergy:
-    """Trapezoid values of the integral of f_x^2, one per row, in planned buffers.
+    """Trapezoid values of the integral of f_x^2, one per row, in a planned buffer.
 
     The rows are the error fields of a runner's steps, one per step: the
     error system's field, or ``w - what`` of the observer loop's states.
@@ -187,17 +172,17 @@ class GradientEnergy:
     the rows, and ``np.add.reduce`` along the contiguous rows sums each
     one as it sums a single profile.
 
-    With a ``buffer`` of k n + 1 values, :attr:`rows` are its last k n
-    values as k rows of n, for the caller to fill.  :meth:`of_rows` of
-    them writes their gradients one value back in the same buffer, over
-    the rows themselves, so it needs no buffer of their size: the central
+    ``buffer`` holds k n + 1 values, and :attr:`rows` are its last k n
+    values as k rows of n, for the caller to fill.  :meth:`of_rows`
+    writes their gradients one value back in the same buffer, over the
+    rows themselves, so it needs no buffer of their size: the central
     differences then read each value ahead of the one they write, which
-    numpy runs in place.  Other arrays get a gradient buffer of their own.
+    numpy runs in place.
     """
 
-    __slots__ = ("_k", "_weights", "_rows", "rows", "_buffer")
+    __slots__ = ("_k", "_weights", "_buffers", "_plans", "rows")
 
-    def __init__(self, n: int, dx: float, buffer: np.ndarray | None = None):
+    def __init__(self, n: int, dx: float, buffer: np.ndarray):
         if n < 3:
             raise ConfigError(f"the gradient needs at least 3 nodes, got {n}")
         # 2 dx, 0.5 and dx as 0-d ufunc operands
@@ -205,32 +190,24 @@ class GradientEnergy:
         # np.gradient's edge weights on (f[0], f[-3]), (f[1], f[-2]) and (f[2], f[-1])
         left, right = (-1.5 / dx, 2.0 / dx, -0.5 / dx), (0.5 / dx, -2.0 / dx, 1.5 / dx)
         self._weights = tuple(np.array(pair) for pair in zip(left, right))
-        #: the array last passed, the buffers of its rows and a plan per row count
-        self._rows = None
         #: the rows of ``buffer`` for the caller to fill
-        self._buffer, self.rows = buffer, None if buffer is None else buffer[1:].reshape(-1, n)
+        self.rows = buffer[1:].reshape(-1, n)
+        #: the rows' gradients, one value back, and two buffers of edge values
+        k = len(self.rows)
+        self._buffers = (buffer[:-1].reshape(k, n), np.empty((k, 2)), np.empty((k, 2)))
+        #: a plan per row count
+        self._plans = {}
 
-    def of_rows(self, d: np.ndarray, m: int | None = None) -> np.ndarray:
-        """The gradient energy of each of the first m rows of ``d``.
+    def of_rows(self, m: int) -> np.ndarray:
+        """The gradient energy of each of the first m :attr:`rows`, which it overwrites.
 
-        ``d`` is a C-contiguous ``(rows, n)`` array; m defaults to every
-        row.  For :attr:`rows` the gradients overwrite those m rows; any
-        other array keeps its values, and its buffers are allocated for it
-        the first time it is passed.  The views are planned once per m, so
-        a caller that passes the same array every time pays for the m rows
-        it asks for and plans once per row count; a new array is planned
-        anew.
+        The views are planned once per m, so a caller pays for the m rows
+        it asks for and plans once per row count.
         """
-        if self._rows is None or self._rows[0] is not d:
-            if d.ndim != 2 or d.shape[1] < 3 or not d.flags.c_contiguous:
-                raise ConfigError(f"rows must be a C-contiguous (m, n >= 3) array, got {d.shape}")
-            grads = self._buffer[:-1].reshape(d.shape) if d is self.rows else np.empty(d.shape)
-            self._rows = (d, grads, np.empty((len(d), 2)), np.empty((len(d), 2)), {})
-        _, grads, tmps, edges, plans = self._rows
-        m = len(d) if m is None else m
-        plan = plans.get(m)
+        plan = self._plans.get(m)
         if plan is None:
-            plan = plans[m] = self._row_plan(d[:m], grads[:m], tmps[:m], edges[:m])
+            grads, tmps, edges = self._buffers
+            plan = self._plans[m] = self._row_plan(self.rows[:m], grads[:m], tmps[:m], edges[:m])
         grad, flat_diff, inner, ends, (f0, f1, f2), (a, b, c), tmp, edge, first, last = plan
         two_dx, one_half, dx = self._k
         # both one-sided edge formulas at once, as (a * f0 + b * f1) + c * f2,

@@ -277,7 +277,7 @@ def _run(
             # each member's column, so each value is that of a loop, bit for bit
             xs = errs[:m, :, -1]
             edge = c1 * xs * xs
-            energies = energy.of_rows(energy.rows, m * members).reshape(m, members)
+            energies = energy.of_rows(m * members).reshape(m, members)
             np.multiply(dt, energies + edge, out=diss[1 : m + 1])
             np.add.accumulate(diss[: m + 1], out=diss[: m + 1])
             values[settled:c, :, at_diss] = diss[np.array(marks[settled:], dtype=int) - k0]

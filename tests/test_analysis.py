@@ -16,34 +16,15 @@ from heatadapt import (
     Trace,
     UnresolvableMode,
     benchmark_initial_state,
-    energies,
     galerkin_error_system,
     limit_diagnostics,
     pe_check,
     pi_inverse,
     pi_transform,
     run_error_system,
-    upsilon_b,
 )
 from heatadapt.analysis import _SAMPLE_CHUNK
 from heatadapt.domain import TRACE_COLUMNS
-
-
-class TestEnergies:
-    def test_zeros(self, zeros51):
-        e = energies(zeros51, 0.0, -10.0)
-        assert e == (0.0, 0.0)
-
-    def test_constant_field(self, grid51):
-        f = GridFunction(grid51, np.ones(51))
-        e = energies(f, 0.0, -10.0)
-        assert e.E == pytest.approx(0.5, abs=1e-12)
-        assert e.F == e.E
-
-    def test_parameter_error_term(self, zeros51):
-        e = energies(zeros51, 0.2, -10.0)
-        assert e.F == pytest.approx(5.0 * 0.04, abs=1e-15)
-        assert e.E == 0.0
 
 
 class TestPECheck:
@@ -111,17 +92,6 @@ class TestTransforms:
             errs[n] = np.abs(back.values - f.values).max()
         assert errs[51] <= 1e-3
         assert errs[51] / errs[101] >= 3.5
-
-    def test_upsilon_involution(self):
-        # exact in floating point for dyadic values; 1 ulp otherwise
-        assert upsilon_b(upsilon_b(0.25, -8.0), -8.0) == 0.25
-        assert upsilon_b(upsilon_b(0.3, -10.0), -10.0) == pytest.approx(0.3, abs=1e-15)
-        assert upsilon_b(0.0, -10.0) == -0.1
-        assert upsilon_b(1.0 / -10.0, -10.0) == 0.0
-
-    def test_upsilon_rejects_zero(self):
-        with pytest.raises(ConfigError, match="b must be nonzero"):
-            upsilon_b(0.3, 0.0)
 
 
 class TestGalerkin:

@@ -10,7 +10,6 @@ from heatadapt import (
     ReferenceSignal,
     TruncationInsufficient,
     adaptive_u0,
-    backstepping_known_b,
     servo_boundary,
     servo_eval,
     zeta_step,
@@ -29,23 +28,6 @@ from heatadapt.control import (
 @pytest.fixture()
 def ones51(grid51):
     return GridFunction(grid51, np.ones(51))
-
-
-class TestBackstepping:
-    def test_zero_state(self, params8, zeros51):
-        assert backstepping_known_b(zeros51, params8) == 0.0
-
-    def test_constant_state_against_closed_form(self, params8, ones51):
-        # K[1] = 1 + 2*(e^2-1)/2 = e^2, so u = (7/10) e^2; quadrature error
-        # of the kernel integral is ~6e-4 at dx = 0.02
-        val = backstepping_known_b(ones51, params8)
-        assert val == pytest.approx(0.7 * math.e**2, abs=1.5e-3)
-
-    def test_linearity_in_state(self, params8, ones51, grid51):
-        doubled = GridFunction(grid51, 2.0 * ones51.values)
-        assert backstepping_known_b(doubled, params8) == pytest.approx(
-            2.0 * backstepping_known_b(ones51, params8), rel=1e-14
-        )
 
 
 class TestAdaptiveU0:
@@ -95,12 +77,9 @@ class TestAdaptiveU0:
         with pytest.raises(ValueError):
             weights[0] = 1.0
 
-    def test_cannot_read_b(self, params8, ones51):
-        # the estimator view physically lacks b; the plant-only law needs it
-        est = params8.estimator_view()
-        assert not hasattr(est, "b")
-        with pytest.raises((TypeError, AttributeError)):
-            backstepping_known_b(ones51, est)
+    def test_cannot_read_b(self, params8):
+        # the estimator view the law takes physically lacks b
+        assert not hasattr(params8.estimator_view(), "b")
 
 
 class TestZetaStep:

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +24,26 @@ from heatadapt.domain import MAX_SERVO_J, TRACE_COLUMNS, _Recorder
 
 @pytest.mark.parametrize(
     "module", ["heatadapt", *(f"heatadapt.{m}" for m in
-               ("analysis", "cli", "control", "domain", "fdm", "scenarios"))],
+               ("analysis", "batch", "cli", "control", "domain", "fdm", "scenarios"))],
 )
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # the first python block under the README's "Library quick start", as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    zeta, tracking_err, is_pe = capsys.readouterr().out.split()
+    # the printed values its comments promise: zeta identifies 1/b = -0.1, the
+    # tracking error is small and the constant reference excites
+    assert float(zeta) == pytest.approx(-0.1, abs=1e-4)
+    assert float(tracking_err) < 1e-4
+    assert is_pe == "True"
 
 
 class TestParams:
@@ -125,10 +140,6 @@ class TestGridFunction:
         f = GridFunction(grid51, vals)
         vals[0] = 99.0
         assert f.values[0] == 0.0
-
-    def test_boundary_accessors(self, ramp51):
-        assert ramp51.left == -1.0
-        assert ramp51.right == 1.0
 
 
 class TestSimConfig:

@@ -29,7 +29,6 @@ from heatadapt import (
     servo_boundary,
     servo_eval,
     step_heat,
-    upsilon_b,
     zeta_step,
 )
 from heatadapt import scenarios
@@ -125,7 +124,7 @@ class TestErrorSystemEquivalence:
         u0 = lambda t: math.exp(-t)
         c = cfg(grid51, 1.0, snap=2000)
         tro = run_observer(params8, c, ramp51, zeros51, 0.0, u0)
-        tre = run_error_system(params8, c, ramp51, upsilon_b(0.0, params8.b), u0)
+        tre = run_error_system(params8, c, ramp51, 1.0 / params8.b, u0)
         for (t1, f1), (t2, f2) in zip(tro.snapshots, tre.snapshots):
             assert t1 == t2
             assert np.abs((f1["w"] - f1["what"]) - f2["w"]).max() <= 1e-10
@@ -738,10 +737,10 @@ class TestChunkRecord:
         counts = []
         of_rows = GradientEnergy.of_rows
 
-        def spy(self, d, m=None):
-            assert d.nbytes <= scenarios._CHUNK_BYTES
+        def spy(self, m):
+            assert self.rows.nbytes <= scenarios._CHUNK_BYTES
             counts.append(m)
-            return of_rows(self, d, m)
+            return of_rows(self, m)
 
         monkeypatch.setattr(GradientEnergy, "of_rows", spy)
         tr = run_stabilization(params8, cfg(grid51, 0.1), ramp51, zeros51, 0.0)

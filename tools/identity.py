@@ -18,67 +18,8 @@ are compared too.  For a CSV that differs, a table gives each column's
 max |delta| over its max |value|.  Exit status: 0 when everything is identical, 1 when anything
 differs, 2 when REV cannot be exported.
 
-Stabilize runs on grids of at most 101 nodes (``scenarios._OPERATOR_MAX_N``),
-and their sweeps, step as one operator product since that route came in,
-and manifests gained ``route`` and ``handover_step``, so against a
-revision before it those outputs differ.  The route moved the last digits
-of stable runs by about 1e-14 of a column's scale; the chaotic run before
-a blow-up, ``sweep-q-blow-up/001-q=5.0``, moved by up to 8.7e-3.
-``stabilize-n101`` and ``stabilize-n102`` pin both routes at the cutoff.
-
-Tracking runs on the same grids step as one operator product too, with
-``(1, sin wt, cos wt)`` in the state, since that route came in.  Against
-a revision before it, ``track-*`` and ``sweep-track`` outputs moved by
-about 1e-14 of a column's scale, and a ``track`` manifest's ``route``
-reads ``operator`` there (``stencil`` before); ``track-truncated`` keeps
-its exit code and stderr.  ``track-n101`` and ``track-n102`` pin both
-routes at the cutoff, and ``track-handover`` a run that hands over to
-the stencil at step 100 and blows up at step 138.
-
-Sweeps run each member through ``simulate``'s own path.  Before that,
-``stabilize`` sweeps of at least three members above the cutoff stepped
-them as one stack, which ``sweep-c0-n126`` and ``sweep-q-blow-up-n126``
-(a stack that gives up for a member that blows up) pin: against such a
-revision they must be identical too.
-
-``stabilize-b-pos`` and ``track-b-pos`` run with ``--b 10``, the other
-sign of b: stabilize ends at zeta(5) = +0.102150, the mirror of the
-default run's -0.102150.
-
-``observer-n3`` and ``error-system-n3`` run on the smallest grid, n=3
-(``--dx 0.5``), where the boundary nodes of a field share their one
-neighbour: the stencil reads the same node as the second and the
-second-to-last.
-
-Since the operator went column-major, with one row per value of a slab
-row and those rows padded with zeros to a multiple of 8, the product
-sums each row in another order.  Against a revision before it, the
-operator-route outputs of stabilize and tracking runs and their sweeps
-moved, and their manifests differ only in ``verdicts``: stable runs by
-at most 1.2e-14 of a column's scale, the two handover runs that blow up
-by 1.4e-12 (``stabilize-handover``) and 2.8e-11 (``track-handover``), and
-``sweep-q-blow-up/001-q=5.0`` by 1.1e-3 before its blow-up.  Exit codes,
-stderr, routes, handover steps and blow-up steps stayed the same.
-``stabilize-n26`` and ``track-n41`` pin padded rows: 54 rows padded to 56,
-and 89 to 96.
-
-Since the operator's observer flux reads u0 from the state's u0 column,
-where it held the dense feedback row, every operator-route output moved
-against a revision before it, and its manifest only in ``verdicts``:
-stable stabilize and tracking runs and their sweeps by at most 7.6e-15
-of a column's scale, the two handover runs that blow up by 2.7e-12
-(``stabilize-handover``) and 4.2e-11 (``track-handover``), and
-``sweep-q-blow-up/001-q=5.0`` by 5.7e-3 before its blow-up.  Since then,
-too, ``stabilize`` sweeps of 4 to 16 members over ``c0``, ``zeta0``,
-``pe-tau`` or ``pe-threshold`` at n <= 101 step as one batch
-(``heatadapt.batch``), whose product rounds otherwise than a run's
-alone: the members of ``sweep-c0-six`` and ``sweep-c0-batch-snap`` (a
-batch with snapshots) moved by at most 9.7e-15 of a column's scale, and
-their manifests' ``route`` reads ``operator-batch``.  ``sweep-c0`` has
-two members, which run alone.  ``sweep-zeta0-runaway`` is a batchable
-sweep whose member with zeta0 = 1e11 is not quiet, so that every member
-runs alone, each as its own ``simulate`` does.  Exit codes, stderr,
-handover steps and blow-up steps stayed the same.
+The outputs that a change moved on purpose, and by how much, are
+recorded with that change in CHANGES.md.
 """
 
 from __future__ import annotations
