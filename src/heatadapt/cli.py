@@ -399,13 +399,19 @@ def _make_out_dir(path) -> Path:
 
 
 def emit_trace(trace: Trace, manifest: RunManifest, out_dir) -> dict:
-    """Write trace.csv, optional snapshots.csv and manifest.json; return paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = write_trace_csv(trace, out)
-    paths["manifest_json"] = str(out / "manifest.json")
-    manifest.outputs = dict(paths)
-    manifest.save(out / "manifest.json")
+    """Write trace.csv, optional snapshots.csv and manifest.json; return paths.
+
+    A file that cannot be written (a directory in its place, a full disk)
+    raises UsageError.
+    """
+    out = _make_out_dir(out_dir)
+    try:
+        paths = write_trace_csv(trace, out)
+        paths["manifest_json"] = str(out / "manifest.json")
+        manifest.outputs = dict(paths)
+        manifest.save(out / "manifest.json")
+    except OSError as exc:
+        raise UsageError(f"cannot write the run's outputs: {exc}") from exc
     return paths
 
 
@@ -574,7 +580,10 @@ def _analyze(args: dict) -> int:
 
     text = json.dumps(result, indent=2)
     if out is not None:
-        (out / "analysis.json").write_text(text + "\n")
+        try:
+            (out / "analysis.json").write_text(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write the analysis: {exc}") from exc
     print(text)
     if args.get("require_converged") and not all_converged:
         return 4

@@ -19,6 +19,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .csvformat import write_csv
+
 __all__ = [
     "ConfigError",
     "CflViolation",
@@ -515,45 +517,26 @@ class _Recorder:
         )
 
 
-#: rows that write_trace_csv formats with one ``%`` and writes at once
-_CHUNK_ROWS = 1024
-
-
-def _write_csv(path: Path, header: str, row_format: str, blocks) -> None:
-    """Write the header line, then each block's rows as ``row_format % row``.
-
-    A block is a list of equal-length columns.  Each chunk of _CHUNK_ROWS
-    rows is one ``%``: ``"%.17g" % x`` prints x as ``format(x, ".17g")`` does.
-    """
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for columns in blocks:
-            for start in range(0, len(columns[0]), _CHUNK_ROWS):
-                block = np.column_stack([c[start:start + _CHUNK_ROWS] for c in columns])
-                fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
-
-
 def write_trace_csv(trace: Trace, out: Path) -> dict[str, str]:
     """Write trace.csv, and snapshots.csv if the trace has snapshots, into out.
 
     trace.csv holds the header ``t`` + TRACE_COLUMNS and one row per
     sample; snapshots.csv holds ``t,x,w,what`` rows, one per node of each
-    snapshot.  Values have 17 significant digits, which round-trips
-    float64 bit-exactly, and lines end in LF.  Returns the paths by key.
+    snapshot.  Values print as ``"%.17g" % v`` does: 17 significant digits,
+    which round-trips float64 bit-exactly.  Lines end in LF.  Returns the
+    paths by key.
     """
     trace_path = out / "trace.csv"
     columns = [trace.times, *(trace.scalars[c] for c in TRACE_COLUMNS)]
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    _write_csv(trace_path, "t," + ",".join(TRACE_COLUMNS), row_format, [columns])
+    write_csv(trace_path, "t," + ",".join(TRACE_COLUMNS), [columns])
     paths = {"trace_csv": str(trace_path)}
     if trace.snapshots:
         snap_path = out / "snapshots.csv"
         # the fields are w and what, in that order; runs without an observer
         # leave the what column empty
-        what = "%.17g" if "what" in trace.snapshots[0][1] else ""
-        blocks = ([np.full(f["w"].size, t), np.linspace(0.0, 1.0, f["w"].size), *f.values()]
+        blocks = ([t, np.linspace(0.0, 1.0, f["w"].size), *f.values()]
                   for t, f in trace.snapshots)
-        _write_csv(snap_path, "t,x,w,what", f"%.17g,%.17g,%.17g,{what}\n", blocks)
+        write_csv(snap_path, "t,x,w,what", blocks, "what" not in trace.snapshots[0][1])
         paths["snapshots_csv"] = str(snap_path)
     return paths
 
@@ -573,17 +556,20 @@ def read_trace_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
             missing = [c for c in ("t", *TRACE_COLUMNS) if c not in header]
             if header[0] != "t" or missing:
                 raise ConfigError(f"{path}: unexpected header {first!r}, missing {missing}")
-            # a bound on the rows lets numpy allocate the array once instead
-            # of growing it a quarter at a time to up to 1.25x its size
-            body = fh.tell()
-            rows = sum(block.count("\n") for block in iter(lambda: fh.read(1 << 16), ""))
+            # the number of lines lets numpy allocate the array once instead of
+            # growing it a quarter at a time to up to 1.25x its size; one too
+            # many would make it shrink the array afterwards, and the freed
+            # block then falls short of the next read of as many rows
+            body, rows, last = fh.tell(), 0, "\n"
+            for block in iter(lambda: fh.read(1 << 16), ""):
+                rows, last = rows + block.count("\n"), block[-1]
             fh.seek(body)
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                     warnings.filterwarnings("ignore", "Input line .* contained no data")
                     data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                                      max_rows=rows + 1)
+                                      max_rows=max(rows + (last != "\n"), 1))
                 # an empty body parses as shape (0, 1); a row of any other
                 # width is one that _bad_trace_row names
                 if data.shape[1] != len(header):

@@ -15,7 +15,8 @@ from heatadapt.cli import (
     _SCENARIOS, _SIM_FLAGS, SCENARIOS, RunManifest, UsageError, _set_up, emit_trace, main,
     parse_args, read_trace_csv,
 )
-from heatadapt.domain import _CHUNK_ROWS, TRACE_COLUMNS, ConfigError, Trace
+from heatadapt.csvformat import CHUNK_ROWS
+from heatadapt.domain import TRACE_COLUMNS, ConfigError, Trace
 
 
 def run_cli(*args):
@@ -323,6 +324,38 @@ class TestExitCodes:
         )
         assert captured.out == ""
         assert path.read_text() == "kept\n"
+
+    def test_a_directory_in_place_of_trace_csv_exits_64(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "trace.csv").mkdir(parents=True)
+        assert run_cli("simulate", "--scenario", "stabilize", "--t-final", "0.1",
+                       "--pe-tau", "0.1", "--out", str(out)) == 64
+        err = capsys.readouterr().err
+        assert err == (f"heatadapt: cannot write the run's outputs: [Errno 21] Is a directory: "
+                       f"{str(out / 'trace.csv')!r}\n")
+
+    def test_a_sweep_member_whose_manifest_cannot_be_written_exits_64(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        (out / "001-c0=4.0" / "manifest.json").mkdir(parents=True)
+        assert run_cli("sweep", "--scenario", "stabilize", "--param", "c0", "--values", "3,4",
+                       "--t-final", "0.1", "--pe-tau", "0.1", "--out", str(out)) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("heatadapt: cannot write the run's outputs: [Errno 21] ")
+        assert err.count("\n") == 1
+        runs = json.loads((out / "sweep.json").read_text())["runs"]
+        assert [r["exit_code"] for r in runs] == [0, 64]
+
+    def test_a_directory_in_place_of_analysis_json_exits_64(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t," + ",".join(TRACE_COLUMNS) + "\n"
+                         + "".join(f"{t},1,0,0,0,0,1,0,0,0\n" for t in range(3)))
+        out = tmp_path / "analysis"
+        (out / "analysis.json").mkdir(parents=True)
+        assert run_cli("analyze", "--trace", str(trace), "--out", str(out)) == 64
+        captured = capsys.readouterr()
+        assert captured.err == (f"heatadapt: cannot write the analysis: [Errno 21] Is a "
+                                f"directory: {str(out / 'analysis.json')!r}\n")
+        assert captured.out == ""
 
     def test_empty_init_file_prints_one_line(self, tmp_path):
         # numpy warns on an empty file; only the heatadapt message may reach stderr
@@ -799,13 +832,14 @@ def write_trace(path, rows: int, line=None, content=None):
 class TestTraceFiles:
     """emit_trace writes what per-value formatting writes; read_trace_csv reads it back."""
 
-    @pytest.mark.parametrize("rows", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    # around the end of the fourth chunk, so the last chunk reuses the buffers of three
+    @pytest.mark.parametrize("rows", [1, 4 * CHUNK_ROWS - 1, 4 * CHUNK_ROWS, 4 * CHUNK_ROWS + 1])
     @pytest.mark.parametrize("fields", [(), ("w",), ("w", "what")],
                              ids=["no-snapshots", "no-observer", "observer"])
     def test_bytes_equal_per_value_formatting(self, tmp_path, rng, rows, fields):
         values = rng.standard_normal(97) * 10.0 ** rng.integers(-300, 300, 97)
         # snapshots of 3 nodes, 7 nodes and more nodes than a chunk has rows
-        sizes = ((0.5, 3), (0.25 * rows, 7), (1e300, _CHUNK_ROWS + 1)) if fields else ()
+        sizes = ((0.5, 3), (0.25 * rows, 7), (1e300, CHUNK_ROWS + 1)) if fields else ()
         snaps = [(t, {name: np.resize(np.roll(values, i), n) for i, name in enumerate(fields)})
                  for t, n in sizes]
         trace = synthetic_trace(rows, values, snaps)

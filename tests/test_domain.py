@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +20,14 @@ from heatadapt import (
     Trace,
     validate_config,
 )
-from heatadapt.domain import MAX_SERVO_J, TRACE_COLUMNS, _Recorder
+from heatadapt import csvformat
+from heatadapt.domain import MAX_SERVO_J, TRACE_COLUMNS, _Recorder, write_trace_csv
 
 
 @pytest.mark.parametrize(
     "module", ["heatadapt", *(f"heatadapt.{m}" for m in
-               ("analysis", "batch", "cli", "control", "domain", "fdm", "scenarios"))],
+               ("analysis", "batch", "cli", "control", "csvformat", "domain", "fdm",
+                "scenarios"))],
 )
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
@@ -317,3 +320,70 @@ class TestRecorder:
         for k in (*TRACE_COLUMNS, "gap"):
             assert mapped[k].tobytes() == plain[k].tobytes(), k
         assert mapped["w0"].flags.c_contiguous and rec.data.flags.writeable
+
+
+def percent_csv(values: np.ndarray, cols: int) -> bytes:
+    """``values`` as rows of ``cols``, each printed by ``"%.17g" % v``."""
+    seps = [","] * (cols - 1) + ["\n"]
+    return "".join("%.17g" % v + seps[i % cols] for i, v in enumerate(values.tolist())).encode()
+
+
+def kernel_csv(path: Path, values: np.ndarray, cols: int) -> bytes:
+    """``values`` as rows of ``cols`` through the CSV writer, without its header line."""
+    header = ",".join("h" * cols)
+    csvformat.write_csv(path, header, [[values[j::cols] for j in range(cols)]])
+    return path.read_bytes()[len(header) + 1:]
+
+
+class TestCsvWriter:
+    """The writer's kernel prints every float as ``"%.17g" % v`` does, byte for byte."""
+
+    def test_bytes_equal_percent_formatting(self, tmp_path, rng):
+        bits = rng.integers(0, 2**64, 40000, dtype=np.uint64).view(float)
+        m, j = rng.integers(1, 2**21, 20000), rng.integers(1, 70, 20000)
+        k = np.arange(-323, 309)
+        values = np.concatenate([
+            # random bit patterns over every exponent, subnormals among them, and +-max
+            bits[np.isfinite(bits)], [5e-324, -5e-324, 2.2250738585072009e-308, 1e-310],
+            [np.finfo(float).max, -np.finfo(float).max, 0.0, -0.0],
+            # dyadic values with an exact 18-digit tie among them: 2**-25, m 2**-j
+            [2.0**-25, -(2.0**-25)], m * 2.0 ** -j,
+            # powers of ten and their neighbours one ulp away
+            10.0**k, np.nextafter(10.0**k, np.inf), np.nextafter(10.0**k, 0.0),
+            np.arange(20000) * 1e-5,
+            # integers around 10**16 and 10**17, where a digit joins the integer part
+            np.arange(10**16 - 2000, 10**16 + 2000, dtype=float),
+            np.arange(10**17 - 4000, 10**17 + 4000, 2, dtype=float),
+        ])
+        values = np.resize(values, -(-values.size // 10) * 10)
+        assert kernel_csv(tmp_path / "x.csv", values, 10) == percent_csv(values, 10)
+
+    def test_a_chunk_of_fallbacks_and_a_chunk_of_none(self, tmp_path, monkeypatch):
+        taken = []
+        percent = csvformat._percent
+
+        def spy(values):
+            taken.append(values.size)
+            return percent(values)
+
+        monkeypatch.setattr(csvformat, "_percent", spy)
+        n = csvformat.CHUNK_ROWS * 3
+        # subnormals all take the fallback; 1/7 and its multiples none
+        values = np.concatenate([np.arange(1, n + 1) * 5e-324, np.arange(1, n + 1) / 7.0])
+        assert kernel_csv(tmp_path / "x.csv", values, 3) == percent_csv(values, 3)
+        assert taken == [n]
+
+    def test_writing_a_long_trace_peaks_below_the_percent_writer(self, tmp_path):
+        rng = np.random.default_rng(20240817)
+        rows = 20001
+        trace = Trace(times=np.arange(rows) * 1e-5,
+                      scalars={c: rng.standard_normal(rows) for c in TRACE_COLUMNS})
+        write_trace_csv(trace, tmp_path)  # the formatting tables, built once a process
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the per-chunk `%` writer that this one replaced peaked at 712,543 B here
+        assert peak <= 712_543

@@ -63,7 +63,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: a stabilize and a tracking run whose operators' rows are padded with zeros
 #: to a multiple of 8 (54 to 56 at n=26, 89 to 96 at n=41); and a sweep of
 #: four c0 members that step as one batch, with snapshots, and a batchable
-#: zeta0 sweep whose runaway member sends every member back to run alone
+#: zeta0 sweep whose runaway member sends every member back to run alone; and
+#: an error-system run whose zeta samples are all subnormal, which the CSV
+#: writer prints through its ``%`` fallback
 COMMANDS = (
     ("stabilize", ["simulate", "--scenario", "stabilize"]),
     ("stabilize-snap", ["simulate", "--scenario", "stabilize", "--t-final", "1",
@@ -188,6 +190,8 @@ COMMANDS = (
                              "--values", "0,0.05,1e11,-0.05", "--t-final", "0.3",
                              "--pe-tau", "0.1", "--sample-stride", "37",
                              "--snapshot-stride", "700"]),
+    ("error-system-fallback", ["simulate", "--scenario", "error-system", "--u0", "zero",
+                               "--zeta0", "5e-324", "--t-final", "0.1"]),
 )
 
 #: runs heatadapt's CLI on the arguments that follow
