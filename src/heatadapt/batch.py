@@ -19,10 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .control import _adaptive_law, _feedback_kernel, _zeta_steps
-from .domain import ConfigError, GridFunction, Params, SimConfig, Trace
+from .domain import TRACE_COLUMNS, ConfigError, GridFunction, Params, SimConfig, Trace
 from .scenarios import (
     _CHUNK_BYTES,
-    _OBSERVER_COLUMNS,
     _SLAB,
     _aligned,
     _observer_rows,
@@ -53,16 +52,17 @@ def run_stabilization_batch(
     """Stabilize runs that differ only in c0 and zeta0, stepped together; None if one is not quiet.
 
     Member j runs as ``run_stabilization(ps[j], config, w0, what0,
-    zeta0s[j])`` does on the operator route, within the rounding of its
-    product: one ``(B, W) @ A^T`` product a step takes every member's
-    state from one slab row ``(B, W)`` into the next.  Each step then
-    takes the update law of every member at once, in
-    :func:`~heatadapt.control.zeta_step`'s order of operations
+    zeta0s[j], diss_cum=False)`` does on the operator route, within the
+    rounding of its product: one ``(B, W) @ A^T`` product a step
+    takes every member's state from one slab row ``(B, W)`` into the
+    next.  Each step then takes the update law of every member at once,
+    in :func:`~heatadapt.control.zeta_step`'s order of operations
     (:func:`~heatadapt.control._zeta_steps`), scales each readout ``h .
     what`` by its member's ``-(q + c0)`` into u0 and writes ``m = zeta
     u0``.  A block of L steps keeps its ``L + 1`` rows of B states within
     the chunk buffers' bound, and :func:`~heatadapt.scenarios._run`
-    records every member.
+    records every member's TRACE_COLUMNS, without ``diss_cum``: its one
+    caller, ``sweep``, writes none.
 
     A batch decides no run's end: its first block whose states are not
     all quiet (:func:`~heatadapt.scenarios._quiet_states`) ends it and it
@@ -108,8 +108,8 @@ def run_stabilization_batch(
             raise _Unquiet
 
     try:
-        return _run(config, _OBSERVER_COLUMNS, states, block, fill, 2, (at_zeta, at_u0, at_m),
-                    p.c1, lambda: ("operator-batch", None))
+        return _run(config, TRACE_COLUMNS, states, block, fill, 2,
+                    (at_zeta, at_u0, at_m), p.c1, lambda: ("operator-batch", None))
     except _Unquiet:
         return None
 
@@ -138,7 +138,7 @@ def run_batches(
         at = range(b * len(ps) // count, (b + 1) * len(ps) // count)
         start = time.perf_counter()
         try:
-            check_record_size(config, 1 + len(_OBSERVER_COLUMNS), 2, len(at))
+            check_record_size(config, 1 + len(TRACE_COLUMNS), 2, len(at))
             traces = run_stabilization_batch([ps[i] for i in at], config, w0, what0,
                                              [zeta0s[i] for i in at])
         except ConfigError:

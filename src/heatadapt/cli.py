@@ -112,16 +112,20 @@ def _pe_verdict(trace: Trace, column: str, config: SimConfig) -> dict | None:
 
 
 #: every scenario, in --scenario's order; each runner looks its function up in
-#: this module when it runs, so a wrapper set here (bench/tracer.py) is what runs
+#: this module when it runs, so a wrapper set here (bench/tracer.py) is what runs.
+#: No CLI output holds diss_cum, so no run records it; ``columns`` are the
+#: columns each run records, which check_record_size counts
 _SCENARIOS = {
     "open-loop": _Scenario(lambda r: run_open_loop(r.params, r.config, r.w0),
                            scenarios._OPEN_LOOP_COLUMNS, 1),
     "observer": _Scenario(
-        lambda r: run_observer(r.params, r.config, r.w0, r.what0, r.resolved["zeta0"], r.u0_signal),
-        scenarios._OBSERVER_COLUMNS, 2, ("u0",)),
+        lambda r: run_observer(r.params, r.config, r.w0, r.what0, r.resolved["zeta0"],
+                               r.u0_signal, diss_cum=False),
+        TRACE_COLUMNS, 2, ("u0",)),
     "stabilize": _Scenario(
-        lambda r: run_stabilization(r.params, r.config, r.w0, r.what0, r.resolved["zeta0"]),
-        scenarios._OBSERVER_COLUMNS, 2, tolerances={
+        lambda r: run_stabilization(r.params, r.config, r.w0, r.what0, r.resolved["zeta0"],
+                                    diss_cum=False),
+        TRACE_COLUMNS, 2, tolerances={
             "wnorm_final": 1e-2,
             "obs_err_norm_final": 1e-3,
             "zeta_settle_gap": 1e-4,
@@ -136,7 +140,8 @@ _SCENARIOS = {
                           "reference_uniformly_bounded": r.ref.uniformly_bounded},
         {"tracking_err_final": 0.03, "zeta_reciprocal_final": 0.005}),
     "error-system": _Scenario(
-        lambda r: run_error_system(r.params, r.config, r.w0, r.resolved["zeta0"], r.u0_signal),
+        lambda r: run_error_system(r.params, r.config, r.w0, r.resolved["zeta0"], r.u0_signal,
+                                   diss_cum=False),
         scenarios._ERROR_SYSTEM_COLUMNS, 1, ("u0",)),
     "galerkin": _Scenario(
         lambda r: galerkin_error_system(

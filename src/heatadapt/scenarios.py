@@ -22,14 +22,15 @@ field of open-loop and error-system runs) with one
 the scalars of each instant it reaches into its row; nothing else is
 kept per step.  After a block, ``_run`` only stages what the record
 needs in the buffers of a chunk of blocks: the error field of each step,
-for the runs that integrate the dissipation ``diss_cum`` (observer,
-stabilization and error-system), and the row and t of each instant on
-the sample stride.  Once per chunk, and at the end of the run, it takes
-the chunk's gradient energies with one row-wise call and ``diss_cum``
-with one ``np.add.accumulate``; once the staged rows are full, and at
-the end, it takes the values of every staged sample with one row-wise
-``fill`` of the runner's; snapshots and the final state it reads from
-the first row.  A slab row may hold the states of a batch of members
+for the observer, stabilization and error-system runs whose caller asks
+for the dissipation ``diss_cum`` (the library's default; the CLI asks
+for none, so its runs stage no error field), and the row and t of each
+instant on the sample stride.  Once per chunk, and at the end of the
+run, it takes the chunk's gradient energies with one row-wise call and
+``diss_cum`` with one ``np.add.accumulate``, for the runs that ask; once
+the staged rows are full, and at the end, it takes the values of every
+staged sample with one row-wise ``fill`` of the runner's; snapshots and
+the final state it reads from the first row.  A slab row may hold the states of a batch of members
 (:mod:`heatadapt.batch`), which one schedule and one record serve.
 Observer, stabilization and tracking runs share one loop,
 ``_run_observer_loop``, which reads their inputs itself:
@@ -225,10 +226,12 @@ def _run(
     overflow the chunk, it records the chunk's ``diss_cum`` with the
     boundary gain ``c1``, with one ``GradientEnergy.of_rows`` and one
     ``np.add.accumulate`` over every member's steps, and the chunk's
-    samples keep theirs.  Before a block whose samples would overflow the
-    staged rows (:data:`_FILL_SAMPLES`), it also records every staged
-    sample, with one ``fill(out, rows)`` of the other columns ``names`` of
-    all their rows, every member's; and it records both at the end.
+    samples keep theirs; without ``diss_cum`` among ``names`` it
+    allocates, stages and records none of this, on the same schedule.
+    Before a block whose samples would overflow the staged rows
+    (:data:`_FILL_SAMPLES`), it also records every staged sample, with
+    one ``fill(out, rows)`` of the other columns ``names`` of all their
+    rows, every member's; and it records both at the end.
     ``route()`` gives the final states' ``route`` and ``handover_step``.
     Returns one Trace per member.
     """
@@ -571,10 +574,9 @@ def _observer_rows(p: Params, config: SimConfig,
     the largest weight of a state's value in a flux: ``|b|``, q and ``1 +
     2 c1``, and with a servo series, whose state holds 1, ``q (1 + sum|r|)``
     and ``1 + c1 (2 + sum|v1|) + sum|vx1|`` (:func:`_quiet_states`).
-    ``fill`` writes the columns of :data:`_OBSERVER_COLUMNS`, or of
-    :data:`_TRACKING_COLUMNS`, but diss_cum, of staged states: every value
-    equals the one a per-sample row computes from the same state, bit for
-    bit.
+    ``fill`` writes the columns of TRACE_COLUMNS, or of
+    :data:`_TRACKING_COLUMNS`, of staged states: every value equals the
+    one a per-sample row computes from the same state, bit for bit.
     """
     n, dx, b = config.grid.n, config.grid.dx, p.b
     used = 2 * n + (3 if servo is None else 8)
@@ -618,6 +620,8 @@ def _run_observer_loop(
     zeta0: float,
     u0_signal: Callable[[float], float] | None = None,
     ref: ReferenceSignal | None = None,
+    *,
+    diss_cum: bool = True,
 ) -> Trace:
     """The plant + observer + update-law loop of observer, stabilize and track.
 
@@ -638,8 +642,9 @@ def _run_observer_loop(
     not under :data:`_QUIET_SQ` (a NaN/Inf state fails it too) is followed
     by the scan for NaN/Inf and the blow-up test.  A row is the state of
     :func:`_observer_rows`, then zeros up to a multiple of 8 values, so
-    that every row starts on a 64-byte boundary.  Without a reference
-    :func:`_run` takes ``diss_cum`` from the rows' ``w - what``.
+    that every row starts on a 64-byte boundary.  Without a reference,
+    and with ``diss_cum``, :func:`_run` takes ``diss_cum`` from the rows'
+    ``w - what``.
 
     The adaptive law on a grid of at most :data:`_OPERATOR_MAX_N` nodes
     steps as one product of the matrix of :func:`_operator` a step, whose
@@ -671,7 +676,7 @@ def _run_observer_loop(
     # the innovation is x1 - what(1): x1 is w(1), or for tracking w(1) - v(1,t),
     # which a tracking row holds; u0 and zeta end every row's used values
     at_m, at_what1, at_x1, at_u0, at_zeta = 2 * n, 2 * n - 1, n - 1, used - 2, used - 1
-    names = _TRACKING_COLUMNS if track else _OBSERVER_COLUMNS
+    names = _TRACKING_COLUMNS if track else _with_diss_cum(TRACE_COLUMNS, diss_cum)
     if track:
         servo_at, derivative = servo.at, ref.derivative
         at_sin, at_cos, _, at_x1 = range(2 * n + 2, 2 * n + 6)
@@ -767,14 +772,21 @@ def _run_observer_loop(
                 lambda: ("operator", handover))[0]
 
 
-#: the columns of a plant + observer + update-law run's rows without a reference
-_OBSERVER_COLUMNS = (*TRACE_COLUMNS, "diss_cum")
 #: the columns of a tracking run's rows
 _TRACKING_COLUMNS = (*TRACE_COLUMNS, "tracking_err", "ref", "v1", "vx1")
 #: the columns of an open-loop run's rows
 _OPEN_LOOP_COLUMNS = ("w0", "w1", "wnorm")
 #: the columns of an error-system run's rows
-_ERROR_SYSTEM_COLUMNS = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F", "diss_cum")
+_ERROR_SYSTEM_COLUMNS = ("u0", "zeta", "w0", "w1", "wnorm", "obs_err_norm", "E", "F")
+
+
+def _with_diss_cum(names: tuple[str, ...], diss_cum: bool) -> tuple[str, ...]:
+    """A run's columns ``names``, and ``diss_cum`` last if asked for: no ``fill`` writes it.
+
+    Observer and stabilization runs record TRACE_COLUMNS, error-system
+    runs :data:`_ERROR_SYSTEM_COLUMNS`.
+    """
+    return (*names, "diss_cum") if diss_cum else names
 
 
 def run_observer(
@@ -784,14 +796,19 @@ def run_observer(
     what0: GridFunction,
     zeta0: float,
     u0_signal: Callable[[float], float],
+    *,
+    diss_cum: bool = True,
 ) -> Trace:
     """Plant under u = zeta * u0 with an externally supplied u0(t).
 
     Exercises the observer and the update law in isolation from any
     feedback design; the plant may well be diverging while the
-    estimation error decays.
+    estimation error decays.  The ``diss_cum`` extra accumulates dt
+    (||(w - what)_x||^2 + c1 (w - what)(1)^2); with ``diss_cum=False``
+    the trace has no such column, the run integrates nothing for it, and
+    every other value is the same bit for bit.
     """
-    return _run_observer_loop(p, config, w0, what0, zeta0, u0_signal)
+    return _run_observer_loop(p, config, w0, what0, zeta0, u0_signal, diss_cum=diss_cum)
 
 
 def run_stabilization(
@@ -800,13 +817,16 @@ def run_stabilization(
     w0: GridFunction,
     what0: GridFunction,
     zeta0: float,
+    *,
+    diss_cum: bool = True,
 ) -> Trace:
     """Full adaptive output-feedback stabilization loop.
 
     On a grid of at most :data:`_OPERATOR_MAX_N` nodes it steps as one
-    operator product a step (:func:`_run_observer_loop`).
+    operator product a step (:func:`_run_observer_loop`).  ``diss_cum``
+    is as for :func:`run_observer`.
     """
-    return _run_observer_loop(p, config, w0, what0, zeta0)
+    return _run_observer_loop(p, config, w0, what0, zeta0, diss_cum=diss_cum)
 
 
 def run_tracking(
@@ -837,6 +857,8 @@ def run_error_system(
     wtilde0: GridFunction,
     zetatilde0: float,
     u0_signal: Callable[[float], float],
+    *,
+    diss_cum: bool = True,
 ) -> Trace:
     """Directly simulate the estimation-error dynamics.
 
@@ -847,7 +869,9 @@ def run_error_system(
     makes this the finite-difference half of the spectral cross-check.
     The ``zeta`` column holds the parameter error and ``wnorm`` equals
     ``obs_err_norm``; ``diss_cum`` accumulates
-    dt * (||werr_x||^2 + c1 werr(1)^2) for energy-identity tests.
+    dt * (||werr_x||^2 + c1 werr(1)^2) for energy-identity tests.  With
+    ``diss_cum=False`` the trace has no such column, the run integrates
+    nothing for it, and every other value is the same bit for bit.
 
     A row of the slab holds an instant's state ``[wt, u0, zt]``, and each
     block starts from the first.  It steps unchecked and tests the fields
@@ -898,5 +922,5 @@ def run_error_system(
         out[:, 4] = out[:, 5]
 
     # the field is the error, and each step's wt(1) the last value of its row
-    return _run(config, _ERROR_SYSTEM_COLUMNS, slab[:, None], block, fill, 1, (n + 1, n, None),
-                c1)[0]
+    names = _with_diss_cum(_ERROR_SYSTEM_COLUMNS, diss_cum)
+    return _run(config, names, slab[:, None], block, fill, 1, (n + 1, n, None), c1)[0]

@@ -444,7 +444,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_a_record_just_under_the_size_limit_sets_up(self, tmp_path):
-        # 2e7 rows of 11 values are 1.64 GiB; tracking's 14 a row pass 2 GiB
+        # 2e7 rows of 10 values are 1.49 GiB; tracking's 14 a row pass 2 GiB
         argv = ["--t-final", "2000", "--sample-stride", "1", "--out", str(tmp_path / "run")]
         _set_up(parse_args(["simulate", "--scenario", "stabilize", *argv])[1])
         assert (tmp_path / "run").is_dir()
@@ -453,7 +453,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_record_shape_is_the_recorders(self, tmp_path, monkeypatch, scenario):
-        shapes = []
+        shapes, traces = [], []
 
         class Recorder(domain._Recorder):
             def __init__(self, names, *args, **kwargs):
@@ -464,6 +464,10 @@ class TestExitCodes:
                 super().snap(t, fields)
                 shapes[-1][1] = len(fields)
 
+            def build(self, *args, **kwargs):
+                traces.append(super().build(*args, **kwargs))
+                return traces[-1]
+
         monkeypatch.setattr(scenarios, "_Recorder", Recorder)
         monkeypatch.setattr(analysis, "_Recorder", Recorder)
         assert run_cli("simulate", "--scenario", scenario, "--modes", "2", "--t-final", "0.01",
@@ -471,6 +475,15 @@ class TestExitCodes:
                        "--out", str(tmp_path)) == 0
         record = _SCENARIOS[scenario]
         assert shapes == [[record.columns, record.snapshot_fields]]
+        # the trace's columns that its sample array holds beside t are those
+        # check_record_size counts, and no diss_cum; the rest of TRACE_COLUMNS
+        # read zero from arrays of their own
+        (trace,) = traces
+        samples = trace.times.base
+        recorded = tuple(name for name in (*trace.scalars, *trace.extras)
+                         if trace[name].base is samples)
+        assert recorded == record.columns and samples.shape[1] == 1 + len(record.columns)
+        assert "diss_cum" not in record.columns
 
     def test_a_sweep_member_past_the_size_limit_exits_64(self, tmp_path):
         out = tmp_path / "sweep"
@@ -485,7 +498,8 @@ class TestExitCodes:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
     @pytest.mark.parametrize("argv, gib", [
-        (["simulate", "--t-final", "2000", "--sample-stride", "1"], "1.64"),
+        # 20M + 2 rows of t and the nine TRACE_COLUMNS
+        (["simulate", "--t-final", "2000", "--sample-stride", "1"], "1.49"),
         (["simulate", "--scenario", "galerkin", "--modes", "2", "--t-final", "2500",
           "--sample-stride", "1"], "1.68"),
     ], ids=["samples", "galerkin-mapped"])
@@ -513,7 +527,7 @@ class TestExitCodes:
         proc = run_capped("sweep", "--param", "t-final", "--values", "2000,0.1",
                           "--sample-stride", "1", "--out", str(out))
         assert proc.returncode == 64
-        assert proc.stderr == f"heatadapt: cannot allocate 1.64 GiB {ALLOCATION_HINT}\n"
+        assert proc.stderr == f"heatadapt: cannot allocate 1.49 GiB {ALLOCATION_HINT}\n"
         runs = json.loads((out / "sweep.json").read_text())["runs"]
         assert [r["exit_code"] for r in runs] == [64, 0]
         assert Path(runs[1]["out"], "trace.csv").exists()
@@ -1256,8 +1270,9 @@ class TestBatchedSweep:
         assert not (tmp_path / "sweep-4" / "002-c0=-1.0").exists()
 
     def test_members_past_the_record_limit_together_run_alone(self, tmp_path, monkeypatch):
-        # one member records 8 (5000 // 100 + 2) 11 bytes: three fit, four do not
-        monkeypatch.setattr(scenarios, "MAX_RECORD_BYTES", 3 * 8 * 52 * 11)
+        # one member records 8 (5000 // 100 + 2) 10 bytes, t and the nine
+        # TRACE_COLUMNS: at the limit of three, four do not fit; at four's, they do
+        monkeypatch.setattr(scenarios, "MAX_RECORD_BYTES", 3 * 8 * 52 * 10)
         out = tmp_path / "sweep"
         assert run_cli("sweep", "--scenario", "stabilize", "--param", "c0", "--values", "3,4,5,6",
                        "--t-final", "0.5", "--pe-tau", "0.1", "--out", str(out)) == 0
@@ -1265,7 +1280,7 @@ class TestBatchedSweep:
         routes = {json.loads((Path(r["out"]) / "manifest.json").read_text())["route"]
                   for r in runs}
         assert routes == {"operator"}
-        monkeypatch.setattr(scenarios, "MAX_RECORD_BYTES", 4 * 8 * 52 * 11)
+        monkeypatch.setattr(scenarios, "MAX_RECORD_BYTES", 4 * 8 * 52 * 10)
         assert run_cli("sweep", "--scenario", "stabilize", "--param", "c0", "--values", "3,4,5,6",
                        "--t-final", "0.5", "--pe-tau", "0.1", "--out", str(out)) == 0
         routes = {json.loads((Path(r["out"]) / "manifest.json").read_text())["route"]
@@ -1296,6 +1311,41 @@ class TestBatchedSweep:
         runs = json.loads((out / "sweep.json").read_text())["runs"]
         assert [r["exit_code"] for r in runs] == [3] * count
         assert not any(Path(r["out"], "trace.csv").exists() for r in runs)
+
+
+def test_cli_runs_integrate_no_dissipation(tmp_path, monkeypatch):
+    # no CLI output holds diss_cum, so no run of the CLI builds the GradientEnergy
+    # that integrates it: simulate's, a batched sweep's or a sweep's members alone
+    made = []
+    energy = scenarios.GradientEnergy
+
+    def spy(*args):
+        made.append(args)
+        return energy(*args)
+
+    monkeypatch.setattr(scenarios, "GradientEnergy", spy)
+    flags = ["--t-final", "0.05", "--pe-tau", "0.05", "--u0", "exp-decay"]
+    commands = {
+        "stabilize": ["simulate", "--scenario", "stabilize"],
+        "observer": ["simulate", "--scenario", "observer"],
+        "error-system": ["simulate", "--scenario", "error-system"],
+        "sweep-c0": ["sweep", "--scenario", "stabilize", "--param", "c0", "--values", "3,4,5,6"],
+        "sweep-b": ["sweep", "--scenario", "stabilize", "--param", "b", "--values=-10,-8"],
+    }
+    for name, argv in commands.items():
+        assert run_cli(*argv, *flags, "--out", str(tmp_path / name)) == 0, name
+    routes = [json.loads((tmp_path / sweep / member / "manifest.json").read_text())["route"]
+              for sweep, member in (("sweep-c0", "000-c0=3.0"), ("sweep-b", "000-b=-10.0"))]
+    assert routes == ["operator-batch", "operator"]
+    assert made == []
+    # the library's runs record diss_cum by default, through the spy
+    grid = domain.Grid(51)
+    scenarios.run_stabilization(domain.Params(q=2.0, b=-10.0, c0=5.0, c1=5.0),
+                                domain.SimConfig(dt=1e-4, t_final=0.01, grid=grid,
+                                                 pe_window_tau=0.01),
+                                scenarios.benchmark_initial_state(grid, 2.0),
+                                domain.GridFunction.zeros(grid), 0.0)
+    assert len(made) == 1
 
 
 def test_every_name_the_tracer_wraps_resolves():

@@ -575,6 +575,57 @@ def per_step_run(kind, p, config, w0, what0=None, zeta0=0.0, u0_signal=None):
     return times, rows, snaps, fields(), zeta, u0, u, t_blow
 
 
+#: (steps, stride, snap, q, scale, blow_up) by id: runs whose samples, snapshots
+#: and blow-ups fall inside, on and across the slab's blocks and the record's chunks
+SLAB_CASES = {
+    # 301 steps: four full 64-step blocks and a partial one
+    "stride-1": (301, 1, 0, 2.0, None, {}),
+    "stride-7-snap-45": (301, 7, 45, 2.0, None, {}),
+    "stride-64": (301, 64, 0, 2.0, None, {}),
+    "stride-65-snap-45": (301, 65, 45, 2.0, None, {}),
+    "stride-100": (301, 100, 0, 2.0, None, {}),
+    # the plant blows up mid-slab: stabilize at step 10, observer and
+    # open-loop from a ramp scaled to norm 0.6e12 at step 111
+    "blow-up": (301, 7, 45, 9.0, 0.6e12, {"stabilize": 10, "observer": 111, "open": 111}),
+    # at n = 51 a chunk records 320 steps (128 for stabilize and observer at
+    # stride 1): a sample stride longer than a chunk, so that the chunk
+    # [320, 640) samples nothing; a run that ends one step after a flush;
+    # one shorter than a chunk; snapshots that end blocks inside chunks
+    "stride-700": (1000, 700, 0, 2.0, None, {}),
+    "end-after-flush": (321, 7, 0, 2.0, None, {}),
+    "short": (200, 7, 0, 2.0, None, {}),
+    "snap-100": (600, 7, 100, 2.0, None, {}),
+    # blow-ups inside the second chunk: observer and open-loop from norm 1e11
+    # at step 345, the error system from there under u0 = 225 at step 509
+    "blow-up-in-chunk": (600, 7, 0, 9.0, 1e11,
+                         {"stabilize": 10, "observer": 345, "open": 345, "error": 509}),
+}
+
+
+def slab_case(kind, grid, q, scale, blow_up):
+    """The parameters, w0, what0, zeta0 and u0 of a :data:`SLAB_CASES` run of ``kind``."""
+    ramp = GridFunction(grid, 2.0 * grid.nodes - 1.0)
+    gain = 5.0 if q == 2.0 else 0.01
+    p = Params(q=q, b=-10.0, c0=gain, c1=gain)
+    w0 = ramp if scale is None or kind == "stabilize" else GridFunction(
+        grid, ramp.values * (scale / l2_norm(ramp)))
+    what0 = GridFunction(grid, 0.3 * np.sin(3.0 * grid.nodes))
+    # the error system blows up where blow_up names it, under u0 = 225
+    u0 = (lambda t: 225.0) if kind == "error" and kind in blow_up else (lambda t: math.exp(-t))
+    return p, w0, what0, 0.0 if kind == "stabilize" else -0.1, u0
+
+
+def run_kind(kind, p, c, w0, what0, zeta0, u0, **kwargs):
+    """The run of ``kind`` that the slab tests take: stabilize, observer, error or open."""
+    if kind == "stabilize":
+        return run_stabilization(p, c, w0, what0, zeta0, **kwargs)
+    if kind == "observer":
+        return run_observer(p, c, w0, what0, zeta0, u0, **kwargs)
+    if kind == "error":
+        return run_error_system(p, c, w0, zeta0, u0, **kwargs)
+    return run_open_loop(p, c, w0)
+
+
 @pytest.mark.usefixtures("stencil_route")
 class TestSlabsMatchPerStepLoop:
     """The slab runners against a loop that took every readout per step.
@@ -583,53 +634,18 @@ class TestSlabsMatchPerStepLoop:
     """
 
     @pytest.mark.parametrize("kind", ["stabilize", "observer", "error", "open"])
-    @pytest.mark.parametrize("steps, stride, snap, q, scale, blow_up", [
-        # 301 steps: four full 64-step blocks and a partial one
-        (301, 1, 0, 2.0, None, {}),
-        (301, 7, 45, 2.0, None, {}),
-        (301, 64, 0, 2.0, None, {}),
-        (301, 65, 45, 2.0, None, {}),
-        (301, 100, 0, 2.0, None, {}),
-        # the plant blows up mid-slab: stabilize at step 10, observer and
-        # open-loop from a ramp scaled to norm 0.6e12 at step 111
-        (301, 7, 45, 9.0, 0.6e12, {"stabilize": 10, "observer": 111, "open": 111}),
-        # at n = 51 a chunk records 320 steps (128 for stabilize and observer at
-        # stride 1): a sample stride longer than a chunk, so that the chunk
-        # [320, 640) samples nothing; a run that ends one step after a flush;
-        # one shorter than a chunk; snapshots that end blocks inside chunks
-        (1000, 700, 0, 2.0, None, {}),
-        (321, 7, 0, 2.0, None, {}),
-        (200, 7, 0, 2.0, None, {}),
-        (600, 7, 100, 2.0, None, {}),
-        # blow-ups inside the second chunk: observer and open-loop from norm 1e11
-        # at step 345, the error system from there under u0 = 225 at step 509
-        (600, 7, 0, 9.0, 1e11, {"stabilize": 10, "observer": 345, "open": 345, "error": 509}),
-    ], ids=["stride-1", "stride-7-snap-45", "stride-64", "stride-65-snap-45", "stride-100",
-            "blow-up", "stride-700", "end-after-flush", "short", "snap-100", "blow-up-in-chunk"])
-    def test_trace_equals_per_step_loop(self, kind, steps, stride, snap, q, scale, blow_up, grid51,
-                                        ramp51):
+    @pytest.mark.parametrize("steps, stride, snap, q, scale, blow_up", SLAB_CASES.values(),
+                             ids=list(SLAB_CASES))
+    def test_trace_equals_per_step_loop(self, kind, steps, stride, snap, q, scale, blow_up,
+                                        grid51):
         c = cfg(grid51, steps * 1e-4, stride=stride, snap=snap)
         assert c.n_steps == steps
-        gain = 5.0 if q == 2.0 else 0.01
-        p = Params(q=q, b=-10.0, c0=gain, c1=gain)
-        w0 = ramp51 if scale is None or kind == "stabilize" else GridFunction(
-            grid51, ramp51.values * (scale / l2_norm(ramp51)))
-        what0 = GridFunction(grid51, 0.3 * np.sin(3.0 * grid51.nodes))
-        # the error system blows up where blow_up names it, under u0 = 225
-        u0 = (lambda t: 225.0) if kind == "error" and kind in blow_up else (lambda t: math.exp(-t))
-        if kind == "stabilize":
-            tr = run_stabilization(p, c, w0, what0, 0.0)
-        elif kind == "observer":
-            tr = run_observer(p, c, w0, what0, -0.1, u0)
-        elif kind == "error":
-            tr = run_error_system(p, c, w0, -0.1, u0)
-        else:
-            tr = run_open_loop(p, c, w0)
+        p, w0, what0, zeta0, u0 = slab_case(kind, grid51, q, scale, blow_up)
+        tr = run_kind(kind, p, c, w0, what0, zeta0, u0)
         if kind == "open":
             expected = reference_run(kind, p, c, w0)
         else:
-            expected = per_step_run(kind, p, c, w0, what0, 0.0 if kind == "stabilize" else -0.1,
-                                    u0)
+            expected = per_step_run(kind, p, c, w0, what0, zeta0, u0)
         # blow_up names the runs that blow up; the error field decays under
         # u0 = exp(-t), even from the scaled ramp
         assert tr.blown_up is (kind in blow_up)
@@ -866,15 +882,15 @@ class TestNonFiniteState:
                 run()
 
 
-def assert_same_run(got, expected):
-    """Two runs' traces are equal, bit for bit."""
+def assert_same_run(got, expected, without=()):
+    """Two runs' traces are equal, bit for bit, but for ``expected``'s extras ``without``."""
     assert got.blown_up is expected.blown_up and got.blow_up_time == expected.blow_up_time
     assert bits(got.times) == bits(expected.times)
     assert got.scalars.keys() == expected.scalars.keys()
     for name in expected.scalars:
         assert bits(got.scalars[name]) == bits(expected.scalars[name]), name
-    assert got.extras.keys() == expected.extras.keys()
-    for name in expected.extras:
+    assert tuple(got.extras) == tuple(k for k in expected.extras if k not in without)
+    for name in got.extras:
         assert bits(got.extras[name]) == bits(expected.extras[name]), name
     assert len(got.snapshots) == len(expected.snapshots)
     for (t1, f1), (t2, f2) in zip(got.snapshots, expected.snapshots):
@@ -882,7 +898,10 @@ def assert_same_run(got, expected):
         assert all(bits(f1[k]) == bits(f2[k]) for k in f1)
     a, b = got.final_state, expected.final_state
     assert a.t == b.t
-    assert bits(a.w.values) == bits(b.w.values) and bits(a.what.values) == bits(b.what.values)
+    assert bits(a.w.values) == bits(b.w.values)
+    assert (a.what is None) is (b.what is None)
+    if b.what is not None:
+        assert bits(a.what.values) == bits(b.what.values)
     assert bits([a.zeta, a.last_u0, a.last_u]) == bits([b.zeta, b.last_u0, b.last_u])
 
 
@@ -1280,8 +1299,10 @@ class TestBatch:
         traces = run_stabilization_batch(ps, c, w0, what0, zeta0s)
         assert len(traces) == members
         for p, zeta0, tr in zip(ps, zeta0s, traces):
-            alone = run_stabilization(p, c, w0, what0, zeta0)
+            # a batch records no diss_cum, as its one caller, the CLI sweep, writes none
+            alone = run_stabilization(p, c, w0, what0, zeta0, diss_cum=False)
             assert (tr.final_state.route, tr.final_state.handover_step) == ("operator-batch", None)
+            assert "diss_cum" not in tr.extras
             assert alone.final_state.route == "operator"
             assert bits(tr.times) == bits(alone.times) and tr.blow_up_time is None
 
@@ -1347,3 +1368,38 @@ class TestBatch:
                                              [0.0] * members)
         (slab,) = slabs
         assert slab.nbytes <= scenarios._CHUNK_BYTES and len(slab) >= 2 * members
+
+
+class TestDissCumOnRequest:
+    """A run records ``diss_cum`` only when asked, and that changes no other bit.
+
+    Without the column ``_run`` stages no error field and integrates
+    nothing, on the same schedule of blocks, chunks and samples: every
+    other column, the snapshots, the final state, its route and the
+    blow-up stay as they are.  Stabilize runs step as operator products
+    at n = 51 and on the stencil at n = 102.
+    """
+
+    @pytest.mark.parametrize("n", [51, 102], ids=["n51", "n102"])
+    @pytest.mark.parametrize("kind", ["stabilize", "observer", "error"])
+    @pytest.mark.parametrize("steps, stride, snap, q, scale, blow_up", SLAB_CASES.values(),
+                             ids=list(SLAB_CASES))
+    def test_off_equals_on_but_for_the_column(self, kind, n, steps, stride, snap, q, scale,
+                                              blow_up):
+        grid, dt = (Grid(51), 1e-4) if n == 51 else (Grid(102), 4e-5)
+        c = cfg(grid, round(steps * dt, 12), dt=dt, stride=stride, snap=snap)
+        assert c.n_steps == steps
+        p, w0, what0, zeta0, u0 = slab_case(kind, grid, q, scale, blow_up)
+        on = run_kind(kind, p, c, w0, what0, zeta0, u0)
+        off = run_kind(kind, p, c, w0, what0, zeta0, u0, diss_cum=False)
+        assert "diss_cum" in on.extras and "diss_cum" not in off.extras
+        assert_same_run(off, on, without=("diss_cum",))
+        a, b = off.final_state, on.final_state
+        assert (a.route, a.handover_step) == (b.route, b.handover_step)
+        operator = kind == "stabilize" and n <= scenarios._OPERATOR_MAX_N
+        assert a.route == ("operator" if operator else "stencil")
+        if n == 51:
+            # the steps of SLAB_CASES, which the stencil takes too
+            assert off.blown_up is (kind in blow_up)
+            if off.blown_up:
+                assert round(off.blow_up_time / c.dt) == blow_up[kind]
