@@ -47,8 +47,11 @@ reads: the loop is linear in ``[w, what, m]`` once ``m = zeta u0``, its
 one bilinear term, is written into the state, and tracking's servo
 terms are linear in ``(1, sin wt, cos wt)``, which the state carries and
 a rotation block steps (:func:`_operator`); the product reads the row's
-u0 for the observer's flux.  The product rounds differently from the
-stencil, within about 1e-14 of a column's scale on a stable run; it
+u0 for the observer's flux.  A run that reads no instant between two
+even ones, one without ``diss_cum`` at an even sample stride, steps two
+instants a product of ``A A`` (:mod:`heatadapt.pairs`).  The product rounds
+differently from the stencil, within about 1e-14 of a column's scale on
+a stable run; it
 writes a row's zeta and padding as 0, and the update law then writes
 zeta.  It decides no run's end: a block whose states are not quiet, or
 whose servo tail comes near its tolerance, is stepped again on the
@@ -93,6 +96,7 @@ from .domain import (
     _Recorder,
 )
 from .fdm import GradientEnergy, HeatStepper, NonFiniteState
+from .pairs import Pairs
 
 # The runners no longer call these; bench/tracer.py wraps them under these
 # names, so they stay importable from here.
@@ -227,7 +231,10 @@ def _run(
     boundary gain ``c1``, with one ``GradientEnergy.of_rows`` and one
     ``np.add.accumulate`` over every member's steps, and the chunk's
     samples keep theirs; without ``diss_cum`` among ``names`` it
-    allocates, stages and records none of this, on the same schedule.
+    allocates, stages and records none of this, on the same schedule, and
+    reads a block's rows only at instants on the ``sample_stride`` and at
+    the block's last instant: a block may leave its other rows as it likes
+    (:func:`_run_observer_loop` steps two instants a product there).
     Before a block whose samples would overflow the staged rows
     (:data:`_FILL_SAMPLES`), it also records every staged sample, with
     one ``fill(out, rows)`` of the other columns ``names`` of all their
@@ -484,7 +491,8 @@ def _operator(p: Params, config: SimConfig, feedback: np.ndarray, height: int,
     product writes whole slab rows; with ``height`` a multiple of 8 every
     column starts on a 64-byte boundary too, where OpenBLAS's column
     kernel runs fastest.  The rows past u0, the slab's zeta and padding,
-    are 0.
+    are 0.  A run that reads no instant between two even ones steps A A
+    instead, as :func:`heatadapt.pairs.two_steps` builds it.
     """
     n, dx = config.grid.n, config.grid.dx
     r = config.dt / (dx * dx)
@@ -532,7 +540,8 @@ def _quiet_states(states: np.ndarray, gain: float) -> bool:
     largest weight of a value in a flux (:func:`_observer_rows`), so a finite
     ``gain`` times the largest value bounds every flux, ``-q w(0)``, ``b
     m`` and ``u0 + c1 (w(1) - what(1))`` or their tracking forms, with
-    room for rounding.
+    room for rounding.  Instants that a block skips in pairs pass
+    :meth:`heatadapt.pairs.Pairs.quiet`, which bounds them.
     """
     flat = states.reshape(-1)
     sq = flat.dot(flat)
@@ -651,13 +660,21 @@ def _run_observer_loop(
     readouts are u0 and, for tracking, r and ``w(1) - v1``, into the same
     slab: the product reads the row's u0 and writes whole rows, zeta and
     the padding as 0, and the update law then writes zeta.  A tracking
-    block first resets its sin and cos from ``math``.
+    block first resets its sin and cos from ``math``.  Without
+    ``diss_cum``, at an even ``sample_stride``, :func:`_run` reads no row
+    between two even instants, so a block steps one instant to the first
+    even one, two a product (:class:`heatadapt.pairs.Pairs`), and one to
+    an odd end; a skipped instant's row gets only its m, u0, zeta, and for
+    tracking its sin and cos, the next instant's rotated back.
     Such a block decides no run's end: a block whose slab is not quiet
     (:func:`_quiet_states`), or whose servo tail comes near
     ``DEFAULT_TAIL_TOL``, is stepped again from its first row on the
     stencil, which then steps the run to its end: the stencil alone finds
     a blow-up, a NaN/Inf state, a non-finite flux or a servo series that
-    is truncated too early.
+    is truncated too early.  So the handover step may depend on the
+    stride's parity and on ``diss_cum``: a paired block's quiet test is
+    the stricter, and a run near its blow-up amplifies the two routes'
+    different rounding.
     """
     dt, dx, n = config.dt, config.grid.dx, config.grid.n
     q, b, c1, sgn = p.q, p.b, p.c1, p.sign_b
@@ -740,25 +757,45 @@ def _run_observer_loop(
     # a block whose tail comes near the tolerance leaves every instant there to
     # the stencil, which takes sin and cos from math
     tail = track and bool(servo.weights[3].any())
-    handover = None
+    handover = pairs = None
+    if "diss_cum" not in names and config.sample_stride % 2 == 0:
+        with _quiet():
+            pairs = Pairs(A, _aligned(A.shape[::-1], "operator").T, states, views, ins,
+                          (at_m, at_x1, at_what1, at_u0, at_zeta), sgn, dt, _QUIET_SQ,
+                          (at_sin, servo.omega * dt) if tail else None)
 
-    def operator_block(k: int, stop: int) -> int | None:
-        nonlocal handover
-        if handover is not None:
-            return block(k, stop)
-        dot, update, steps, s = A.dot, zeta_step, stop - k, views[0]
-        if track:
-            wt = servo.omega * (k * dt)
-            s[at_sin], s[at_cos] = math.sin(wt), math.cos(wt)
-        z, u = s[at_zeta], s[at_u0]
-        for i in range(steps):
+    def alone(i: int, end: int, z: float, u: float) -> tuple[float, float]:
+        # one product a step, from row i to row end
+        dot, update, s = A.dot, zeta_step, views[i]
+        for i in range(i, end):
             y = views[i + 1]
             z = update(z, sgn, s[at_x1] - s[at_what1], u, dt)
             dot(ins[i], rows[i + 1])
             u = y[at_u0]
             y[at_m], y[at_zeta] = z * u, z
             s = y
-        quiet = _quiet_states(states[: steps + 1], gain)
+        return z, u
+
+    def operator_block(k: int, stop: int) -> int | None:
+        nonlocal handover
+        if handover is not None:
+            return block(k, stop)
+        steps, s = stop - k, views[0]
+        if track:
+            wt = servo.omega * (k * dt)
+            s[at_sin], s[at_cos] = math.sin(wt), math.cos(wt)
+        # one step to the first even instant, pairs, one step to an odd end
+        first = k & 1 if pairs else steps
+        last = steps - (steps - first) % 2
+        z, u = alone(0, first, s[at_zeta], s[at_u0])
+        if pairs:
+            z, u = pairs.step(first, last, z, u)
+        alone(last, steps, z, u)
+        if pairs:
+            quiet = pairs.quiet(first, last, gain)
+            quiet = quiet and (last == steps or _quiet_states(states[steps], gain))
+        else:
+            quiet = _quiet_states(states[: steps + 1], gain)
         if quiet and tail:
             reached = states[1 : steps + 1]
             quiet = servo.tails_below(reached[:, at_sin], reached[:, at_cos], DEFAULT_TAIL_TOL)

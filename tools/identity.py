@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that this tree's CLI outputs are byte-identical to those of a git revision.
 
-    python3 tools/identity.py --against REV
+    python3 tools/identity.py --against REV [--expect FILE]
 
 REV is exported from the repository with ``git archive`` into a
 temporary directory.  :data:`COMMANDS` runs in that tree and in this
@@ -16,10 +16,22 @@ Every ``trace.csv``, ``snapshots.csv``, ``analysis.json``,
 without its ``duration_s`` and ``outputs`` keys.  Exit codes and stderr
 are compared too.  For a CSV that differs, a table gives each column's
 max |delta| over its max |value|.  Exit status: 0 when everything is identical, 1 when anything
-differs, 2 when REV cannot be exported.
+differs, 2 when REV cannot be exported or FILE cannot be read.
 
-The outputs that a change moved on purpose, and by how much, are
-recorded with that change in CHANGES.md.
+A change that moves outputs on purpose declares them in FILE, a JSON
+object that maps a command of :data:`COMMANDS` to ``{"moves":
+"rounding", "bound": b}``.  A declared command's CSV columns may move
+by at most b times the column's max |value|, with the same header,
+shape and empty or non-finite cells; its manifests may differ in
+``verdicts`` only, where every number may move by at most b times its
+magnitude and every bool, string and None, every key and list length,
+and ``blown_up`` and ``blow_up_time`` compare exactly.  Its exit code,
+stderr, ``route``, ``handover_step``, ``samples`` and every other file
+compare exactly, as every output of an undeclared command does.  A declared
+command whose outputs come out identical fails as stale: FILE holds the
+moves of one change against its parent, and the next change empties it.
+The table of each declared command's worst move is printed for the
+change's CHANGES.md entry.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -236,39 +249,118 @@ def _manifest(path: Path) -> dict:
     return data
 
 
-def csv_table(a: Path, b: Path) -> list[str]:
-    """Per column of two CSV files: max |delta| over max |value|."""
+def csv_moves(a: Path, b: Path) -> tuple[str | None, list[tuple[str, float, float, float]]]:
+    """Why two CSV files do not compare column by column, or None, and each moved column.
+
+    A moved column is ``(name, max |delta|, max |value|, their ratio)``;
+    its empty or non-finite cells, where they differ, move it infinitely.
+    """
     with a.open() as fa, b.open() as fb:
         head_a, head_b = fa.readline(), fb.readline()
     if head_a != head_b:
-        return [f"    headers differ: {head_a.strip()!r} vs {head_b.strip()!r}"]
+        return f"headers differ: {head_a.strip()!r} vs {head_b.strip()!r}", []
     # snapshots.csv leaves the what cell empty for runs without an observer: NaN here
     x, y = (np.genfromtxt(f, delimiter=",", skip_header=1, ndmin=2) for f in (a, b))
     if x.shape != y.shape:
-        return [f"    shapes differ: {x.shape} vs {y.shape}"]
-    lines = []
+        return f"shapes differ: {x.shape} vs {y.shape}", []
+    moves = []
     for j, col in enumerate(head_a.strip().split(",")):
         xj, yj = x[:, j], y[:, j]
         if np.array_equal(xj, yj, equal_nan=True):
             continue
         if (np.isnan(xj) != np.isnan(yj)).any():
-            lines.append(f"    {col:>14}  empty or non-finite cells differ")
+            moves.append((col, math.nan, math.nan, math.inf))
             continue
         kept = ~np.isnan(xj)
         delta = float(np.abs(xj[kept] - yj[kept]).max())
         scale = float(np.abs(xj[kept]).max())
-        rel = delta / scale if scale else float("inf")
-        lines.append(f"    {col:>14}  max|d| {delta:.3e}  scale {scale:.3e}  rel {rel:.3e}")
+        moves.append((col, delta, scale, delta / scale if scale else math.inf))
+    return None, moves
+
+
+def csv_table(why: str | None, moves: list[tuple[str, float, float, float]]) -> list[str]:
+    """The lines of :func:`csv_moves`' result: per moved column, max |delta| over max |value|."""
+    if why:
+        return [f"    {why}"]
+    lines = []
+    for col, delta, scale, rel in moves:
+        if math.isnan(delta):
+            lines.append(f"    {col:>14}  empty or non-finite cells differ")
+        else:
+            lines.append(f"    {col:>14}  max|d| {delta:.3e}  scale {scale:.3e}  rel {rel:.3e}")
     return lines or ["    values equal, bytes differ"]
 
 
-def compare(out_a: Path, out_b: Path) -> tuple[int, list[str]]:
-    """Compare every file under two output directories: (files checked, differences)."""
+#: manifest entries that compare exactly when a command is declared to move:
+#: top-level keys other than verdicts, and these of verdicts
+_EXACT_VERDICTS = ("blown_up", "blow_up_time")
+
+
+def load_expect(path: str) -> dict[str, dict]:
+    """The declared moves of FILE (see the module docstring); raises ValueError if malformed."""
+    try:
+        expect = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    names = {name for name, _ in COMMANDS}
+    if not isinstance(expect, dict):
+        raise ValueError(f"{path}: expected a JSON object of commands")
+    for name, move in expect.items():
+        if name not in names:
+            raise ValueError(f"{path}: {name!r} is not a command of the identity list")
+        bound = move.get("bound") if isinstance(move, dict) else None
+        if not (move == {"moves": "rounding", "bound": bound}
+                and type(bound) in (int, float) and 0 < bound < math.inf):
+            raise ValueError(f"{path}: {name!r} declares {move!r}, not rounding with a bound "
+                             "b > 0")
+    return expect
+
+
+def verdict_moves(a, b, path: str = "verdicts") -> list[tuple[str, float]]:
+    """Where two verdict trees differ: each number's |delta| over its magnitude.
+
+    A bool, string or None that differs, a dict with other keys or
+    another key order, a list of another length, or a number against a
+    non-number moves infinitely.
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            return [(path, math.inf)]
+        return [move for key in a for move in verdict_moves(a[key], b[key], f"{path}.{key}")]
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return [(path, math.inf)]
+        return [move for i, (x, y) in enumerate(zip(a, b))
+                for move in verdict_moves(x, y, f"{path}[{i}]")]
+    if type(a) in (int, float) and type(b) in (int, float):  # bool is not a number here
+        if a == b or math.isnan(a) and math.isnan(b):
+            return []
+        scale = max(abs(a), abs(b))
+        return [(path, abs(a - b) / scale if math.isfinite(scale) else math.inf)]
+    return [] if type(a) is type(b) and a == b else [(path, math.inf)]
+
+
+def compare(out_a: Path, out_b: Path,
+            expect: dict[str, dict] | None = None) -> tuple[int, list[str], dict[str, tuple]]:
+    """Compare every file under two output directories, one directory per command.
+
+    Returns the files checked, the differences that fail, and for each
+    command of ``expect`` that moved as declared, its worst move:
+    ``(|delta| / scale, file, column or verdict)``.  A declared command
+    that did not move is a difference (stale).
+    """
+    expect = expect or {}
     files = sorted({p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file()}
                    | {p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file()})
-    diffs = []
+    diffs, worst = [], {}
+
+    def moved(command: str, rel: float, where: str = "", col: str = "") -> None:
+        if rel >= worst.get(command, (-1.0,))[0]:
+            worst[command] = (rel, where, col)
+
     for rel in files:
         a, b = out_a / rel, out_b / rel
+        declared = expect.get(rel.parts[0])
         if not (a.is_file() and b.is_file()):
             diffs.append(f"{rel}: only in {'base' if a.is_file() else 'this tree'}")
         elif rel.name == "manifest.json":
@@ -278,18 +370,48 @@ def compare(out_a: Path, out_b: Path) -> tuple[int, list[str]]:
                 keys = sorted(k for k in ma.keys() | mb.keys()
                               if k not in ma or k not in mb
                               or json.dumps(ma[k]) != json.dumps(mb[k]))
-                diffs.append(f"{rel}: differs in {', '.join(keys) or 'key order'}")
+                va, vb = (m.get("verdicts") or {} for m in (ma, mb))
+                keys += [k for k in _EXACT_VERDICTS if va.get(k) != vb.get(k)]
+                if not (declared and keys == ["verdicts"]):
+                    diffs.append(f"{rel}: differs in {', '.join(keys) or 'key order'}")
+                    continue
+                moves = verdict_moves(va, vb)
+                over = [(path, r) for path, r in moves if not r <= declared["bound"]]
+                if over:
+                    diffs.append(f"{rel}: moves past its bound {declared['bound']:g} in "
+                                 f"{', '.join(path for path, _ in over)}")
+                    diffs.extend(f"    {path}  rel {r:.3e}" for path, r in over)
+                else:
+                    rel_max, path = max(((r, p) for p, r in moves), default=(0.0, "verdicts"))
+                    moved(rel.parts[0], rel_max, str(Path(*rel.parts[1:])), path)
         elif a.read_bytes() != b.read_bytes():
-            diffs.append(f"{rel}: bytes differ")
+            why, moves = csv_moves(a, b) if rel.suffix == ".csv" else ("", [])
+            bound = declared["bound"] if declared else None
+            over = [col for col, _, _, r in moves if not r <= bound] if declared else []
+            if declared and why is None and not over:
+                rel_max, col = max(((r, c) for c, _, _, r in moves), default=(0.0, ""))
+                moved(rel.parts[0], rel_max, str(Path(*rel.parts[1:])), col)
+                continue
+            diffs.append(f"{rel}: moves past its bound {bound:g} in {', '.join(over)}" if over
+                         else f"{rel}: bytes differ")
             if rel.suffix == ".csv":
-                diffs.extend(csv_table(a, b))
-    return len(files), diffs
+                diffs.extend(csv_table(why, moves))
+    for command in expect:
+        if command not in worst:
+            diffs.append(f"{command}: declared to move, but identical: the declaration is stale")
+    return len(files), diffs, worst
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, help="git revision to compare with")
+    parser.add_argument("--expect", help="JSON file of the commands declared to move")
     args = parser.parse_args(argv)
+    try:
+        expect = load_expect(args.expect) if args.expect else {}
+    except ValueError as exc:
+        print(f"identity: {exc}", file=sys.stderr)
+        return 2
 
     with tempfile.TemporaryDirectory(prefix="heatadapt-identity-") as tmp:
         work = Path(tmp)
@@ -301,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         status_a = run_all(work / "base", work / "out" / "a")
         status_b = run_all(ROOT, work / "out" / "b")
-        n_files, diffs = compare(work / "out" / "a", work / "out" / "b")
+        n_files, diffs, worst = compare(work / "out" / "a", work / "out" / "b", expect)
     for name, _ in COMMANDS:
         (code_a, err_a), (code_b, err_b) = status_a[name], status_b[name]
         print(f"{name:>24}  exit {code_b}")
@@ -309,11 +431,16 @@ def main(argv: list[str] | None = None) -> int:
             diffs.append(f"{name}: exit {code_a} -> {code_b}")
         if err_a != err_b:
             diffs.append(f"{name}: stderr differs")
+    if worst:
+        print("declared moves, worst |delta| over the column's max |value| or the verdict's:")
+        for name, (rel, where, col) in sorted(worst.items()):
+            print(f"  {name:<24} <= {expect[name]['bound']:<7g} {rel:.2e}  {where} {col}".rstrip())
     if diffs:
         print(f"{len(COMMANDS)} commands, {n_files} files: DIFFERENCES against {args.against}")
         print("\n".join(diffs))
         return 1
-    print(f"{len(COMMANDS)} commands, {n_files} files: identical to {args.against} "
+    moves = f", but for the {len(worst)} declared commands" if worst else ""
+    print(f"{len(COMMANDS)} commands, {n_files} files: identical to {args.against}{moves} "
           f"(manifests without {', '.join(_VOLATILE)})")
     return 0
 

@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Time the per-step floor of three runs in-process, with ``diss_cum`` and without.
+"""Time the per-step floor of four runs in-process, with ``diss_cum`` and without.
 
     python3 tools/perstep.py [--steps N] [--repeats R]
 
 Each run is timed on one BLAS thread (``OPENBLAS_NUM_THREADS=1``, set
 before numpy loads), ``R`` times with the ``diss_cum`` column and ``R``
 times without it, alternating, and the best of each is printed as µs a
-step.  A batch records no ``diss_cum``, so it is timed without it only:
+step.  Tracking and a batch record no ``diss_cum``, so they are timed
+without it only:
 
 - ``stabilize``: ``run_stabilization`` at the CLI's defaults (n=51,
-  dt=1e-4, sample stride 100), on the operator route;
+  dt=1e-4, sample stride 100), on the operator route, which steps two
+  instants a product without ``diss_cum`` and one with it;
+- ``track``: ``run_tracking`` of ``sin:1,1`` at the same defaults, on the
+  operator route, two instants a product;
 - ``batch-c0``: ``run_stabilization_batch`` of a six-member c0 sweep
   (c0 evenly from 3 to 8), as µs a step of the whole batch;
 - ``error-system``: ``run_error_system`` at n=201, dt=1e-5 and sample
@@ -36,12 +40,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from heatadapt import Grid, GridFunction, Params, SimConfig  # noqa: E402
+from heatadapt import Grid, GridFunction, Params, ReferenceSignal, SimConfig  # noqa: E402
 from heatadapt.batch import run_stabilization_batch  # noqa: E402
 from heatadapt.scenarios import (  # noqa: E402
     benchmark_initial_state,
     run_error_system,
     run_stabilization,
+    run_tracking,
 )
 
 
@@ -57,6 +62,7 @@ def runs(steps: int) -> dict:
     c51 = _config(51, 1e-4, steps, 100)
     w0, what0 = benchmark_initial_state(c51.grid, 2.0), GridFunction.zeros(c51.grid)
     ps = [Params(q=2.0, b=-10.0, c0=c0, c1=5.0) for c0 in np.linspace(3.0, 8.0, 6)]
+    sine = ReferenceSignal.sinusoid(1.0, 1.0)
     c201 = _config(201, 1e-5, steps, 1)
     wt0 = benchmark_initial_state(c201.grid, 2.0)
 
@@ -66,6 +72,7 @@ def runs(steps: int) -> dict:
     return {
         "stabilize": {on: lambda on=on: run_stabilization(p, c51, w0, what0, 0.0, diss_cum=on)
                       for on in (True, False)},
+        "track": {False: lambda: run_tracking(p, c51, w0, what0, 0.0, sine)},
         "batch-c0": {False: lambda: run_stabilization_batch(ps, c51, w0, what0, [0.0] * 6)},
         "error-system": {on: lambda on=on: run_error_system(p, c201, wt0, -0.1, u0, diss_cum=on)
                          for on in (True, False)},
